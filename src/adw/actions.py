@@ -45,11 +45,12 @@ class ActionFamily:
 
     def mat(self, x):
         """Matrix of the action of the coordinate vector x."""
-        out = zeros_mat(self.mod_dim, self.mod_dim)
+        out = None
         for i, xi in enumerate(x):
             if xi:
-                out = mat_add(out, mat_scale(xi, self.mats[i]))
-        return out
+                term = mat_scale(xi, self.mats[i])
+                out = term if out is None else mat_add(out, term)
+        return zeros_mat(self.mod_dim, self.mod_dim) if out is None else out
 
     def act(self, x, w):
         """Apply the action of algebra vector x to module vector w."""

@@ -346,13 +346,12 @@ def _check_d_equations(alg, cp, out, labels):
     ops = multiplication_operators(alg)
     ls, rs = ops.lsucc.mats, ops.rsucc.mats
     lp, rp = ops.lprec.mats, ops.rprec.mats
+    ldot = ops.lsucc.add(ops.lprec).mats
+    rdot = ops.rsucc.add(ops.rprec).mats
     first_three_only = len(labels) == 3
     for i in range(n):
         for j in range(n):
-            ldot_i = tuple(tuple(a + b for a, b in zip(r1, r2))
-                           for r1, r2 in zip(ls[i], lp[i]))
-            rdot_j = tuple(tuple(a + b for a, b in zip(r1, r2))
-                           for r1, r2 in zip(rs[j], rp[j]))
+            ldot_i, rdot_j = ldot[i], rdot[j]
             dij = alg.assoc.table[i][j]
             # D1: Dp(x.y) = (R.(y) (x) I)Dp(x) - (I (x) L>(x))Dp(y)
             out.require_equal(labels[0], (i, j), cp.prec_at(dij),
@@ -405,14 +404,11 @@ def coboundary_coproducts(alg: ADAlgebra, rsucc, rprec) -> CoproductPair:
     if shape(rsucc) != (n, n) or shape(rprec) != (n, n):
         raise InputError("tensors must be %dx%d" % (n, n))
     ops = multiplication_operators(alg)
+    ld = ops.lsucc.add(ops.lprec).mats
+    rd = ops.rsucc.add(ops.rprec).mats
     ds, dp = [], []
     for k in range(n):
-        rp_k = ops.rprec.mats[k]
-        ld_k = tuple(tuple(a + b for a, b in zip(r1, r2))
-                     for r1, r2 in zip(ops.lsucc.mats[k], ops.lprec.mats[k]))
-        rd_k = tuple(tuple(a + b for a, b in zip(r1, r2))
-                     for r1, r2 in zip(ops.rsucc.mats[k], ops.rprec.mats[k]))
-        ls_k = ops.lsucc.mats[k]
+        rp_k, ld_k, rd_k, ls_k = ops.rprec.mats[k], ld[k], rd[k], ops.lsucc.mats[k]
         ds.append(t2_neg(t2_add(t2_apply(rp_k, rsucc, 1), t2_apply(ld_k, rsucc, 2))))
         dp.append(t2_add(t2_apply(rd_k, rprec, 1), t2_apply(ls_k, rprec, 2)))
     return CoproductPair(n, tuple(ds), tuple(dp))
@@ -433,23 +429,12 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
     ops = multiplication_operators(alg)
     ls, rs = ops.lsucc.mats, ops.rsucc.mats
     lp, rp = ops.lprec.mats, ops.rprec.mats
-    ld = [tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(ls[k], lp[k]))
-          for k in range(n)]
-    rd = [tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(rs[k], rp[k]))
-          for k in range(n)]
+    ld = ops.lsucc.add(ops.lprec).mats
+    rd = ops.rsucc.add(ops.rprec).mats
     succ, prec, dotop = alg.succ, alg.prec, alg.assoc
     s_plus_tp = t2_add(rsucc, twist(rprec))     # r> + tau r<
     p_plus_ts = t2_add(rprec, twist(rsucc))     # r< + tau r>
     s_minus_p = t2_sub(rsucc, rprec)            # r> - r<
-
-    def lmul(vec, mats):
-        acc = None
-        for k, c in enumerate(vec):
-            if c:
-                term = tuple(tuple(c * x for x in row) for row in mats[k])
-                acc = term if acc is None else tuple(
-                    tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(acc, term))
-        return acc if acc is not None else tuple((0,) * n for _ in range(n))
 
     for i in range(n):
         for j in range(n):
@@ -461,13 +446,13 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
             cd3 = t2_add(t2_apply(rp[i], inner, 1), t2_apply(ld[i], inner, 2))
             out.require_equal("CD3", (i, j), cd3, t2_zero(n), "CD3 does not vanish")
             # CD4: [I (x) L>(x<y) - R<(y) (x) L>(x) + R<(x<y + x.y) (x) I](r> - r<)
-            cd4 = t2_add(t2_apply(lmul(pij, ls), s_minus_p, 2),
+            cd4 = t2_add(t2_apply(ops.lsucc.mat(pij), s_minus_p, 2),
                          t2_neg(t2_apply(rp[j], t2_apply(ls[i], s_minus_p, 2), 1)),
-                         t2_apply(lmul(vadd(pij, dij), rp), s_minus_p, 1))
+                         t2_apply(ops.rprec.mat(vadd(pij, dij)), s_minus_p, 1))
             out.require_equal("CD4", (i, j), cd4, t2_zero(n), "CD4 does not vanish")
             # CD5: [I (x) L>(x>y + x.y) + R<(x>y) (x) I - R<(y) (x) L>(x)](r> - r<)
-            cd5 = t2_add(t2_apply(lmul(vadd(sij, dij), ls), s_minus_p, 2),
-                         t2_apply(lmul(sij, rp), s_minus_p, 1),
+            cd5 = t2_add(t2_apply(ops.lsucc.mat(vadd(sij, dij)), s_minus_p, 2),
+                         t2_apply(ops.rprec.mat(sij), s_minus_p, 1),
                          t2_neg(t2_apply(rp[j], t2_apply(ls[i], s_minus_p, 2), 1)))
             out.require_equal("CD5", (i, j), cd5, t2_zero(n), "CD5 does not vanish")
             # CD6: [L>(x)R>(y) (x) I - R>(y) (x) R<(x)](r< + tau r>)

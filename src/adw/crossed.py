@@ -28,7 +28,7 @@ from .linalg import (identity, inverse, mat_add, mat_neg, mat_scale, matmul,
                      matvec, nullspace, shape, solve_linear, unit, vadd, vneg,
                      vsub, vzero, zeros_mat)
 from .reporting import PreconditionFailure, Report
-from .unified import CrossBilinear, check_split_axioms
+from .unified import CrossBilinear, check_glued, glue, split_slots
 
 
 @dataclass(frozen=True)
@@ -71,21 +71,15 @@ class CrossedDatum:
     def fibre_abelian(self) -> bool:
         return self.valgebra.succ.is_zero() and self.valgebra.prec.is_zero()
 
-    def pair_succ(self, u, v):
-        x, a = u
-        y, b = v
-        apart = self.algebra.succ.apply(x, y)
-        vpart = vadd(self.omega1.apply(x, y), self.lsucc.act(x, b),
-                     self.rsucc.act(y, a), self.valgebra.succ.apply(a, b))
-        return (apart, vpart)
-
-    def pair_prec(self, u, v):
-        x, a = u
-        y, b = v
-        apart = self.algebra.prec.apply(x, y)
-        vpart = vadd(self.omega2.apply(x, y), self.lprec.act(x, b),
-                     self.rprec.act(y, a), self.valgebra.prec.apply(a, b))
-        return (apart, vpart)
+    def glued(self):
+        """Glued (succ, prec) tables of the crossed product on A (+) V."""
+        n, m = self.algebra.dim, self.vdim
+        return (glue(n, m, (self.algebra.succ.table, self.omega1.table),
+                     (None, self.lsucc.mats), (None, self.rsucc.mats),
+                     (None, self.valgebra.succ.table)),
+                glue(n, m, (self.algebra.prec.table, self.omega2.table),
+                     (None, self.lprec.mats), (None, self.rprec.mats),
+                     (None, self.valgebra.prec.table)))
 
 
 # V-component slots of the defining identities; A-components are either the
@@ -108,6 +102,7 @@ _A2_CROSSED = {
     ("V", "A", "V"): (None, "C11"),
     ("V", "V", "A"): (None, "C11"),
 }
+_CROSSED_SLOTS = split_slots(_A1_CROSSED, _A2_CROSSED)
 
 
 def check_crossed_system(d: CrossedDatum, exhaustive: bool = False,
@@ -129,10 +124,7 @@ def check_crossed_system(d: CrossedDatum, exhaustive: bool = False,
                 out.record("C12", v.witness, v.lhs, v.rhs,
                            "fibre algebra violates %s: %s" % (v.equation, v.detail))
             out.violation_count += fib.violation_count - len(fib.violations)
-    check_split_axioms(d.algebra.dim, d.vdim, d.pair_succ, d.pair_prec,
-                       _A1_CROSSED, _A2_CROSSED, out.name,
-                       exhaustive=exhaustive, report=out)
-    return out
+    return check_glued(out, d.algebra.dim, d.vdim, _CROSSED_SLOTS, *d.glued())
 
 
 def check_cocycle(d: CrossedDatum, exhaustive: bool = False) -> Report:
@@ -146,27 +138,10 @@ def crossed_product(d: CrossedDatum, precheck: bool = True) -> ADAlgebra:
         rep = check_crossed_system(d)
         if not rep.passed:
             raise PreconditionFailure("datum is not a crossed system", rep)
-    n, m = d.algebra.dim, d.vdim
-    total = n + m
-
-    def emb(idx):
-        if idx < n:
-            return (unit(n, idx), vzero(m))
-        return (vzero(n), unit(m, idx - n))
-
-    def build(fn):
-        table = []
-        for i in range(total):
-            row = []
-            for j in range(total):
-                apart, vpart = fn(emb(i), emb(j))
-                row.append(tuple(apart) + tuple(vpart))
-            table.append(tuple(row))
-        return BilinearOp(total, tuple(table))
-
-    basis = d.algebra.basis + d.valgebra.basis
-    return ADAlgebra(total, basis, build(d.pair_succ), build(d.pair_prec),
-                     d.algebra.field)
+    total = d.algebra.dim + d.vdim
+    succ_t, prec_t = d.glued()
+    return ADAlgebra(total, d.algebra.basis + d.valgebra.basis, BilinearOp(total, succ_t),
+                     BilinearOp(total, prec_t), d.algebra.field)
 
 
 # ---------------------------------------------------------------------------

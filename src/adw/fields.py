@@ -172,6 +172,9 @@ class PrimeField:
                 n, d = int(num), int(den)
             except ValueError as exc:
                 raise InputError("bad coefficient %r" % s) from exc
+            if d % self.p == 0:
+                raise InputError("bad coefficient %r: denominator is 0 in GF(%d)"
+                                 % (s, self.p))
             return self.coerce(n) / self.coerce(d)
         try:
             return self.coerce(int(s))

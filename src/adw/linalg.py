@@ -99,24 +99,8 @@ def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def mat_sub(a, b):
-    return mat_add(a, mat_neg(b))
-
-
 def mat_scale(c, a):
     return tuple(tuple(c * x for x in row) for row in a)
-
-
-def is_zero_mat(a):
-    return all(not x for row in a for x in row)
-
-
-def mat_eq(a, b):
-    return shape(a) == shape(b) and all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_from_cols(cols):
-    return transpose(tuple(tuple(c) for c in cols))
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from .actions import ActionFamily
 from .algebra import ADAlgebra, BilinearOp, check_associative
 from .fields import InputError
-from .linalg import unit, vadd, vzero
 from .reporting import PreconditionFailure, Report
 from .reps import ADRep, check_representation
-from .unified import check_split_axioms
+from .unified import check_glued, glue, split_slots
 
 
 @dataclass(frozen=True)
@@ -63,19 +62,13 @@ class MatchedPairDatum:
     def rep_on_alg1(self) -> ADRep:
         return ADRep(self.alg2, self.alg1.dim, self.l2s, self.r2s, self.l2p, self.r2p)
 
-    def pair_succ(self, u, v):
-        x, a = u
-        y, b = v
-        apart = vadd(self.alg1.succ.apply(x, y), self.l2s.act(a, y), self.r2s.act(b, x))
-        vpart = vadd(self.alg2.succ.apply(a, b), self.l1s.act(x, b), self.r1s.act(y, a))
-        return (apart, vpart)
-
-    def pair_prec(self, u, v):
-        x, a = u
-        y, b = v
-        apart = vadd(self.alg1.prec.apply(x, y), self.l2p.act(a, y), self.r2p.act(b, x))
-        vpart = vadd(self.alg2.prec.apply(a, b), self.l1p.act(x, b), self.r1p.act(y, a))
-        return (apart, vpart)
+    def glued(self):
+        """Glued (succ, prec) tables of the bicrossed product on alg1 (+) alg2."""
+        n, m = self.alg1.dim, self.alg2.dim
+        return (glue(n, m, (self.alg1.succ.table, None), (self.r2s.mats, self.l1s.mats),
+                     (self.l2s.mats, self.r1s.mats), (None, self.alg2.succ.table)),
+                glue(n, m, (self.alg1.prec.table, None), (self.r2p.mats, self.l1p.mats),
+                     (self.l2p.mats, self.r1p.mats), (None, self.alg2.prec.table)))
 
 
 # Slots delegated to the two representation checks carry None; pure triples
@@ -96,6 +89,7 @@ _A2_MATCHED = {
     ("V", "A", "V"): (None, "M11"),
     ("V", "V", "A"): (None, "M12"),
 }
+_MATCHED_SLOTS = split_slots(_A1_MATCHED, _A2_MATCHED)
 
 
 def check_matched_pair(d: MatchedPairDatum, exhaustive: bool = False) -> Report:
@@ -115,10 +109,7 @@ def check_matched_pair(d: MatchedPairDatum, exhaustive: bool = False) -> Report:
             if out.exhaustive or not out.violations:
                 out.violations.append(type(v)(("%s:" % tag) + v.equation, v.witness,
                                               v.lhs, v.rhs, v.detail))
-    check_split_axioms(d.alg1.dim, d.alg2.dim, d.pair_succ, d.pair_prec,
-                       _A1_MATCHED, _A2_MATCHED, out.name,
-                       exhaustive=exhaustive, report=out)
-    return out
+    return check_glued(out, d.alg1.dim, d.alg2.dim, _MATCHED_SLOTS, *d.glued())
 
 
 def bicrossed_product(d: MatchedPairDatum, precheck: bool = True) -> ADAlgebra:
@@ -127,26 +118,10 @@ def bicrossed_product(d: MatchedPairDatum, precheck: bool = True) -> ADAlgebra:
         rep = check_matched_pair(d)
         if not rep.passed:
             raise PreconditionFailure("not a matched pair", rep)
-    n, m = d.alg1.dim, d.alg2.dim
-    total = n + m
-
-    def emb(idx):
-        if idx < n:
-            return (unit(n, idx), vzero(m))
-        return (vzero(n), unit(m, idx - n))
-
-    def build(fn):
-        table = []
-        for i in range(total):
-            row = []
-            for j in range(total):
-                apart, vpart = fn(emb(i), emb(j))
-                row.append(tuple(apart) + tuple(vpart))
-            table.append(tuple(row))
-        return BilinearOp(total, tuple(table))
-
-    return ADAlgebra(total, d.alg1.basis + d.alg2.basis,
-                     build(d.pair_succ), build(d.pair_prec), d.alg1.field)
+    total = d.alg1.dim + d.alg2.dim
+    succ_t, prec_t = d.glued()
+    return ADAlgebra(total, d.alg1.basis + d.alg2.basis, BilinearOp(total, succ_t),
+                     BilinearOp(total, prec_t), d.alg1.field)
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +136,11 @@ class AssocMatchedPair:
     l2: ActionFamily
     r2: ActionFamily
 
-    def pair_mul(self, u, v):
-        x, a = u
-        y, b = v
-        apart = vadd(self.op1.apply(x, y), self.l2.act(a, y), self.r2.act(b, x))
-        vpart = vadd(self.op2.apply(a, b), self.l1.act(x, b), self.r1.act(y, a))
-        return (apart, vpart)
+    def glued(self):
+        """Glued product table of the associative bicrossed product."""
+        n, m = self.op1.dim, self.op2.dim
+        return glue(n, m, (self.op1.table, None), (self.r2.mats, self.l1.mats),
+                    (self.l2.mats, self.r1.mats), (None, self.op2.table))
 
 
 def check_assoc_matched_pair(p: AssocMatchedPair, exhaustive: bool = False) -> Report:
@@ -193,25 +167,7 @@ def check_assoc_matched_pair(p: AssocMatchedPair, exhaustive: bool = False) -> R
         ("V", "A", "V"): ("bimod2-c", "AM5"),
         ("V", "V", "A"): ("bimod2-l", "AM2"),
     }
-    basis = {
-        "A": [(unit(n, i), vzero(m)) for i in range(n)],
-        "V": [(vzero(n), unit(m, j)) for j in range(m)],
-    }
-    for ttype, (la, lv) in labels.items():
-        tname = "".join(ttype)
-        for iu, u in enumerate(basis[ttype[0]]):
-            for iv, v in enumerate(basis[ttype[1]]):
-                for iw, w in enumerate(basis[ttype[2]]):
-                    uv = p.pair_mul(u, v)
-                    vw = p.pair_mul(v, w)
-                    lhs = p.pair_mul(uv, w)
-                    rhs = p.pair_mul(u, vw)
-                    wit = (tname, iu, iv, iw)
-                    out.require_equal(la, wit, lhs[0], rhs[0],
-                                      "(uv)w != u(vw) [first component]")
-                    out.require_equal(lv, wit, lhs[1], rhs[1],
-                                      "(uv)w != u(vw) [second component]")
-    return out
+    return check_glued(out, n, m, labels, p.glued())
 
 
 def induced_associative_matched_pair(d: MatchedPairDatum,
@@ -229,22 +185,7 @@ def induced_associative_matched_pair(d: MatchedPairDatum,
 
 def assoc_bicrossed_product(p: AssocMatchedPair) -> BilinearOp:
     """Dense product table of the glued associative algebra."""
-    n, m = p.op1.dim, p.op2.dim
-    total = n + m
-
-    def emb(idx):
-        if idx < n:
-            return (unit(n, idx), vzero(m))
-        return (vzero(n), unit(m, idx - n))
-
-    table = []
-    for i in range(total):
-        row = []
-        for j in range(total):
-            apart, vpart = p.pair_mul(emb(i), emb(j))
-            row.append(tuple(apart) + tuple(vpart))
-        table.append(tuple(row))
-    return BilinearOp(total, tuple(table))
+    return BilinearOp(p.op1.dim + p.op2.dim, p.glued())
 
 
 # ---------------------------------------------------------------------------

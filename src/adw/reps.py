@@ -23,7 +23,7 @@ from functools import cached_property
 from .actions import ActionFamily
 from .algebra import ADAlgebra, BilinearOp, multiplication_operators
 from .fields import InputError
-from .linalg import mat_neg, matmul, mat_add
+from .linalg import mat_neg, matmul
 from .reporting import PreconditionFailure, Report
 
 R1_TERMS = ("l>(x)l>(y)", "-l>(x.y)", "-l<(x)l.(y)", "l<(x<y)")
@@ -74,19 +74,8 @@ def check_representation(rep: ADRep, exhaustive: bool = False,
     out = Report("representation axioms", exhaustive=exhaustive)
     n = alg.dim
     ls, rs, lp, rp = rep.lsucc.mats, rep.rsucc.mats, rep.lprec.mats, rep.rprec.mats
-    ldot = [mat_add(a, b) for a, b in zip(ls, lp)]
-    rdot = [mat_add(a, b) for a, b in zip(rs, rp)]
-
-    def fam_at(mats, vec):
-        acc = None
-        for i, c in enumerate(vec):
-            if c:
-                term = tuple(tuple(c * x for x in row) for row in mats[i])
-                acc = term if acc is None else mat_add(acc, term)
-        if acc is None:
-            acc = tuple((0,) * rep.mod_dim for _ in range(rep.mod_dim))
-        return acc
-
+    ldot = rep.lsucc.add(rep.lprec).mats
+    rdot = rep.rsucc.add(rep.rprec).mats
     for i in range(n):
         for j in range(n):
             sij = alg.succ.table[i][j]
@@ -94,14 +83,14 @@ def check_representation(rep: ADRep, exhaustive: bool = False,
             dij = alg.assoc.table[i][j]
             out.require_chain("R1", (i, j), R1_TERMS, (
                 matmul(ls[i], ls[j]),
-                mat_neg(fam_at(ls, dij)),
+                mat_neg(rep.lsucc.mat(dij)),
                 mat_neg(matmul(lp[i], ldot[j])),
-                fam_at(lp, pij),
+                rep.lprec.mat(pij),
             ))
             out.require_chain("R2", (i, j), R2_TERMS, (
-                fam_at(rs, sij),
+                rep.rsucc.mat(sij),
                 mat_neg(matmul(rs[j], rdot[i])),
-                mat_neg(fam_at(rp, dij)),
+                mat_neg(rep.rprec.mat(dij)),
                 matmul(rp[j], rp[i]),
             ))
             out.require_chain("R3", (i, j), R3_TERMS, (
@@ -110,9 +99,9 @@ def check_representation(rep: ADRep, exhaustive: bool = False,
                 mat_neg(matmul(lp[i], rdot[j])),
                 matmul(rp[j], lp[i]),
             ))
-            out.require_equal("R4", (i, j), fam_at(lp, sij), matmul(ls[i], lp[j]),
+            out.require_equal("R4", (i, j), rep.lprec.mat(sij), matmul(ls[i], lp[j]),
                               "l<(x>y) != l>(x)l<(y)")
-            out.require_equal("R5", (i, j), matmul(rp[j], rs[i]), fam_at(rs, pij),
+            out.require_equal("R5", (i, j), matmul(rp[j], rs[i]), rep.rsucc.mat(pij),
                               "r<(y)r>(x) != r>(x<y)")
             out.require_equal("R6", (i, j), matmul(rp[j], ls[i]), matmul(ls[i], rp[j]),
                               "r<(y)l>(x) != l>(x)r<(y)")

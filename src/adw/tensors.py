@@ -48,14 +48,6 @@ def t2_sub(a, b):
     return t2_add(a, t2_neg(b))
 
 
-def t2_scale(c, t):
-    return tuple(tuple(c * x for x in row) for row in t)
-
-
-def t2_is_zero(t):
-    return all(not x for row in t for x in row)
-
-
 def t3_add(*ts):
     d = t3_dims(ts[0])
     for t in ts:

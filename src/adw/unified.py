@@ -88,66 +88,124 @@ class CrossBilinear:
 
 
 # ---------------------------------------------------------------------------
-# generic split-product axiom engine
+# glued products on A (+) V: block-placed tables and one slot-labelled checker
 
-def _pair_add(u, v):
-    return (vadd(u[0], v[0]), vadd(u[1], v[1]))
+def glue(na, nv, aa, av, va, vv):
+    """Structure constants of a product on A (+) V, placed block by block.
 
+    Each block is a pair (source of the A-part, source of the V-part); None
+    marks a zero part.  With e_i in A and f_j in V:
 
-def _pair_neg(u):
-    return (vneg(u[0]), vneg(u[1]))
+        e_i o e_j = (aa[0][i][j], aa[1][i][j])          tables A x A -> A, V
+        e_i o f_j = (av[0](f_j) e_i, av[1](e_i) f_j)    V-on-A, A-on-V matrices
+        f_i o e_j = (va[0](f_i) e_j, va[1](e_j) f_i)    V-on-A, A-on-V matrices
+        f_i o f_j = (vv[0][i][j], vv[1][i][j])          tables V x V -> A, V
 
-
-def check_split_axioms(na, nv, succ, prec, a1_labels, a2_labels, name,
-                       exhaustive=False, report=None) -> Report:
-    """Check both defining identities of a product on A (+) V componentwise.
-
-    ``succ``/``prec`` map pairs of (A-vector, V-vector) pairs to such pairs.
-    The label tables assign, per basis-triple type (say ('A','V','V')), a pair
-    of equation ids for the A- and V-components; a ``None`` id skips the slot
-    (used when a slot is delegated to another checker or holds a standing
-    precondition).
+    Tables are ``BilinearOp.table``/``CrossBilinear.table`` vector tables and
+    families are ``ActionFamily.mats``, so an action value is a matrix column.
     """
-    rep = report if report is not None else Report(name, exhaustive=exhaustive)
+    za, zv = vzero(na), vzero(nv)
 
-    def dot(u, v):
-        return _pair_add(succ(u, v), prec(u, v))
+    def cell(table, i, j, zero):
+        return zero if table is None else tuple(table[i][j])
 
-    basis = {
-        "A": [(unit(na, i), vzero(nv)) for i in range(na)],
-        "V": [(vzero(na), unit(nv, j)) for j in range(nv)],
-    }
-    comp_tag = ("A", "V")
-    for ttype in iproduct("AV", repeat=3):
-        la1 = a1_labels.get(ttype, (None, None))
-        la2 = a2_labels.get(ttype, (None, None))
-        if la1 == (None, None) and la2 == (None, None):
-            continue
+    def column(mats, k, c, zero):
+        return zero if mats is None else tuple(row[c] for row in mats[k])
+
+    rows = []
+    for i in range(na):
+        rows.append(tuple(cell(aa[0], i, j, za) + cell(aa[1], i, j, zv) for j in range(na))
+                    + tuple(column(av[0], j, i, za) + column(av[1], i, j, zv)
+                            for j in range(nv)))
+    for i in range(nv):
+        rows.append(tuple(column(va[0], i, j, za) + column(va[1], j, i, zv) for j in range(na))
+                    + tuple(cell(vv[0], i, j, za) + cell(vv[1], i, j, zv) for j in range(nv)))
+    return tuple(rows)
+
+
+def _lmul(table, i, x):
+    """e_i o x for a coordinate vector x."""
+    row, out = table[i], None
+    for k, c in enumerate(x):
+        if c:
+            out = ([c * t if t else t for t in row[k]] if out is None
+                   else [o + c * t if t else o for o, t in zip(out, row[k])])
+    return vzero(len(table)) if out is None else tuple(out)
+
+
+def _rmul(table, x, j):
+    """x o e_j for a coordinate vector x."""
+    out = None
+    for k, c in enumerate(x):
+        if c:
+            col = table[k][j]
+            out = ([c * t if t else t for t in col] if out is None
+                   else [o + c * t if t else o for o, t in zip(out, col)])
+    return vzero(len(table)) if out is None else tuple(out)
+
+
+def split_slots(a1_labels, a2_labels):
+    """Per-type slot labels ((A1 A-id, A1 V-id), (A2 A-id, A2 V-id)) in walk order.
+
+    A ``None`` id skips the slot (delegated to another checker or a standing
+    precondition); types with no labelled slot are left out.
+    """
+    none = (None, None)
+    return {t: (a1_labels.get(t, none), a2_labels.get(t, none))
+            for t in iproduct("AV", repeat=3)
+            if a1_labels.get(t, none) != none or a2_labels.get(t, none) != none}
+
+
+def check_glued(report, na, nv, slots, succ, prec=None) -> Report:
+    """Check a glued product on A (+) V slot by slot over typed basis triples.
+
+    ``succ``/``prec`` are glued tables from ``glue``.  With both, ``slots``
+    (from ``split_slots``) labels the components of the defining identities
+    A1/A2; with ``prec`` None, ``succ`` is one product and ``slots`` maps
+    each type to the (A-id, V-id) of its associativity components.  Triple
+    types run in the order of ``slots``; a witness is (type, i, j, k) with
+    indices local to each summand, and the A and V components are the two
+    slices of the glued vectors.
+    """
+    n = na + nv
+    comps = (slice(0, na), slice(na, n))
+    summand = {"A": range(na), "V": range(na, n)}
+    if prec is not None:
+        dot = tuple(tuple(vadd(s, p) for s, p in zip(srow, prow))
+                    for srow, prow in zip(succ, prec))
+    for ttype, labels in slots.items():
         tname = "".join(ttype)
-        for iu, u in enumerate(basis[ttype[0]]):
-            for iv, v in enumerate(basis[ttype[1]]):
-                for iw, w in enumerate(basis[ttype[2]]):
+        ru, rv, rw = (summand[t] for t in ttype)
+        for iu, u in enumerate(ru):
+            for iv, v in enumerate(rv):
+                for iw, w in enumerate(rw):
                     witness = (tname, iu, iv, iw)
-                    if la1 != (None, None):
-                        chain = (
-                            succ(u, succ(v, w)),
-                            _pair_neg(succ(dot(u, v), w)),
-                            _pair_neg(prec(u, dot(v, w))),
-                            prec(prec(u, v), w),
-                        )
-                        for comp in (0, 1):
-                            if la1[comp] is not None:
-                                rep.require_chain(la1[comp], witness, A1_CHAIN_TERMS,
-                                                  tuple(e[comp] for e in chain))
-                    if la2 != (None, None):
-                        lhs = prec(succ(u, v), w)
-                        rhs = succ(u, prec(v, w))
-                        for comp in (0, 1):
-                            if la2[comp] is not None:
-                                rep.require_equal(
-                                    la2[comp], witness, lhs[comp], rhs[comp],
-                                    "(u>v)<w != u>(v<w) [%s-component]" % comp_tag[comp])
-    return rep
+                    if prec is None:
+                        lhs = _rmul(succ, succ[u][v], w)
+                        rhs = _lmul(succ, u, succ[v][w])
+                        for tag, comp, label in zip(("first", "second"), comps, labels):
+                            report.require_equal(label, witness, lhs[comp], rhs[comp],
+                                                 "(uv)w != u(vw) [%s component]" % tag)
+                        continue
+                    a1, a2 = labels
+                    if a1 != (None, None):
+                        chain = (_lmul(succ, u, succ[v][w]),
+                                 vneg(_rmul(succ, dot[u][v], w)),
+                                 vneg(_lmul(prec, u, dot[v][w])),
+                                 _rmul(prec, prec[u][v], w))
+                        for comp, label in zip(comps, a1):
+                            if label is not None:
+                                report.require_chain(label, witness, A1_CHAIN_TERMS,
+                                                     tuple(t[comp] for t in chain))
+                    if a2 != (None, None):
+                        lhs = _rmul(prec, succ[u][v], w)
+                        rhs = _lmul(succ, u, prec[v][w])
+                        for tag, comp, label in zip("AV", comps, a2):
+                            if label is not None:
+                                report.require_equal(
+                                    label, witness, lhs[comp], rhs[comp],
+                                    "(u>v)<w != u>(v<w) [%s-component]" % tag)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +258,17 @@ class ExtendingDatum:
         return ADRep(self.algebra, self.vdim, self.lsucc, self.rsucc,
                      self.lprec, self.rprec)
 
-    def pair_succ(self, u, v):
-        x, a = u
-        y, b = v
-        apart = vadd(self.algebra.succ.apply(x, y), self.rho_succ.act(a, y),
-                     self.mu_succ.act(b, x), self.varpi1.apply(a, b))
-        vpart = vadd(self.lsucc.act(x, b), self.rsucc.act(y, a),
-                     self.succ_v.apply(a, b))
-        return (apart, vpart)
-
-    def pair_prec(self, u, v):
-        x, a = u
-        y, b = v
-        apart = vadd(self.algebra.prec.apply(x, y), self.rho_prec.act(a, y),
-                     self.mu_prec.act(b, x), self.varpi2.apply(a, b))
-        vpart = vadd(self.lprec.act(x, b), self.rprec.act(y, a),
-                     self.prec_v.apply(a, b))
-        return (apart, vpart)
+    def glued(self):
+        """Glued (succ, prec) tables of the unified product on A (+) V."""
+        na, nv = self.algebra.dim, self.vdim
+        return (glue(na, nv, (self.algebra.succ.table, None),
+                     (self.mu_succ.mats, self.lsucc.mats),
+                     (self.rho_succ.mats, self.rsucc.mats),
+                     (self.varpi1.table, self.succ_v.table)),
+                glue(na, nv, (self.algebra.prec.table, None),
+                     (self.mu_prec.mats, self.lprec.mats),
+                     (self.rho_prec.mats, self.rprec.mats),
+                     (self.varpi2.table, self.prec_v.table)))
 
 
 # slot labels: (A-component id, V-component id) per basis triple type.
@@ -241,6 +293,7 @@ _A2_EXT = {
     ("V", "V", "A"): ("S19e", "S19f"),
     ("V", "V", "V"): ("S16", "S17"),
 }
+_EXT_SLOTS = split_slots(_A1_EXT, _A2_EXT)
 
 
 def check_extending_structure(d: ExtendingDatum, exhaustive: bool = False) -> Report:
@@ -254,28 +307,7 @@ def check_extending_structure(d: ExtendingDatum, exhaustive: bool = False) -> Re
     rep_check = check_representation(d.representation(), exhaustive=exhaustive,
                                      require_verified_algebra=False)
     out.absorb(rep_check)
-    check_split_axioms(d.algebra.dim, d.vdim, d.pair_succ, d.pair_prec,
-                       _A1_EXT, _A2_EXT, out.name, exhaustive=exhaustive, report=out)
-    return out
-
-
-def _assemble(na, nv, pair_fn, base_basis, field, vlabels=None):
-    total = na + nv
-    vlabels = vlabels or tuple("v%d" % (i + 1) for i in range(nv))
-
-    def emb(idx):
-        if idx < na:
-            return (unit(na, idx), vzero(nv))
-        return (vzero(na), unit(nv, idx - na))
-
-    table = []
-    for i in range(total):
-        row = []
-        for j in range(total):
-            apart, vpart = pair_fn(emb(i), emb(j))
-            row.append(tuple(apart) + tuple(vpart))
-        table.append(tuple(row))
-    return tuple(table), tuple(base_basis) + tuple(vlabels)
+    return check_glued(out, d.algebra.dim, d.vdim, _EXT_SLOTS, *d.glued())
 
 
 def unified_product(d: ExtendingDatum, precheck: bool = True) -> ADAlgebra:
@@ -284,11 +316,9 @@ def unified_product(d: ExtendingDatum, precheck: bool = True) -> ADAlgebra:
         rep = check_extending_structure(d)
         if not rep.passed:
             raise PreconditionFailure("datum is not an extending structure", rep)
-    succ_t, basis = _assemble(d.algebra.dim, d.vdim, d.pair_succ,
-                              d.algebra.basis, d.algebra.field)
-    prec_t, _ = _assemble(d.algebra.dim, d.vdim, d.pair_prec,
-                          d.algebra.basis, d.algebra.field)
     n = d.algebra.dim + d.vdim
+    succ_t, prec_t = d.glued()
+    basis = d.algebra.basis + tuple("v%d" % (i + 1) for i in range(d.vdim))
     return ADAlgebra(n, basis, BilinearOp(n, succ_t), BilinearOp(n, prec_t),
                      d.algebra.field)
 

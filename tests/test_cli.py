@@ -239,3 +239,24 @@ def test_full_command_surface(tmp_path, capsys):
                                                       regular_representation(nil), field))
     assert main(["oop", "check", op_bad]) == 1
     assert main(["oop", "lift", op_bad]) == 1
+
+
+def test_fp7_zero_denominator_is_an_input_error(tmp_path):
+    """A coefficient 1/7 over GF(7) ends in exit 2 with an input error, not a traceback."""
+    import os
+    import subprocess
+    import sys
+
+    import adw
+
+    payload = io.algebra_to_dict(nilpotent2())
+    payload["succ"] = [{"i": 0, "j": 0, "k": 1, "c": "1/7"}]
+    path = tmp_path / "seventh.json"
+    path.write_text(json.dumps(payload))
+    src = os.path.dirname(os.path.dirname(adw.__file__))
+    env = dict(os.environ, ADW_FIELD="fp7", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "adw.cli", "algebra", "check", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert any(line.startswith("input error:") for line in proc.stderr.splitlines())

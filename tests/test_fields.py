@@ -76,3 +76,11 @@ def test_prime_field_enumeration():
     assert [e.v for e in f.elements()] == [0, 1, 2]
     with pytest.raises(InputError):
         RATIONALS.elements()
+
+
+def test_prime_field_parse_rejects_zero_denominator():
+    f = PrimeField(7)
+    for text in ("1/7", "3/14", "1/0"):
+        with pytest.raises(InputError):
+            f.parse(text)
+    assert f.parse("1/8") == 1
