@@ -28,7 +28,7 @@ from .linalg import (identity, inverse, mat_add, mat_neg, mat_scale, matmul,
                      matvec, nullspace, shape, solve_linear, unit, vadd, vneg,
                      vsub, vzero, zeros_mat)
 from .reporting import PreconditionFailure, Report
-from .unified import CrossBilinear, check_glued, glue, split_slots
+from .unified import CrossBilinear, adapted_blocks, check_glued, glue, split_slots
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,17 @@ class CrossedDatum:
                 glue(n, m, (self.algebra.prec.table, self.omega2.table),
                      (None, self.lprec.mats), (None, self.rprec.mats),
                      (None, self.valgebra.prec.table)))
+
+    @staticmethod
+    def unglued(algebra: ADAlgebra, valgebra: ADAlgebra, succ, prec) -> "CrossedDatum":
+        """The inverse of ``glued``: the datum over ``algebra`` and ``valgebra``
+        read off the ``unglue`` blocks of both tables (only their actions and
+        cocycles are read)."""
+        n, m = algebra.dim, valgebra.dim
+        ((_, om1), (_, ls), (_, rs), _), ((_, om2), (_, lp), (_, rp), _) = succ, prec
+        return CrossedDatum(algebra, valgebra,
+                            *(ActionFamily(n, m, t) for t in (ls, rs, lp, rp)),
+                            CrossBilinear(n, m, om1), CrossBilinear(n, m, om2))
 
 
 # V-component slots of the defining identities; A-components are either the
@@ -153,7 +164,10 @@ def cocycle_from_section(ealg: ADAlgebra, proj, section) -> "SectionResult":
     ``proj`` is the (quotient x ambient) matrix of an algebra epimorphism p,
     ``section`` an (ambient x quotient) right inverse s.  The base algebra is
     the quotient with its induced products; the fibre is ker(p) with its
-    restricted products (ker p is an ideal when p is a homomorphism).
+    restricted products (ker p is an ideal when p is a homomorphism).  Both,
+    with the actions and cocycles, are read off the ambient tables in the
+    basis adapted to s(A) (+) ker p; the homomorphism check runs over pairs
+    of ambient basis vectors.
     """
     ne = ealg.dim
     na = len(proj)
@@ -161,84 +175,26 @@ def cocycle_from_section(ealg: ADAlgebra, proj, section) -> "SectionResult":
         raise InputError("projection/section shapes do not match the ambient algebra")
     if matmul(proj, section) != identity(na, ealg.field.one):
         raise InputError("p o s is not the identity on the quotient")
+    vbasis, (succ, prec) = adapted_blocks(ealg, section, proj)
 
-    scols = [tuple(section[r][c] for r in range(ne)) for c in range(na)]
-
-    def p(v):
-        return matvec(proj, v)
-
-    # quotient structure constants through the section, then homomorphism check
-    qsucc, qprec = [], []
-    for op, store in ((ealg.succ, qsucc), (ealg.prec, qprec)):
-        for i in range(na):
-            store.append(tuple(p(op.apply(scols[i], scols[j])) for j in range(na)))
+    # the quotient products are the A-parts of s(x) o s(y)
     alg_a = ADAlgebra(na, tuple("q%d" % (i + 1) for i in range(na)),
-                      BilinearOp(na, tuple(qsucc)), BilinearOp(na, tuple(qprec)),
-                      ealg.field)
+                      BilinearOp(na, succ[0][0]), BilinearOp(na, prec[0][0]), ealg.field)
     hom = Report("projection homomorphism")
     for op, qop, tag in ((ealg.succ, alg_a.succ, ">"), (ealg.prec, alg_a.prec, "<")):
         for i in range(ne):
             pi = tuple(proj[r][i] for r in range(na))
             for j in range(ne):
                 pj = tuple(proj[r][j] for r in range(na))
-                hom.require_equal("p-hom", (i, j), p(op.apply(unit(ne, i), unit(ne, j))),
+                hom.require_equal("p-hom", (i, j), matvec(proj, op.table[i][j]),
                                   qop.apply(pi, pj),
                                   "p(u %s v) != p(u) %s p(v)" % (tag, tag))
     if not hom.passed:
         raise PreconditionFailure("projection is not an algebra homomorphism", hom)
-
-    vbasis = nullspace(proj)
-    m = len(vbasis)
-    if na + m != ne:
-        raise InputError("projection rank defect: dim quotient + dim kernel != dim E")
-    vmat = tuple(tuple(vbasis[c][r] for c in range(m)) for r in range(ne))
-
-    def vcoords(w):
-        sol = solve_linear(vmat, w)
-        if sol is None:
-            raise InputError("internal: vector not in ker p")
-        return sol[0]
-
-    def into_v(w):
-        # w must lie in ker p when p is a homomorphism
-        return vcoords(vsub(w, matvec(section, p(w))))
-
-    fams = {k: [] for k in ("lsucc", "rsucc", "lprec", "rprec")}
-    for name_l, name_r, op in (("lsucc", "rsucc", ealg.succ), ("lprec", "rprec", ealg.prec)):
-        ml = [[[0] * m for _ in range(m)] for _ in range(na)]
-        mr = [[[0] * m for _ in range(m)] for _ in range(na)]
-        for x in range(na):
-            for a in range(m):
-                la = vcoords(op.apply(scols[x], vbasis[a]))
-                ra = vcoords(op.apply(vbasis[a], scols[x]))
-                for r in range(m):
-                    ml[x][r][a] = la[r]
-                    mr[x][r][a] = ra[r]
-        fams[name_l] = ActionFamily(na, m, tuple(tuple(tuple(r) for r in mm) for mm in ml))
-        fams[name_r] = ActionFamily(na, m, tuple(tuple(tuple(r) for r in mm) for mm in mr))
-
-    om = {}
-    for tag, op, sub in ((1, ealg.succ, alg_a.succ), (2, ealg.prec, alg_a.prec)):
-        t = []
-        for i in range(na):
-            row = []
-            for j in range(na):
-                w = vsub(op.apply(scols[i], scols[j]),
-                         matvec(section, sub.table[i][j]))
-                row.append(vcoords(w))
-            t.append(tuple(row))
-        om[tag] = CrossBilinear(na, m, tuple(t))
-
-    vs, vp = [], []
-    for op, store in ((ealg.succ, vs), (ealg.prec, vp)):
-        for a in range(m):
-            store.append(tuple(into_v(op.apply(vbasis[a], vbasis[b])) for b in range(m)))
+    m = ne - na
     valg = ADAlgebra(m, tuple("k%d" % (i + 1) for i in range(m)),
-                     BilinearOp(m, tuple(vs)), BilinearOp(m, tuple(vp)), ealg.field)
-
-    datum = CrossedDatum(alg_a, valg, fams["lsucc"], fams["rsucc"],
-                         fams["lprec"], fams["rprec"], om[1], om[2])
-    return SectionResult(datum, vbasis, hom)
+                     BilinearOp(m, succ[3][1]), BilinearOp(m, prec[3][1]), ealg.field)
+    return SectionResult(CrossedDatum.unglued(alg_a, valg, succ, prec), vbasis, hom)
 
 
 @dataclass(frozen=True)

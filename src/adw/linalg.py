@@ -2,10 +2,13 @@
 
 Vectors are tuples of scalars, matrices tuples of row tuples.  Everything is
 immutable and pure.  Elimination pivots on the first nonzero entry; no
-numerical heuristics are involved since all arithmetic is exact.
+numerical heuristics are involved since all arithmetic is exact; plain ints
+divide to an int or a ``Fraction``, never to a float.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .fields import InputError
 
@@ -106,6 +109,13 @@ def mat_scale(c, a):
 # ---------------------------------------------------------------------------
 # elimination
 
+def _div(x, y):
+    """x / y, exact on two ints: an int when y divides x, else a Fraction."""
+    if type(x) is int and type(y) is int:
+        return Fraction(x, y) if x % y else x // y
+    return x / y
+
+
 def rref(m):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
     rows = [list(r) for r in m]
@@ -119,7 +129,7 @@ def rref(m):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        rows[r] = [_div(x, pv) for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]

@@ -23,7 +23,7 @@ from .algebra import ADAlgebra, BilinearOp, check_associative
 from .fields import InputError
 from .reporting import PreconditionFailure, Report
 from .reps import ADRep, check_representation
-from .unified import check_glued, glue, split_slots
+from .unified import check_glued, glue, split_slots, unglue
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,16 @@ class MatchedPairDatum:
                      (self.l2s.mats, self.r1s.mats), (None, self.alg2.succ.table)),
                 glue(n, m, (self.alg1.prec.table, None), (self.r2p.mats, self.l1p.mats),
                      (self.l2p.mats, self.r1p.mats), (None, self.alg2.prec.table)))
+
+    @staticmethod
+    def unglued(alg1: ADAlgebra, alg2: ADAlgebra, succ, prec) -> "MatchedPairDatum":
+        """The inverse of ``glued``: the datum over ``alg1`` and ``alg2`` read
+        off the ``unglue`` blocks of both tables (only their actions are read)."""
+        n, m = alg1.dim, alg2.dim
+        (_, (r2s, l1s), (l2s, r1s), _), (_, (r2p, l1p), (l2p, r1p), _) = succ, prec
+        return MatchedPairDatum(alg1, alg2,
+                                *(ActionFamily(n, m, t) for t in (l1s, r1s, l1p, r1p)),
+                                *(ActionFamily(m, n, t) for t in (l2s, r2s, l2p, r2p)))
 
 
 # Slots delegated to the two representation checks carry None; pure triples
@@ -194,106 +204,47 @@ def assoc_bicrossed_product(p: AssocMatchedPair) -> BilinearOp:
 def factorize(calg: ADAlgebra, basis_a, basis_b):
     """Split an algebra through two complementary sub-basis index sets.
 
-    Checks that both spans are subalgebras, reads off the eight action
-    families from the mixed products, runs the matched-pair check, and
-    verifies that the bicrossed product reproduces the original tables.
-    Returns (MatchedPairDatum or None, Report).
+    Checks that both spans are subalgebras, reads the eight action families
+    off the ``unglue`` blocks of the ambient tables, runs the matched-pair
+    check, and verifies that the bicrossed product reproduces the original
+    tables.  Returns (MatchedPairDatum or None, Report).
     """
     out = Report("factorization")
     basis_a, basis_b = tuple(basis_a), tuple(basis_b)
     idx = sorted(basis_a + basis_b)
     if idx != list(range(calg.dim)) or set(basis_a) & set(basis_b):
         raise InputError("basis index sets must partition 0..%d" % (calg.dim - 1))
-    pos_a = {g: i for i, g in enumerate(basis_a)}
-    pos_b = {g: i for i, g in enumerate(basis_b)}
-    n, m = len(basis_a), len(basis_b)
-
-    def split(vec, witness, tag):
-        va = [0] * n
-        vb = [0] * m
-        for g, c in enumerate(vec):
-            if not c:
-                continue
-            if g in pos_a:
-                va[pos_a[g]] = c
-            else:
-                vb[pos_b[g]] = c
-        return tuple(va), tuple(vb)
-
-    def sub_table(op, ids, pos, dim, tag):
-        table = []
-        for gi in ids:
-            row = []
-            for gj in ids:
-                vec = op.table[gi][gj]
-                inside = [0] * dim
-                for g, c in enumerate(vec):
-                    if not c:
-                        continue
-                    if g in pos:
-                        inside[pos[g]] = c
-                    else:
-                        out.record("closure", (gi, gj), tuple(vec), (),
-                                   "%s-span is not a subalgebra" % tag)
-                        return None
-                row.append(tuple(inside))
-            table.append(tuple(row))
-        return BilinearOp(dim, tuple(table))
-
-    ops = {}
-    for name, op in (("as", calg.succ), ("ap", calg.prec)):
-        ta = sub_table(op, basis_a, pos_a, n, "A")
-        tb = sub_table(op, basis_b, pos_b, m, "B")
-        if ta is None or tb is None:
+    blocks = [unglue(op.table, basis_a, basis_b) for op in (calg.succ, calg.prec)]
+    # a span is closed iff its products have no part in the other span; the
+    # first leaking product of each span is recorded
+    for op, (aa, _, _, vv) in zip((calg.succ, calg.prec), blocks):
+        for tag, ids, leak in (("A", basis_a, aa[1]), ("B", basis_b, vv[0])):
+            hit = next(((gi, gj) for i, gi in enumerate(ids) for j, gj in enumerate(ids)
+                        if any(leak[i][j])), None)
+            if hit is not None:
+                out.record("closure", hit, tuple(op.table[hit[0]][hit[1]]), (),
+                           "%s-span is not a subalgebra" % tag)
+        if not out.passed:
             return None, out
-        ops[name] = (ta, tb)
+    succ, prec = blocks
+    n, m = len(basis_a), len(basis_b)
     alg_a = ADAlgebra(n, tuple(calg.basis[g] for g in basis_a),
-                      ops["as"][0], ops["ap"][0], calg.field)
+                      BilinearOp(n, succ[0][0]), BilinearOp(n, prec[0][0]), calg.field)
     alg_b = ADAlgebra(m, tuple(calg.basis[g] for g in basis_b),
-                      ops["as"][1], ops["ap"][1], calg.field)
-
-    fams = {}
-    for lname, rname, l2name, r2name, op in (("l1s", "r1s", "l2s", "r2s", calg.succ),
-                                             ("l1p", "r1p", "l2p", "r2p", calg.prec)):
-        m1 = [[[0] * m for _ in range(m)] for _ in range(n)]
-        m2 = [[[0] * m for _ in range(m)] for _ in range(n)]
-        m3 = [[[0] * n for _ in range(n)] for _ in range(m)]
-        m4 = [[[0] * n for _ in range(n)] for _ in range(m)]
-        for i, gx in enumerate(basis_a):
-            for j, gb in enumerate(basis_b):
-                va, vb = split(op.table[gx][gb], (gx, gb), "x o b")
-                for r in range(m):
-                    m1[i][r][j] = vb[r]        # l1(x)b: fibre part of x o b
-                for r in range(n):
-                    m4[j][r][i] = va[r]        # r2(b)x: base part of x o b
-                va2, vb2 = split(op.table[gb][gx], (gb, gx), "b o x")
-                for r in range(m):
-                    m2[i][r][j] = vb2[r]       # r1(x)b: fibre part of b o x
-                for r in range(n):
-                    m3[j][r][i] = va2[r]       # l2(b)x: base part of b o x
-        fams[lname] = ActionFamily(n, m, tuple(tuple(tuple(r) for r in mm) for mm in m1))
-        fams[rname] = ActionFamily(n, m, tuple(tuple(tuple(r) for r in mm) for mm in m2))
-        fams[l2name] = ActionFamily(m, n, tuple(tuple(tuple(r) for r in mm) for mm in m3))
-        fams[r2name] = ActionFamily(m, n, tuple(tuple(tuple(r) for r in mm) for mm in m4))
-
-    datum = MatchedPairDatum(alg_a, alg_b, fams["l1s"], fams["r1s"], fams["l1p"],
-                             fams["r1p"], fams["l2s"], fams["r2s"], fams["l2p"],
-                             fams["r2p"])
+                      BilinearOp(m, succ[3][1]), BilinearOp(m, prec[3][1]), calg.field)
+    datum = MatchedPairDatum.unglued(alg_a, alg_b, succ, prec)
     mp = check_matched_pair(datum)
     out.absorb(mp)
     if not mp.passed:
         return None, out
     rebuilt = bicrossed_product(datum, precheck=False)
-    perm = tuple(basis_a) + tuple(basis_b)
+    perm = basis_a + basis_b
     for op_r, op_c, tag in ((rebuilt.succ, calg.succ, ">"), (rebuilt.prec, calg.prec, "<")):
-        for i in range(calg.dim):
-            for j in range(calg.dim):
-                got = op_r.table[i][j]
-                want = op_c.table[perm[i]][perm[j]]
-                want_p = [0] * calg.dim
-                for g, c in enumerate(want):
-                    want_p[perm.index(g)] = c
-                out.require_equal("reconstruction", (i, j), tuple(got), tuple(want_p),
+        for i, gi in enumerate(perm):
+            for j, gj in enumerate(perm):
+                want = op_c.table[gi][gj]
+                out.require_equal("reconstruction", (i, j), tuple(op_r.table[i][j]),
+                                  tuple(want[g] for g in perm),
                                   "bicrossed product does not reproduce %s" % tag)
     if not out.passed:
         return None, out

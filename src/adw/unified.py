@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .actions import ActionFamily
-from .algebra import ADAlgebra, BilinearOp
+from .algebra import ADAlgebra, BilinearOp, change_basis
 from .fields import InputError
 from .linalg import (identity, inverse, matmul, matvec, nullspace, solve_linear,
                      unit, vadd, vneg, vzero)
@@ -121,6 +121,29 @@ def glue(na, nv, aa, av, va, vv):
         rows.append(tuple(column(va[0], i, j, za) + column(va[1], j, i, zv) for j in range(na))
                     + tuple(cell(vv[0], i, j, za) + cell(vv[1], i, j, zv) for j in range(nv)))
     return tuple(rows)
+
+
+def unglue(table, ia, iv):
+    """The blocks (aa, av, va, vv) of a table on A (+) V: the inverse of ``glue``.
+
+    ``ia``/``iv`` list the coordinates of the A and V basis vectors, in
+    order; the blocks come back in ``glue``'s argument layout, so
+    ``glue(na, nv, *unglue(t, range(na), range(na, na + nv))) == t``.  Pure
+    indexing: no entry is computed.
+    """
+    def cells(rows, cols, part):
+        return tuple(tuple(tuple(table[r][c][k] for k in part) for c in cols) for r in rows)
+
+    def mats(outer, cols, part, left):
+        # one matrix per outer basis vector; column c is the part of outer o c
+        # (left) or c o outer (right)
+        return tuple(tuple(tuple(table[o][c][k] if left else table[c][o][k] for c in cols)
+                           for k in part) for o in outer)
+
+    return ((cells(ia, ia, ia), cells(ia, ia, iv)),
+            (mats(iv, ia, ia, False), mats(ia, iv, iv, True)),
+            (mats(iv, ia, ia, True), mats(ia, iv, iv, False)),
+            (cells(iv, iv, ia), cells(iv, iv, iv)))
 
 
 def _lmul(table, i, x):
@@ -270,6 +293,20 @@ class ExtendingDatum:
                      (self.rho_prec.mats, self.rprec.mats),
                      (self.varpi2.table, self.prec_v.table)))
 
+    @staticmethod
+    def unglued(algebra: ADAlgebra, succ, prec) -> "ExtendingDatum":
+        """The inverse of ``glued``: the datum over ``algebra`` read off the
+        ``unglue`` blocks of both tables (the A x A blocks are not read)."""
+        na, m = algebra.dim, len(succ[3][0])
+        (_, (mu_s, l_s), (rho_s, r_s), (w1, v_s)) = succ
+        (_, (mu_p, l_p), (rho_p, r_p), (w2, v_p)) = prec
+        return ExtendingDatum(
+            algebra, m,
+            *(ActionFamily(na, m, mats) for mats in (l_s, r_s, l_p, r_p)),
+            *(ActionFamily(m, na, mats) for mats in (rho_s, mu_s, rho_p, mu_p)),
+            CrossBilinear(m, na, w1), CrossBilinear(m, na, w2),
+            BilinearOp(m, v_s), BilinearOp(m, v_p))
+
 
 # slot labels: (A-component id, V-component id) per basis triple type.
 # Slots delegated elsewhere are None: the V-components of A-A-V type triples
@@ -333,14 +370,31 @@ class ExtractionResult:
     report: Report
 
 
+def adapted_blocks(ealg: ADAlgebra, cols, proj):
+    """Split an ambient algebra along the basis adapted to A (+) ker(proj).
+
+    The basis is the columns of ``cols`` (with proj o cols = id) followed by
+    the nullspace basis of ``proj``; every entry is taken into the field.
+    Returns that nullspace basis and the ``unglue`` blocks of both tables in
+    the adapted basis.
+    """
+    coerce = ealg.field.coerce
+    vbasis = nullspace(proj)
+    pmat = tuple(tuple(coerce(x) for x in tuple(row) + tuple(v[r] for v in vbasis))
+                 for r, row in enumerate(cols))
+    adapted = change_basis(ealg, pmat)
+    ia, iv = range(len(proj)), range(len(proj), ealg.dim)
+    return vbasis, tuple(unglue(op.table, ia, iv) for op in (adapted.succ, adapted.prec))
+
+
 def extract_extending_datum(ealg: ADAlgebra, include_a, proj_a) -> ExtractionResult:
     """Split an ambient algebra along a projection onto a subalgebra.
 
     ``include_a`` is the (ambient x sub) inclusion matrix, ``proj_a`` the
     (sub x ambient) linear projection with proj o include = id.  The
     complement is ker(proj) with its deterministic nullspace basis.  Returns
-    the twelve-component datum; its report records the subalgebra-closure and
-    projection checks.
+    the twelve-component datum, read off the ambient tables in the adapted
+    basis; its report records the subalgebra-closure check.
     """
     report = Report("extraction")
     ne = ealg.dim
@@ -349,100 +403,23 @@ def extract_extending_datum(ealg: ADAlgebra, include_a, proj_a) -> ExtractionRes
         raise InputError("inclusion/projection shapes do not match the ambient algebra")
     if matmul(proj_a, include_a) != identity(na, ealg.field.one):
         raise InputError("projection is not a left inverse of the inclusion")
+    vbasis, (succ, prec) = adapted_blocks(ealg, include_a, proj_a)
 
-    def incl(v):
-        return matvec(include_a, v)
-
-    def proj(v):
-        return matvec(proj_a, v)
-
+    # A is closed iff the V-parts of its products vanish
     acols = [tuple(include_a[r][c] for r in range(ne)) for c in range(na)]
-    # subalgebra closure and the induced structure constants on A
-    sub_succ, sub_prec = [], []
-    for op, store, tag in ((ealg.succ, sub_succ, ">"), (ealg.prec, sub_prec, "<")):
+    for op, (aa, _, _, _), tag in ((ealg.succ, succ, ">"), (ealg.prec, prec, "<")):
         for i in range(na):
-            row = []
             for j in range(na):
-                w = op.apply(acols[i], acols[j])
-                pw = proj(w)
-                if w != incl(pw):
-                    report.record("subalgebra", (i, j), tuple(w), tuple(incl(pw)),
+                if any(aa[1][i][j]):
+                    report.record("subalgebra", (i, j), tuple(op.apply(acols[i], acols[j])),
+                                  matvec(include_a, aa[0][i][j]),
                                   "A is not closed under %s" % tag)
-                row.append(pw)
-            store.append(tuple(row))
     if not report.passed:
         raise PreconditionFailure("the designated subspace is not a subalgebra", report)
     alg_a = ADAlgebra(na, tuple("a%d" % (i + 1) for i in range(na)),
-                      BilinearOp(na, tuple(sub_succ)), BilinearOp(na, tuple(sub_prec)),
-                      ealg.field)
-
-    vbasis = nullspace(proj_a)
-    m = len(vbasis)
-    if na + m != ne:
-        raise InputError("projection rank defect: dim A + dim V != dim E")
-    vmat = tuple(tuple(vbasis[c][r] for c in range(m)) for r in range(ne))
-
-    def vcoords(w):
-        sol = solve_linear(vmat, w)
-        if sol is None:
-            raise InputError("internal: vector not in the complement")
-        return sol[0]
-
-    def split(w):
-        pw = proj(w)
-        return pw, vcoords(tuple(a - b for a, b in zip(w, incl(pw))))
-
-    zl = [[None] * m for _ in range(na)]
-    data = {}
-    for name in ("lsucc", "rsucc", "lprec", "rprec"):
-        data[name] = [[[0] * m for _ in range(m)] for _ in range(na)]
-    for name in ("rho_succ", "mu_succ", "rho_prec", "mu_prec"):
-        data[name] = [[[0] * na for _ in range(na)] for _ in range(m)]
-
-    for x in range(na):
-        for a in range(m):
-            for op, lname, rname, rhon, mun in (
-                    (ealg.succ, "lsucc", "rsucc", "rho_succ", "mu_succ"),
-                    (ealg.prec, "lprec", "rprec", "rho_prec", "mu_prec")):
-                w1 = op.apply(acols[x], vbasis[a])       # x o a
-                pa, va = split(w1)
-                for r in range(m):
-                    data[lname][x][r][a] = va[r]
-                for r in range(na):
-                    data[mun][a][r][x] = pa[r]
-                w2 = op.apply(vbasis[a], acols[x])       # a o x
-                pb, vb = split(w2)
-                for r in range(m):
-                    data[rname][x][r][a] = vb[r]
-                for r in range(na):
-                    data[rhon][a][r][x] = pb[r]
-
-    varpi = {1: [], 2: []}
-    vprod = {1: [], 2: []}
-    for tag, op in ((1, ealg.succ), (2, ealg.prec)):
-        for a in range(m):
-            arow, vrow = [], []
-            for b in range(m):
-                pa, va = split(op.apply(vbasis[a], vbasis[b]))
-                arow.append(pa)
-                vrow.append(va)
-            varpi[tag].append(tuple(arow))
-            vprod[tag].append(tuple(vrow))
-
-    def fam(name, adim, mdim):
-        return ActionFamily(adim, mdim, tuple(tuple(tuple(r) for r in mats)
-                                              for mats in data[name]))
-
-    datum = ExtendingDatum(
-        alg_a, m,
-        fam("lsucc", na, m), fam("rsucc", na, m), fam("lprec", na, m), fam("rprec", na, m),
-        fam("rho_succ", m, na), fam("mu_succ", m, na),
-        fam("rho_prec", m, na), fam("mu_prec", m, na),
-        CrossBilinear(m, na, tuple(varpi[1])), CrossBilinear(m, na, tuple(varpi[2])),
-        BilinearOp(m, tuple(vprod[1])), BilinearOp(m, tuple(vprod[2])),
-    )
+                      BilinearOp(na, succ[0][0]), BilinearOp(na, prec[0][0]), ealg.field)
     report.tick()
-    return ExtractionResult(datum, vbasis, report)
+    return ExtractionResult(ExtendingDatum.unglued(alg_a, succ, prec), vbasis, report)
 
 
 def canonical_projection(ealg: ADAlgebra, na: int):

@@ -12,8 +12,7 @@ from fractions import Fraction as Q
 from itertools import product as iproduct
 
 from adw.actions import ActionFamily
-from adw.algebra import (ADAlgebra, check_anti_dendriform, direct_sum,
-                         is_isomorphism)
+from adw.algebra import ADAlgebra, direct_sum, is_isomorphism
 from adw.bialgebra import (adybe_residual, check_coalgebra, check_d_bialgebra,
                            check_o_operator, coboundary_coproducts,
                            is_ybe_solution, o_operator_to_ybe,
@@ -24,7 +23,7 @@ from adw.crossed import (AutPair, CrossedDatum, GH2Tuple,
                          cocycle_from_section, crossed_isomorphism_matrix,
                          crossed_product, gh2_to_crossed,
                          gh2_tuples_cohomologous, wells_map)
-from adw.linalg import solve_linear, unit, vsub
+from adw.linalg import solve_linear, vsub
 from adw.matched import (MatchedPairDatum, bicrossed_product,
                          check_matched_pair, factorize,
                          induced_associative_matched_pair)

@@ -4,10 +4,9 @@ from fractions import Fraction as Q
 import pytest
 
 from adw.algebra import (ADAlgebra, BilinearOp, associated_associative,
-                         change_basis, check_anti_dendriform,
-                         check_associative, direct_sum, is_anti_zinbiel,
-                         is_homomorphism, multiplication_operators,
-                         op_from_left_family)
+                         change_basis, check_associative, direct_sum,
+                         is_anti_zinbiel, is_homomorphism,
+                         multiplication_operators, op_from_left_family)
 from adw.fields import InputError
 from .conftest import (nilpotent2, oracle_is_anti_dendriform,
                        op_to_oracle_entries, rand_invertible)

@@ -15,12 +15,12 @@ from adw.bialgebra import (BilinearForm, CoproductPair, adybe_residual,
                            o_operator_to_ybe, search_skew_solutions,
                            skew_tensor_from_uppers, t_r, tr_ybe_identity)
 from adw.bialgebra import _cop_leg1, _cop_leg2
-from adw.linalg import identity, unit
+from adw.linalg import identity
 from adw.reporting import PreconditionFailure
-from adw.reps import ADRep, dual_representation, regular_representation
+from adw.reps import regular_representation
 from adw.tensors import (contract_12_13, contract_13_23, contract_23_12,
-                         sigma123, sigma132, t2_add, t2_apply, t2_sub, t3_add,
-                         t3_is_zero, t3_neg, t3_sub, t3_zero, twist)
+                         sigma123, sigma132, t2_sub, t3_add, t3_neg, t3_sub,
+                         t3_zero, twist)
 from .conftest import nilpotent2, rand_matrix
 
 SKEW2 = ((Q(0), Q(1)), (Q(-1), Q(0)))

@@ -7,7 +7,6 @@ from adw import serialize as io
 from adw.algebra import ADAlgebra
 from adw.cli import main
 from adw.crossed import AutPair
-from adw.linalg import identity
 from adw.reps import regular_representation
 from adw.unified import ExtendingDatum
 from .conftest import nilpotent2

@@ -15,8 +15,8 @@ from adw.crossed import (AutPair, CrossedDatum, GH2Tuple, check_aut_pair,
                          gh2_tuples_cohomologous, lift_matrix,
                          phi_from_wells_witness, transformed_cocycle,
                          wells_map, z1_cocycles)
-from adw.fields import InputError, PrimeField
-from adw.linalg import identity, matmul, zeros_mat
+from adw.fields import PrimeField
+from adw.linalg import identity, zeros_mat
 from adw.reporting import PreconditionFailure
 from adw.unified import CrossBilinear
 from .conftest import nilpotent2, rand_matrix

@@ -3,8 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from adw.fields import (GFElement, InputError, PrimeField, RATIONALS,
-                        field_from_name)
+from adw.fields import InputError, PrimeField, RATIONALS, field_from_name
 
 
 def test_rational_parse_and_canonical_str():

@@ -3,7 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from adw.fields import InputError
+from adw.algebra import ADAlgebra, change_basis
+from adw.fields import InputError, PrimeField
 from adw.linalg import (identity, inverse, is_zero_vec, matmul, matvec,
                         nullspace, rank, rref, solve_linear, transpose, vadd,
                         vscale)
@@ -84,3 +85,49 @@ def test_transpose_scale():
     m = ((Q(1), Q(2)), (Q(3), Q(4)))
     assert transpose(transpose(m)) == m
     assert vscale(Q(2), (Q(1), Q(3))) == (Q(2), Q(6))
+
+
+def scalars(obj):
+    if isinstance(obj, tuple):
+        return [x for y in obj for x in scalars(y)]
+    return [obj]
+
+
+def as_fractions(obj):
+    return tuple(as_fractions(x) for x in obj) if isinstance(obj, tuple) else Q(obj)
+
+
+def test_int_input_is_exact():
+    # plain ints divide to ints or Fractions, never to floats, and give the
+    # same values as the same input written as Fractions
+    rng = random.Random(7)
+    cases = [((3, 1), (1, 1)), ((2, 1), (1, 1)), ((0, 2, 1), (3, 0, 1), (1, 1, 1))]
+    cases += [tuple(tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(3))
+              for _ in range(20)]
+    for m in cases:
+        b = tuple(range(1, len(m) + 1))
+        results = [(nullspace(m), nullspace(as_fractions(m))),
+                   (solve_linear(m, b), solve_linear(as_fractions(m), as_fractions(b)))]
+        if len(m) == len(m[0]):
+            results.append((inverse(m), inverse(as_fractions(m))))
+        for got, want in results:
+            assert not any(isinstance(x, float) for x in scalars(got))
+            assert got == want
+    assert inverse(((3, 1), (1, 1))) == ((Q(1, 2), Q(-1, 2)), (Q(-1, 2), Q(3, 2)))
+
+
+def test_change_basis_int_matrix_is_exact():
+    alg = ADAlgebra.make(2, succ_entries=[(0, 0, 1, Q(1))], prec_entries=[(1, 0, 0, Q(2))])
+    got = change_basis(alg, ((2, 1), (1, 1)))
+    want = change_basis(alg, as_fractions(((2, 1), (1, 1))))
+    for op, op_q in ((got.succ, want.succ), (got.prec, want.prec)):
+        assert not any(isinstance(x, float) for x in scalars(op.table))
+        assert op.table == op_q.table
+
+
+def test_inverse_mixed_gf_and_int():
+    gf5 = PrimeField(5)
+    m = ((1, 0), (gf5.coerce(2), gf5.coerce(1)))
+    mi = inverse(m)
+    assert mi == ((1, 0), (gf5.coerce(3), 1))
+    assert matmul(m, mi) == identity(2, gf5.one)

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from adw.actions import ActionFamily
-from adw.algebra import ADAlgebra, check_associative, direct_sum
+from adw.algebra import ADAlgebra, direct_sum
 from adw.fields import InputError
 from adw.matched import (AssocMatchedPair, MatchedPairDatum,
                          assoc_bicrossed_product, bicrossed_product,
@@ -12,7 +12,7 @@ from adw.matched import (AssocMatchedPair, MatchedPairDatum,
                          factorize, induced_associative_matched_pair)
 from adw.reporting import PreconditionFailure
 from adw.reps import regular_representation, semidirect_product
-from .conftest import conjugate_rep, nilpotent2, rand_invertible
+from .conftest import nilpotent2, rand_invertible
 
 
 def semidirect_reducing_datum():

@@ -4,8 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 from adw.actions import ActionFamily
-from adw.algebra import ADAlgebra, check_anti_dendriform, is_homomorphism
-from adw.linalg import identity, is_zero_vec, unit, vzero
+from adw.algebra import is_homomorphism
+from adw.linalg import identity, is_zero_vec
 from adw.reporting import PreconditionFailure
 from adw.reps import (ADRep, check_assoc_bimodule, check_representation,
                       dual_representation, induced_associative_reps,

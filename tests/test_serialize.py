@@ -6,7 +6,7 @@ import pytest
 from adw import serialize as io
 from adw.actions import ActionFamily
 from adw.algebra import ADAlgebra
-from adw.bialgebra import BilinearForm, CoproductPair, coboundary_coproducts
+from adw.bialgebra import BilinearForm, coboundary_coproducts
 from adw.crossed import AutPair, CrossedDatum, GH2Tuple
 from adw.fields import RATIONALS, InputError, PrimeField
 from adw.linalg import identity

@@ -4,12 +4,11 @@ from fractions import Fraction as Q
 import pytest
 
 from adw.actions import ActionFamily
-from adw.algebra import (ADAlgebra, BilinearOp, check_anti_dendriform,
-                         check_associative, is_isomorphism)
+from adw.algebra import ADAlgebra, BilinearOp, check_associative, is_isomorphism
 from adw.fields import InputError
-from adw.linalg import identity, matmul, matvec, unit
+from adw.linalg import identity, matvec
 from adw.reporting import PreconditionFailure
-from adw.reps import ADRep, regular_representation, semidirect_product
+from adw.reps import regular_representation, semidirect_product
 from adw.unified import (CrossBilinear, EquivWitness, ExtendingDatum,
                          canonical_projection, check_equivalence,
                          check_extending_structure,
