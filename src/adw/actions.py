@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from .fields import InputError
 from .linalg import mat_add, mat_scale, matvec, shape, transpose, vzero, zeros_mat
+from .tensors import t3_entries, t3_from_entries, t3_is_zero
 
 
 @dataclass(frozen=True)
@@ -35,13 +36,8 @@ class ActionFamily:
     @staticmethod
     def from_entries(alg_dim, mod_dim, entries):
         """entries: iterable of (x, row, col, value)."""
-        acc = [[[0] * mod_dim for _ in range(mod_dim)] for _ in range(alg_dim)]
-        for x, r, c, v in entries:
-            if not (0 <= x < alg_dim and 0 <= r < mod_dim and 0 <= c < mod_dim):
-                raise InputError("action entry (%d,%d,%d) out of range" % (x, r, c))
-            acc[x][r][c] = acc[x][r][c] + v
-        return ActionFamily(alg_dim, mod_dim,
-                            tuple(tuple(tuple(row) for row in m) for m in acc))
+        return ActionFamily(alg_dim, mod_dim, t3_from_entries((alg_dim, mod_dim, mod_dim),
+                                                              entries, "action entry"))
 
     def mat(self, x):
         """Matrix of the action of the coordinate vector x."""
@@ -76,14 +72,10 @@ class ActionFamily:
                             tuple(transpose(m) for m in self.mats))
 
     def is_zero(self):
-        return all(not x for m in self.mats for row in m for x in row)
+        return t3_is_zero(self.mats)
 
     def entries(self):
-        for x, m in enumerate(self.mats):
-            for r, row in enumerate(m):
-                for c, v in enumerate(row):
-                    if v:
-                        yield (x, r, c, v)
+        return t3_entries(self.mats)
 
     def _same_shape(self, other):
         if (self.alg_dim, self.mod_dim) != (other.alg_dim, other.mod_dim):

@@ -17,87 +17,102 @@ from functools import cached_property
 
 from .actions import ActionFamily
 from .fields import RATIONALS, InputError
-from .linalg import inverse, matvec, unit, vadd, vneg, vscale, vzero
+from .linalg import inverse, matvec, vadd, vneg, vzero
 from .reporting import Report
+from .tensors import t3_entries, t3_from_entries, t3_is_zero
 
 A1_TERMS = ("x>(y>z)", "-(x.y)>z", "-x<(y.z)", "(x<y)<z")
 
 
+def lmul(table, i, x):
+    """e_i o x for a coordinate vector x; table[i][k] is the vector of e_i o e_k."""
+    row, out = table[i], None
+    for k, c in enumerate(x):
+        if c:
+            out = ([c * t if t else t for t in row[k]] if out is None
+                   else [o + c * t if t else o for o, t in zip(out, row[k])])
+    return vzero(len(row[0])) if out is None else tuple(out)
+
+
+def rmul(table, x, j):
+    """x o e_j for a coordinate vector x; table[k][j] is the vector of e_k o e_j."""
+    out = None
+    for k, c in enumerate(x):
+        if c:
+            col = table[k][j]
+            out = ([c * t if t else t for t in col] if out is None
+                   else [o + c * t if t else o for o, t in zip(out, col)])
+    return vzero(len(table[0][j])) if out is None else tuple(out)
+
+
 @dataclass(frozen=True)
 class BilinearOp:
-    """A bilinear product: table[i][j] is the coordinate vector of e_i o e_j."""
+    """A bilinear map: table[i][j] is the coordinate vector of e_i o e_j.
+
+    A product has ``out_dim == dim``; a fold map V x V -> A or a cocycle
+    A x A -> V carries the target dimension as ``out_dim``.
+    """
 
     dim: int
     table: tuple
+    out_dim: int = None
 
     def __post_init__(self):
+        if self.out_dim is None:
+            object.__setattr__(self, "out_dim", self.dim)
         if len(self.table) != self.dim or any(
-                len(row) != self.dim or any(len(v) != self.dim for v in row)
+                len(row) != self.dim or any(len(v) != self.out_dim for v in row)
                 for row in self.table):
             raise InputError("bilinear table shape does not match dimension %d" % self.dim)
 
     @staticmethod
-    def zero(dim):
-        return BilinearOp(dim, tuple(tuple(vzero(dim) for _ in range(dim))
-                                     for _ in range(dim)))
+    def zero(dim, out_dim=None):
+        return BilinearOp.from_entries(dim, (), out_dim)
 
     @staticmethod
-    def from_entries(dim, entries):
+    def from_entries(dim, entries, out_dim=None):
         """entries: iterable of (i, j, k, coefficient)."""
-        acc = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-        for i, j, k, c in entries:
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise InputError("structure-constant index (%d,%d,%d) out of range" % (i, j, k))
-            acc[i][j][k] = acc[i][j][k] + c
-        return BilinearOp(dim, tuple(tuple(tuple(v) for v in row) for row in acc))
+        out_dim = dim if out_dim is None else out_dim
+        return BilinearOp(dim, t3_from_entries((dim, dim, out_dim), entries,
+                                               "structure-constant index"), out_dim)
 
     def apply(self, u, v):
-        """Product of two coordinate vectors."""
-        out = vzero(self.dim)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                out = vadd(out, vscale(ui * vj, self.table[i][j]))
-        return out
-
-    def entry(self, i, j, k):
-        return self.table[i][j][k]
+        """Product of two coordinate vectors: u o v = sum_i u_i (e_i o v)."""
+        if not any(u):
+            return vzero(self.out_dim)
+        # rmul over a one-column table holding e_i o v; rmul reads row i only
+        # where u_i != 0, so the other rows are never computed
+        lefts = tuple((lmul(self.table, i, v) if ui else None,) for i, ui in enumerate(u))
+        return rmul(lefts, u, 0)
 
     def add(self, other):
         if other.dim != self.dim:
             raise InputError("cannot add products of dimensions %d and %d" % (self.dim, other.dim))
         return BilinearOp(self.dim, tuple(
             tuple(vadd(self.table[i][j], other.table[i][j]) for j in range(self.dim))
-            for i in range(self.dim)))
+            for i in range(self.dim)), self.out_dim)
 
     def neg(self):
-        return BilinearOp(self.dim, tuple(tuple(vneg(v) for v in row) for row in self.table))
+        return BilinearOp(self.dim, tuple(tuple(vneg(v) for v in row) for row in self.table),
+                          self.out_dim)
 
     def is_zero(self):
-        return all(not c for row in self.table for v in row for c in v)
+        return t3_is_zero(self.table)
 
     def entries(self):
-        for i, row in enumerate(self.table):
-            for j, v in enumerate(row):
-                for k, c in enumerate(v):
-                    if c:
-                        yield (i, j, k, c)
+        return t3_entries(self.table)
 
 
 def check_associative(op: BilinearOp, exhaustive: bool = False) -> Report:
     """(x.y).z = x.(y.z) over all basis triples."""
     rep = Report("associativity", exhaustive=exhaustive)
-    n = op.dim
+    n, t = op.dim, op.table
     for i in range(n):
         for j in range(n):
-            left = op.table[i][j]
+            left = t[i][j]
             for k in range(n):
-                lhs = op.apply(left, unit(n, k))
-                rhs = op.apply(unit(n, i), op.table[j][k])
-                rep.require_equal("assoc", (i, j, k), lhs, rhs, "(x.y).z != x.(y.z)")
+                rep.require_equal("assoc", (i, j, k), rmul(t, left, k), lmul(t, i, t[j][k]),
+                                  "(x.y).z != x.(y.z)")
     return rep
 
 
@@ -112,7 +127,7 @@ class ADAlgebra:
     def __post_init__(self):
         if len(self.basis) != self.dim:
             raise InputError("basis has %d labels for dimension %d" % (len(self.basis), self.dim))
-        if self.succ.dim != self.dim or self.prec.dim != self.dim:
+        if any((op.dim, op.out_dim) != (self.dim, self.dim) for op in (self.succ, self.prec)):
             raise InputError("product tables do not match dimension %d" % self.dim)
 
     @staticmethod
@@ -146,22 +161,19 @@ class ADAlgebra:
 def check_anti_dendriform(alg: ADAlgebra, exhaustive: bool = False) -> Report:
     """Both defining identities over every basis triple, with witnesses."""
     rep = Report("anti-dendriform axioms", exhaustive=exhaustive)
-    n, succ, prec, dot = alg.dim, alg.succ, alg.prec, alg.assoc
+    n, succ, prec, dot = alg.dim, alg.succ.table, alg.prec.table, alg.assoc.table
     for i in range(n):
-        ei = unit(n, i)
         for j in range(n):
-            sij, pij, dij = succ.table[i][j], prec.table[i][j], dot.table[i][j]
+            sij, pij, dij = succ[i][j], prec[i][j], dot[i][j]
             for k in range(n):
-                ek = unit(n, k)
                 chain = (
-                    succ.apply(ei, succ.table[j][k]),
-                    vneg(succ.apply(dij, ek)),
-                    vneg(prec.apply(ei, dot.table[j][k])),
-                    prec.apply(prec.table[i][j], ek),
+                    lmul(succ, i, succ[j][k]),
+                    vneg(rmul(succ, dij, k)),
+                    vneg(lmul(prec, i, dot[j][k])),
+                    rmul(prec, pij, k),
                 )
                 rep.require_chain("A1", (i, j, k), A1_TERMS, chain)
-                rep.require_equal("A2", (i, j, k),
-                                  prec.apply(sij, ek), succ.apply(ei, prec.table[j][k]),
+                rep.require_equal("A2", (i, j, k), rmul(prec, sij, k), lmul(succ, i, prec[j][k]),
                                   "(x>y)<z != x>(y<z)")
     return rep
 

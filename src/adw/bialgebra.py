@@ -30,7 +30,7 @@ from .reporting import PreconditionFailure, Report
 from .reps import ADRep, dual_representation, semidirect_product
 from .tensors import (contract_12_13, contract_13_23, contract_23_12, t2_add,
                       t2_apply, t2_neg, t2_sub, t2_zero, t3_add, t3_apply,
-                      t3_is_zero, t3_neg, t3_sub, t3_zero, twist)
+                      t3_from_entries, t3_is_zero, t3_neg, t3_sub, t3_zero, twist)
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +108,15 @@ def derive_compatible_ad(op: BilinearOp, form: BilinearForm,
         pre = check_connes_cocycle(op, form)
         if not pre.passed:
             raise PreconditionFailure("form is not a commutative invariant cocycle", pre)
-    n = op.dim
+    n, t = op.dim, op.table
     prec_t, succ_t = [], []
     for i in range(n):
         ei = unit(n, i)
         prow, srow = [], []
         for j in range(n):
             ej = unit(n, j)
-            rhs_s = tuple(-form.pair(ej, op.apply(unit(n, k), ei)) for k in range(n))
-            rhs_p = tuple(-form.pair(ei, op.apply(ej, unit(n, k))) for k in range(n))
+            rhs_s = tuple(-form.pair(ej, t[k][i]) for k in range(n))
+            rhs_p = tuple(-form.pair(ei, t[j][k]) for k in range(n))
             prow.append(matvec(ginv, rhs_p))
             srow.append(matvec(ginv, rhs_s))
         prec_t.append(tuple(prow))
@@ -206,28 +206,21 @@ class CoproductPair:
 
     @staticmethod
     def from_entries(dim, succ_entries, prec_entries):
-        def build(entries):
-            acc = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-            for x, i, j, c in entries:
-                if not (0 <= x < dim and 0 <= i < dim and 0 <= j < dim):
-                    raise InputError("coproduct entry (%d,%d,%d) out of range" % (x, i, j))
-                acc[x][i][j] = acc[x][i][j] + c
-            return tuple(tuple(tuple(r) for r in t) for t in acc)
-
-        return CoproductPair(dim, build(succ_entries), build(prec_entries))
+        dims = (dim, dim, dim)
+        return CoproductPair(dim, t3_from_entries(dims, succ_entries, "coproduct entry"),
+                             t3_from_entries(dims, prec_entries, "coproduct entry"))
 
     def succ_at(self, vec):
-        out = t2_zero(self.dim)
-        for k, c in enumerate(vec):
-            if c:
-                out = t2_add(out, tuple(tuple(c * x for x in row) for row in self.dsucc[k]))
-        return out
+        return self._at(self.dsucc, vec)
 
     def prec_at(self, vec):
+        return self._at(self.dprec, vec)
+
+    def _at(self, part, vec):
         out = t2_zero(self.dim)
         for k, c in enumerate(vec):
             if c:
-                out = t2_add(out, tuple(tuple(c * x for x in row) for row in self.dprec[k]))
+                out = t2_add(out, tuple(tuple(c * x for x in row) for row in part[k]))
         return out
 
     def sum_at(self, vec):

@@ -28,7 +28,7 @@ from .linalg import (identity, inverse, mat_add, mat_neg, mat_scale, matmul,
                      matvec, nullspace, shape, solve_linear, unit, vadd, vneg,
                      vsub, vzero, zeros_mat)
 from .reporting import PreconditionFailure, Report
-from .unified import CrossBilinear, adapted_blocks, check_glued, glue, split_slots
+from .unified import adapted_blocks, check_glued, glue, split_slots
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class CrossedDatum:
     rsucc: ActionFamily
     lprec: ActionFamily
     rprec: ActionFamily
-    omega1: CrossBilinear  # A x A -> V
-    omega2: CrossBilinear
+    omega1: BilinearOp  # A x A -> V
+    omega2: BilinearOp
 
     def __post_init__(self):
         n, m = self.algebra.dim, self.valgebra.dim
@@ -51,9 +51,9 @@ class CrossedDatum:
                 raise InputError("crossed-datum action family has shape (%d,%d), "
                                  "expected (%d,%d)" % (fam.alg_dim, fam.mod_dim, n, m))
         for b in (self.omega1, self.omega2):
-            if (b.src_dim, b.dst_dim) != (n, m):
+            if (b.dim, b.out_dim) != (n, m):
                 raise InputError("cocycle has shape (%d,%d), expected (%d,%d)"
-                                 % (b.src_dim, b.dst_dim, n, m))
+                                 % (b.dim, b.out_dim, n, m))
 
     @staticmethod
     def split(algebra: ADAlgebra, valgebra: ADAlgebra,
@@ -62,7 +62,7 @@ class CrossedDatum:
         z = ActionFamily.zero(n, m)
         return CrossedDatum(algebra, valgebra, lsucc or z, rsucc or z,
                             lprec or z, rprec or z,
-                            CrossBilinear.zero(n, m), CrossBilinear.zero(n, m))
+                            BilinearOp.zero(n, m), BilinearOp.zero(n, m))
 
     @property
     def vdim(self) -> int:
@@ -90,7 +90,7 @@ class CrossedDatum:
         ((_, om1), (_, ls), (_, rs), _), ((_, om2), (_, lp), (_, rp), _) = succ, prec
         return CrossedDatum(algebra, valgebra,
                             *(ActionFamily(n, m, t) for t in (ls, rs, lp, rp)),
-                            CrossBilinear(n, m, om1), CrossBilinear(n, m, om2))
+                            BilinearOp(n, om1, m), BilinearOp(n, om2, m))
 
 
 # V-component slots of the defining identities; A-components are either the
@@ -401,8 +401,8 @@ def gh2_to_crossed(t: GH2Tuple) -> CrossedDatum:
         base, fibre,
         ActionFamily(1, t.n, (t.a,)), ActionFamily(1, t.n, (t.b,)),
         ActionFamily(1, t.n, (t.c,)), ActionFamily(1, t.n, (t.d,)),
-        CrossBilinear(1, t.n, ((tuple(t.theta0),),)),
-        CrossBilinear(1, t.n, ((tuple(t.epsilon0),),)),
+        BilinearOp(1, ((tuple(t.theta0),),), t.n),
+        BilinearOp(1, ((tuple(t.epsilon0),),), t.n),
     )
 
 
@@ -566,7 +566,7 @@ def transformed_cocycle(c: CrossedDatum, pair: AutPair, precheck: bool = True) -
                 aj = tuple(ainv[r][j] for r in range(n))
                 row.append(matvec(pair.beta, om.apply(ai, aj)))
             table.append(tuple(row))
-        return CrossBilinear(n, m, tuple(table))
+        return BilinearOp(n, tuple(table), m)
 
     return CrossedDatum(c.algebra, c.valgebra,
                         conj_family(c.lsucc), conj_family(c.rsucc),

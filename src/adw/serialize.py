@@ -18,7 +18,8 @@ from .crossed import AutPair, CrossedDatum, GH2Tuple
 from .fields import RATIONALS, InputError
 from .matched import MatchedPairDatum
 from .reps import ADRep
-from .unified import CrossBilinear, ExtendingDatum
+from .tensors import t3_entries
+from .unified import ExtendingDatum
 
 
 def _require_keys(d, required, what, optional=()):
@@ -48,6 +49,22 @@ def _coeff_entries(items, keys, field, what):
         idx = tuple(_int(e[k], "%s.%s" % (what, k)) for k in keys[:-1])
         out.append(idx + (field.parse(str(e[keys[-1]])),))
     return out
+
+
+_OP_KEYS = ("i", "j", "k", "c")
+_FOLD_KEYS = ("a", "b", "k", "c")
+
+
+def _entry_list(entries, keys, field):
+    """Entries (index..., coefficient) as JSON objects under ``keys``, in order."""
+    return [dict(zip(keys, e[:-1] + (field.to_str(e[-1]),))) for e in entries]
+
+
+def _basis(d, n, what):
+    basis = d["basis"]
+    if not isinstance(basis, list) or len(basis) != n:
+        raise InputError("%s: basis must list %d labels" % (what, n))
+    return tuple(str(b) for b in basis)
 
 
 def _matrix_from_rows(rows, field, what, shape=None):
@@ -98,46 +115,38 @@ def _inline_or_path(value, basedir, loader, field, what):
 
 def algebra_to_dict(alg: ADAlgebra, field=None):
     field = field or alg.field
-    def entries(op):
-        return [{"i": i, "j": j, "k": k, "c": field.to_str(c)}
-                for (i, j, k, c) in sorted(op.entries(), key=lambda e: e[:3])]
     return {"dimension": alg.dim, "basis": list(alg.basis),
-            "succ": entries(alg.succ), "prec": entries(alg.prec)}
+            "succ": _entry_list(alg.succ.entries(), _OP_KEYS, field),
+            "prec": _entry_list(alg.prec.entries(), _OP_KEYS, field)}
 
 
 def algebra_from_dict(d, field, basedir=None) -> ADAlgebra:
     _require_keys(d, ("dimension", "basis", "succ", "prec"), "algebra file")
     n = _int(d["dimension"], "dimension")
-    basis = d["basis"]
-    if not isinstance(basis, list) or len(basis) != n:
-        raise InputError("algebra file: basis must list %d labels" % n)
-    succ = BilinearOp.from_entries(n, _coeff_entries(d["succ"], ("i", "j", "k", "c"),
-                                                     field, "succ"))
-    prec = BilinearOp.from_entries(n, _coeff_entries(d["prec"], ("i", "j", "k", "c"),
-                                                     field, "prec"))
-    return ADAlgebra(n, tuple(str(b) for b in basis), succ, prec, field)
+    basis = _basis(d, n, "algebra file")
+    succ = BilinearOp.from_entries(n, _coeff_entries(d["succ"], _OP_KEYS, field, "succ"))
+    prec = BilinearOp.from_entries(n, _coeff_entries(d["prec"], _OP_KEYS, field, "prec"))
+    return ADAlgebra(n, basis, succ, prec, field)
 
 
 def product_to_dict(op: BilinearOp, basis, field):
     return {"dimension": op.dim, "basis": list(basis),
-            "product": [{"i": i, "j": j, "k": k, "c": field.to_str(c)}
-                        for (i, j, k, c) in sorted(op.entries(), key=lambda e: e[:3])]}
+            "product": _entry_list(op.entries(), _OP_KEYS, field)}
 
 
 def product_from_dict(d, field, basedir=None):
     _require_keys(d, ("dimension", "basis", "product"), "product file")
     n = _int(d["dimension"], "dimension")
-    op = BilinearOp.from_entries(n, _coeff_entries(d["product"], ("i", "j", "k", "c"),
-                                                   field, "product"))
-    return op, tuple(str(b) for b in d["basis"])
+    basis = _basis(d, n, "product file")
+    op = BilinearOp.from_entries(n, _coeff_entries(d["product"], _OP_KEYS, field, "product"))
+    return op, basis
 
 
 # ---------------------------------------------------------------------------
 # action families and representations
 
 def _family_entries(fam: ActionFamily, field):
-    return [{"x": x, "r": r, "c": c, "v": field.to_str(v)}
-            for (x, r, c, v) in sorted(fam.entries(), key=lambda e: e[:3])]
+    return _entry_list(fam.entries(), ("x", "r", "c", "v"), field)
 
 
 def _family_from(items, alg_dim, mod_dim, field, what):
@@ -168,16 +177,8 @@ def rep_from_dict(d, field, basedir=None) -> ADRep:
 # ---------------------------------------------------------------------------
 # extending data
 
-def _cross_entries(b: CrossBilinear, keys, field):
-    return [{keys[0]: i, keys[1]: j, keys[2]: k, keys[3]: field.to_str(c)}
-            for (i, j, k, c) in sorted(b.entries(), key=lambda e: e[:3])]
-
-
 def datum_to_dict(d: ExtendingDatum, field=None):
     field = field or d.algebra.field
-    def op_entries(op):
-        return [{"i": i, "j": j, "k": k, "c": field.to_str(c)}
-                for (i, j, k, c) in sorted(op.entries(), key=lambda e: e[:3])]
     return {
         "algebra": algebra_to_dict(d.algebra, field), "vDim": d.vdim,
         "lsucc": _family_entries(d.lsucc, field),
@@ -188,9 +189,10 @@ def datum_to_dict(d: ExtendingDatum, field=None):
         "muSucc": _family_entries(d.mu_succ, field),
         "rhoPrec": _family_entries(d.rho_prec, field),
         "muPrec": _family_entries(d.mu_prec, field),
-        "varpi1": _cross_entries(d.varpi1, ("a", "b", "k", "c"), field),
-        "varpi2": _cross_entries(d.varpi2, ("a", "b", "k", "c"), field),
-        "succV": op_entries(d.succ_v), "precV": op_entries(d.prec_v),
+        "varpi1": _entry_list(d.varpi1.entries(), _FOLD_KEYS, field),
+        "varpi2": _entry_list(d.varpi2.entries(), _FOLD_KEYS, field),
+        "succV": _entry_list(d.succ_v.entries(), _OP_KEYS, field),
+        "precV": _entry_list(d.prec_v.entries(), _OP_KEYS, field),
     }
 
 
@@ -211,14 +213,10 @@ def datum_from_dict(d, field, basedir=None) -> ExtendingDatum:
         _family_from(d["muSucc"], m, n, field, "muSucc"),
         _family_from(d["rhoPrec"], m, n, field, "rhoPrec"),
         _family_from(d["muPrec"], m, n, field, "muPrec"),
-        CrossBilinear.from_entries(m, n, _coeff_entries(d["varpi1"], ("a", "b", "k", "c"),
-                                                        field, "varpi1")),
-        CrossBilinear.from_entries(m, n, _coeff_entries(d["varpi2"], ("a", "b", "k", "c"),
-                                                        field, "varpi2")),
-        BilinearOp.from_entries(m, _coeff_entries(d["succV"], ("i", "j", "k", "c"),
-                                                  field, "succV")),
-        BilinearOp.from_entries(m, _coeff_entries(d["precV"], ("i", "j", "k", "c"),
-                                                  field, "precV")),
+        BilinearOp.from_entries(m, _coeff_entries(d["varpi1"], _FOLD_KEYS, field, "varpi1"), n),
+        BilinearOp.from_entries(m, _coeff_entries(d["varpi2"], _FOLD_KEYS, field, "varpi2"), n),
+        BilinearOp.from_entries(m, _coeff_entries(d["succV"], _OP_KEYS, field, "succV")),
+        BilinearOp.from_entries(m, _coeff_entries(d["precV"], _OP_KEYS, field, "precV")),
     )
 
 
@@ -234,8 +232,8 @@ def crossed_to_dict(c: CrossedDatum, field=None):
         "rsucc": _family_entries(c.rsucc, field),
         "lprec": _family_entries(c.lprec, field),
         "rprec": _family_entries(c.rprec, field),
-        "omega1": _cross_entries(c.omega1, ("i", "j", "k", "c"), field),
-        "omega2": _cross_entries(c.omega2, ("i", "j", "k", "c"), field),
+        "omega1": _entry_list(c.omega1.entries(), _OP_KEYS, field),
+        "omega2": _entry_list(c.omega2.entries(), _OP_KEYS, field),
     }
 
 
@@ -252,10 +250,8 @@ def crossed_from_dict(d, field, basedir=None) -> CrossedDatum:
         _family_from(d["rsucc"], n, m, field, "rsucc"),
         _family_from(d["lprec"], n, m, field, "lprec"),
         _family_from(d["rprec"], n, m, field, "rprec"),
-        CrossBilinear.from_entries(n, m, _coeff_entries(d["omega1"], ("i", "j", "k", "c"),
-                                                        field, "omega1")),
-        CrossBilinear.from_entries(n, m, _coeff_entries(d["omega2"], ("i", "j", "k", "c"),
-                                                        field, "omega2")),
+        BilinearOp.from_entries(n, _coeff_entries(d["omega1"], _OP_KEYS, field, "omega1"), m),
+        BilinearOp.from_entries(n, _coeff_entries(d["omega2"], _OP_KEYS, field, "omega2"), m),
     )
 
 
@@ -330,9 +326,8 @@ def autpair_from_dict(d, field, basedir=None) -> AutPair:
 
 def rmatrix_to_dict(r, field):
     n = len(r)
-    entries = [{"i": i, "j": j, "c": field.to_str(r[i][j])}
-               for i in range(n) for j in range(n) if r[i][j]]
-    return {"dim": n, "entries": entries}
+    entries = ((i, j, r[i][j]) for i in range(n) for j in range(n) if r[i][j])
+    return {"dim": n, "entries": _entry_list(entries, ("i", "j", "c"), field)}
 
 
 def rmatrix_from_dict(d, field, basedir=None):
@@ -347,11 +342,9 @@ def rmatrix_from_dict(d, field, basedir=None):
 
 
 def coproducts_to_dict(cp: CoproductPair, field):
-    def entries(parts):
-        return [{"x": x, "i": i, "j": j, "c": field.to_str(parts[x][i][j])}
-                for x in range(cp.dim) for i in range(cp.dim) for j in range(cp.dim)
-                if parts[x][i][j]]
-    return {"dim": cp.dim, "dsucc": entries(cp.dsucc), "dprec": entries(cp.dprec)}
+    keys = ("x", "i", "j", "c")
+    return {"dim": cp.dim, "dsucc": _entry_list(t3_entries(cp.dsucc), keys, field),
+            "dprec": _entry_list(t3_entries(cp.dprec), keys, field)}
 
 
 def coproducts_from_dict(d, field, basedir=None) -> CoproductPair:

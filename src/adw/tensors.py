@@ -1,5 +1,9 @@
 """Dense order-2 and order-3 tensors and their leg operations.
 
+Order-3 tables are also how every 3-index structure is stored: product
+tables, action families and coproducts all build from entries with
+``t3_from_entries`` and list them with ``t3_entries``.
+
 A Tensor2 is a nested tuple t with t[i][j] the coefficient of e_i (x) e_j; a
 Tensor3 likewise with three indices.  The three Yang-Baxter-style leg
 contractions are normalized once and for all.  With u = sum a_i (x) b_i and
@@ -65,6 +69,27 @@ def t3_neg(t):
 
 def t3_sub(a, b):
     return t3_add(a, t3_neg(b))
+
+
+def t3_from_entries(dims, entries, what):
+    """The (n0, n1, n2) table summing (i, j, k, c) entries; ``what`` names an
+    index triple in the out-of-range error."""
+    n0, n1, n2 = dims
+    acc = [[[0] * n2 for _ in range(n1)] for _ in range(n0)]
+    for i, j, k, c in entries:
+        if not (0 <= i < n0 and 0 <= j < n1 and 0 <= k < n2):
+            raise InputError("%s (%d,%d,%d) out of range" % (what, i, j, k))
+        acc[i][j][k] = acc[i][j][k] + c
+    return tuple(tuple(tuple(v) for v in row) for row in acc)
+
+
+def t3_entries(t):
+    """The nonzero entries (i, j, k, c) of a table, in index order."""
+    for i, plane in enumerate(t):
+        for j, row in enumerate(plane):
+            for k, c in enumerate(row):
+                if c:
+                    yield (i, j, k, c)
 
 
 def t3_is_zero(t):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .actions import ActionFamily
-from .algebra import ADAlgebra, BilinearOp, change_basis
+from .algebra import ADAlgebra, BilinearOp, change_basis, lmul, rmul
 from .fields import InputError
 from .linalg import (identity, inverse, matmul, matvec, nullspace, solve_linear,
                      unit, vadd, vneg, vzero)
@@ -32,59 +32,6 @@ from .reporting import PreconditionFailure, Report
 from .reps import ADRep, check_representation
 
 A1_CHAIN_TERMS = ("u>(v>w)", "-(u.v)>w", "-u<(v.w)", "(u<v)<w")
-
-
-# ---------------------------------------------------------------------------
-# bilinear cross maps V x V -> A (and A x A -> V), stored as vector tables
-
-@dataclass(frozen=True)
-class CrossBilinear:
-    """table[i][j] is the target coordinate vector of b(f_i, f_j)."""
-
-    src_dim: int
-    dst_dim: int
-    table: tuple
-
-    def __post_init__(self):
-        if len(self.table) != self.src_dim or any(
-                len(row) != self.src_dim or any(len(v) != self.dst_dim for v in row)
-                for row in self.table):
-            raise InputError("cross-bilinear table shape mismatch")
-
-    @staticmethod
-    def zero(src_dim, dst_dim):
-        return CrossBilinear(src_dim, dst_dim, tuple(
-            tuple(vzero(dst_dim) for _ in range(src_dim)) for _ in range(src_dim)))
-
-    @staticmethod
-    def from_entries(src_dim, dst_dim, entries):
-        acc = [[[0] * dst_dim for _ in range(src_dim)] for _ in range(src_dim)]
-        for i, j, k, c in entries:
-            if not (0 <= i < src_dim and 0 <= j < src_dim and 0 <= k < dst_dim):
-                raise InputError("cross-bilinear entry (%d,%d,%d) out of range" % (i, j, k))
-            acc[i][j][k] = acc[i][j][k] + c
-        return CrossBilinear(src_dim, dst_dim,
-                             tuple(tuple(tuple(v) for v in row) for row in acc))
-
-    def apply(self, u, v):
-        out = vzero(self.dst_dim)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    out = vadd(out, tuple(ui * vj * c for c in self.table[i][j]))
-        return out
-
-    def is_zero(self):
-        return all(not c for row in self.table for v in row for c in v)
-
-    def entries(self):
-        for i, row in enumerate(self.table):
-            for j, v in enumerate(row):
-                for k, c in enumerate(v):
-                    if c:
-                        yield (i, j, k, c)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +48,8 @@ def glue(na, nv, aa, av, va, vv):
         f_i o e_j = (va[0](f_i) e_j, va[1](e_j) f_i)    V-on-A, A-on-V matrices
         f_i o f_j = (vv[0][i][j], vv[1][i][j])          tables V x V -> A, V
 
-    Tables are ``BilinearOp.table``/``CrossBilinear.table`` vector tables and
-    families are ``ActionFamily.mats``, so an action value is a matrix column.
+    Tables are ``BilinearOp.table`` vector tables and families are
+    ``ActionFamily.mats``, so an action value is a matrix column.
     """
     za, zv = vzero(na), vzero(nv)
 
@@ -146,27 +93,6 @@ def unglue(table, ia, iv):
             (cells(iv, iv, ia), cells(iv, iv, iv)))
 
 
-def _lmul(table, i, x):
-    """e_i o x for a coordinate vector x."""
-    row, out = table[i], None
-    for k, c in enumerate(x):
-        if c:
-            out = ([c * t if t else t for t in row[k]] if out is None
-                   else [o + c * t if t else o for o, t in zip(out, row[k])])
-    return vzero(len(table)) if out is None else tuple(out)
-
-
-def _rmul(table, x, j):
-    """x o e_j for a coordinate vector x."""
-    out = None
-    for k, c in enumerate(x):
-        if c:
-            col = table[k][j]
-            out = ([c * t if t else t for t in col] if out is None
-                   else [o + c * t if t else o for o, t in zip(out, col)])
-    return vzero(len(table)) if out is None else tuple(out)
-
-
 def split_slots(a1_labels, a2_labels):
     """Per-type slot labels ((A1 A-id, A1 V-id), (A2 A-id, A2 V-id)) in walk order.
 
@@ -204,25 +130,25 @@ def check_glued(report, na, nv, slots, succ, prec=None) -> Report:
                 for iw, w in enumerate(rw):
                     witness = (tname, iu, iv, iw)
                     if prec is None:
-                        lhs = _rmul(succ, succ[u][v], w)
-                        rhs = _lmul(succ, u, succ[v][w])
+                        lhs = rmul(succ, succ[u][v], w)
+                        rhs = lmul(succ, u, succ[v][w])
                         for tag, comp, label in zip(("first", "second"), comps, labels):
                             report.require_equal(label, witness, lhs[comp], rhs[comp],
                                                  "(uv)w != u(vw) [%s component]" % tag)
                         continue
                     a1, a2 = labels
                     if a1 != (None, None):
-                        chain = (_lmul(succ, u, succ[v][w]),
-                                 vneg(_rmul(succ, dot[u][v], w)),
-                                 vneg(_lmul(prec, u, dot[v][w])),
-                                 _rmul(prec, prec[u][v], w))
+                        chain = (lmul(succ, u, succ[v][w]),
+                                 vneg(rmul(succ, dot[u][v], w)),
+                                 vneg(lmul(prec, u, dot[v][w])),
+                                 rmul(prec, prec[u][v], w))
                         for comp, label in zip(comps, a1):
                             if label is not None:
                                 report.require_chain(label, witness, A1_CHAIN_TERMS,
                                                      tuple(t[comp] for t in chain))
                     if a2 != (None, None):
-                        lhs = _rmul(prec, succ[u][v], w)
-                        rhs = _lmul(succ, u, prec[v][w])
+                        lhs = rmul(prec, succ[u][v], w)
+                        rhs = lmul(succ, u, prec[v][w])
                         for tag, comp, label in zip("AV", comps, a2):
                             if label is not None:
                                 report.require_equal(
@@ -246,8 +172,8 @@ class ExtendingDatum:
     mu_succ: ActionFamily
     rho_prec: ActionFamily
     mu_prec: ActionFamily
-    varpi1: CrossBilinear
-    varpi2: CrossBilinear
+    varpi1: BilinearOp  # V x V -> A
+    varpi2: BilinearOp
     succ_v: BilinearOp
     prec_v: BilinearOp
 
@@ -262,9 +188,9 @@ class ExtendingDatum:
                 raise InputError("V-on-A family has shape (%d,%d), expected (%d,%d)"
                                  % (fam.alg_dim, fam.mod_dim, m, n))
         for b in (self.varpi1, self.varpi2):
-            if (b.src_dim, b.dst_dim) != (m, n):
+            if (b.dim, b.out_dim) != (m, n):
                 raise InputError("fold map has shape (%d,%d), expected (%d,%d)"
-                                 % (b.src_dim, b.dst_dim, m, n))
+                                 % (b.dim, b.out_dim, m, n))
         if self.succ_v.dim != m or self.prec_v.dim != m:
             raise InputError("complement products do not match vdim %d" % m)
 
@@ -274,7 +200,7 @@ class ExtendingDatum:
         return ExtendingDatum(rep.algebra, m, rep.lsucc, rep.rsucc, rep.lprec, rep.rprec,
                               ActionFamily.zero(m, n), ActionFamily.zero(m, n),
                               ActionFamily.zero(m, n), ActionFamily.zero(m, n),
-                              CrossBilinear.zero(m, n), CrossBilinear.zero(m, n),
+                              BilinearOp.zero(m, n), BilinearOp.zero(m, n),
                               BilinearOp.zero(m), BilinearOp.zero(m))
 
     def representation(self) -> ADRep:
@@ -304,7 +230,7 @@ class ExtendingDatum:
             algebra, m,
             *(ActionFamily(na, m, mats) for mats in (l_s, r_s, l_p, r_p)),
             *(ActionFamily(m, na, mats) for mats in (rho_s, mu_s, rho_p, mu_p)),
-            CrossBilinear(m, na, w1), CrossBilinear(m, na, w2),
+            BilinearOp(m, w1, na), BilinearOp(m, w2, na),
             BilinearOp(m, v_s), BilinearOp(m, v_p))
 
 

@@ -17,7 +17,7 @@ from adw.fields import InputError
 from adw.linalg import identity, matmul, matvec, nullspace, shape, solve_linear, unit, vsub
 from adw.matched import MatchedPairDatum, bicrossed_product, check_matched_pair
 from adw.reporting import PreconditionFailure, Report
-from adw.unified import CrossBilinear, ExtendingDatum, ExtractionResult
+from adw.unified import ExtendingDatum, ExtractionResult
 
 
 def extract_extending_datum(ealg: ADAlgebra, include_a, proj_a) -> ExtractionResult:
@@ -125,7 +125,7 @@ def extract_extending_datum(ealg: ADAlgebra, include_a, proj_a) -> ExtractionRes
         fam("lsucc", na, m), fam("rsucc", na, m), fam("lprec", na, m), fam("rprec", na, m),
         fam("rho_succ", m, na), fam("mu_succ", m, na),
         fam("rho_prec", m, na), fam("mu_prec", m, na),
-        CrossBilinear(m, na, tuple(varpi[1])), CrossBilinear(m, na, tuple(varpi[2])),
+        BilinearOp(m, tuple(varpi[1]), na), BilinearOp(m, tuple(varpi[2]), na),
         BilinearOp(m, tuple(vprod[1])), BilinearOp(m, tuple(vprod[2])),
     )
     report.tick()
@@ -213,7 +213,7 @@ def cocycle_from_section(ealg: ADAlgebra, proj, section) -> "SectionResult":
                          matvec(section, sub.table[i][j]))
                 row.append(vcoords(w))
             t.append(tuple(row))
-        om[tag] = CrossBilinear(na, m, tuple(t))
+        om[tag] = BilinearOp(na, tuple(t), m)
 
     vs, vp = [], []
     for op, store in ((ealg.succ, vs), (ealg.prec, vp)):

@@ -4,8 +4,10 @@ This is the callback engine that evaluated the S-, C-, M- and AM-systems on
 unit-vector pairs of (A-vector, V-vector) form: ``check_split_axioms``, the
 seven ``pair_*`` product formulas (as plain functions of the datum), the
 associative-matched-pair triple loop and the unit-vector table assembly.
-It is deliberately slow and independent of ``adw.unified.glue`` and
-``adw.unified.check_glued``; ``test_glue_differential`` compares the two.
+It is deliberately slow and independent of ``adw.unified.glue``,
+``adw.unified.check_glued`` and the ``adw.algebra.lmul``/``rmul`` kernel
+(products go through its own copy of the old pair loop);
+``test_glue_differential`` compares the two.
 Do not optimise or refactor it.
 """
 
@@ -15,7 +17,7 @@ from functools import partial
 from itertools import product as iproduct
 
 from adw.algebra import check_associative
-from adw.linalg import unit, vadd, vneg, vzero
+from adw.linalg import unit, vadd, vneg, vscale, vzero
 from adw.reporting import PreconditionFailure, Report
 from adw.reps import check_representation
 
@@ -78,67 +80,81 @@ def check_split_axioms(na, nv, succ, prec, a1_labels, a2_labels, name,
 
 
 # ---------------------------------------------------------------------------
-# the seven product formulas
+# the seven product formulas, on the pair loop that ``BilinearOp.apply`` and
+# the fold-map/cocycle class ran before the ``lmul``/``rmul`` kernel
+
+def apply(op, u, v):
+    """Product of two coordinate vectors under a bilinear map."""
+    out = vzero(op.out_dim)
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            out = vadd(out, vscale(ui * vj, op.table[i][j]))
+    return out
+
 
 def ext_succ(d, u, v):
     x, a = u
     y, b = v
-    apart = vadd(d.algebra.succ.apply(x, y), d.rho_succ.act(a, y),
-                 d.mu_succ.act(b, x), d.varpi1.apply(a, b))
+    apart = vadd(apply(d.algebra.succ, x, y), d.rho_succ.act(a, y),
+                 d.mu_succ.act(b, x), apply(d.varpi1, a, b))
     vpart = vadd(d.lsucc.act(x, b), d.rsucc.act(y, a),
-                 d.succ_v.apply(a, b))
+                 apply(d.succ_v, a, b))
     return (apart, vpart)
 
 
 def ext_prec(d, u, v):
     x, a = u
     y, b = v
-    apart = vadd(d.algebra.prec.apply(x, y), d.rho_prec.act(a, y),
-                 d.mu_prec.act(b, x), d.varpi2.apply(a, b))
+    apart = vadd(apply(d.algebra.prec, x, y), d.rho_prec.act(a, y),
+                 d.mu_prec.act(b, x), apply(d.varpi2, a, b))
     vpart = vadd(d.lprec.act(x, b), d.rprec.act(y, a),
-                 d.prec_v.apply(a, b))
+                 apply(d.prec_v, a, b))
     return (apart, vpart)
 
 
 def crossed_succ(d, u, v):
     x, a = u
     y, b = v
-    apart = d.algebra.succ.apply(x, y)
-    vpart = vadd(d.omega1.apply(x, y), d.lsucc.act(x, b),
-                 d.rsucc.act(y, a), d.valgebra.succ.apply(a, b))
+    apart = apply(d.algebra.succ, x, y)
+    vpart = vadd(apply(d.omega1, x, y), d.lsucc.act(x, b),
+                 d.rsucc.act(y, a), apply(d.valgebra.succ, a, b))
     return (apart, vpart)
 
 
 def crossed_prec(d, u, v):
     x, a = u
     y, b = v
-    apart = d.algebra.prec.apply(x, y)
-    vpart = vadd(d.omega2.apply(x, y), d.lprec.act(x, b),
-                 d.rprec.act(y, a), d.valgebra.prec.apply(a, b))
+    apart = apply(d.algebra.prec, x, y)
+    vpart = vadd(apply(d.omega2, x, y), d.lprec.act(x, b),
+                 d.rprec.act(y, a), apply(d.valgebra.prec, a, b))
     return (apart, vpart)
 
 
 def matched_succ(d, u, v):
     x, a = u
     y, b = v
-    apart = vadd(d.alg1.succ.apply(x, y), d.l2s.act(a, y), d.r2s.act(b, x))
-    vpart = vadd(d.alg2.succ.apply(a, b), d.l1s.act(x, b), d.r1s.act(y, a))
+    apart = vadd(apply(d.alg1.succ, x, y), d.l2s.act(a, y), d.r2s.act(b, x))
+    vpart = vadd(apply(d.alg2.succ, a, b), d.l1s.act(x, b), d.r1s.act(y, a))
     return (apart, vpart)
 
 
 def matched_prec(d, u, v):
     x, a = u
     y, b = v
-    apart = vadd(d.alg1.prec.apply(x, y), d.l2p.act(a, y), d.r2p.act(b, x))
-    vpart = vadd(d.alg2.prec.apply(a, b), d.l1p.act(x, b), d.r1p.act(y, a))
+    apart = vadd(apply(d.alg1.prec, x, y), d.l2p.act(a, y), d.r2p.act(b, x))
+    vpart = vadd(apply(d.alg2.prec, a, b), d.l1p.act(x, b), d.r1p.act(y, a))
     return (apart, vpart)
 
 
 def assoc_mul(p, u, v):
     x, a = u
     y, b = v
-    apart = vadd(p.op1.apply(x, y), p.l2.act(a, y), p.r2.act(b, x))
-    vpart = vadd(p.op2.apply(a, b), p.l1.act(x, b), p.r1.act(y, a))
+    apart = vadd(apply(p.op1, x, y), p.l2.act(a, y), p.r2.act(b, x))
+    vpart = vadd(apply(p.op2, a, b), p.l1.act(x, b), p.r1.act(y, a))
     return (apart, vpart)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 from itertools import product as iproduct
 
 from adw.actions import ActionFamily
-from adw.algebra import ADAlgebra, direct_sum, is_isomorphism
+from adw.algebra import ADAlgebra, BilinearOp, direct_sum, is_isomorphism
 from adw.bialgebra import (adybe_residual, check_coalgebra, check_d_bialgebra,
                            check_o_operator, coboundary_coproducts,
                            is_ybe_solution, o_operator_to_ybe,
@@ -30,9 +30,8 @@ from adw.matched import (MatchedPairDatum, bicrossed_product,
 from adw.reps import (ADRep, check_representation, dual_representation,
                       induced_associative_reps, regular_representation,
                       semidirect_product)
-from adw.unified import (CrossBilinear, canonical_projection,
-                         check_extending_structure, extract_extending_datum,
-                         unified_product)
+from adw.unified import (canonical_projection, check_extending_structure,
+                         extract_extending_datum, unified_product)
 from .conftest import (conjugate_rep, nilpotent2, rand_family,
                        rand_invertible, rand_matrix)
 
@@ -267,8 +266,8 @@ def test_criterion_7_inducibility_and_wells():
         c = CrossedDatum(base, ADAlgebra.zero(1),
                          ActionFamily.zero(1, 1), ActionFamily.zero(1, 1),
                          ActionFamily.zero(1, 1), ActionFamily.zero(1, 1),
-                         CrossBilinear.from_entries(1, 1, [(0, 0, 0, Q(1))]),
-                         CrossBilinear.zero(1, 1))
+                         BilinearOp.from_entries(1, [(0, 0, 0, Q(1))], 1),
+                         BilinearOp.zero(1, 1))
         lams = [Q(1), Q(-1), Q(2), Q(-2), Q(3), Q(1, 2)]
         mus = [Q(1), Q(4), Q(9), Q(1, 4), Q(2), Q(-1), Q(3)]
         rng = random.Random(7)

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
 from adw import serialize as io
-from adw.algebra import ADAlgebra
+from adw.algebra import ADAlgebra, BilinearOp
 from adw.cli import main
 from adw.crossed import AutPair
 from adw.reps import regular_representation
@@ -111,14 +114,13 @@ def test_crossed_and_gh2_commands(tmp_path, capsys):
 
 def test_wells_and_inducible_commands(tmp_path, capsys):
     from adw.crossed import CrossedDatum
-    from adw.unified import CrossBilinear
     from adw.actions import ActionFamily
     base = ADAlgebra.zero(1)
     c = CrossedDatum(base, ADAlgebra.zero(1),
                      ActionFamily.zero(1, 1), ActionFamily.zero(1, 1),
                      ActionFamily.zero(1, 1), ActionFamily.zero(1, 1),
-                     CrossBilinear.from_entries(1, 1, [(0, 0, 0, Q(1))]),
-                     CrossBilinear.zero(1, 1))
+                     BilinearOp.from_entries(1, [(0, 0, 0, Q(1))], 1),
+                     BilinearOp.zero(1, 1))
     cpath = str(tmp_path / "c.json")
     io.write_json(cpath, io.crossed_to_dict(c))
     good = str(tmp_path / "pair_good.json")
@@ -240,22 +242,35 @@ def test_full_command_surface(tmp_path, capsys):
     assert main(["oop", "lift", op_bad]) == 1
 
 
-def test_fp7_zero_denominator_is_an_input_error(tmp_path):
-    """A coefficient 1/7 over GF(7) ends in exit 2 with an input error, not a traceback."""
-    import os
-    import subprocess
-    import sys
-
+def run_child(argv, **env):
+    """``python -m adw.cli`` in a child process, on this checkout's sources."""
     import adw
 
+    src = os.path.dirname(os.path.dirname(adw.__file__))
+    return subprocess.run([sys.executable, "-m", "adw.cli"] + argv,
+                          env=dict(os.environ, PYTHONPATH=src, **env),
+                          capture_output=True, text=True, timeout=60)
+
+
+def assert_input_error(proc):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert any(line.startswith("input error:") for line in proc.stderr.splitlines())
+
+
+def test_fp7_zero_denominator_is_an_input_error(tmp_path):
+    """A coefficient 1/7 over GF(7) ends in exit 2 with an input error, not a traceback."""
     payload = io.algebra_to_dict(nilpotent2())
     payload["succ"] = [{"i": 0, "j": 0, "k": 1, "c": "1/7"}]
     path = tmp_path / "seventh.json"
     path.write_text(json.dumps(payload))
-    src = os.path.dirname(os.path.dirname(adw.__file__))
-    env = dict(os.environ, ADW_FIELD="fp7", PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "adw.cli", "algebra", "check", str(path)],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert any(line.startswith("input error:") for line in proc.stderr.splitlines())
+    assert_input_error(run_child(["algebra", "check", str(path)], ADW_FIELD="fp7"))
+
+
+@pytest.mark.parametrize("basis", [5, [], "x"])
+def test_product_file_bad_basis_is_an_input_error(tmp_path, basis):
+    """A product file whose basis is not a list of its dimension's labels ends in exit 2."""
+    prod, form = tmp_path / "prod.json", tmp_path / "form.json"
+    prod.write_text(json.dumps({"dimension": 1, "basis": basis, "product": []}))
+    form.write_text(json.dumps({"dim": 1, "gram": [["1"]]}))
+    assert_input_error(run_child(["connes", "check", str(prod), str(form)]))

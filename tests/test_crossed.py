@@ -5,7 +5,7 @@ from itertools import product as iproduct
 import pytest
 
 from adw.actions import ActionFamily
-from adw.algebra import ADAlgebra, is_isomorphism
+from adw.algebra import ADAlgebra, BilinearOp, is_isomorphism
 from adw.crossed import (AutPair, CrossedDatum, GH2Tuple, check_aut_pair,
                          check_cocycle, check_cocycles_cohomologous,
                          check_crossed_system, check_gh2_tuple,
@@ -18,7 +18,6 @@ from adw.crossed import (AutPair, CrossedDatum, GH2Tuple, check_aut_pair,
 from adw.fields import PrimeField
 from adw.linalg import identity, zeros_mat
 from adw.reporting import PreconditionFailure
-from adw.unified import CrossBilinear
 from .conftest import nilpotent2, rand_matrix
 
 
@@ -36,8 +35,8 @@ def scalar_extension_cocycle():
     return CrossedDatum(base, fibre,
                         ActionFamily.zero(1, 1), ActionFamily.zero(1, 1),
                         ActionFamily.zero(1, 1), ActionFamily.zero(1, 1),
-                        CrossBilinear.from_entries(1, 1, [(0, 0, 0, Q(1))]),
-                        CrossBilinear.zero(1, 1))
+                        BilinearOp.from_entries(1, [(0, 0, 0, Q(1))], 1),
+                        BilinearOp.zero(1, 1))
 
 
 def test_zero_crossed_datum_passes(algebra_zoo):
@@ -64,8 +63,8 @@ def test_c1_violation_witnessed():
     d = CrossedDatum(nil, ADAlgebra.zero(1),
                      ActionFamily.zero(2, 1), ActionFamily.zero(2, 1),
                      ActionFamily.zero(2, 1), ActionFamily.zero(2, 1),
-                     CrossBilinear.from_entries(2, 1, [(0, 1, 0, Q(1))]),
-                     CrossBilinear.zero(2, 1))
+                     BilinearOp.from_entries(2, [(0, 1, 0, Q(1))], 1),
+                     BilinearOp.zero(2, 1))
     out = check_crossed_system(d)
     assert not out.passed
     assert out.violations[0].equation == "C1"
@@ -87,9 +86,9 @@ def test_crossed_check_iff_product_randomized():
                 ActionFamily(2, 1, (rand_matrix(rng, 1, 1), rand_matrix(rng, 1, 1))),
                 ActionFamily(2, 1, (rand_matrix(rng, 1, 1), rand_matrix(rng, 1, 1))),
                 ActionFamily(2, 1, (rand_matrix(rng, 1, 1), rand_matrix(rng, 1, 1))),
-                CrossBilinear.from_entries(2, 1, [(rng.randrange(2), rng.randrange(2), 0,
-                                                   Q(rng.randint(-1, 1)))]),
-                CrossBilinear.zero(2, 1))
+                BilinearOp.from_entries(2, [(rng.randrange(2), rng.randrange(2), 0,
+                                            Q(rng.randint(-1, 1)))], 1),
+                BilinearOp.zero(2, 1))
         ok = check_crossed_system(d).passed
         ok_alg = crossed_product(d, precheck=False).check().passed
         assert ok == ok_alg
@@ -360,8 +359,8 @@ def test_kernel_of_lifting_matches_z1_over_gf3():
     c = CrossedDatum(base, fibre,
                      ActionFamily.zero(1, 1), ActionFamily.zero(1, 1),
                      ActionFamily.zero(1, 1), ActionFamily.zero(1, 1),
-                     CrossBilinear.from_entries(1, 1, [(0, 0, 0, f.one)]),
-                     CrossBilinear.zero(1, 1))
+                     BilinearOp.from_entries(1, [(0, 0, 0, f.one)], 1),
+                     BilinearOp.zero(1, 1))
     e = crossed_product(c)
     from adw.algebra import is_automorphism
     kernel_lifts = []

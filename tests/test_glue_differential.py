@@ -18,8 +18,7 @@ from adw.fields import RATIONALS, PrimeField
 from adw.matched import (AssocMatchedPair, MatchedPairDatum, assoc_bicrossed_product,
                          bicrossed_product, check_assoc_matched_pair, check_matched_pair)
 from adw.reps import regular_representation
-from adw.unified import (CrossBilinear, ExtendingDatum, check_extending_structure,
-                         unified_product)
+from adw.unified import ExtendingDatum, check_extending_structure, unified_product
 
 from . import frozen_split_engine as frozen
 
@@ -70,7 +69,7 @@ def extending_data(draw):
     return ExtendingDatum(
         base, nv, *a_on_v(draw, field, base, nv),
         *(family(draw, field, nv, na) for _ in range(4)),
-        *(CrossBilinear.from_entries(nv, na, sparse(draw, field, nv, nv, na))
+        *(BilinearOp.from_entries(nv, sparse(draw, field, nv, nv, na), na)
           for _ in range(2)),
         *(BilinearOp.from_entries(nv, sparse(draw, field, nv, nv, nv)) for _ in range(2)))
 
@@ -83,7 +82,7 @@ def crossed_data(draw):
     fibre = ADAlgebra.make(nv, sparse(draw, field, nv, nv, nv),
                            sparse(draw, field, nv, nv, nv), field=field)
     return CrossedDatum(base, fibre, *a_on_v(draw, field, base, nv),
-                        *(CrossBilinear.from_entries(na, nv, sparse(draw, field, na, na, nv))
+                        *(BilinearOp.from_entries(na, sparse(draw, field, na, na, nv), nv)
                           for _ in range(2)))
 
 

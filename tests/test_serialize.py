@@ -5,14 +5,14 @@ import pytest
 
 from adw import serialize as io
 from adw.actions import ActionFamily
-from adw.algebra import ADAlgebra
+from adw.algebra import ADAlgebra, BilinearOp
 from adw.bialgebra import BilinearForm, coboundary_coproducts
 from adw.crossed import AutPair, CrossedDatum, GH2Tuple
 from adw.fields import RATIONALS, InputError, PrimeField
 from adw.linalg import identity
 from adw.matched import MatchedPairDatum
 from adw.reps import regular_representation
-from adw.unified import CrossBilinear, ExtendingDatum
+from adw.unified import ExtendingDatum
 from .conftest import nilpotent2
 
 
@@ -55,6 +55,28 @@ def test_bad_indices_and_coefficients():
         io.algebra_from_dict(d, RATIONALS)
 
 
+@pytest.mark.parametrize("basis", [5, [], "xy", ["x", "y"], None])
+def test_product_basis_must_list_dimension_labels(basis):
+    d = {"dimension": 1, "basis": basis, "product": []}
+    with pytest.raises(InputError, match="product file: basis must list 1 labels"):
+        io.product_from_dict(d, RATIONALS)
+    d["basis"] = ["x"]
+    assert io.product_from_dict(d, RATIONALS)[1] == ("x",)
+
+
+def test_fold_map_and_cocycle_entries_out_of_range():
+    """varpi and omega entries are range-checked like every product table."""
+    d = io.datum_to_dict(ExtendingDatum.from_representation(regular_representation(
+        nilpotent2())))
+    d["varpi1"] = [{"a": 0, "b": 0, "k": 2, "c": "1"}]
+    with pytest.raises(InputError, match=r"^structure-constant index \(0,0,2\) out of range$"):
+        io.datum_from_dict(d, RATIONALS)
+    c = io.crossed_to_dict(CrossedDatum.split(nilpotent2(), ADAlgebra.zero(1)))
+    c["omega2"] = [{"i": 2, "j": 0, "k": 0, "c": "1"}]
+    with pytest.raises(InputError, match=r"^structure-constant index \(2,0,0\) out of range$"):
+        io.crossed_from_dict(c, RATIONALS)
+
+
 def test_rep_roundtrip_and_inline_path(tmp_path):
     rr = regular_representation(nilpotent2())
     back = roundtrip(io.rep_to_dict, io.rep_from_dict, rr)
@@ -80,8 +102,8 @@ def test_crossed_roundtrip():
     c = CrossedDatum(ADAlgebra.zero(1), ADAlgebra.zero(1),
                      ActionFamily.zero(1, 1), ActionFamily.zero(1, 1),
                      ActionFamily.zero(1, 1), ActionFamily.zero(1, 1),
-                     CrossBilinear.from_entries(1, 1, [(0, 0, 0, Q(1, 2))]),
-                     CrossBilinear.zero(1, 1))
+                     BilinearOp.from_entries(1, [(0, 0, 0, Q(1, 2))], 1),
+                     BilinearOp.zero(1, 1))
     back = roundtrip(io.crossed_to_dict, io.crossed_from_dict, c)
     assert back.omega1.table == c.omega1.table
 

@@ -9,7 +9,7 @@ from adw.fields import InputError
 from adw.linalg import identity, matvec
 from adw.reporting import PreconditionFailure
 from adw.reps import regular_representation, semidirect_product
-from adw.unified import (CrossBilinear, EquivWitness, ExtendingDatum,
+from adw.unified import (EquivWitness, ExtendingDatum,
                          canonical_projection, check_equivalence,
                          check_extending_structure,
                          equivalence_morphism_matrix, extract_extending_datum,
@@ -24,7 +24,7 @@ def zero_datum(alg, m, succ_v=None, prec_v=None):
                           ActionFamily.zero(n, m), ActionFamily.zero(n, m),
                           ActionFamily.zero(m, n), ActionFamily.zero(m, n),
                           ActionFamily.zero(m, n), ActionFamily.zero(m, n),
-                          CrossBilinear.zero(m, n), CrossBilinear.zero(m, n),
+                          BilinearOp.zero(m, n), BilinearOp.zero(m, n),
                           succ_v or BilinearOp.zero(m), prec_v or BilinearOp.zero(m))
 
 
@@ -56,7 +56,7 @@ def test_s5_violation_witnessed():
     d = zero_datum(nil, 1)
     d = ExtendingDatum(nil, 1, d.lsucc, d.rsucc, d.lprec, d.rprec,
                        d.rho_succ, d.mu_succ, d.rho_prec, d.mu_prec,
-                       CrossBilinear.from_entries(1, 2, [(0, 0, 0, Q(1))]),
+                       BilinearOp.from_entries(1, [(0, 0, 0, Q(1))], 2),
                        d.varpi2, d.succ_v, d.prec_v)
     out = check_extending_structure(d)
     assert not out.passed
@@ -153,8 +153,8 @@ def test_prop_equivalence_randomized():
                 rand_family(rng, 2, 1), rand_family(rng, 2, 1),
                 rand_family(rng, 1, 2), rand_family(rng, 1, 2),
                 rand_family(rng, 1, 2), rand_family(rng, 1, 2),
-                CrossBilinear.from_entries(1, 2, [(0, 0, rng.randrange(2), Q(rng.randint(-1, 1)))]),
-                CrossBilinear.zero(1, 2),
+                BilinearOp.from_entries(1, [(0, 0, rng.randrange(2), Q(rng.randint(-1, 1)))], 2),
+                BilinearOp.zero(1, 2),
                 BilinearOp.zero(1), BilinearOp.zero(1))
         ok_check = check_extending_structure(d).passed
         ok_alg = unified_product(d, precheck=False).check().passed
@@ -247,7 +247,7 @@ def test_fast_path_witness_search():
     base = zero_datum(z, 1)
     shifted = ExtendingDatum(z, 1, base.lsucc, base.rsucc, base.lprec, base.rprec,
                              base.rho_succ, base.mu_succ, base.rho_prec, base.mu_prec,
-                             CrossBilinear.from_entries(1, 1, [(0, 0, 0, Q(1))]),
+                             BilinearOp.from_entries(1, [(0, 0, 0, Q(1))], 1),
                              base.varpi2, base.succ_v, base.prec_v)
     # identical data: zero witness found
     zeta, rep = find_cohomologous_witness(base, base)
