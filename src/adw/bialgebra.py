@@ -17,12 +17,11 @@ residual vanishes identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, check_anti_dendriform,
                       check_associative, multiplication_operators)
-from .fields import RATIONALS, InputError
+from .fields import RATIONALS, InputError, PrimeField
 from .linalg import inverse, matmul, matvec, shape, transpose, unit, vadd
 from .matched import (AssocMatchedPair, assoc_bicrossed_product,
                       check_assoc_matched_pair)
@@ -30,7 +29,8 @@ from .reporting import PreconditionFailure, Report
 from .reps import ADRep, dual_representation, semidirect_product
 from .tensors import (contract_12_13, contract_13_23, contract_23_12, t2_add,
                       t2_apply, t2_neg, t2_sub, t2_zero, t3_add, t3_apply,
-                      t3_from_entries, t3_is_zero, t3_neg, t3_sub, t3_zero, twist)
+                      t3_entries, t3_from_entries, t3_is_zero, t3_neg, t3_sub,
+                      t3_zero, twist)
 
 
 # ---------------------------------------------------------------------------
@@ -670,20 +670,81 @@ def skew_tensor_from_uppers(n, uppers):
     return tuple(tuple(row) for row in t)
 
 
+def _ye6_form(alg: ADAlgebra, k, reduce):
+    """YE6 at r = sum_a x_a S_a as a quadratic form in the upper entries x_a.
+
+    S_a is the skew unit tensor of the a-th strictly-upper entry (row-major).
+    The residual is homogeneous quadratic in r, so each of its components is
+    sum_{a<=b} c_ab x_a x_b, read off ``adybe_residual`` by polarization:
+    c_aa = res(S_a) and c_ab = res(S_a + S_b) - res(S_a) - res(S_b) for a < b,
+    which holds in every characteristic.  Returns, for each t < k, the
+    components whose highest variable is x_t, each a list of (a, b, c) with
+    c = reduce(coefficient) nonzero.
+    """
+    n = alg.dim
+    units = [skew_tensor_from_uppers(n, [int(a == b) for b in range(k)]) for a in range(k)]
+    squares = [adybe_residual(alg, s) for s in units]
+    comps = {}
+    for b in range(k):
+        for a in range(b + 1):
+            res = squares[a] if a == b else t3_sub(
+                adybe_residual(alg, t2_add(units[a], units[b])),
+                t3_add(squares[a], squares[b]))
+            for p, q, s, c in t3_entries(res):
+                c = reduce(c)
+                if c:
+                    comps.setdefault((p, q, s), []).append((a, b, c))
+    by_last = [[] for _ in range(k)]
+    for terms in comps.values():
+        # terms were appended in increasing b, so the last one holds the highest
+        by_last[terms[-1][1]].append(terms)
+    return by_last
+
+
 def search_skew_solutions(alg: ADAlgebra, values):
     """Exhaust skew tensors with upper entries drawn from ``values``.
 
     Returns the solutions of the Yang-Baxter condition in deterministic
-    lexicographic grid order.  Dimensions above 4 are refused: the grid grows
-    as len(values)**(n(n-1)/2).
+    lexicographic grid order (the order of ``itertools.product(values,
+    repeat=k)`` over the k = n(n-1)/2 strictly-upper entries), each built from
+    the caller's own value objects.  Every value and every nonzero table
+    coefficient must be an int or an element of ``alg.field``.
+
+    YE6 is expanded once into a quadratic form (``_ye6_form``); the walk
+    assigns the upper entries in order and drops a prefix as soon as a
+    component whose variables are all assigned is nonzero.  Over GF(p) it
+    computes with int residues mod p, so an int is read mod p.  Dimensions
+    above 4 are refused: the grid grows as len(values)**(n(n-1)/2).
     """
     n = alg.dim
     if n > 4:
         raise InputError("skew search supports dimension <= 4")
+    field = alg.field
+    if isinstance(field, PrimeField):
+        p = field.p
+        reduce, nonzero = (lambda x: field.coerce(x).v), (lambda s: s % p)
+    else:
+        reduce, nonzero = field.coerce, bool
+    # reduce raises InputError on a scalar outside the field
+    values = list(values)
+    xs = [reduce(x) for x in values]
+    for op in (alg.succ, alg.prec):
+        for _, _, _, c in op.entries():
+            reduce(c)
     k = n * (n - 1) // 2
-    found = []
-    for combo in iproduct(values, repeat=k):
-        r = skew_tensor_from_uppers(n, combo)
-        if is_ybe_solution(alg, r):
-            found.append(r)
+    forms = _ye6_form(alg, k, reduce)
+    found, row, picks = [], [None] * k, [None] * k
+
+    def walk(t):
+        if t == k:
+            found.append(skew_tensor_from_uppers(n, [values[i] for i in picks]))
+            return
+        for i, x in enumerate(xs):
+            row[t] = x
+            if not any(nonzero(sum(c * row[a] * row[b] for a, b, c in terms))
+                       for terms in forms[t]):
+                picks[t] = i
+                walk(t + 1)
+
+    walk(0)
     return found

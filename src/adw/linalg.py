@@ -42,14 +42,6 @@ def vneg(v):
     return tuple(-x for x in v)
 
 
-def vscale(c, v):
-    return tuple(c * x for x in v)
-
-
-def is_zero_vec(v):
-    return all(not x for x in v)
-
-
 def dot(u, v):
     if len(u) != len(v):
         raise InputError("dot: length mismatch")

@@ -208,6 +208,12 @@ def factorize(calg: ADAlgebra, basis_a, basis_b):
     off the ``unglue`` blocks of the ambient tables, runs the matched-pair
     check, and verifies that the bicrossed product reproduces the original
     tables.  Returns (MatchedPairDatum or None, Report).
+
+    The reconstruction check is kept although it cannot fail once both spans
+    are closed (``unglue`` splits the ambient tables by indexing alone, and
+    ``glue`` puts the same blocks back): its 2 dim^2 ticks are part of the
+    ``checked`` count that reports and the CLI print, and it guards the
+    glue/unglue layouts against drifting apart.
     """
     out = Report("factorization")
     basis_a, basis_b = tuple(basis_a), tuple(basis_b)

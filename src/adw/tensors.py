@@ -101,7 +101,7 @@ def t3_dims(t):
 
 
 # ---------------------------------------------------------------------------
-# twist and leg permutations
+# twist
 
 def twist(t):
     """The flip map on A (x) A: (twist t)[i][j] = t[j][i].  Square tensors only."""
@@ -109,42 +109,6 @@ def twist(t):
     if na != nb:
         raise InputError("twist: tensor is %dx%d, not square" % (na, nb))
     return tuple(tuple(t[j][i] for j in range(na)) for i in range(na))
-
-
-def sigma(t, perm):
-    """Permute the legs of a cubic Tensor3.
-
-    ``perm`` is a triple p meaning: output slot s carries what was in input
-    slot p[s].  All three dimensions must agree.
-    """
-    d = t3_dims(t)
-    if not (d[0] == d[1] == d[2]):
-        raise InputError("sigma: legs have unequal dimensions %r" % (d,))
-    if sorted(perm) != [0, 1, 2]:
-        raise InputError("sigma: %r is not a permutation of (0,1,2)" % (perm,))
-    n = d[0]
-    inv = [0, 0, 0]
-    for s in range(3):
-        inv[perm[s]] = s
-    # (sigma t)[i0][i1][i2] = t[j0][j1][j2] with j_t = i_{inv[t]}
-    return tuple(
-        tuple(
-            tuple(t[(i0, i1, i2)[inv[0]]][(i0, i1, i2)[inv[1]]][(i0, i1, i2)[inv[2]]]
-                  for i2 in range(n))
-            for i1 in range(n)
-        )
-        for i0 in range(n)
-    )
-
-
-def sigma123(t):
-    """x (x) y (x) z  ->  z (x) x (x) y."""
-    return sigma(t, (2, 0, 1))
-
-
-def sigma132(t):
-    """x (x) y (x) z  ->  y (x) z (x) x."""
-    return sigma(t, (1, 2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ import pytest
 
 from adw.actions import ActionFamily
 from adw.algebra import ADAlgebra, direct_sum
+from adw.fields import InputError
 from adw.linalg import inverse
 from adw.reps import ADRep, regular_representation, semidirect_product
+from adw.tensors import t3_dims
 
 
 def q(a, b=1):
@@ -20,6 +22,12 @@ def q(a, b=1):
 def nilpotent2() -> ADAlgebra:
     """The 2-dimensional algebra with e1 > e1 = e2 and every other product zero."""
     return ADAlgebra.make(2, succ_entries=[(0, 0, 1, Q(1))])
+
+
+def rnil2(field):
+    """R(nil2) = semidirect_product(regular_representation(nil2)) over ``field``."""
+    nil = ADAlgebra.make(2, succ_entries=[(0, 0, 1, field.one)], field=field)
+    return semidirect_product(regular_representation(nil))
 
 
 def rand_scalar(rng, span=2):
@@ -58,6 +66,44 @@ def conjugate_rep(rep: ADRep, pmat) -> ADRep:
 
     return ADRep(rep.algebra, rep.mod_dim, conj(rep.lsucc), conj(rep.rsucc),
                  conj(rep.lprec), conj(rep.rprec))
+
+
+# leg permutations of cubic Tensor3s, for identities of the YE6 residual
+
+def sigma(t, perm):
+    """Permute the legs of a cubic Tensor3.
+
+    ``perm`` is a triple p meaning: output slot s carries what was in input
+    slot p[s].  All three dimensions must agree.
+    """
+    d = t3_dims(t)
+    if not (d[0] == d[1] == d[2]):
+        raise InputError("sigma: legs have unequal dimensions %r" % (d,))
+    if sorted(perm) != [0, 1, 2]:
+        raise InputError("sigma: %r is not a permutation of (0,1,2)" % (perm,))
+    n = d[0]
+    inv = [0, 0, 0]
+    for s in range(3):
+        inv[perm[s]] = s
+    # (sigma t)[i0][i1][i2] = t[j0][j1][j2] with j_t = i_{inv[t]}
+    return tuple(
+        tuple(
+            tuple(t[(i0, i1, i2)[inv[0]]][(i0, i1, i2)[inv[1]]][(i0, i1, i2)[inv[2]]]
+                  for i2 in range(n))
+            for i1 in range(n)
+        )
+        for i0 in range(n)
+    )
+
+
+def sigma123(t):
+    """x (x) y (x) z  ->  z (x) x (x) y."""
+    return sigma(t, (2, 0, 1))
+
+
+def sigma132(t):
+    """x (x) y (x) z  ->  y (x) z (x) x."""
+    return sigma(t, (1, 2, 0))
 
 
 @pytest.fixture(scope="session")

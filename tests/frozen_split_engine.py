@@ -17,7 +17,7 @@ from functools import partial
 from itertools import product as iproduct
 
 from adw.algebra import check_associative
-from adw.linalg import unit, vadd, vneg, vscale, vzero
+from adw.linalg import unit, vadd, vneg, vzero
 from adw.reporting import PreconditionFailure, Report
 from adw.reps import check_representation
 
@@ -82,6 +82,10 @@ def check_split_axioms(na, nv, succ, prec, a1_labels, a2_labels, name,
 # ---------------------------------------------------------------------------
 # the seven product formulas, on the pair loop that ``BilinearOp.apply`` and
 # the fold-map/cocycle class ran before the ``lmul``/``rmul`` kernel
+
+def vscale(c, v):
+    return tuple(c * x for x in v)
+
 
 def apply(op, u, v):
     """Product of two coordinate vectors under a bilinear map."""

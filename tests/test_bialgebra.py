@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 from itertools import product as iproduct
@@ -15,13 +16,13 @@ from adw.bialgebra import (BilinearForm, CoproductPair, adybe_residual,
                            o_operator_to_ybe, search_skew_solutions,
                            skew_tensor_from_uppers, t_r, tr_ybe_identity)
 from adw.bialgebra import _cop_leg1, _cop_leg2
+from adw.fields import RATIONALS, InputError, PrimeField
 from adw.linalg import identity
 from adw.reporting import PreconditionFailure
 from adw.reps import regular_representation
-from adw.tensors import (contract_12_13, contract_13_23, contract_23_12,
-                         sigma123, sigma132, t2_sub, t3_add, t3_neg, t3_sub,
-                         t3_zero, twist)
-from .conftest import nilpotent2, rand_matrix
+from adw.tensors import (contract_12_13, contract_13_23, contract_23_12, t2_sub,
+                         t3_add, t3_neg, t3_sub, t3_zero, twist)
+from .conftest import nilpotent2, rand_matrix, rnil2, sigma123, sigma132
 
 SKEW2 = ((Q(0), Q(1)), (Q(-1), Q(0)))
 
@@ -320,9 +321,48 @@ def test_search_skew_solutions_deterministic():
     sols = search_skew_solutions(nil, vals)
     assert sols == search_skew_solutions(nil, vals)
     assert len(sols) == 3  # every skew tensor on this algebra solves the equation
-    from adw.fields import InputError
     with pytest.raises(InputError):
         search_skew_solutions(direct_sum(nil, direct_sum(nil, nil)), vals)
+
+
+def digest(sols):
+    return hashlib.sha256(repr(sols).encode()).hexdigest()
+
+
+def test_search_gf5_on_rnil2_pinned():
+    """All 5^6 skew tensors of R(nil2) over GF(5); the digest of the list's repr
+    (values, int zeros and order) was recorded from the brute-force search."""
+    gf5 = PrimeField(5)
+    sols = search_skew_solutions(rnil2(gf5), gf5.elements())
+    assert len(sols) == 325
+    assert digest(sols) == "54c7be7e9f108e684f8df7dc4af6e0c86fc205ec7da5501e32861e5db99b23db"
+
+
+def test_search_rational_grid_on_rnil2_pinned():
+    sols = search_skew_solutions(rnil2(RATIONALS), [Q(-1), Q(0), Q(1)])
+    assert len(sols) == 51
+    assert digest(sols) == "0a436fb1ada83bebe7752a85e0f09e4a089c58e53f162036b4d75465eca3c519"
+
+
+def test_search_rejects_scalars_outside_the_field():
+    gf5 = PrimeField(5)
+    # a Fraction coefficient in a GF(5) table, which the residual arithmetic
+    # meets only as a TypeError
+    alg = ADAlgebra.make(2, [(0, 0, 1, Q(1, 2))], [], field=gf5)
+    with pytest.raises(InputError, match="into GF\\(5\\)"):
+        search_skew_solutions(alg, gf5.elements())
+    # GF(3) values on a GF(5) algebra, also where no arithmetic would notice
+    for alg in (rnil2(gf5), ADAlgebra.zero(2, gf5)):
+        with pytest.raises(InputError, match="GF\\(3\\) used in GF\\(5\\)"):
+            search_skew_solutions(alg, PrimeField(3).elements())
+    # a GF element on a rational algebra, and a Fraction in a GF grid
+    with pytest.raises(InputError):
+        search_skew_solutions(nilpotent2(), [gf5.one])
+    with pytest.raises(InputError):
+        search_skew_solutions(rnil2(gf5), [Q(1)])
+    # ints are constants of every field
+    assert len(search_skew_solutions(rnil2(gf5), [0, 1])) == \
+        len(search_skew_solutions(rnil2(gf5), [gf5.zero, gf5.one]))
 
 
 # ---------------------------------------------------------------------------

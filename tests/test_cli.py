@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,9 +11,10 @@ from adw import serialize as io
 from adw.algebra import ADAlgebra, BilinearOp
 from adw.cli import main
 from adw.crossed import AutPair
+from adw.fields import RATIONALS
 from adw.reps import regular_representation
 from adw.unified import ExtendingDatum
-from .conftest import nilpotent2
+from .conftest import nilpotent2, rnil2
 
 
 @pytest.fixture()
@@ -143,6 +145,38 @@ def test_search_deterministic(files, capsys):
     second = json.loads(capsys.readouterr().out)["data"]
     assert first == second
     assert first["solutions"] == 3
+
+
+# sha256 of the stdout of `adw ybe search`, recorded from the brute-force
+# search, keyed by (algebra, field, --json)
+SEARCH_OUTPUT_SHA256 = {
+    ("nilp2", "grid", False): "51f2a1bc745a1dd4dd7d585dc4515cdcc2445c4002ecf1ae09cf8072dcef634f",
+    ("nilp2", "grid", True): "b64099864bf489657c1a8671ca23214c07ec95def5848f69d9c871bc41eacbf1",
+    ("nilp2", "fp3", False): "e77a2139d08bb16a8adc7b9e16f21d746e4d1024f593901f6307b1964c56a212",
+    ("nilp2", "fp3", True): "a03f75d1c03e3dfe8688dcb896d7195bbfbd9d6488dbe6177606c263d6dae1c6",
+    ("rnil2", "grid", False): "70cf9eb17438d29ff680e4bd46eb134edaea0d0b0d3b99254ef3015aa4c5aed2",
+    ("rnil2", "grid", True): "e632ef69b6b34831a5687a821600d7e37d707d089306bf5247e979adbfe9a326",
+    ("rnil2", "fp3", False): "ee6f97a55fdcedc68bc329e6839c50d5bce0812a6e5974d33597e6868f280007",
+    ("rnil2", "fp3", True): "02727964d871b958d5ee9e715a13a75601a308e8cf626e732e44e2201ba9edfb",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SEARCH_OUTPUT_SHA256),
+                         ids=lambda k: "%s-%s-%s" % (k[0], k[1], "json" if k[2] else "text"))
+def test_search_output_bytes(key, files, tmp_path, capsys, monkeypatch):
+    name, field, as_json = key
+    path = files["nilp2"]
+    if name == "rnil2":
+        path = str(tmp_path / "rnil2.json")
+        io.write_json(path, io.algebra_to_dict(rnil2(RATIONALS)))
+    argv = ["ybe", "search", path] + (["--json"] if as_json else [])
+    if field == "fp3":
+        monkeypatch.setenv("ADW_FIELD", "fp3")
+    else:
+        argv.append("--grid=-1,0,1")
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == SEARCH_OUTPUT_SHA256[key]
 
 
 def test_usage_error_exit_code(capsys):
