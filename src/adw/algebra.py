@@ -129,6 +129,10 @@ class ADAlgebra:
             raise InputError("basis has %d labels for dimension %d" % (len(self.basis), self.dim))
         if any((op.dim, op.out_dim) != (self.dim, self.dim) for op in (self.succ, self.prec)):
             raise InputError("product tables do not match dimension %d" % self.dim)
+        # every coefficient must be an int or an element of the field
+        for op in (self.succ, self.prec):
+            for _, _, _, c in op.entries():
+                self.field.coerce(c)
 
     @staticmethod
     def make(dim, succ_entries=(), prec_entries=(), basis=None, field=RATIONALS):

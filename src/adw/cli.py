@@ -287,7 +287,7 @@ def _h_connes_check(args, run):
 def _h_connes_derive(args, run):
     op, _ = io.load_product(args.file, run.field)
     form = io.load_form(args.form, run.field)
-    alg = derive_compatible_ad(op, form)
+    alg = derive_compatible_ad(op, form, field=run.field)
     if args.out:
         run.write(args.out, io.algebra_to_dict(alg, run.field))
 

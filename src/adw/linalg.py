@@ -1,9 +1,10 @@
 """Exact dense linear algebra over a field.
 
-Vectors are tuples of scalars, matrices tuples of row tuples.  Everything is
-immutable and pure.  Elimination pivots on the first nonzero entry; no
-numerical heuristics are involved since all arithmetic is exact; plain ints
-divide to an int or a ``Fraction``, never to a float.
+Vectors are tuples of scalars, matrices tuples of row tuples; ``matmul``
+multiplies only their nonzero entries.  Everything is immutable and pure.
+Elimination pivots on the first nonzero entry; no numerical heuristics are
+involved since all arithmetic is exact; plain ints divide to an int or a
+``Fraction``, never to a float.
 """
 
 from __future__ import annotations
@@ -75,13 +76,34 @@ def matvec(m, v):
     return tuple(sum(row[j] * v[j] for j in range(cols)) for row in m)
 
 
+def _nonzeros(m):
+    """The nonzero (column, entry) pairs of each row of a matrix."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def _row_products(arows, brows, cols):
+    """The rows of A B from the nonzero pairs of the rows of A and of B.
+
+    Row p of A B is the sum of a_pk (row k of B) over the nonzero a_pk only,
+    accumulated row by row (Gustavson 1978); an entry that no term reaches
+    stays int 0.
+    """
+    out = []
+    for arow in arows:
+        acc = [0] * cols
+        for k, a in arow:
+            for j, b in brows[k]:
+                acc[j] += a * b
+        out.append(tuple(acc))
+    return tuple(out)
+
+
 def matmul(a, b):
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
         raise InputError("matmul: inner dimensions %d and %d differ" % (ca, rb))
-    bt = transpose(b)
-    return tuple(tuple(sum(arow[k] * bcol[k] for k in range(ca)) for bcol in bt) for arow in a)
+    return _row_products(_nonzeros(a), _nonzeros(b), cb)
 
 
 def mat_add(a, b):

@@ -1,5 +1,7 @@
 """Dense order-2 and order-3 tensors and their leg operations.
 
+The leg maps and contractions multiply only nonzero entries.
+
 Order-3 tables are also how every 3-index structure is stored: product
 tables, action families and coproducts all build from entries with
 ``t3_from_entries`` and list them with ``t3_entries``.
@@ -19,7 +21,7 @@ i.e. the shared leg multiplies u's factor on the left of v's factor.
 from __future__ import annotations
 
 from .fields import InputError
-from .linalg import shape
+from .linalg import _nonzeros, _row_products, shape
 
 
 # ---------------------------------------------------------------------------
@@ -112,42 +114,38 @@ def twist(t):
 
 
 # ---------------------------------------------------------------------------
-# applying linear maps to single legs
+# applying linear maps to single legs (nonzero entries only)
+
+def _nonzero_cols(mat, cols):
+    """The nonzero (row, entry) pairs of each of the first ``cols`` columns."""
+    return [[(q, row[j]) for q, row in enumerate(mat) if row[j]] for j in range(cols)]
+
 
 def t2_apply(mat, t, leg):
     """Apply a matrix to leg 1 or 2 of a Tensor2."""
-    na, nb = shape(t)
+    nb = shape(t)[1]
     if leg == 1:
-        return tuple(tuple(sum(mat[p][i] * t[i][q] for i in range(na)) for q in range(nb))
-                     for p in range(len(mat)))
+        return _row_products(_nonzeros(mat), _nonzeros(t), nb)
     if leg == 2:
-        return tuple(tuple(sum(mat[q][j] * t[p][j] for j in range(nb)) for q in range(len(mat)))
-                     for p in range(na))
+        return _row_products(_nonzeros(t), _nonzero_cols(mat, nb), len(mat))
     raise InputError("t2_apply: leg must be 1 or 2")
 
 
 def t3_apply(mat, t, leg):
     """Apply a matrix to leg 1, 2 or 3 of a Tensor3."""
-    d = t3_dims(t)
-    n = len(mat)
+    _, d1, d2 = t3_dims(t)
     if leg == 1:
-        return tuple(
-            tuple(tuple(sum(mat[p][i] * t[i][q][r] for i in range(d[0])) for r in range(d[2]))
-                  for q in range(d[1]))
-            for p in range(n)
-        )
+        # the planes of t as rows of length d1 * d2
+        flat = [[(q * d2 + r, x) for q, row in enumerate(plane) for r, x in enumerate(row) if x]
+                for plane in t]
+        rows = _row_products(_nonzeros(mat), flat, d1 * d2)
+        return tuple(tuple(row[q * d2:(q + 1) * d2] for q in range(d1)) for row in rows)
     if leg == 2:
-        return tuple(
-            tuple(tuple(sum(mat[q][j] * t[p][j][r] for j in range(d[1])) for r in range(d[2]))
-                  for q in range(n))
-            for p in range(d[0])
-        )
+        mrows = _nonzeros(mat)
+        return tuple(_row_products(mrows, _nonzeros(plane), d2) for plane in t)
     if leg == 3:
-        return tuple(
-            tuple(tuple(sum(mat[r][k] * t[p][q][k] for k in range(d[2])) for r in range(n))
-                  for q in range(d[1]))
-            for p in range(d[0])
-        )
+        mcols = _nonzero_cols(mat, d2)
+        return tuple(_row_products(_nonzeros(plane), mcols, len(mat)) for plane in t)
     raise InputError("t3_apply: leg must be 1, 2 or 3")
 
 
@@ -159,75 +157,62 @@ def _prod_table(op):
     return op.table if hasattr(op, "table") else op
 
 
-def contract_12_13(u, v, op):
-    """u_12 o v_13 = sum_{i,j} (a_i o c_j) (x) b_i (x) d_j."""
+def _by_leg(t, leg):
+    """The nonzero entries of a Tensor2 as {index on ``leg``: [(other index, entry)]}."""
+    out = {}
+    for x0, row in enumerate(t):
+        for x1, x in enumerate(row):
+            if x:
+                i, s = (x0, x1) if leg == 0 else (x1, x0)
+                out.setdefault(i, []).append((s, x))
+    return out
+
+
+def _contract(u, v, op, legs, order):
+    """Sum u[.] v[.] c[i][j][p] over the nonzero entries of u, v and c.
+
+    ``legs`` = (a, b): the index of u on leg a and of v on leg b are i and j.
+    With s and t the other indices of u and v, the term (u v) c[i][j][p]
+    lands at ``(s, t, p)`` permuted by ``order``: output slot k holds
+    component order[k].  An entry that no term reaches stays int 0.
+    """
     c = _prod_table(op)
-    n = len(c)
-    nu, mu = shape(u)
-    nv, mv = shape(v)
-    if nu != n or nv != n:
+    a, b = legs
+    if shape(u)[a] != len(c) or shape(v)[b] != len(c):
         raise InputError("contraction: tensor legs do not match the product dimension")
-    out = [[[0] * mv for _ in range(mu)] for _ in range(n)]
-    for i in range(n):
-        for q in range(mu):
-            uiq = u[i][q]
-            if not uiq:
+    us, vs = _by_leg(u, a), _by_leg(v, b)
+    acc = {}
+    for i, uterms in us.items():
+        for j, vterms in vs.items():
+            cell = [(p, z) for p, z in enumerate(c[i][j]) if z]
+            if not cell:
                 continue
-            for j in range(n):
-                for r in range(mv):
-                    f = uiq * v[j][r]
+            for s, x in uterms:
+                for t, y in vterms:
+                    f = x * y
                     if not f:
                         continue
-                    row = c[i][j]
-                    for p in range(n):
-                        if row[p]:
-                            out[p][q][r] = out[p][q][r] + f * row[p]
+                    for p, z in cell:
+                        key = (s, t, p)
+                        acc[key] = acc.get(key, 0) + f * z
+    dims = (shape(u)[1 - a], shape(v)[1 - b], len(c))
+    d0, d1, d2 = (dims[k] for k in order)
+    out = [[[0] * d2 for _ in range(d1)] for _ in range(d0)]
+    for key, x in acc.items():
+        out[key[order[0]]][key[order[1]]][key[order[2]]] = x
     return tuple(tuple(tuple(r) for r in plane) for plane in out)
+
+
+def contract_12_13(u, v, op):
+    """u_12 o v_13 = sum_{i,j} (a_i o c_j) (x) b_i (x) d_j."""
+    return _contract(u, v, op, (0, 0), (2, 0, 1))
 
 
 def contract_13_23(u, v, op):
     """u_13 o v_23 = sum_{i,j} a_i (x) c_j (x) (b_i o d_j)."""
-    c = _prod_table(op)
-    n = len(c)
-    if shape(u)[1] != n or shape(v)[1] != n:
-        raise InputError("contraction: tensor legs do not match the product dimension")
-    out = [[[0] * n for _ in range(len(v))] for _ in range(len(u))]
-    for p in range(len(u)):
-        for i in range(n):
-            upi = u[p][i]
-            if not upi:
-                continue
-            for q in range(len(v)):
-                for j in range(n):
-                    f = upi * v[q][j]
-                    if not f:
-                        continue
-                    row = c[i][j]
-                    for r in range(n):
-                        if row[r]:
-                            out[p][q][r] = out[p][q][r] + f * row[r]
-    return tuple(tuple(tuple(r) for r in plane) for plane in out)
+    return _contract(u, v, op, (1, 1), (0, 1, 2))
 
 
 def contract_23_12(u, v, op):
     """u_23 o v_12 = sum_{i,j} c_j (x) (a_i o d_j) (x) b_i."""
-    c = _prod_table(op)
-    n = len(c)
-    if shape(u)[0] != n or shape(v)[1] != n:
-        raise InputError("contraction: tensor legs do not match the product dimension")
-    out = [[[0] * shape(u)[1] for _ in range(n)] for _ in range(len(v))]
-    for i in range(n):
-        for r in range(shape(u)[1]):
-            uir = u[i][r]
-            if not uir:
-                continue
-            for p in range(len(v)):
-                for j in range(n):
-                    f = uir * v[p][j]
-                    if not f:
-                        continue
-                    row = c[i][j]
-                    for q in range(n):
-                        if row[q]:
-                            out[p][q][r] = out[p][q][r] + f * row[q]
-    return tuple(tuple(tuple(r) for r in plane) for plane in out)
+    return _contract(u, v, op, (0, 1), (1, 2, 0))

@@ -7,7 +7,7 @@ from adw.algebra import (ADAlgebra, BilinearOp, associated_associative,
                          change_basis, check_associative, direct_sum,
                          is_anti_zinbiel, is_homomorphism,
                          multiplication_operators, op_from_left_family)
-from adw.fields import InputError
+from adw.fields import RATIONALS, InputError, PrimeField
 from .conftest import (nilpotent2, oracle_is_anti_dendriform,
                        op_to_oracle_entries, rand_invertible)
 
@@ -127,3 +127,16 @@ def test_direct_sum_and_homomorphism():
     incl = tuple(tuple(Q(1) if (r == c and r < 2) else Q(0) for c in range(2))
                  for r in range(4))
     assert is_homomorphism(incl, nil, both)
+
+
+def test_make_rejects_coefficients_outside_the_field():
+    gf5 = PrimeField(5)
+    with pytest.raises(InputError, match="cannot coerce Fraction\\(1, 2\\) into GF\\(5\\)"):
+        ADAlgebra.make(2, [(0, 0, 1, Q(1, 2))], [], field=gf5)
+    with pytest.raises(InputError, match="element of GF\\(3\\) used in GF\\(5\\)"):
+        ADAlgebra.make(2, [], [(1, 0, 1, PrimeField(3).one)], field=gf5)
+    with pytest.raises(InputError, match="rational field"):
+        ADAlgebra.make(1, [(0, 0, 0, gf5.one)])
+    # plain ints are constants of every field
+    assert ADAlgebra.make(2, [(0, 0, 1, 1)], [(1, 0, 1, -2)], field=gf5).dim == 2
+    assert ADAlgebra.make(2, [(0, 0, 1, 1)], field=RATIONALS).dim == 2

@@ -19,7 +19,7 @@ from adw.bialgebra import _cop_leg1, _cop_leg2
 from adw.fields import RATIONALS, InputError, PrimeField
 from adw.linalg import identity
 from adw.reporting import PreconditionFailure
-from adw.reps import regular_representation
+from adw.reps import regular_representation, semidirect_product
 from adw.tensors import (contract_12_13, contract_13_23, contract_23_12, t2_sub,
                          t3_add, t3_neg, t3_sub, t3_zero, twist)
 from .conftest import nilpotent2, rand_matrix, rnil2, sigma123, sigma132
@@ -61,6 +61,18 @@ def test_connes_requires_associativity():
 def test_derive_zero_product():
     alg = derive_compatible_ad(BilinearOp.zero(2), BilinearForm(2, identity(2, Q(1))))
     assert alg.succ.is_zero() and alg.prec.is_zero()
+
+
+def test_derive_over_a_prime_field():
+    """Over GF(3) the form (1) on e.e = e is a Connes cocycle (3 = 0), and
+    the derived products e>e = e<e = -e are an algebra over GF(3)."""
+    gf3 = PrimeField(3)
+    op = BilinearOp.from_entries(1, [(0, 0, 0, gf3.one)])
+    alg = derive_compatible_ad(op, BilinearForm(1, ((gf3.one,),)), field=gf3)
+    assert alg.field == gf3
+    assert alg.succ.table == alg.prec.table == (((-gf3.one,),),)
+    with pytest.raises(InputError, match="rational field"):
+        derive_compatible_ad(op, BilinearForm(1, ((gf3.one,),)))
 
 
 def test_derive_refuses_degenerate():
@@ -189,6 +201,20 @@ def test_cd_equals_d_bialgebra_verdict():
             assert lhs == rhs
             seen[lhs] += 1
     assert seen[True] >= 2 and seen[False] >= 2
+
+
+def test_coboundary_and_d_checks_on_r2nil2_pinned():
+    """R(R(nil2)) (dim 8) with r from random.Random(1), entries in {-1,0,1};
+    the figures were recorded with the dense kernels."""
+    alg = semidirect_product(regular_representation(rnil2(RATIONALS)))
+    rng = random.Random(1)
+    r = tuple(tuple(Q(rng.randint(-1, 1)) for _ in range(8)) for _ in range(8))
+    cd = check_coboundary_conditions(alg, r, r)
+    assert (cd.checked, cd.violation_count) == (288, 32)
+    assert (cd.violations[0].equation, cd.violations[0].witness) == ("CD3", (0, 0))
+    d = check_d_bialgebra(alg, coboundary_coproducts(alg, r, r))
+    assert (d.checked, d.violation_count) == (576, 16)
+    assert (d.violations[0].equation, d.violations[0].witness) == ("D3", (0, 0))
 
 
 def test_defect_identities_for_cd7_and_cd10():
@@ -347,9 +373,9 @@ def test_search_rational_grid_on_rnil2_pinned():
 def test_search_rejects_scalars_outside_the_field():
     gf5 = PrimeField(5)
     # a Fraction coefficient in a GF(5) table, which the residual arithmetic
-    # meets only as a TypeError
-    alg = ADAlgebra.make(2, [(0, 0, 1, Q(1, 2))], [], field=gf5)
+    # meets only as a TypeError; the algebra's constructor refuses it
     with pytest.raises(InputError, match="into GF\\(5\\)"):
+        alg = ADAlgebra.make(2, [(0, 0, 1, Q(1, 2))], [], field=gf5)
         search_skew_solutions(alg, gf5.elements())
     # GF(3) values on a GF(5) algebra, also where no arithmetic would notice
     for alg in (rnil2(gf5), ADAlgebra.zero(2, gf5)):

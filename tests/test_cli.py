@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -11,7 +12,7 @@ from adw import serialize as io
 from adw.algebra import ADAlgebra, BilinearOp
 from adw.cli import main
 from adw.crossed import AutPair
-from adw.fields import RATIONALS
+from adw.fields import RATIONALS, PrimeField
 from adw.reps import regular_representation
 from adw.unified import ExtendingDatum
 from .conftest import nilpotent2, rnil2
@@ -177,6 +178,51 @@ def test_search_output_bytes(key, files, tmp_path, capsys, monkeypatch):
     assert main(argv) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == SEARCH_OUTPUT_SHA256[key]
+
+
+# sha256 of the stdout of `adw bialgebra coboundary`, recorded with the dense
+# kernels, keyed by (case, --json): a passing skew tensor on nil2, and on
+# R(nil2) two {-1,0,1} tensors from random.Random(1), checked exhaustively
+COBOUNDARY_OUTPUT_SHA256 = {
+    ("nilp2-skew", False): "47b195d854c63bad04502a33ec45bd2e5fbffaf87b69e9e010d075cb6e18b885",
+    ("nilp2-skew", True): "3e036d6469a1a217308d80db952db75d5b1a4d3dd12ffaa684d156808f624b52",
+    ("rnil2-random", False): "6767dac501e86db69ff5663ff575c18bd8bcae49f7667277b2086b2febb647f9",
+    ("rnil2-random", True): "a0d2d5bdcecfb8e58bff6c9a0988690457b5a69db4cad40d4c688a4597019eaa",
+}
+
+
+@pytest.mark.parametrize("key", sorted(COBOUNDARY_OUTPUT_SHA256),
+                         ids=lambda k: "%s-%s" % (k[0], "json" if k[1] else "text"))
+def test_coboundary_output_bytes(key, files, tmp_path, capsys):
+    name, as_json = key
+    if name == "nilp2-skew":
+        argv, code = [files["nilp2"], files["r_skew"], files["r_skew"]], 0
+    else:
+        rng = random.Random(1)
+        paths = [str(tmp_path / f) for f in ("rnil2.json", "rs.json", "rp.json")]
+        io.write_json(paths[0], io.algebra_to_dict(rnil2(RATIONALS)))
+        for path in paths[1:]:
+            r = tuple(tuple(Q(rng.randint(-1, 1)) for _ in range(4)) for _ in range(4))
+            io.write_json(path, io.rmatrix_to_dict(r, RATIONALS))
+        argv, code = paths + ["--exhaustive"], 1
+    assert main(["bialgebra", "coboundary"] + argv + (["--json"] if as_json else [])) == code
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == COBOUNDARY_OUTPUT_SHA256[key]
+
+
+def test_connes_derive_over_a_prime_field(tmp_path, monkeypatch):
+    """The derived algebra carries the run's field: over GF(3) the form (1)
+    on e.e = e derives e>e = e<e = -e = 2e."""
+    from adw.bialgebra import BilinearForm
+    gf3 = PrimeField(3)
+    prod, form, out = (str(tmp_path / f) for f in ("p.json", "f.json", "a.json"))
+    io.write_json(prod, io.product_to_dict(BilinearOp.from_entries(1, [(0, 0, 0, gf3.one)]),
+                                           ("e",), gf3))
+    io.write_json(form, io.form_to_dict(BilinearForm(1, ((gf3.one,),)), gf3))
+    monkeypatch.setenv("ADW_FIELD", "fp3")
+    assert main(["connes", "derive", prod, form, "--out", out]) == 0
+    alg = io.algebra_from_dict(io.read_json(out), gf3)
+    assert alg.succ.table == alg.prec.table == (((gf3.coerce(2),),),)
 
 
 def test_usage_error_exit_code(capsys):
