@@ -116,6 +116,14 @@ def check_associative(op: BilinearOp, exhaustive: bool = False) -> Report:
     return rep
 
 
+def require_field(field, *parts):
+    """Raise InputError unless every nonzero coefficient of the parts (product
+    tables or action families) is an int or an element of ``field``."""
+    for part in parts:
+        for _, _, _, c in part.entries():
+            field.coerce(c)
+
+
 @dataclass(frozen=True)
 class ADAlgebra:
     dim: int
@@ -129,10 +137,7 @@ class ADAlgebra:
             raise InputError("basis has %d labels for dimension %d" % (len(self.basis), self.dim))
         if any((op.dim, op.out_dim) != (self.dim, self.dim) for op in (self.succ, self.prec)):
             raise InputError("product tables do not match dimension %d" % self.dim)
-        # every coefficient must be an int or an element of the field
-        for op in (self.succ, self.prec):
-            for _, _, _, c in op.entries():
-                self.field.coerce(c)
+        require_field(self.field, self.succ, self.prec)
 
     @staticmethod
     def make(dim, succ_entries=(), prec_entries=(), basis=None, field=RATIONALS):
@@ -162,24 +167,44 @@ class ADAlgebra:
                 and self.prec.table == other.prec.table)
 
 
+def residue_tables(alg: ADAlgebra):
+    """The succ, prec and x.y = x>y + x<y tables of alg as ``alg.field.residues``
+    gives them: int residues mod p over GF(p), where x.y is summed from the
+    residues, and the tables themselves over Q, where the cached ``assoc``
+    serves."""
+    lower = alg.field.residues
+    succ, prec = lower(alg.succ.table), lower(alg.prec.table)
+    if succ is alg.succ.table:
+        return succ, prec, alg.assoc.table
+    return succ, prec, lower(tuple(
+        tuple(tuple(a + b for a, b in zip(sv, pv)) for sv, pv in zip(srow, prow))
+        for srow, prow in zip(succ, prec)))
+
+
 def check_anti_dendriform(alg: ADAlgebra, exhaustive: bool = False) -> Report:
-    """Both defining identities over every basis triple, with witnesses."""
+    """Both defining identities over every basis triple, with witnesses.
+
+    The products run on ``residue_tables``; each compared tuple of vectors is
+    reduced by ``alg.field.residues`` first, and the values of the recorded
+    violations are lifted back into the field at the end.
+    """
     rep = Report("anti-dendriform axioms", exhaustive=exhaustive)
-    n, succ, prec, dot = alg.dim, alg.succ.table, alg.prec.table, alg.assoc.table
+    n, reduce = alg.dim, alg.field.residues
+    succ, prec, dot = residue_tables(alg)
     for i in range(n):
         for j in range(n):
             sij, pij, dij = succ[i][j], prec[i][j], dot[i][j]
             for k in range(n):
-                chain = (
+                chain = reduce((
                     lmul(succ, i, succ[j][k]),
                     vneg(rmul(succ, dij, k)),
                     vneg(lmul(prec, i, dot[j][k])),
                     rmul(prec, pij, k),
-                )
+                ))
                 rep.require_chain("A1", (i, j, k), A1_TERMS, chain)
-                rep.require_equal("A2", (i, j, k), rmul(prec, sij, k), lmul(succ, i, prec[j][k]),
-                                  "(x>y)<z != x>(y<z)")
-    return rep
+                lhs, rhs = reduce((rmul(prec, sij, k), lmul(succ, i, prec[j][k])))
+                rep.require_equal("A2", (i, j, k), lhs, rhs, "(x>y)<z != x>(y<z)")
+    return rep.map_values(alg.field.lift)
 
 
 def associated_associative(alg: ADAlgebra) -> BilinearOp:
@@ -226,26 +251,49 @@ def op_from_left_family(fam: ActionFamily) -> BilinearOp:
         for i in range(n)))
 
 
+def _permutation(pmat, field):
+    """sigma with pmat[sigma[i]][i] = 1 and every other entry 0, or None."""
+    sigma = [None] * len(pmat)
+    for r, row in enumerate(pmat):
+        nz = [c for c, x in enumerate(row) if x]
+        if (len(row) != len(pmat) or len(nz) != 1 or sigma[nz[0]] is not None
+                or field.coerce(row[nz[0]]) != field.one):
+            return None
+        sigma[nz[0]] = r
+    return sigma
+
+
 def change_basis(alg: ADAlgebra, pmat) -> ADAlgebra:
     """Conjugate both product tables by an invertible matrix.
 
     Column i of pmat holds the old coordinates of the new basis vector f_i.
+    A permutation matrix (f_i = e_sigma(i)) only reindexes the tables, taking
+    every entry into the field.
     """
-    pinv = inverse(pmat)
-    if pinv is None:
-        raise InputError("change of basis matrix is singular")
     n = alg.dim
+    sigma = _permutation(pmat, alg.field) if len(pmat) == n else None
+    if sigma is not None:
+        coerce = alg.field.coerce
 
-    def conj(op):
-        table = []
-        for i in range(n):
-            fi = tuple(pmat[r][i] for r in range(n))
-            row = []
-            for j in range(n):
-                fj = tuple(pmat[r][j] for r in range(n))
-                row.append(matvec(pinv, op.apply(fi, fj)))
-            table.append(tuple(row))
-        return BilinearOp(n, tuple(table))
+        def conj(op):
+            t = op.table
+            return BilinearOp(n, tuple(tuple(tuple(coerce(t[si][sj][sk]) for sk in sigma)
+                                             for sj in sigma) for si in sigma))
+    else:
+        pinv = inverse(pmat)
+        if pinv is None:
+            raise InputError("change of basis matrix is singular")
+
+        def conj(op):
+            table = []
+            for i in range(n):
+                fi = tuple(pmat[r][i] for r in range(n))
+                row = []
+                for j in range(n):
+                    fj = tuple(pmat[r][j] for r in range(n))
+                    row.append(matvec(pinv, op.apply(fi, fj)))
+                table.append(tuple(row))
+            return BilinearOp(n, tuple(table))
 
     return ADAlgebra(n, alg.basis, conj(alg.succ), conj(alg.prec), alg.field)
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, check_anti_dendriform,
-                      check_associative, multiplication_operators)
+                      check_associative, multiplication_operators,
+                      residue_tables)
 from .fields import RATIONALS, InputError, PrimeField
 from .linalg import inverse, matmul, matvec, shape, transpose, unit, vadd
 from .matched import (AssocMatchedPair, assoc_bicrossed_product,
@@ -516,9 +517,13 @@ def adybe_residual(alg: ADAlgebra, r):
     n = alg.dim
     if shape(r) != (n, n):
         raise InputError("tensor must be %dx%d" % (n, n))
-    return t3_add(contract_12_13(r, r, alg.assoc),
-                  contract_23_12(r, r, alg.succ),
-                  t3_neg(contract_13_23(r, r, alg.prec)))
+    return _residual(r, alg.assoc, alg.succ, alg.prec)
+
+
+def _residual(r, dot, succ, prec):
+    """``adybe_residual`` on given product tables (or ``BilinearOp``s)."""
+    return t3_add(contract_12_13(r, r, dot), contract_23_12(r, r, succ),
+                  t3_neg(contract_13_23(r, r, prec)))
 
 
 def is_ybe_solution(alg: ADAlgebra, r) -> bool:
@@ -659,25 +664,27 @@ def skew_tensor_from_uppers(n, uppers):
     return tuple(tuple(row) for row in t)
 
 
-def _ye6_form(alg: ADAlgebra, k, reduce):
+def _ye6_form(alg: ADAlgebra, k):
     """YE6 at r = sum_a x_a S_a as a quadratic form in the upper entries x_a.
 
     S_a is the skew unit tensor of the a-th strictly-upper entry (row-major).
     The residual is homogeneous quadratic in r, so each of its components is
-    sum_{a<=b} c_ab x_a x_b, read off ``adybe_residual`` by polarization:
-    c_aa = res(S_a) and c_ab = res(S_a + S_b) - res(S_a) - res(S_b) for a < b,
-    which holds in every characteristic.  Returns, for each t < k, the
+    sum_{a<=b} c_ab x_a x_b, read off the ``adybe_residual`` contractions by
+    polarization: c_aa = res(S_a) and c_ab = res(S_a + S_b) - res(S_a) -
+    res(S_b) for a < b, which holds in every characteristic.  The
+    contractions run on ``residue_tables``.  Returns, for each t < k, the
     components whose highest variable is x_t, each a list of (a, b, c) with
-    c = reduce(coefficient) nonzero.
+    c = ``alg.field.residues`` of the coefficient, nonzero.
     """
-    n = alg.dim
+    n, reduce = alg.dim, alg.field.residues
+    succ, prec, dot = residue_tables(alg)
     units = [skew_tensor_from_uppers(n, [int(a == b) for b in range(k)]) for a in range(k)]
-    squares = [adybe_residual(alg, s) for s in units]
+    squares = [_residual(s, dot, succ, prec) for s in units]
     comps = {}
     for b in range(k):
         for a in range(b + 1):
             res = squares[a] if a == b else t3_sub(
-                adybe_residual(alg, t2_add(units[a], units[b])),
+                _residual(t2_add(units[a], units[b]), dot, succ, prec),
                 t3_add(squares[a], squares[b]))
             for p, q, s, c in t3_entries(res):
                 c = reduce(c)
@@ -709,17 +716,13 @@ def search_skew_solutions(alg: ADAlgebra, values):
     if n > 4:
         raise InputError("skew search supports dimension <= 4")
     field = alg.field
-    if isinstance(field, PrimeField):
-        p = field.p
-        reduce, nonzero = (lambda x: field.coerce(x).v), (lambda s: s % p)
-    else:
-        reduce, nonzero = field.coerce, bool
-    # reduce raises InputError on a value outside the field; ADAlgebra has
+    nonzero = (lambda s, p=field.p: s % p) if isinstance(field, PrimeField) else bool
+    # coerce raises InputError on a value outside the field; ADAlgebra has
     # already checked the table coefficients
     values = list(values)
-    xs = [reduce(x) for x in values]
+    xs = [field.residues(field.coerce(x)) for x in values]
     k = n * (n - 1) // 2
-    forms = _ye6_form(alg, k, reduce)
+    forms = _ye6_form(alg, k)
     found, row, picks = [], [None] * k, [None] * k
 
     def walk(t):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import ActionFamily
-from .algebra import ADAlgebra, BilinearOp, is_automorphism
+from .algebra import ADAlgebra, BilinearOp, is_automorphism, require_field
 from .fields import RATIONALS, InputError
 from .linalg import (identity, inverse, mat_add, mat_neg, mat_scale, matmul,
                      matvec, nullspace, shape, solve_linear, unit, vadd, vneg,
@@ -54,6 +54,8 @@ class CrossedDatum:
             if (b.dim, b.out_dim) != (n, m):
                 raise InputError("cocycle has shape (%d,%d), expected (%d,%d)"
                                  % (b.dim, b.out_dim, n, m))
+        require_field(self.algebra.field, self.valgebra.succ, self.valgebra.prec,
+                      self.lsucc, self.rsucc, self.lprec, self.rprec, self.omega1, self.omega2)
 
     @staticmethod
     def split(algebra: ADAlgebra, valgebra: ADAlgebra,

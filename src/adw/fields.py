@@ -8,6 +8,11 @@ exactly one field; mixing elements of different fields is an error.
 Plain Python ints may appear as additive/multiplicative constants (0, 1, -1):
 both element types absorb them, so generic code can write ``sum(...)`` or
 ``-x`` without knowing the field.
+
+Hot loops may compute on residues instead of field elements: ``residues``
+lowers a scalar, vector or table to plain ints mod p over GF(p) (and leaves
+it as it is over Q), generic code computes on those, and ``lift`` turns the
+values it reports back into field elements.
 """
 
 from __future__ import annotations
@@ -134,6 +139,14 @@ class Rationals:
     def elements(self):
         raise InputError("the rational field is not enumerable; use a grid or fp<p>")
 
+    def residues(self, x):
+        """Rationals compute as they are: x itself."""
+        return x
+
+    def lift(self, x):
+        """The inverse of ``residues``: x itself."""
+        return x
+
     def __repr__(self):
         return "Rationals()"
 
@@ -186,6 +199,27 @@ class PrimeField:
 
     def elements(self):
         return [GFElement(self.p, k) for k in range(self.p)]
+
+    def residues(self, x):
+        """x with every scalar as its int residue 0..p-1 and every zero as int 0.
+
+        x is a scalar or a nested tuple of scalars (a vector, a matrix, a
+        product table).  A nonzero scalar must be an int or an element of
+        this field; ints, such as sums and products of residues, are reduced
+        mod p.
+        """
+        if type(x) is not tuple:
+            return self.coerce(x).v if x else 0
+        if x and type(x[0]) is tuple:
+            return tuple(map(self.residues, x))
+        p = self.p
+        return tuple(y % p if type(y) is int else self.residues(y) for y in x)
+
+    def lift(self, x):
+        """The field elements of a residue or a nested tuple of residues."""
+        if type(x) is tuple:
+            return tuple(map(self.lift, x))
+        return GFElement(self.p, x)
 
     def __repr__(self):
         return "PrimeField(%d)" % self.p

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import ActionFamily
-from .algebra import ADAlgebra, BilinearOp, check_associative
+from .algebra import ADAlgebra, BilinearOp, check_associative, require_field
 from .fields import InputError
 from .reporting import PreconditionFailure, Report
 from .reps import ADRep, check_representation
@@ -49,6 +49,8 @@ class MatchedPairDatum:
         for fam in (self.l2s, self.r2s, self.l2p, self.r2p):
             if (fam.alg_dim, fam.mod_dim) != (m, n):
                 raise InputError("alg2-on-alg1 family shape mismatch")
+        require_field(self.alg1.field, self.alg2.succ, self.alg2.prec, self.l1s, self.r1s,
+                      self.l1p, self.r1p, self.l2s, self.r2s, self.l2p, self.r2p)
 
     @staticmethod
     def trivial(alg1: ADAlgebra, alg2: ADAlgebra) -> "MatchedPairDatum":

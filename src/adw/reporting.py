@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,11 @@ class Report:
                             "%s != %s" % (terms[a], terms[a + 1]))
                 return False
         return True
+
+    def map_values(self, fn) -> "Report":
+        """Pass the lhs and rhs of every recorded violation through ``fn``."""
+        self.violations = [replace(v, lhs=fn(v.lhs), rhs=fn(v.rhs)) for v in self.violations]
+        return self
 
     def absorb(self, other: "Report") -> "Report":
         self.checked += other.checked

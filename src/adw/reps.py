@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .actions import ActionFamily
-from .algebra import ADAlgebra, BilinearOp, multiplication_operators
+from .algebra import ADAlgebra, BilinearOp, multiplication_operators, require_field
 from .fields import InputError
 from .linalg import mat_neg, matmul
 from .reporting import PreconditionFailure, Report
@@ -45,6 +45,7 @@ class ADRep:
             if fam.alg_dim != self.algebra.dim or fam.mod_dim != self.mod_dim:
                 raise InputError("representation family shapes do not match (%d, %d)"
                                  % (self.algebra.dim, self.mod_dim))
+        require_field(self.algebra.field, *self.families())
 
     @staticmethod
     def zero(algebra, mod_dim):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .actions import ActionFamily
-from .algebra import ADAlgebra, BilinearOp, change_basis, lmul, rmul
+from .algebra import ADAlgebra, BilinearOp, change_basis, lmul, require_field, rmul
 from .fields import InputError
 from .linalg import (identity, inverse, matmul, matvec, nullspace, solve_linear,
                      unit, vadd, vneg, vzero)
@@ -193,6 +193,9 @@ class ExtendingDatum:
                                  % (b.dim, b.out_dim, m, n))
         if self.succ_v.dim != m or self.prec_v.dim != m:
             raise InputError("complement products do not match vdim %d" % m)
+        require_field(self.algebra.field, self.lsucc, self.rsucc, self.lprec, self.rprec,
+                      self.rho_succ, self.mu_succ, self.rho_prec, self.mu_prec,
+                      self.varpi1, self.varpi2, self.succ_v, self.prec_v)
 
     @staticmethod
     def from_representation(rep: ADRep) -> "ExtendingDatum":

@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 import pytest
 
 from adw import serialize as io
-from adw.algebra import ADAlgebra, BilinearOp
+from adw.algebra import ADAlgebra, BilinearOp, change_basis
 from adw.cli import main
 from adw.crossed import AutPair
 from adw.fields import RATIONALS, PrimeField
@@ -354,3 +354,85 @@ def test_product_file_bad_basis_is_an_input_error(tmp_path, basis):
     prod.write_text(json.dumps({"dimension": 1, "basis": basis, "product": []}))
     form.write_text(json.dumps({"dim": 1, "gram": [["1"]]}))
     assert_input_error(run_child(["connes", "check", str(prod), str(form)]))
+
+
+# A dimension-3 algebra over GF(5) that fails A1/A2 26 times; "1/2" and "1/3"
+# read as 3 and 2.
+BAD_FP5 = {"dimension": 3, "basis": ["a", "b", "c"],
+           "succ": [{"i": 0, "j": 0, "k": 1, "c": "1"}, {"i": 0, "j": 1, "k": 2, "c": "1/2"},
+                    {"i": 1, "j": 0, "k": 2, "c": "3"}, {"i": 2, "j": 2, "k": 0, "c": "4"}],
+           "prec": [{"i": 0, "j": 0, "k": 2, "c": "-1"}, {"i": 1, "j": 1, "k": 0, "c": "2"},
+                    {"i": 0, "j": 2, "k": 1, "c": "1/3"}]}
+
+BAD_FP5_CHECK_JSON = """{
+  "artifacts": [],
+  "checked": 54,
+  "command": "algebra check",
+  "verdict": "fail",
+  "violationCount": 26,
+  "violations": [
+    {
+      "detail": "x>(y>z) != -(x.y)>z",
+      "equation": "A1",
+      "lhs": [
+        "0",
+        "0",
+        "3"
+      ],
+      "rhs": [
+        "0",
+        "0",
+        "2"
+      ],
+      "witness": [
+        0,
+        0,
+        0
+      ]
+    }
+  ]
+}
+"""
+
+# (exit code, sha256 of stdout) of `adw` child processes over prime fields,
+# recorded when every scalar was a field element: the failing GF(5) algebra
+# above, and `ybe search` on a GF(3) basis change of R(nil2) (63 solutions)
+PRIME_FIELD_RUNS = {
+    "fp5-check-json": (1, "6c85af07c9949cab1e93284e947402e194c02e393f7edf038e066d319a2acb70"),
+    "fp5-check-json-exhaustive": (
+        1, "c47a36abb846f900e78071951a6e04474b9a7f94cc1dff37548590d9bccd3ab9"),
+    "fp3-search-text": (0, "047c93c2ef94fbc15931900068e530686995906f239ca3601384c0e6a27d35b9"),
+    "fp3-search-json": (0, "21bc5b853edfe670b01ffe41d833892aca4875969675161a0db61a50d12d3bc5"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PRIME_FIELD_RUNS))
+def test_prime_field_output_bytes(key, tmp_path):
+    path = str(tmp_path / "alg.json")
+    if key.startswith("fp5"):
+        (tmp_path / "alg.json").write_text(json.dumps(BAD_FP5))
+        argv = ["algebra", "check", path, "--json"]
+        argv += ["--exhaustive"] if key.endswith("exhaustive") else []
+    else:
+        gf3 = PrimeField(3)
+        pmat = tuple(tuple(gf3.coerce(x) for x in row) for row in
+                     ((1, 1, 1, 2), (1, 2, 1, 1), (2, 1, 1, 1), (1, 1, 2, 1)))
+        io.write_json(path, io.algebra_to_dict(change_basis(rnil2(gf3), pmat)))
+        argv = ["ybe", "search", path] + (["--json"] if key.endswith("json") else [])
+    proc = run_child(argv, ADW_FIELD=key[:3])
+    assert (proc.returncode, hashlib.sha256(proc.stdout.encode()).hexdigest()) == \
+        PRIME_FIELD_RUNS[key]
+    if key == "fp5-check-json":
+        assert proc.stdout == BAD_FP5_CHECK_JSON
+
+
+def test_rep_coefficient_outside_the_field_is_an_input_error(tmp_path):
+    """An action coefficient 1/5 in a GF(5) representation file ends in exit 2
+    with an input error, not a traceback."""
+    gf5 = PrimeField(5)
+    nil = ADAlgebra.make(2, [(0, 0, 1, gf5.one)], field=gf5)
+    payload = io.rep_to_dict(regular_representation(nil))
+    payload["lsucc"].append({"x": 1, "r": 0, "c": 1, "v": "1/5"})
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(payload))
+    assert_input_error(run_child(["rep", "check", str(path)], ADW_FIELD="fp5"))

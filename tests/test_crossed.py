@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import product as iproduct
 
@@ -15,7 +16,7 @@ from adw.crossed import (AutPair, CrossedDatum, GH2Tuple, check_aut_pair,
                          gh2_tuples_cohomologous, lift_matrix,
                          phi_from_wells_witness, transformed_cocycle,
                          wells_map, z1_cocycles)
-from adw.fields import PrimeField
+from adw.fields import InputError, PrimeField
 from adw.linalg import identity, zeros_mat
 from adw.reporting import PreconditionFailure
 from .conftest import nilpotent2, rand_matrix
@@ -383,3 +384,17 @@ def test_kernel_of_lifting_matches_z1_over_gf3():
     assert len(kernel_lifts) == len(span) == 3
     for g in kernel_lifts:
         assert (g[1][0].v if hasattr(g[1][0], "v") else g[1][0]) in span
+
+
+def test_crossed_datum_rejects_coefficients_outside_the_field():
+    gf5 = PrimeField(5)
+    nil = ADAlgebra.make(2, [(0, 0, 1, gf5.one)], field=gf5)
+    c = CrossedDatum.split(nil, nil)
+    with pytest.raises(InputError, match="cannot coerce Fraction\\(1, 2\\) into GF\\(5\\)"):
+        replace(c, omega1=BilinearOp.from_entries(2, [(0, 0, 1, Q(1, 2))], 2))
+    with pytest.raises(InputError, match="cannot coerce Fraction\\(1, 2\\) into GF\\(5\\)"):
+        replace(c, rprec=ActionFamily.from_entries(2, 2, [(1, 1, 0, Q(1, 2))]))
+    # the fibre's coefficients belong to the base's field too
+    with pytest.raises(InputError, match="rational"):
+        replace(c, valgebra=ADAlgebra.make(2, [(0, 0, 1, gf5.one)], field=gf5),
+                algebra=ADAlgebra.make(2, [(0, 0, 1, Q(1))]))

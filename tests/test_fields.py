@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from adw.fields import InputError, PrimeField, RATIONALS, field_from_name
+from adw.fields import GFElement, InputError, PrimeField, RATIONALS, field_from_name
 
 
 def test_rational_parse_and_canonical_str():
@@ -83,3 +83,26 @@ def test_prime_field_parse_rejects_zero_denominator():
         with pytest.raises(InputError):
             f.parse(text)
     assert f.parse("1/8") == 1
+
+
+def test_residues_and_lift():
+    f = PrimeField(5)
+    g = f.coerce
+    # scalars, vectors and tables; zeros of any type become int 0
+    assert f.residues(g(3)) == 3 and type(f.residues(g(3))) is int
+    assert f.residues(-1) == 4 and f.residues(10) == 0
+    assert f.residues(Q(0)) == 0 and f.residues(g(0)) == 0
+    table = (((g(1), 0), (-2, g(0))), ((7, g(4)), (0, 5)))
+    low = f.residues(table)
+    assert low == (((1, 0), (3, 0)), ((2, 4), (0, 0)))
+    assert all(type(x) is int for plane in low for row in plane for x in row)
+    assert f.lift(low) == table
+    assert all(type(x) is GFElement for plane in f.lift(low) for row in plane for x in row)
+    assert f.lift(f.residues(((),))) == ((),)
+    with pytest.raises(InputError, match="cannot coerce Fraction\\(1, 2\\) into GF\\(5\\)"):
+        f.residues((g(1), Q(1, 2)))
+    with pytest.raises(InputError, match="element of GF\\(3\\) used in GF\\(5\\)"):
+        f.residues(((PrimeField(3).one,),))
+    # over Q both are the identity
+    v = (Q(1, 2), 0, Q(-3))
+    assert RATIONALS.residues(v) is v and RATIONALS.lift(v) is v

@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
 from adw.actions import ActionFamily
 from adw.algebra import ADAlgebra, direct_sum
-from adw.fields import InputError
+from adw.fields import InputError, PrimeField
 from adw.matched import (AssocMatchedPair, MatchedPairDatum,
                          assoc_bicrossed_product, bicrossed_product,
                          check_assoc_matched_pair, check_matched_pair,
@@ -188,3 +189,13 @@ def test_factorize_round_trip_randomized():
             assert datum.alg2.equal_tables(d.alg2)
             count += 1
     assert count >= 50
+
+
+def test_matched_datum_rejects_coefficients_outside_the_field():
+    gf5 = PrimeField(5)
+    nil = ADAlgebra.make(2, [(0, 0, 1, gf5.one)], field=gf5)
+    d = MatchedPairDatum.trivial(nil, nil)
+    with pytest.raises(InputError, match="cannot coerce Fraction\\(1, 2\\) into GF\\(5\\)"):
+        replace(d, l2p=ActionFamily.from_entries(2, 2, [(0, 1, 0, Q(1, 2))]))
+    with pytest.raises(InputError, match="element of GF\\(3\\) used in GF\\(5\\)"):
+        replace(d, r1s=ActionFamily.from_entries(2, 2, [(0, 1, 0, PrimeField(3).one)]))

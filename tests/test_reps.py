@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 from adw.actions import ActionFamily
-from adw.algebra import is_homomorphism
+from adw.algebra import ADAlgebra, is_homomorphism
+from adw.fields import InputError, PrimeField
 from adw.linalg import identity
 from adw.reporting import PreconditionFailure
 from adw.reps import (ADRep, check_assoc_bimodule, check_representation,
@@ -134,3 +135,20 @@ def test_assoc_bimodule_checker_counterexample():
                    ActionFamily.zero(2, 2))
     out = check_assoc_bimodule(bad)
     assert not out.passed and out.violations[0].equation == "bimod-l"
+
+
+def test_rep_rejects_coefficients_outside_the_field():
+    """A 1/2 in an action over GF(5) is refused when the representation is
+    built; it used to be accepted and to make ``check_representation`` raise
+    TypeError."""
+    gf5 = PrimeField(5)
+    nil = ADAlgebra.make(2, [(0, 0, 1, gf5.one)], field=gf5)
+    z = ActionFamily.zero(2, 1)
+    bad = ActionFamily.from_entries(2, 1, [(1, 0, 0, Q(1, 2))])
+    with pytest.raises(InputError, match="cannot coerce Fraction\\(1, 2\\) into GF\\(5\\)"):
+        ADRep(nil, 1, bad, z, z, z)
+    with pytest.raises(InputError, match="element of GF\\(3\\) used in GF\\(5\\)"):
+        ADRep(nil, 1, z, z, z, ActionFamily.from_entries(2, 1, [(0, 0, 0, PrimeField(3).one)]))
+    # plain ints are constants of every field
+    rep = ADRep(nil, 1, ActionFamily.from_entries(2, 1, [(1, 0, 0, 3)]), z, z, z)
+    assert check_representation(rep).checked > 0

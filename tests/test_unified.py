@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 
 from adw.actions import ActionFamily
 from adw.algebra import ADAlgebra, BilinearOp, check_associative, is_isomorphism
-from adw.fields import InputError
+from adw.fields import InputError, PrimeField
 from adw.linalg import identity, matvec
 from adw.reporting import PreconditionFailure
 from adw.reps import regular_representation, semidirect_product
@@ -257,3 +258,16 @@ def test_fast_path_witness_search():
     assert zeta2 is None
     with pytest.raises(InputError):
         find_cohomologous_witness(zero_datum(nilpotent2(), 1), zero_datum(nilpotent2(), 1))
+
+
+def test_datum_rejects_coefficients_outside_the_field():
+    gf5 = PrimeField(5)
+    nil = ADAlgebra.make(2, [(0, 0, 1, gf5.one)], field=gf5)
+    d = ExtendingDatum.from_representation(regular_representation(nil))
+    half = BilinearOp.from_entries(2, [(0, 1, 1, Q(1, 2))])
+    with pytest.raises(InputError, match="cannot coerce Fraction\\(1, 2\\) into GF\\(5\\)"):
+        replace(d, varpi2=half)
+    with pytest.raises(InputError, match="cannot coerce Fraction\\(1, 2\\) into GF\\(5\\)"):
+        replace(d, succ_v=half)
+    with pytest.raises(InputError, match="cannot coerce"):
+        replace(d, mu_prec=ActionFamily.from_entries(2, 2, [(0, 0, 0, Q(1, 2))]))
