@@ -27,21 +27,23 @@ A1_TERMS = ("x>(y>z)", "-(x.y)>z", "-x<(y.z)", "(x<y)<z")
 def lmul(table, i, x):
     """e_i o x for a coordinate vector x; table[i][k] is the vector of e_i o e_k."""
     row, out = table[i], None
-    for k, c in enumerate(x):
-        if c:
-            out = ([c * t if t else t for t in row[k]] if out is None
-                   else [o + c * t if t else o for o, t in zip(out, row[k])])
+    if any(x):  # a zero x, the common case on sparse tables, skips the loop
+        for k, c in enumerate(x):
+            if c:
+                out = ([c * t if t else t for t in row[k]] if out is None
+                       else [o + c * t if t else o for o, t in zip(out, row[k])])
     return vzero(len(row[0])) if out is None else tuple(out)
 
 
 def rmul(table, x, j):
     """x o e_j for a coordinate vector x; table[k][j] is the vector of e_k o e_j."""
     out = None
-    for k, c in enumerate(x):
-        if c:
-            col = table[k][j]
-            out = ([c * t if t else t for t in col] if out is None
-                   else [o + c * t if t else o for o, t in zip(out, col)])
+    if any(x):
+        for k, c in enumerate(x):
+            if c:
+                col = table[k][j]
+                out = ([c * t if t else t for t in col] if out is None
+                       else [o + c * t if t else o for o, t in zip(out, col)])
     return vzero(len(table[0][j])) if out is None else tuple(out)
 
 
@@ -167,16 +169,12 @@ class ADAlgebra:
                 and self.prec.table == other.prec.table)
 
 
-def residue_tables(alg: ADAlgebra):
-    """The succ, prec and x.y = x>y + x<y tables of alg as ``alg.field.residues``
-    gives them: int residues mod p over GF(p), where x.y is summed from the
-    residues, and the tables themselves over Q, where the cached ``assoc``
-    serves."""
-    lower = alg.field.residues
-    succ, prec = lower(alg.succ.table), lower(alg.prec.table)
-    if succ is alg.succ.table:
-        return succ, prec, alg.assoc.table
-    return succ, prec, lower(tuple(
+def residue_tables(field, succ, prec):
+    """The succ, prec and x.y = x>y + x<y tables as ``field.residues`` gives
+    them: int residues mod p over GF(p), x.y summed from the residues; the
+    tables themselves over Q."""
+    succ, prec = field.residues(succ), field.residues(prec)
+    return succ, prec, field.residues(tuple(
         tuple(tuple(a + b for a, b in zip(sv, pv)) for sv, pv in zip(srow, prow))
         for srow, prow in zip(succ, prec)))
 
@@ -190,7 +188,7 @@ def check_anti_dendriform(alg: ADAlgebra, exhaustive: bool = False) -> Report:
     """
     rep = Report("anti-dendriform axioms", exhaustive=exhaustive)
     n, reduce = alg.dim, alg.field.residues
-    succ, prec, dot = residue_tables(alg)
+    succ, prec, dot = residue_tables(alg.field, alg.succ.table, alg.prec.table)
     for i in range(n):
         for j in range(n):
             sij, pij, dij = succ[i][j], prec[i][j], dot[i][j]

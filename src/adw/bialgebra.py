@@ -554,29 +554,31 @@ class OOperator:
     rep: ADRep
 
 
+def _check_o_rows(out, tmat, m, rows):
+    """T(u) o T(v) = T(l(Tu)v + r(Tv)u) for every basis pair (u, v) of V and,
+    within a pair, every row (label, product o, family l, family r, detail)."""
+    n = len(tmat)
+    tcols = [tuple(tmat[r][c] for r in range(n)) for c in range(m)]
+    for u in range(m):
+        tu, eu = tcols[u], unit(m, u)
+        for v in range(m):
+            tv, ev = tcols[v], unit(m, v)
+            for label, op, left, right, detail in rows:
+                out.require_equal(label, (u, v), op.apply(tu, tv),
+                                  matvec(tmat, vadd(left.act(tu, ev), right.act(tv, eu))),
+                                  detail)
+    return out
+
+
 def check_o_operator(tmat, rep: ADRep, exhaustive: bool = False) -> Report:
     """T(u) o T(v) = T(l_o(T u)v + r_o(T v)u) for both products, all pairs."""
     n, m = rep.algebra.dim, rep.mod_dim
     if shape(tmat) != (n, m):
         raise InputError("operator matrix must be %dx%d" % (n, m))
-    out = Report("O-operator identities", exhaustive=exhaustive)
     alg = rep.algebra
-    tcols = [tuple(tmat[r][c] for r in range(n)) for c in range(m)]
-    for u in range(m):
-        tu = tcols[u]
-        eu = unit(m, u)
-        for v in range(m):
-            tv = tcols[v]
-            ev = unit(m, v)
-            lhs_s = alg.succ.apply(tu, tv)
-            rhs_s = matvec(tmat, vadd(rep.lsucc.act(tu, ev), rep.rsucc.act(tv, eu)))
-            out.require_equal("O-succ", (u, v), lhs_s, rhs_s,
-                              "T(u)>T(v) != T(l>(Tu)v + r>(Tv)u)")
-            lhs_p = alg.prec.apply(tu, tv)
-            rhs_p = matvec(tmat, vadd(rep.lprec.act(tu, ev), rep.rprec.act(tv, eu)))
-            out.require_equal("O-prec", (u, v), lhs_p, rhs_p,
-                              "T(u)<T(v) != T(l<(Tu)v + r<(Tv)u)")
-    return out
+    return _check_o_rows(Report("O-operator identities", exhaustive=exhaustive), tmat, m, (
+        ("O-succ", alg.succ, rep.lsucc, rep.rsucc, "T(u)>T(v) != T(l>(Tu)v + r>(Tv)u)"),
+        ("O-prec", alg.prec, rep.lprec, rep.rprec, "T(u)<T(v) != T(l<(Tu)v + r<(Tv)u)")))
 
 
 def check_o_operator_assoc(tmat, op: BilinearOp, left: ActionFamily,
@@ -587,17 +589,9 @@ def check_o_operator_assoc(tmat, op: BilinearOp, left: ActionFamily,
         raise InputError("operator matrix must be %dx%d" % (n, m))
     if left.alg_dim != n or right.alg_dim != n or right.mod_dim != m:
         raise InputError("action families do not match the product and module")
-    out = Report("associative O-operator identity", exhaustive=exhaustive)
-    tcols = [tuple(tmat[r][c] for r in range(n)) for c in range(m)]
-    for u in range(m):
-        tu, eu = tcols[u], unit(m, u)
-        for v in range(m):
-            tv, ev = tcols[v], unit(m, v)
-            lhs = op.apply(tu, tv)
-            rhs = matvec(tmat, vadd(left.act(tu, ev), right.act(tv, eu)))
-            out.require_equal("O-assoc", (u, v), lhs, rhs,
-                              "T(u).T(v) != T(l(Tu)v + r(Tv)u)")
-    return out
+    return _check_o_rows(Report("associative O-operator identity", exhaustive=exhaustive),
+                         tmat, m, (("O-assoc", op, left, right,
+                                    "T(u).T(v) != T(l(Tu)v + r(Tv)u)"),))
 
 
 def tr_ybe_identity(alg: ADAlgebra, r, exhaustive: bool = False) -> Report:
@@ -677,7 +671,7 @@ def _ye6_form(alg: ADAlgebra, k):
     c = ``alg.field.residues`` of the coefficient, nonzero.
     """
     n, reduce = alg.dim, alg.field.residues
-    succ, prec, dot = residue_tables(alg)
+    succ, prec, dot = residue_tables(alg.field, alg.succ.table, alg.prec.table)
     units = [skew_tensor_from_uppers(n, [int(a == b) for b in range(k)]) for a in range(k)]
     squares = [_residual(s, dot, succ, prec) for s in units]
     comps = {}

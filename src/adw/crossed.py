@@ -137,7 +137,8 @@ def check_crossed_system(d: CrossedDatum, exhaustive: bool = False,
                 out.record("C12", v.witness, v.lhs, v.rhs,
                            "fibre algebra violates %s: %s" % (v.equation, v.detail))
             out.violation_count += fib.violation_count - len(fib.violations)
-    return check_glued(out, d.algebra.dim, d.vdim, _CROSSED_SLOTS, *d.glued())
+    return check_glued(out, d.algebra.dim, d.vdim, _CROSSED_SLOTS, *d.glued(),
+                       field=d.algebra.field)
 
 
 def check_cocycle(d: CrossedDatum, exhaustive: bool = False) -> Report:

@@ -22,8 +22,7 @@ from .actions import ActionFamily
 from .algebra import ADAlgebra, BilinearOp, check_associative, require_field
 from .fields import InputError
 from .reporting import PreconditionFailure, Report
-from .reps import ADRep, check_representation
-from .unified import check_glued, glue, split_slots, unglue
+from .unified import R_SLOTS, check_columns, check_glued, glue, split_slots, unglue
 
 
 @dataclass(frozen=True)
@@ -57,12 +56,6 @@ class MatchedPairDatum:
         n, m = alg1.dim, alg2.dim
         z12, z21 = ActionFamily.zero(n, m), ActionFamily.zero(m, n)
         return MatchedPairDatum(alg1, alg2, z12, z12, z12, z12, z21, z21, z21, z21)
-
-    def rep_on_alg2(self) -> ADRep:
-        return ADRep(self.alg1, self.alg2.dim, self.l1s, self.r1s, self.l1p, self.r1p)
-
-    def rep_on_alg1(self) -> ADRep:
-        return ADRep(self.alg2, self.alg1.dim, self.l2s, self.r2s, self.l2p, self.r2p)
 
     def glued(self):
         """Glued (succ, prec) tables of the bicrossed product on alg1 (+) alg2."""
@@ -102,26 +95,21 @@ _A2_MATCHED = {
     ("V", "V", "A"): (None, "M12"),
 }
 _MATCHED_SLOTS = split_slots(_A1_MATCHED, _A2_MATCHED)
+# the representation of alg1 on alg2 (rep1) and of alg2 on alg1 (rep2)
+_REP1_SLOTS, _REP2_SLOTS = (tuple((tag + ":" + slot[0],) + slot[1:] for slot in R_SLOTS)
+                            for tag in ("rep1", "rep2"))
 
 
 def check_matched_pair(d: MatchedPairDatum, exhaustive: bool = False) -> Report:
-    """Both representation conditions plus M1-M12 over mixed basis triples."""
+    """Both representation conditions (as glued columns) plus M1-M12."""
     for alg, tag in ((d.alg1, "first"), (d.alg2, "second")):
         if not alg.is_verified:
             raise PreconditionFailure("%s factor is not anti-dendriform" % tag, alg.check())
     out = Report("matched pair", exhaustive=exhaustive)
-    r1 = check_representation(d.rep_on_alg2(), exhaustive=exhaustive,
-                              require_verified_algebra=False)
-    r2 = check_representation(d.rep_on_alg1(), exhaustive=exhaustive,
-                              require_verified_algebra=False)
-    for rep, tag in ((r1, "rep1"), (r2, "rep2")):
-        out.checked += rep.checked
-        out.violation_count += rep.violation_count
-        for v in rep.violations:
-            if out.exhaustive or not out.violations:
-                out.violations.append(type(v)(("%s:" % tag) + v.equation, v.witness,
-                                              v.lhs, v.rhs, v.detail))
-    return check_glued(out, d.alg1.dim, d.alg2.dim, _MATCHED_SLOTS, *d.glued())
+    n, m, field, tables = d.alg1.dim, d.alg2.dim, d.alg1.field, d.glued()
+    check_columns(out, n, m, _REP1_SLOTS, *tables, field=field)
+    check_columns(out, n, m, _REP2_SLOTS, *tables, acting="V", field=field)
+    return check_glued(out, n, m, _MATCHED_SLOTS, *tables, field=field)
 
 
 def bicrossed_product(d: MatchedPairDatum, precheck: bool = True) -> ADAlgebra:

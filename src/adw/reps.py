@@ -13,6 +13,12 @@ of algebra basis elements:
 
 with l. = l> + l<, r. = r> + r<.  R7, a consequence of R3 and R6, is checked
 as well:  r.(y)l.(x) = l.(x)r.(y).
+
+A quadruple is a representation iff the semidirect product A (+) V is
+anti-dendriform, and the identities are read off its glued tables
+(``adw.unified.check_columns``): R1-R3 are the V-components of A1 at the
+triples (x, y, w), (w, x, y), (x, w, y) with w in V, column w of each matrix
+the term at w; R4-R6 are A2 and R7 and the bimodule axioms associativity there.
 """
 
 from __future__ import annotations
@@ -23,12 +29,8 @@ from functools import cached_property
 from .actions import ActionFamily
 from .algebra import ADAlgebra, BilinearOp, multiplication_operators, require_field
 from .fields import InputError
-from .linalg import mat_neg, matmul
 from .reporting import PreconditionFailure, Report
-
-R1_TERMS = ("l>(x)l>(y)", "-l>(x.y)", "-l<(x)l.(y)", "l<(x<y)")
-R2_TERMS = ("r>(x>y)", "-r>(y)r.(x)", "-r<(x.y)", "r<(y)r<(x)")
-R3_TERMS = ("l>(x)r>(y)", "-r>(y)l.(x)", "-l<(x)r.(y)", "r<(y)l<(x)")
+from .unified import BIMOD_SLOTS, R_SLOTS, check_columns, glue
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,22 @@ class ADRep:
     def families(self):
         return (self.lsucc, self.rsucc, self.lprec, self.rprec)
 
+    def glued(self):
+        """Glued (succ, prec) tables of the semidirect product on A (+) V."""
+        alg, m = self.algebra, self.mod_dim
+        return (semidirect_table(alg.succ, m, self.lsucc, self.rsucc),
+                semidirect_table(alg.prec, m, self.lprec, self.rprec))
+
 
 def regular_representation(alg: ADAlgebra) -> ADRep:
     ops = multiplication_operators(alg)
     return ADRep(alg, alg.dim, ops.lsucc, ops.rsucc, ops.lprec, ops.rprec)
+
+
+def semidirect_table(op, mod_dim, left, right):
+    """Glued table of o on A (+) V with (x,a) o (y,b) = (x o y, left(x)b + right(y)a)."""
+    return glue(op.dim, mod_dim, (op.table, None), (None, left.mats), (None, right.mats),
+                (None, None))
 
 
 def check_representation(rep: ADRep, exhaustive: bool = False,
@@ -73,42 +87,7 @@ def check_representation(rep: ADRep, exhaustive: bool = False,
         raise PreconditionFailure("underlying algebra is not anti-dendriform",
                                   alg.check())
     out = Report("representation axioms", exhaustive=exhaustive)
-    n = alg.dim
-    ls, rs, lp, rp = rep.lsucc.mats, rep.rsucc.mats, rep.lprec.mats, rep.rprec.mats
-    ldot = rep.lsucc.add(rep.lprec).mats
-    rdot = rep.rsucc.add(rep.rprec).mats
-    for i in range(n):
-        for j in range(n):
-            sij = alg.succ.table[i][j]
-            pij = alg.prec.table[i][j]
-            dij = alg.assoc.table[i][j]
-            out.require_chain("R1", (i, j), R1_TERMS, (
-                matmul(ls[i], ls[j]),
-                mat_neg(rep.lsucc.mat(dij)),
-                mat_neg(matmul(lp[i], ldot[j])),
-                rep.lprec.mat(pij),
-            ))
-            out.require_chain("R2", (i, j), R2_TERMS, (
-                rep.rsucc.mat(sij),
-                mat_neg(matmul(rs[j], rdot[i])),
-                mat_neg(rep.rprec.mat(dij)),
-                matmul(rp[j], rp[i]),
-            ))
-            out.require_chain("R3", (i, j), R3_TERMS, (
-                matmul(ls[i], rs[j]),
-                mat_neg(matmul(rs[j], ldot[i])),
-                mat_neg(matmul(lp[i], rdot[j])),
-                matmul(rp[j], lp[i]),
-            ))
-            out.require_equal("R4", (i, j), rep.lprec.mat(sij), matmul(ls[i], lp[j]),
-                              "l<(x>y) != l>(x)l<(y)")
-            out.require_equal("R5", (i, j), matmul(rp[j], rs[i]), rep.rsucc.mat(pij),
-                              "r<(y)r>(x) != r>(x<y)")
-            out.require_equal("R6", (i, j), matmul(rp[j], ls[i]), matmul(ls[i], rp[j]),
-                              "r<(y)l>(x) != l>(x)r<(y)")
-            out.require_equal("R7", (i, j), matmul(rdot[j], ldot[i]), matmul(ldot[i], rdot[j]),
-                              "r.(y)l.(x) != l.(x)r.(y)")
-    return out
+    return check_columns(out, alg.dim, rep.mod_dim, R_SLOTS, *rep.glued(), field=alg.field)
 
 
 def dual_representation(rep: ADRep, precheck: bool = True) -> ADRep:
@@ -146,18 +125,8 @@ def check_assoc_bimodule(arep: AssocRep, exhaustive: bool = False) -> Report:
     """l(x.y) = l(x)l(y);  r(x.y) = r(y)r(x);  r(y)l(x) = l(x)r(y)."""
     out = Report("associative bimodule axioms%s" % (" (%s)" % arep.tag if arep.tag else ""),
                  exhaustive=exhaustive)
-    n = arep.op.dim
-    l, r = arep.left, arep.right
-    for i in range(n):
-        for j in range(n):
-            dij = arep.op.table[i][j]
-            out.require_equal("bimod-l", (i, j), l.mat(dij), matmul(l.mats[i], l.mats[j]),
-                              "l(x.y) != l(x)l(y)")
-            out.require_equal("bimod-r", (i, j), r.mat(dij), matmul(r.mats[j], r.mats[i]),
-                              "r(x.y) != r(y)r(x)")
-            out.require_equal("bimod-c", (i, j), matmul(r.mats[j], l.mats[i]),
-                              matmul(l.mats[i], r.mats[j]), "r(y)l(x) != l(x)r(y)")
-    return out
+    return check_columns(out, arep.op.dim, arep.mod_dim, BIMOD_SLOTS,
+                         semidirect_table(arep.op, arep.mod_dim, arep.left, arep.right))
 
 
 def induced_associative_reps(rep: ADRep, precheck: bool = True):
@@ -196,26 +165,7 @@ def semidirect_product(rep: ADRep, precheck: bool = True) -> ADAlgebra:
         inner = check_representation(rep, require_verified_algebra=False)
         if not rep.algebra.is_verified or not inner.passed:
             raise PreconditionFailure("representation does not satisfy R1-R6", inner)
-    alg = rep.algebra
-    n, m = alg.dim, rep.mod_dim
-    total = n + m
-
-    def build(op, lf, rf):
-        entries = list(op.entries())
-        for x in range(n):
-            for b in range(m):
-                for k in range(m):
-                    c = lf.mats[x][k][b]
-                    if c:
-                        entries.append((x, n + b, n + k, c))
-        for a in range(m):
-            for y in range(n):
-                for k in range(m):
-                    c = rf.mats[y][k][a]
-                    if c:
-                        entries.append((n + a, y, n + k, c))
-        return BilinearOp.from_entries(total, entries)
-
-    basis = alg.basis + tuple("v%d" % (i + 1) for i in range(m))
-    return ADAlgebra(total, basis, build(alg.succ, rep.lsucc, rep.rsucc),
-                     build(alg.prec, rep.lprec, rep.rprec), alg.field)
+    alg, total = rep.algebra, rep.algebra.dim + rep.mod_dim
+    basis = alg.basis + tuple("v%d" % (i + 1) for i in range(rep.mod_dim))
+    succ, prec = rep.glued()
+    return ADAlgebra(total, basis, BilinearOp(total, succ), BilinearOp(total, prec), alg.field)

@@ -40,6 +40,15 @@ def _int(v, what):
     return v
 
 
+def _coeff(v, field, what):
+    """A coefficient: a string such as "-2/7" or a JSON integer.  A JSON float
+    is refused: the parser has already rounded it (1e-400 reads as 0.0)."""
+    if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
+        return field.parse(str(v))
+    hint = "; write it as a string such as \"3/10\"" if isinstance(v, float) else ""
+    raise InputError("%s: coefficient %r is not a string or an integer%s" % (what, v, hint))
+
+
 def _coeff_entries(items, keys, field, what):
     out = []
     if not isinstance(items, list):
@@ -47,7 +56,7 @@ def _coeff_entries(items, keys, field, what):
     for e in items:
         _require_keys(e, keys, what)
         idx = tuple(_int(e[k], "%s.%s" % (what, k)) for k in keys[:-1])
-        out.append(idx + (field.parse(str(e[keys[-1]])),))
+        out.append(idx + (_coeff(e[keys[-1]], field, what),))
     return out
 
 
@@ -70,7 +79,7 @@ def _basis(d, n, what):
 def _matrix_from_rows(rows, field, what, shape=None):
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError("%s: expected a list of rows" % what)
-    mat = tuple(tuple(field.parse(str(v)) for v in row) for row in rows)
+    mat = tuple(tuple(_coeff(v, field, what) for v in row) for row in rows)
     if mat and any(len(r) != len(mat[0]) for r in mat):
         raise InputError("%s: ragged rows" % what)
     if shape is not None and (len(mat), len(mat[0]) if mat else 0) != shape:
@@ -309,8 +318,7 @@ def gh2_from_dict(d, field, basedir=None) -> GH2Tuple:
     _require_keys(d, ("n", "A", "B", "C", "D", "theta0", "epsilon0"), "six-tuple file")
     n = _int(d["n"], "n")
     mats = {k: _matrix_from_rows(d[k], field, k, (n, n)) for k in "ABCD"}
-    th = tuple(field.parse(str(v)) for v in d["theta0"])
-    ep = tuple(field.parse(str(v)) for v in d["epsilon0"])
+    th, ep = (tuple(_coeff(v, field, k) for v in d[k]) for k in ("theta0", "epsilon0"))
     return GH2Tuple(n, mats["A"], mats["B"], mats["C"], mats["D"], th, ep, field)
 
 

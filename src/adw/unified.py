@@ -22,16 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .actions import ActionFamily
-from .algebra import ADAlgebra, BilinearOp, change_basis, lmul, require_field, rmul
-from .fields import InputError
+from .algebra import (ADAlgebra, BilinearOp, change_basis, lmul, require_field,
+                      residue_tables, rmul)
+from .fields import RATIONALS, InputError
 from .linalg import (identity, inverse, matmul, matvec, nullspace, solve_linear,
                      unit, vadd, vneg, vzero)
 from .reporting import PreconditionFailure, Report
-from .reps import ADRep, check_representation
 
 A1_CHAIN_TERMS = ("u>(v>w)", "-(u.v)>w", "-u<(v.w)", "(u<v)<w")
+A2_TERMS = tuple(("(u>v)<w", "u>(v<w) [%s-component]" % tag) for tag in "AV")
+ASSOC_TERMS = tuple(("(uv)w", "u(vw) [%s component]" % tag) for tag in ("first", "second"))
 
 
 # ---------------------------------------------------------------------------
@@ -105,56 +108,117 @@ def split_slots(a1_labels, a2_labels):
             if a1_labels.get(t, none) != none or a2_labels.get(t, none) != none}
 
 
-def check_glued(report, na, nv, slots, succ, prec=None) -> Report:
+def a1_chain(tables, u, v, w):
+    """A1 at basis vectors u, v, w: u>(v>w), -(u.v)>w, -u<(v.w), (u<v)<w.  The
+    negated terms are products with -dot, so no term is negated afterwards."""
+    succ, prec, _, neg_dot = tables
+    return (lmul(succ, u, succ[v][w]), rmul(succ, neg_dot[u][v], w),
+            lmul(prec, u, neg_dot[v][w]), rmul(prec, prec[u][v], w))
+
+
+def a2_pair(tables, u, v, w):
+    """A2 at basis vectors u, v, w: (u>v)<w and u>(v<w)."""
+    succ, prec = tables[:2]
+    return rmul(prec, succ[u][v], w), lmul(succ, u, prec[v][w])
+
+
+def assoc_pair(tables, u, v, w):
+    """Associativity of dot at basis vectors u, v, w: (uv)w and u(vw)."""
+    dot = tables[2]
+    return rmul(dot, dot[u][v], w), lmul(dot, u, dot[v][w])
+
+
+IDENTITIES = {"A1": a1_chain, "A2": a2_pair, "assoc": assoc_pair,
+              "assoc, sides swapped": lambda *at: assoc_pair(*at)[::-1]}
+
+
+def lowered(field, succ, prec):
+    """``residue_tables`` and -dot; with prec None, succ is the one product (dot)."""
+    if prec is None:
+        return None, None, field.residues(succ), None
+    succ, prec, dot = residue_tables(field, succ, prec)
+    return succ, prec, dot, tuple(tuple(vneg(v) for v in row) for row in dot)
+
+
+def check_glued(report, na, nv, slots, succ, prec=None, field=RATIONALS) -> Report:
     """Check a glued product on A (+) V slot by slot over typed basis triples.
 
     ``succ``/``prec`` are glued tables from ``glue``.  With both, ``slots``
-    (from ``split_slots``) labels the components of the defining identities
-    A1/A2; with ``prec`` None, ``succ`` is one product and ``slots`` maps
-    each type to the (A-id, V-id) of its associativity components.  Triple
-    types run in the order of ``slots``; a witness is (type, i, j, k) with
-    indices local to each summand, and the A and V components are the two
-    slices of the glued vectors.
+    (from ``split_slots``) labels the components of A1/A2; with ``prec``
+    None, ``succ`` is one product and ``slots`` maps each type to the
+    (A-id, V-id) of its associativity components.  Triple types run in the
+    order of ``slots``; a witness is (type, i, j, k) with indices local to
+    each summand.  The A and V components, the two slices of the glued
+    vectors, are compared as ``field.residues`` and recorded as field elements.
     """
     n = na + nv
     comps = (slice(0, na), slice(na, n))
     summand = {"A": range(na), "V": range(na, n)}
-    if prec is not None:
-        dot = tuple(tuple(vadd(s, p) for s, p in zip(srow, prow))
-                    for srow, prow in zip(succ, prec))
+    tables, reduce = lowered(field, succ, prec), field.residues
+    sub = Report(report.name, exhaustive=report.exhaustive)
     for ttype, labels in slots.items():
+        parts = ((("assoc", labels, ASSOC_TERMS),) if prec is None else
+                 (("A1", labels[0], (A1_CHAIN_TERMS,) * 2), ("A2", labels[1], A2_TERMS)))
+        # per identity: (component, label, terms) of its labelled slots
+        checks = [(IDENTITIES[identity], cells) for identity, ids, terms in parts
+                  if (cells := [cell for cell in zip(comps, ids, terms) if cell[1]])]
         tname = "".join(ttype)
         ru, rv, rw = (summand[t] for t in ttype)
         for iu, u in enumerate(ru):
             for iv, v in enumerate(rv):
                 for iw, w in enumerate(rw):
-                    witness = (tname, iu, iv, iw)
-                    if prec is None:
-                        lhs = rmul(succ, succ[u][v], w)
-                        rhs = lmul(succ, u, succ[v][w])
-                        for tag, comp, label in zip(("first", "second"), comps, labels):
-                            report.require_equal(label, witness, lhs[comp], rhs[comp],
-                                                 "(uv)w != u(vw) [%s component]" % tag)
-                        continue
-                    a1, a2 = labels
-                    if a1 != (None, None):
-                        chain = (lmul(succ, u, succ[v][w]),
-                                 vneg(rmul(succ, dot[u][v], w)),
-                                 vneg(lmul(prec, u, dot[v][w])),
-                                 rmul(prec, prec[u][v], w))
-                        for comp, label in zip(comps, a1):
-                            if label is not None:
-                                report.require_chain(label, witness, A1_CHAIN_TERMS,
-                                                     tuple(t[comp] for t in chain))
-                    if a2 != (None, None):
-                        lhs = rmul(prec, succ[u][v], w)
-                        rhs = lmul(succ, u, prec[v][w])
-                        for tag, comp, label in zip("AV", comps, a2):
-                            if label is not None:
-                                report.require_equal(
-                                    label, witness, lhs[comp], rhs[comp],
-                                    "(u>v)<w != u>(v<w) [%s-component]" % tag)
-    return report
+                    for identity, cells in checks:
+                        values = identity(tables, u, v, w)
+                        for comp, label, terms in cells:
+                            sub.require_chain(label, (tname, iu, iv, iw), terms,
+                                              reduce(tuple(t[comp] for t in values)))
+    return report.absorb(sub.map_values(field.lift))
+
+
+def check_columns(report, na, nv, slots, succ, prec=None, acting="A",
+                  field=RATIONALS) -> Report:
+    """Check the actions of the ``acting`` summand of a glued product on the other.
+
+    Each slot (label, placement, identity, terms) is checked once per ordered
+    pair (x, y) of acting basis vectors, witness (i, j) local to the summand:
+    column w of each matrix is the identity at the triple that ``placement``
+    spells in x, y and the module basis vector w, cut to the module
+    component.  Values are compared as in ``check_glued``.
+    """
+    n = na + nv
+    summand = {"A": range(na), "V": range(na, n)}
+    module, cut = ("V", slice(na, n)) if acting == "A" else ("A", slice(0, na))
+    tables, reduce = lowered(field, succ, prec), field.residues
+    sub = Report(report.name, exhaustive=report.exhaustive)
+    slots = [(label, itemgetter(*("xyw".index(p) for p in placement)), IDENTITIES[identity],
+              terms) for label, placement, identity, terms in slots]
+    for i, x in enumerate(summand[acting]):
+        for j, y in enumerate(summand[acting]):
+            for label, place, identity, terms in slots:
+                cols = [identity(tables, *place((x, y, w))) for w in summand[module]]
+                sub.require_chain(label, (i, j), terms, reduce(tuple(
+                    tuple(zip(*(col[t][cut] for col in cols))) for t in range(len(terms)))))
+    return report.absorb(sub.map_values(field.lift))
+
+
+# Column slots (label, placement, identity, terms) of the axioms of a
+# representation (V, l>, r>, l<, r<) over A: the V-components of A1, A2 and
+# associativity of x.y on A semidirect V at (x, y, w), (w, x, y), (x, w, y)
+R_SLOTS = (
+    ("R1", "xyw", "A1", ("l>(x)l>(y)", "-l>(x.y)", "-l<(x)l.(y)", "l<(x<y)")),
+    ("R2", "wxy", "A1", ("r>(x>y)", "-r>(y)r.(x)", "-r<(x.y)", "r<(y)r<(x)")),
+    ("R3", "xwy", "A1", ("l>(x)r>(y)", "-r>(y)l.(x)", "-l<(x)r.(y)", "r<(y)l<(x)")),
+    ("R4", "xyw", "A2", ("l<(x>y)", "l>(x)l<(y)")),
+    ("R5", "wxy", "A2", ("r<(y)r>(x)", "r>(x<y)")),
+    ("R6", "xwy", "A2", ("r<(y)l>(x)", "l>(x)r<(y)")),
+    ("R7", "xwy", "assoc", ("r.(y)l.(x)", "l.(x)r.(y)")),
+)
+# ... and of an associative bimodule (V, l, r): associativity on A semidirect V
+BIMOD_SLOTS = (
+    ("bimod-l", "xyw", "assoc", ("l(x.y)", "l(x)l(y)")),
+    ("bimod-r", "wxy", "assoc, sides swapped", ("r(x.y)", "r(y)r(x)")),
+    ("bimod-c", "xwy", "assoc", ("r(y)l(x)", "l(x)r(y)")),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +262,13 @@ class ExtendingDatum:
                       self.varpi1, self.varpi2, self.succ_v, self.prec_v)
 
     @staticmethod
-    def from_representation(rep: ADRep) -> "ExtendingDatum":
+    def from_representation(rep) -> "ExtendingDatum":
         n, m = rep.algebra.dim, rep.mod_dim
         return ExtendingDatum(rep.algebra, m, rep.lsucc, rep.rsucc, rep.lprec, rep.rprec,
                               ActionFamily.zero(m, n), ActionFamily.zero(m, n),
                               ActionFamily.zero(m, n), ActionFamily.zero(m, n),
                               BilinearOp.zero(m, n), BilinearOp.zero(m, n),
                               BilinearOp.zero(m), BilinearOp.zero(m))
-
-    def representation(self) -> ADRep:
-        return ADRep(self.algebra, self.vdim, self.lsucc, self.rsucc,
-                     self.lprec, self.rprec)
 
     def glued(self):
         """Glued (succ, prec) tables of the unified product on A (+) V."""
@@ -238,9 +298,9 @@ class ExtendingDatum:
 
 
 # slot labels: (A-component id, V-component id) per basis triple type.
-# Slots delegated elsewhere are None: the V-components of A-A-V type triples
-# are the representation identities R1-R6 (checked via check_representation),
-# and pure-A triples reduce to the base algebra's own axioms.
+# Slots delegated elsewhere are None: the V-components of triples with one
+# V-entry are the representation identities (the R_SLOTS columns), and
+# pure-A triples reduce to the base algebra's own axioms.
 _A1_EXT = {
     ("A", "A", "V"): ("S2", None),
     ("A", "V", "A"): ("S3", None),
@@ -263,17 +323,16 @@ _EXT_SLOTS = split_slots(_A1_EXT, _A2_EXT)
 
 
 def check_extending_structure(d: ExtendingDatum, exhaustive: bool = False) -> Report:
-    """S1 via the representation checker, S2-S17 (and S19a-f) by enumeration.
+    """S1 (R1-R7) as module columns, then S2-S17 (and S19a-f), on the glued tables.
 
     Passing is equivalent to the unified product being anti-dendriform.
     """
     if not d.algebra.is_verified:
         raise PreconditionFailure("base algebra is not anti-dendriform", d.algebra.check())
     out = Report("extending structure", exhaustive=exhaustive)
-    rep_check = check_representation(d.representation(), exhaustive=exhaustive,
-                                     require_verified_algebra=False)
-    out.absorb(rep_check)
-    return check_glued(out, d.algebra.dim, d.vdim, _EXT_SLOTS, *d.glued())
+    na, nv, field, tables = d.algebra.dim, d.vdim, d.algebra.field, d.glued()
+    check_columns(out, na, nv, R_SLOTS, *tables, field=field)
+    return check_glued(out, na, nv, _EXT_SLOTS, *tables, field=field)
 
 
 def unified_product(d: ExtendingDatum, precheck: bool = True) -> ADAlgebra:

@@ -6,8 +6,10 @@ seven ``pair_*`` product formulas (as plain functions of the datum), the
 associative-matched-pair triple loop and the unit-vector table assembly.
 It is deliberately slow and independent of ``adw.unified.glue``,
 ``adw.unified.check_glued`` and the ``adw.algebra.lmul``/``rmul`` kernel
-(products go through its own copy of the old pair loop);
-``test_glue_differential`` compares the two.
+(products go through its own copy of the old pair loop), and its R1-R7
+checks (S1, and the two representation checks of a matched pair) run the
+matrix checker frozen in ``frozen_reps``; ``test_glue_differential``
+compares the two.
 Do not optimise or refactor it.
 """
 
@@ -19,7 +21,9 @@ from itertools import product as iproduct
 from adw.algebra import check_associative
 from adw.linalg import unit, vadd, vneg, vzero
 from adw.reporting import PreconditionFailure, Report
-from adw.reps import check_representation
+from adw.reps import ADRep
+
+from .frozen_reps import check_representation
 
 A1_CHAIN_TERMS = ("u>(v>w)", "-(u.v)>w", "-u<(v.w)", "(u<v)<w")
 
@@ -223,7 +227,8 @@ def check_extending_structure(d, exhaustive=False) -> Report:
     if not d.algebra.is_verified:
         raise PreconditionFailure("base algebra is not anti-dendriform", d.algebra.check())
     out = Report("extending structure", exhaustive=exhaustive)
-    rep_check = check_representation(d.representation(), exhaustive=exhaustive,
+    rep_check = check_representation(ADRep(d.algebra, d.vdim, d.lsucc, d.rsucc, d.lprec,
+                                           d.rprec), exhaustive=exhaustive,
                                      require_verified_algebra=False)
     out.absorb(rep_check)
     check_split_axioms(d.algebra.dim, d.vdim, partial(ext_succ, d), partial(ext_prec, d),
@@ -254,10 +259,10 @@ def check_matched_pair(d, exhaustive=False) -> Report:
         if not alg.is_verified:
             raise PreconditionFailure("%s factor is not anti-dendriform" % tag, alg.check())
     out = Report("matched pair", exhaustive=exhaustive)
-    r1 = check_representation(d.rep_on_alg2(), exhaustive=exhaustive,
-                              require_verified_algebra=False)
-    r2 = check_representation(d.rep_on_alg1(), exhaustive=exhaustive,
-                              require_verified_algebra=False)
+    r1 = check_representation(ADRep(d.alg1, d.alg2.dim, d.l1s, d.r1s, d.l1p, d.r1p),
+                              exhaustive=exhaustive, require_verified_algebra=False)
+    r2 = check_representation(ADRep(d.alg2, d.alg1.dim, d.l2s, d.r2s, d.l2p, d.r2p),
+                              exhaustive=exhaustive, require_verified_algebra=False)
     for rep, tag in ((r1, "rep1"), (r2, "rep2")):
         out.checked += rep.checked
         out.violation_count += rep.violation_count

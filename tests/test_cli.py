@@ -9,11 +9,13 @@ from fractions import Fraction as Q
 import pytest
 
 from adw import serialize as io
-from adw.algebra import ADAlgebra, BilinearOp, change_basis
+from adw.actions import ActionFamily
+from adw.algebra import ADAlgebra, BilinearOp, change_basis, direct_sum
 from adw.cli import main
 from adw.crossed import AutPair
 from adw.fields import RATIONALS, PrimeField
-from adw.reps import regular_representation
+from adw.matched import MatchedPairDatum
+from adw.reps import ADRep, regular_representation
 from adw.unified import ExtendingDatum
 from .conftest import nilpotent2, rnil2
 
@@ -347,6 +349,22 @@ def test_fp7_zero_denominator_is_an_input_error(tmp_path):
     assert_input_error(run_child(["algebra", "check", str(path)], ADW_FIELD="fp7"))
 
 
+@pytest.mark.parametrize("coeff, field", [("1e-400", "rational"),
+                                          ("0.30000000000000001", "rational"),
+                                          ("2.0", "rational"), ("2.0", "fp5")])
+def test_json_float_coefficient_is_an_input_error(tmp_path, coeff, field):
+    """A JSON float has been rounded by the parser: 1e-400 reads as 0.0 and
+    0.30000000000000001 as 0.3.  Such a coefficient ends in exit 2, and no
+    output is written; `algebra dual --out` used to write an empty and a
+    "3/10" table, and 2.0 was read as 2 over Q but refused over GF(5)."""
+    path, out = tmp_path / "alg.json", tmp_path / "dual.json"
+    path.write_text('{"dimension": 2, "basis": ["e1", "e2"], "prec": [], '
+                    '"succ": [{"i": 0, "j": 0, "k": 1, "c": %s}]}' % coeff)
+    assert_input_error(run_child(["algebra", "dual", str(path), "--out", str(out)],
+                                 ADW_FIELD=field))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("basis", [5, [], "x"])
 def test_product_file_bad_basis_is_an_input_error(tmp_path, basis):
     """A product file whose basis is not a list of its dimension's labels ends in exit 2."""
@@ -424,6 +442,62 @@ def test_prime_field_output_bytes(key, tmp_path):
         PRIME_FIELD_RUNS[key]
     if key == "fp5-check-json":
         assert proc.stdout == BAD_FP5_CHECK_JSON
+
+
+def failing_system(kind, field):
+    """A representation, extending datum or matched pair over ``field`` that
+    fails its checker in several equations; the module has dimension 3 over
+    the 2-dimensional algebra nil2."""
+    nil = ADAlgebra.make(2, [(0, 0, 1, field.one)], field=field)
+
+    def fam(alg_dim, mod_dim, *entries):
+        return ActionFamily.from_entries(alg_dim, mod_dim,
+                                         [e[:3] + (field.parse(e[3]),) for e in entries])
+
+    a_on_v = (fam(2, 3, (0, 0, 1, "1"), (1, 1, 2, "2"), (0, 2, 0, "-1")),
+              fam(2, 3, (1, 0, 2, "1")), fam(2, 3, (0, 1, 1, "1/2")),
+              fam(2, 3, (1, 2, 1, "3")))
+    v_on_a = (fam(3, 2, (0, 1, 0, "1")), fam(3, 2, (2, 0, 1, "-1")),
+              fam(3, 2, (1, 0, 0, "2")), fam(3, 2))
+    if kind == "rep":
+        return io.rep_to_dict(ADRep(nil, 3, *a_on_v))
+    if kind == "unified":
+        return io.datum_to_dict(ExtendingDatum(
+            nil, 3, *a_on_v, *v_on_a,
+            BilinearOp.from_entries(3, [(0, 1, 0, field.one)], 2), BilinearOp.zero(3, 2),
+            BilinearOp.from_entries(3, [(2, 2, 0, field.one)]), BilinearOp.zero(3)))
+    alg2 = direct_sum(nil, ADAlgebra.zero(1, field))
+    return io.matched_to_dict(MatchedPairDatum(nil, alg2, *a_on_v, *v_on_a))
+
+
+# (exit code, sha256 of stdout) of `adw <kind> check FILE --json --exhaustive`
+# on the failing systems above, recorded while R1-R7 were still evaluated as
+# products of action matrices
+SYSTEM_CHECK_RUNS = {
+    "rep-rational": (
+        1, "1bf353a54555a1bffb1f92fa2048f1f420479b6ddb491379bab0109390fe7694"),
+    "rep-fp5": (
+        1, "b0bea2524e9733e8928ac0283252c6289c5b4040b59f0c95b1554d392e52b4da"),
+    "unified-rational": (
+        1, "2955beb0fcac29442fa9ef83a00c8f7fc032e0ff94c0ecc0b1508650551b8cbc"),
+    "unified-fp5": (
+        1, "02dd5a01a6b1e9ab71e13eeaf67ef2ea92c00cd15d5fe3dc99b539f188fdaf4f"),
+    "matched-rational": (
+        1, "d3fcaccb94c72c8279ebc763b2acaaab4a35ad3282cf5fd5b24fbbc271ce4762"),
+    "matched-fp5": (
+        1, "3475929f1b85e4552d37fdbe3ebf73d43d9b6d8b83ce39e4848745c4233dfdd8"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SYSTEM_CHECK_RUNS))
+def test_system_check_output_bytes(key, tmp_path):
+    kind, fname = key.split("-")
+    field = RATIONALS if fname == "rational" else PrimeField(5)
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(failing_system(kind, field)))
+    proc = run_child([kind, "check", str(path), "--json", "--exhaustive"], ADW_FIELD=fname)
+    assert (proc.returncode, hashlib.sha256(proc.stdout.encode()).hexdigest()) == \
+        SYSTEM_CHECK_RUNS[key]
 
 
 def test_rep_coefficient_outside_the_field_is_an_input_error(tmp_path):

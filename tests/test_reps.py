@@ -152,3 +152,16 @@ def test_rep_rejects_coefficients_outside_the_field():
     # plain ints are constants of every field
     rep = ADRep(nil, 1, ActionFamily.from_entries(2, 1, [(1, 0, 0, 3)]), z, z, z)
     assert check_representation(rep).checked > 0
+
+
+def test_plain_int_tables_over_gf2_are_read_mod_2():
+    """x>x = 2x is x>x = 0 over GF(2): the algebra, its regular representation
+    and the extending datum of that representation all pass.  Plain ints were
+    compared as integers, so R1 failed with both sides printed [['0']]."""
+    from adw.unified import ExtendingDatum, check_extending_structure
+    alg = ADAlgebra.make(1, [(0, 0, 0, 2)], field=PrimeField(2))
+    rr = regular_representation(alg)
+    assert alg.check().passed
+    assert check_representation(rr).passed
+    assert check_representation(rr, require_verified_algebra=False).checked == 7
+    assert check_extending_structure(ExtendingDatum.from_representation(rr)).passed
