@@ -219,11 +219,9 @@ class CoproductPair:
         return self._at(self.dprec, vec)
 
     def _at(self, part, vec):
-        out = t2_zero(self.dim)
-        for k, c in enumerate(vec):
-            if c:
-                out = t2_add(out, tuple(tuple(c * x for x in row) for row in part[k]))
-        return out
+        scaled = (tuple(tuple(c * x if x else 0 for x in row) for row in part[k])
+                  for k, c in enumerate(vec) if c)
+        return t2_add(t2_zero(self.dim), *scaled)
 
     def sum_at(self, vec):
         return t2_add(self.succ_at(vec), self.prec_at(vec))
@@ -415,12 +413,15 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
 
     Passing is equivalent to (algebra, coboundary pair) satisfying the full
     D-bialgebra package (coalgebra axioms plus D1-D6); the equivalence is
-    exercised by the test suite rather than assumed.
+    exercised by the test suite rather than assumed.  Each side is compared
+    as ``field.residues`` gives it, so a plain int is read mod p over GF(p),
+    and recorded as field elements.
     """
     n = alg.dim
     if shape(rsucc) != (n, n) or shape(rprec) != (n, n):
         raise InputError("tensors must be %dx%d" % (n, n))
     out = Report("coboundary conditions", exhaustive=exhaustive)
+    reduce, z2, z3 = alg.field.residues, t2_zero(n), t3_zero(n)
     ops = multiplication_operators(alg)
     ls, rs = ops.lsucc.mats, ops.rsucc.mats
     lp, rp = ops.lprec.mats, ops.rprec.mats
@@ -439,18 +440,18 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
             # CD3: (R<(x) (x) I + I (x) L.(x)) (L>(y) (x) I + I (x) R.(y)) (r> + tau r<)
             inner = t2_add(t2_apply(ls[j], s_plus_tp, 1), t2_apply(rd[j], s_plus_tp, 2))
             cd3 = t2_add(t2_apply(rp[i], inner, 1), t2_apply(ld[i], inner, 2))
-            out.require_equal("CD3", (i, j), cd3, t2_zero(n), "CD3 does not vanish")
+            out.require_equal("CD3", (i, j), reduce(cd3), z2, "CD3 does not vanish")
             # CD4: [I (x) L>(x<y) - R<(y) (x) L>(x) + R<(x<y + x.y) (x) I](r> - r<)
             rp_ls = t2_apply(rp[j], t2_apply(ls[i], s_minus_p, 2), 1)
             cd4 = t2_add(t2_apply(ops.lsucc.mat(pij), s_minus_p, 2),
                          t2_neg(rp_ls),
                          t2_apply(ops.rprec.mat(vadd(pij, dij)), s_minus_p, 1))
-            out.require_equal("CD4", (i, j), cd4, t2_zero(n), "CD4 does not vanish")
+            out.require_equal("CD4", (i, j), reduce(cd4), z2, "CD4 does not vanish")
             # CD5: [I (x) L>(x>y + x.y) + R<(x>y) (x) I - R<(y) (x) L>(x)](r> - r<)
             cd5 = t2_add(t2_apply(ops.lsucc.mat(vadd(sij, dij)), s_minus_p, 2),
                          t2_apply(ops.rprec.mat(sij), s_minus_p, 1),
                          t2_neg(rp_ls))
-            out.require_equal("CD5", (i, j), cd5, t2_zero(n), "CD5 does not vanish")
+            out.require_equal("CD5", (i, j), reduce(cd5), z2, "CD5 does not vanish")
             # CD6: [L>(x)R>(y) (x) I - R>(y) (x) R<(x)](r< + tau r>)
             #      + [I (x) R<(x)L<(y) - L>(x) (x) L<(y)](r> + tau r<)
             #      - [L>(x)R<(y) (x) I - R<(y) (x) R<(x) + L>(x) (x) L>(y)
@@ -467,7 +468,7 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
                 t2_neg(t2_apply(ls[i], t2_apply(ls[j], s_minus_p, 2), 1)),
                 t2_apply(matmul(rp[i], ls[j]), s_minus_p, 2),
             )
-            out.require_equal("CD6", (i, j), cd6, t2_zero(n), "CD6 does not vanish")
+            out.require_equal("CD6", (i, j), reduce(cd6), z2, "CD6 does not vanish")
     # the brackets of CD7-CD10 that do not depend on x = e_i, each once
     c12, c13, c23 = contract_12_13, contract_13_23, contract_23_12
     ss_dot13, ss_prec23 = c13(rsucc, rsucc, dotop), c23(rsucc, rsucc, prec)
@@ -487,26 +488,20 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
         ls_rp = t2_apply(ls[i], rprec, 2)
         # CD7
         cd7 = t3_sub(t3_apply(rp[i], k7, 1), t3_apply(ls[i], k7, 3))
-        out.require_equal("CD7", (i,), cd7, t3_zero(n), "CD7 does not vanish")
+        out.require_equal("CD7", (i,), reduce(cd7), z3, "CD7 does not vanish")
         # CD8
-        out.require_equal("CD8", (i,), t3_add(c12(s_minus_p, rp_rs, prec),
-                                              c23(rp_rs, s_minus_p, succ),
-                                              t3_apply(ld[i], k8c, 3),
-                                              t3_apply(rp[i], k8d, 1)),
-                          t3_zero(n), "CD8 does not vanish")
+        cd8 = t3_add(c12(s_minus_p, rp_rs, prec), c23(rp_rs, s_minus_p, succ),
+                     t3_apply(ld[i], k8c, 3), t3_apply(rp[i], k8d, 1))
+        out.require_equal("CD8", (i,), reduce(cd8), z3, "CD8 does not vanish")
         # CD9
-        out.require_equal("CD9", (i,), t3_add(t3_apply(rd[i], k9a, 1),
-                                              t3_apply(ls[i], k9b, 3),
-                                              c13(ls_rp, p_minus_s, succ),
-                                              c23(p_minus_s, ls_rp, prec)),
-                          t3_zero(n), "CD9 does not vanish")
+        cd9 = t3_add(t3_apply(rd[i], k9a, 1), t3_apply(ls[i], k9b, 3),
+                     c13(ls_rp, p_minus_s, succ), c23(p_minus_s, ls_rp, prec))
+        out.require_equal("CD9", (i,), reduce(cd9), z3, "CD9 does not vanish")
         # CD10
-        out.require_equal("CD10", (i,),
-                          t3_add(t3_apply(rp[i], k10a, 1), t3_neg(t3_apply(ls[i], k10b, 3)),
-                                 t3_neg(c23(rp_rs, rsucc, prec)),
-                                 c23(t2_apply(rp[i], rprec, 1), rprec, prec)),
-                          t3_zero(n), "CD10 does not vanish")
-    return out
+        cd10 = t3_add(t3_apply(rp[i], k10a, 1), t3_neg(t3_apply(ls[i], k10b, 3)),
+                      t3_neg(c23(rp_rs, rsucc, prec)), c23(t2_apply(rp[i], rprec, 1), rprec, prec))
+        out.require_equal("CD10", (i,), reduce(cd10), z3, "CD10 does not vanish")
+    return out.map_values(alg.field.lift)
 
 
 # ---------------------------------------------------------------------------

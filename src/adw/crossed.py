@@ -25,8 +25,8 @@ from .actions import ActionFamily
 from .algebra import ADAlgebra, BilinearOp, is_automorphism, require_field
 from .fields import RATIONALS, InputError
 from .linalg import (identity, inverse, mat_add, mat_neg, mat_scale, matmul,
-                     matvec, nullspace, shape, solve_linear, unit, vadd, vneg,
-                     vsub, vzero, zeros_mat)
+                     matvec, shape, solve_linear, sparse_nullspace, sparse_solve,
+                     transpose, unit, vadd, vneg, vsub, vzero, zeros_mat)
 from .reporting import PreconditionFailure, Report
 from .unified import adapted_blocks, check_glued, glue, split_slots
 
@@ -183,13 +183,24 @@ def cocycle_from_section(ealg: ADAlgebra, proj, section) -> "SectionResult":
     # the quotient products are the A-parts of s(x) o s(y)
     alg_a = ADAlgebra(na, tuple("q%d" % (i + 1) for i in range(na)),
                       BilinearOp(na, succ[0][0]), BilinearOp(na, prec[0][0]), ealg.field)
+    # p(v) summed over the nonzero entries of p, column by column
+    pcols = [[(r, x) for r, x in enumerate(col) if x] for col in transpose(proj)]
+
+    def project(v):
+        acc = [0] * na
+        for k, y in enumerate(v):
+            if y:
+                for r, x in pcols[k]:
+                    acc[r] += x * y
+        return tuple(acc)
+
     hom = Report("projection homomorphism")
     for op, qop, tag in ((ealg.succ, alg_a.succ, ">"), (ealg.prec, alg_a.prec, "<")):
         for i in range(ne):
             pi = tuple(proj[r][i] for r in range(na))
             for j in range(ne):
                 pj = tuple(proj[r][j] for r in range(na))
-                hom.require_equal("p-hom", (i, j), matvec(proj, op.table[i][j]),
+                hom.require_equal("p-hom", (i, j), project(op.table[i][j]),
                                   qop.apply(pi, pj),
                                   "p(u %s v) != p(u) %s p(v)" % (tag, tag))
     if not hom.passed:
@@ -290,41 +301,41 @@ def find_cohomologous_zeta(c1: CrossedDatum, c2: CrossedDatum):
             probe.record(name, (), (), (),
                          "action families differ with abelian fibre: no witness exists")
             return None, probe
-    nunk = m * n
-
-    def col(r, c):
-        return r * n + c
-
     rows, rhs = [], []
     for x in range(n):
-        ex = unit(n, x)
         for y in range(n):
-            ey = unit(n, y)
             for om1, om2, lf, rf, prod in (
                     (c1.omega1, c2.omega1, c2.lsucc, c2.rsucc, c1.algebra.succ),
                     (c1.omega2, c2.omega2, c2.lprec, c2.rprec, c1.algebra.prec)):
-                sxy = prod.table[x][y]
-                diff = vsub(om2.table[x][y], om1.table[x][y])
-                lm, rm = lf.mats[x], rf.mats[y]
-                for r in range(m):
-                    coeffs = [0] * nunk
-                    for c in range(n):
-                        if sxy[c]:
-                            coeffs[col(r, c)] = coeffs[col(r, c)] + sxy[c]
-                    for s in range(m):
-                        if lm[r][s]:
-                            coeffs[col(s, y)] = coeffs[col(s, y)] - lm[r][s]
-                        if rm[r][s]:
-                            coeffs[col(s, x)] = coeffs[col(s, x)] - rm[r][s]
-                    rows.append(tuple(coeffs))
-                    rhs.append(diff[r])
-    sol = solve_linear(tuple(rows), tuple(rhs))
+                rows += _derivation_rows(prod.table[x][y], lf.mats[x], rf.mats[y], x, y, n)
+                rhs += vsub(om2.table[x][y], om1.table[x][y])
+    sol = sparse_solve(rows, rhs, m * n)
     probe.tick(len(rows))
     if sol is None:
         probe.record("N3-N4", (), (), (), "linear system infeasible: no witness exists")
         return None, probe
-    zeta = tuple(tuple(sol[0][col(r, c)] for c in range(n)) for r in range(m))
+    zeta = tuple(tuple(sol[0][r * n + c] for c in range(n)) for r in range(m))
     return zeta, probe
+
+
+def _derivation_rows(sxy, lm, rm, x, y, n):
+    """The rows of phi(x o y) - l(x)phi(y) - r(y)phi(x) in the unknowns
+    phi[r][c] (column r*n + c), one per fibre coordinate r, as dicts
+    {column: coefficient} over an int 0; ``sxy`` is x o y, ``lm`` = l(x) and
+    ``rm`` = r(y)."""
+    rows = []
+    for r, (lrow, rrow) in enumerate(zip(lm, rm)):
+        row = {}
+        for c, v in enumerate(sxy):
+            if v:
+                row[r * n + c] = row.get(r * n + c, 0) + v
+        for s, (lv, rv) in enumerate(zip(lrow, rrow)):
+            if lv:
+                row[s * n + y] = row.get(s * n + y, 0) - lv
+            if rv:
+                row[s * n + x] = row.get(s * n + x, 0) - rv
+        rows.append(row)
+    return rows
 
 
 def crossed_isomorphism_matrix(c: CrossedDatum, zeta):
@@ -628,47 +639,21 @@ def z1_cocycles(c: CrossedDatum):
     matrices.
     """
     n, m = c.algebra.dim, c.vdim
-    nunk = m * n
-
-    def col(r, cc):
-        return r * n + cc
-
-    rows = []
-
-    def add_row(coeffs):
-        rows.append(tuple(coeffs))
-
+    rows = []   # {column r*n + c of phi[r][c]: coefficient}, every other entry int 0
     vs, vp = c.valgebra.succ, c.valgebra.prec
     for x in range(n):
         for a in range(m):
             for op, left in ((vs, True), (vs, False), (vp, True), (vp, False)):
                 # left: phi(x) o e_a ; right: e_a o phi(x)
                 for k in range(m):
-                    coeffs = [0] * nunk
-                    for r in range(m):
-                        coef = op.table[r][a][k] if left else op.table[a][r][k]
-                        if coef:
-                            coeffs[col(r, x)] = coeffs[col(r, x)] + coef
-                    add_row(coeffs)
+                    coefs = (op.table[r][a][k] if left else op.table[a][r][k]
+                             for r in range(m))
+                    rows.append({r * n + x: coef for r, coef in enumerate(coefs) if coef})
     for x in range(n):
         for y in range(n):
             for prod, lf, rf in ((c.algebra.succ, c.lsucc, c.rsucc),
                                  (c.algebra.prec, c.lprec, c.rprec)):
-                sxy = prod.table[x][y]
-                lm, rm = lf.mats[x], rf.mats[y]
-                for r in range(m):
-                    coeffs = [0] * nunk
-                    for cc in range(n):
-                        if sxy[cc]:
-                            coeffs[col(r, cc)] = coeffs[col(r, cc)] + sxy[cc]
-                    for s in range(m):
-                        if lm[r][s]:
-                            coeffs[col(s, y)] = coeffs[col(s, y)] - lm[r][s]
-                        if rm[r][s]:
-                            coeffs[col(s, x)] = coeffs[col(s, x)] - rm[r][s]
-                    add_row(coeffs)
-    if not rows:
-        rows = [tuple([0] * nunk)]
-    basis = nullspace(tuple(rows))
-    return [tuple(tuple(vec[col(r, cc)] for cc in range(n)) for r in range(m))
+                rows += _derivation_rows(prod.table[x][y], lf.mats[x], rf.mats[y], x, y, n)
+    basis = sparse_nullspace(rows, m * n)
+    return [tuple(tuple(vec[r * n + cc] for cc in range(n)) for r in range(m))
             for vec in basis]

@@ -1,10 +1,24 @@
-"""Exact dense linear algebra over a field.
+"""Exact linear algebra over a field.
 
 Vectors are tuples of scalars, matrices tuples of row tuples; ``matmul``
 multiplies only their nonzero entries.  Everything is immutable and pure.
-Elimination pivots on the first nonzero entry; no numerical heuristics are
-involved since all arithmetic is exact; plain ints divide to an int or a
-``Fraction``, never to a float.
+
+``rref``, ``nullspace``, ``solve_linear``, ``rank`` and ``inverse`` run one
+Gauss-Jordan eliminator over sparse rows.  A row is a dict of the entries
+that differ from its zero, plus that one zero (int 0, ``Fraction(0)`` or a
+GF(p) zero) standing for every other column; a column index lists the rows
+with a nonzero in each column, so no step scans a full row or column.  The
+eliminator makes the moves of dense elimination in the same order: the
+pivot of column c is the first row at or below the current position with a
+nonzero in c, it is swapped up and divided through with ``_div``, and every
+other row with a nonzero in c becomes x - f*y.  Columns that both rows leave
+to their zeros get ``zero - f*zero`` once, as the row's new zero.  So every
+returned value has the value and the type dense elimination gives it, zeros
+included: an int row stays int until a ``Fraction`` pivot row meets it.
+There is no fill-reducing ordering and no numerical heuristic; plain ints
+divide to an int or a ``Fraction``, never to a float.  ``sparse_nullspace``
+and ``sparse_solve`` take the rows as dicts directly, for systems built
+row by row.
 """
 
 from __future__ import annotations
@@ -130,41 +144,128 @@ def _div(x, y):
     return x / y
 
 
-def rref(m):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = [list(r) for r in m]
+def _sparse(row):
+    """A dense row as (entries, zero).
+
+    ``zero`` is the first of the row's commonest kind of zero (int 0 if it
+    has none) and stands for every column missing from ``entries``.
+    """
+    first, count = {}, {}
+    for x in row:
+        if not x:
+            t = type(x)
+            if t in count:
+                count[t] += 1
+            else:
+                first[t], count[t] = x, 1
+    zero = first[max(count, key=count.get)] if count else 0
+    tz = type(zero)
+    return {c: x for c, x in enumerate(row) if x or type(x) is not tz or x != zero}, zero
+
+
+def _gauss_jordan(rows, ncols):
+    """Reduce sparse rows; returns (the rows in their final order, pivots).
+
+    A row is (entries, zero): a dict from column to value, and the value of
+    every column missing from it.  The eliminator makes the moves of dense
+    Gauss-Jordan elimination in the same order and on the same values; the
+    sparse layout only changes which entries it reads.
+    """
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    entries = [e for e, _ in rows]
+    zeros = [z for _, z in rows]
+    at = list(range(nrows))          # at[position] = row
+    where = list(range(nrows))       # where[row] = position
+    # support[c] holds every row with a nonzero in column c when column c
+    # comes up (and maybe rows whose entry there has since cancelled)
+    support = [set() for _ in range(ncols)]
+    for i, e in enumerate(entries):
+        for c, x in e.items():
+            if x:
+                support[c].add(i)
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
+        hits = [i for i in support[c] if entries[i].get(c)]
+        below = [where[i] for i in hits if where[i] >= r]
+        if not below:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [_div(x, pv) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pr = min(below)
+        p, q = at[pr], at[r]
+        at[r], at[pr], where[p], where[q] = p, q, r, pr
+        pv = entries[p][c]
+        zp = _div(zeros[p], pv)
+        tzp = type(zp)
+        prow = {}
+        for k, x in entries[p].items():
+            y = _div(x, pv)
+            if y or type(y) is not tzp or y != zp:
+                prow[k] = y
+        entries[p], zeros[p] = prow, zp
+        for i in hits:
+            if i == p:
+                continue
+            row, zi = entries[i], zeros[i]
+            f = row[c]
+            fz = f * zp
+            tf = type(fz)
+            # x - fz is x itself when fz is int 0 or x has fz's type
+            nz = zi if tf is int or type(zi) is tf else zi - fz
+            tnz = type(nz)
+            new = {}
+            for k, x in row.items():
+                if k in prow:
+                    continue
+                if tf is not int and type(x) is not tf:
+                    x = x - fz
+                if x or type(x) is not tnz or x != nz:
+                    new[k] = x
+            for k, y in prow.items():
+                x = row.get(k, zi) - f * y
+                if x:
+                    new[k] = x
+                    support[k].add(i)
+                elif type(x) is not tnz or x != nz:
+                    new[k] = x
+            entries[i], zeros[i] = new, nz
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return [(entries[i], zeros[i]) for i in at], tuple(pivots)
 
 
-def _kernel_from_rref(rows, pivots, ncols):
-    free = [c for c in range(ncols) if c not in pivots]
+def rref(m):
+    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    ncols = len(m[0]) if m else 0
+    rows, pivots = _gauss_jordan([_sparse(row) for row in m], ncols)
+    return tuple(tuple(e.get(c, z) for c in range(ncols)) for e, z in rows), pivots
+
+
+def _kernel(rows, pivots, ncols):
+    """The kernel basis read off reduced sparse rows, ordered by free column."""
+    taken = set(pivots)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in taken:
+            continue
         v = [0] * ncols
         v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
+        for (e, z), c in zip(rows, pivots):
+            v[c] = -e.get(f, z)
         basis.append(tuple(v))
     return tuple(basis)
+
+
+def _solve(aug, cols):
+    """Solve the sparse rows ``aug`` of [A | b], with b in column ``cols``."""
+    rr, pivots = _gauss_jordan(aug, cols + 1)
+    if cols in pivots:
+        return None
+    particular = [0] * cols
+    for (e, z), c in zip(rr, pivots):
+        particular[c] = e.get(cols, z)
+    return tuple(particular), _kernel(rr, pivots, cols)
 
 
 def solve_linear(amat, b):
@@ -177,27 +278,37 @@ def solve_linear(amat, b):
     rows, cols = shape(amat)
     if len(b) != rows:
         raise InputError("solve_linear: %d equations but rhs of length %d" % (rows, len(b)))
-    aug = tuple(tuple(amat[r]) + (b[r],) for r in range(rows))
-    rr, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    particular = [0] * cols
-    for r, c in enumerate(pivots):
-        particular[c] = rr[r][cols]
-    kernel = _kernel_from_rref(tuple(row[:cols] for row in rr), pivots, cols)
-    return tuple(particular), kernel
+    return _solve([_sparse(tuple(amat[r]) + (b[r],)) for r in range(rows)], cols)
+
+
+def sparse_solve(rows, rhs, ncols):
+    """``solve_linear`` of the ``ncols``-column matrix whose rows are the
+    dicts {column: value} of ``rows``, every other entry int 0."""
+    aug = []
+    for e, b in zip(rows, rhs):
+        if b or type(b) is not int:
+            e = dict(e)
+            e[ncols] = b
+        aug.append((e, 0))
+    return _solve(aug, ncols)
 
 
 def nullspace(amat):
     """Basis of the kernel of A, deterministic (ordered by free column)."""
-    rows, cols = shape(amat)
-    rr, pivots = rref(amat)
-    return _kernel_from_rref(rr, pivots, cols)
+    cols = shape(amat)[1]
+    rr, pivots = _gauss_jordan([_sparse(row) for row in amat], cols)
+    return _kernel(rr, pivots, cols)
+
+
+def sparse_nullspace(rows, ncols):
+    """``nullspace`` of the ``ncols``-column matrix whose rows are the dicts
+    {column: value} of ``rows``, every other entry int 0."""
+    rr, pivots = _gauss_jordan([(e, 0) for e in rows], ncols)
+    return _kernel(rr, pivots, ncols)
 
 
 def rank(amat):
-    _, pivots = rref(amat)
-    return len(pivots)
+    return len(_gauss_jordan([_sparse(row) for row in amat], shape(amat)[1])[1])
 
 
 def inverse(amat):
@@ -205,8 +316,8 @@ def inverse(amat):
     rows, cols = shape(amat)
     if rows != cols:
         raise InputError("inverse: matrix is %dx%d, not square" % (rows, cols))
-    aug = tuple(tuple(amat[r]) + unit(rows, r) for r in range(rows))
-    rr, pivots = rref(aug)
+    aug = [_sparse(tuple(amat[r]) + unit(rows, r)) for r in range(rows)]
+    rr, pivots = _gauss_jordan(aug, 2 * rows)
     if len(pivots) != rows or any(p >= rows for p in pivots):
         return None
-    return tuple(tuple(row[rows:]) for row in rr)
+    return tuple(tuple(e.get(c, z) for c in range(rows, 2 * rows)) for e, z in rr)

@@ -39,11 +39,18 @@ def t3_zero(n0, n1=None, n2=None):
 
 
 def t2_add(*ts):
-    s0 = shape(ts[0])
+    """The sum, over the nonzero entries only: a cell that none reaches is int 0."""
+    na, nb = shape(ts[0])
     for t in ts:
-        if shape(t) != s0:
+        if shape(t) != (na, nb):
             raise InputError("tensor shape mismatch")
-    return tuple(tuple(sum(t[i][j] for t in ts) for j in range(s0[1])) for i in range(s0[0]))
+    acc = [[0] * nb for _ in range(na)]
+    for t in ts:
+        for arow, row in zip(acc, t):
+            for j, x in enumerate(row):
+                if x:
+                    arow[j] += x
+    return tuple(map(tuple, acc))
 
 
 def t2_neg(t):

@@ -28,7 +28,7 @@ from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, change_basis, lmul, require_field,
                       residue_tables, rmul)
 from .fields import RATIONALS, InputError
-from .linalg import (identity, inverse, matmul, matvec, nullspace, solve_linear,
+from .linalg import (identity, inverse, matmul, matvec, nullspace, sparse_solve,
                      unit, vadd, vneg, vzero)
 from .reporting import PreconditionFailure, Report
 
@@ -569,17 +569,9 @@ def find_cohomologous_witness(d1: ExtendingDatum, d2: ExtendingDatum):
         if getattr(d1, name).mats != getattr(d2, name).mats:
             probe.record(name, (), (), (), "A-on-V families differ; no witness exists")
             return None, probe
-    # unknowns: zeta[r][c], r < n, c < m; equations from h3-h6, h8, h10
-    nunk = n * m
-
-    def zcol(r, c):
-        return r * m + c
-
+    # unknowns: zeta[r][c], r < n, c < m; equations from h3-h6, h8, h10;
+    # a row is {column r*m + c of zeta[r][c]: coefficient}, every other entry int 0
     rows, rhs = [], []
-
-    def add_eq(coeffs, value):
-        rows.append(tuple(coeffs))
-        rhs.append(value)
 
     # h3-h6: zeta(fam(x)a) = (mu' - mu)(a)x    (the x>zeta(a) terms vanish)
     for x in range(n):
@@ -593,36 +585,35 @@ def find_cohomologous_witness(d1: ExtendingDatum, d2: ExtendingDatum):
                 lv = fam1.act(ex, ea)  # a V-vector; lhs = zeta(lv)
                 diff = vadd(mu2.act(ea, ex), vneg(mu1.act(ea, ex)))
                 for r in range(n):
-                    coeffs = [0] * nunk
-                    for c in range(m):
-                        if lv[c]:
-                            coeffs[zcol(r, c)] = lv[c]
-                    add_eq(coeffs, diff[r])
+                    rows.append({r * m + c: v for c, v in enumerate(lv) if v})
+                    rhs.append(diff[r])
     # h7/h9: l'(zeta(a))b + r'(zeta(b))a = 0   (complement products vanish)
     # h8/h10: rho'(a)zeta(b) + mu'(b)zeta(a) = varpi - varpi'
     for a in range(m):
         for b in range(m):
             for lfam, rfam in ((d2.lsucc, d2.rsucc), (d2.lprec, d2.rprec)):
                 for r in range(m):
-                    coeffs = [0] * nunk
+                    row = {}
                     for x in range(n):
-                        coeffs[zcol(x, a)] = coeffs[zcol(x, a)] + lfam.mats[x][r][b]
-                        coeffs[zcol(x, b)] = coeffs[zcol(x, b)] + rfam.mats[x][r][a]
-                    add_eq(coeffs, 0)
+                        row[x * m + a] = row.get(x * m + a, 0) + lfam.mats[x][r][b]
+                        row[x * m + b] = row.get(x * m + b, 0) + rfam.mats[x][r][a]
+                    rows.append(row)
+                    rhs.append(0)
             for rho2, mu2, v1, v2 in ((d2.rho_succ, d2.mu_succ, d1.varpi1, d2.varpi1),
                                       (d2.rho_prec, d2.mu_prec, d1.varpi2, d2.varpi2)):
                 diff = vadd(v1.table[a][b], vneg(v2.table[a][b]))
                 pmat, mmat = rho2.mats[a], mu2.mats[b]
                 for r in range(n):
-                    coeffs = [0] * nunk
+                    row = {}
                     for s in range(n):
-                        coeffs[zcol(s, b)] = coeffs[zcol(s, b)] + pmat[r][s]
-                        coeffs[zcol(s, a)] = coeffs[zcol(s, a)] + mmat[r][s]
-                    add_eq(coeffs, diff[r])
-    sol = solve_linear(tuple(rows), tuple(rhs))
+                        row[s * m + b] = row.get(s * m + b, 0) + pmat[r][s]
+                        row[s * m + a] = row.get(s * m + a, 0) + mmat[r][s]
+                    rows.append(row)
+                    rhs.append(diff[r])
+    sol = sparse_solve(rows, rhs, n * m)
     probe.tick(len(rows))
     if sol is None:
         probe.record("h3-h10", (), (), (), "linear system infeasible: no witness exists")
         return None, probe
-    zeta = tuple(tuple(sol[0][zcol(r, c)] for c in range(m)) for r in range(n))
+    zeta = tuple(tuple(sol[0][r * m + c] for c in range(m)) for r in range(n))
     return zeta, probe

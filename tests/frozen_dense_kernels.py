@@ -1,23 +1,35 @@
-"""The dense leg kernels and the coboundary check as they stood before the
-zero-skipping kernels, kept as an oracle.
+"""Dense kernels as they stood before their sparse replacements, kept as
+oracles.
 
 ``matmul``, ``t2_apply`` and ``t3_apply`` sum over every index; the three
 contractions are the separate loops they were; ``check_coboundary_conditions``
 recomputes every contraction of CD7-CD10 for each i and calls only the
 kernels of this file.  The helpers it imports from ``adw`` (sums, negation,
 twist, the multiplication operators, ``Report``) are not the kernels under
-test.  ``test_kernel_differential`` compares this file with ``adw.linalg`` and
-``adw.tensors``.  Do not optimise or refactor it.
+test; ``t2_add``, which now sums nonzero entries only, is compared with the
+sum over every entry on its own.  ``test_leg_kernels_differential`` compares
+these with ``adw.linalg`` and ``adw.tensors``.
+
+``rref`` is dense Gauss-Jordan elimination over full rows, and ``nullspace``,
+``solve_linear``, ``rank`` and ``inverse`` call it; ``z1_cocycles``,
+``find_cohomologous_zeta`` and ``find_cohomologous_witness`` build every row
+of their linear systems as a dense list and solve it with those.
+``test_elimination_differential`` compares them with the sparse eliminator and
+the sparse row builders.  Do not optimise or refactor any of it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from adw.algebra import ADAlgebra, multiplication_operators
+from adw.crossed import CrossedDatum
 from adw.fields import InputError
-from adw.linalg import shape, transpose, vadd
+from adw.linalg import shape, transpose, unit, vadd, vneg, vsub
 from adw.reporting import Report
 from adw.tensors import (t2_add, t2_neg, t2_sub, t2_zero, t3_add, t3_dims, t3_neg,
                          t3_sub, t3_zero, twist)
+from adw.unified import ExtendingDatum
 
 
 def matmul(a, b):
@@ -255,3 +267,289 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
                           t3_add(k10a, t3_neg(k10b), t3_neg(k10c), k10d), t3_zero(n),
                           "CD10 does not vanish")
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense elimination
+
+def _div(x, y):
+    """x / y, exact on two ints: an int when y divides x, else a Fraction."""
+    if type(x) is int and type(y) is int:
+        return Fraction(x, y) if x % y else x // y
+    return x / y
+
+
+def rref(m):
+    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [_div(x, pv) for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def _kernel_from_rref(rows, pivots, ncols):
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def solve_linear(amat, b):
+    """Solve A x = b exactly.
+
+    Returns ``(particular, kernel_basis)`` with free variables set to zero and
+    the kernel basis ordered by free-column index, or ``None`` if the system
+    is inconsistent.
+    """
+    rows, cols = shape(amat)
+    if len(b) != rows:
+        raise InputError("solve_linear: %d equations but rhs of length %d" % (rows, len(b)))
+    aug = tuple(tuple(amat[r]) + (b[r],) for r in range(rows))
+    rr, pivots = rref(aug)
+    if cols in pivots:
+        return None
+    particular = [0] * cols
+    for r, c in enumerate(pivots):
+        particular[c] = rr[r][cols]
+    kernel = _kernel_from_rref(tuple(row[:cols] for row in rr), pivots, cols)
+    return tuple(particular), kernel
+
+
+def nullspace(amat):
+    """Basis of the kernel of A, deterministic (ordered by free column)."""
+    rows, cols = shape(amat)
+    rr, pivots = rref(amat)
+    return _kernel_from_rref(rr, pivots, cols)
+
+
+def rank(amat):
+    _, pivots = rref(amat)
+    return len(pivots)
+
+
+def inverse(amat):
+    """Exact inverse, or None if the matrix is singular."""
+    rows, cols = shape(amat)
+    if rows != cols:
+        raise InputError("inverse: matrix is %dx%d, not square" % (rows, cols))
+    aug = tuple(tuple(amat[r]) + unit(rows, r) for r in range(rows))
+    rr, pivots = rref(aug)
+    if len(pivots) != rows or any(p >= rows for p in pivots):
+        return None
+    return tuple(tuple(row[rows:]) for row in rr)
+
+
+# ---------------------------------------------------------------------------
+# dense row builders
+
+def find_cohomologous_zeta(c1: CrossedDatum, c2: CrossedDatum):
+    """Abelian fast path: solve N1-N4 for zeta when the fibre products vanish.
+
+    With an abelian fibre N1/N2 force equal action families and N3/N4 are
+    linear in zeta.  Returns (zeta, report); zeta is None when the system is
+    infeasible (a certificate that no witness exists).
+    """
+    n, m = c1.algebra.dim, c1.vdim
+    if not (c1.fibre_abelian() and c2.fibre_abelian()):
+        raise InputError("fast path requires abelian fibres on both sides")
+    probe = Report("cohomologous fast path")
+    for name in ("lsucc", "rsucc", "lprec", "rprec"):
+        if getattr(c1, name).mats != getattr(c2, name).mats:
+            probe.record(name, (), (), (),
+                         "action families differ with abelian fibre: no witness exists")
+            return None, probe
+    nunk = m * n
+
+    def col(r, c):
+        return r * n + c
+
+    rows, rhs = [], []
+    for x in range(n):
+        ex = unit(n, x)
+        for y in range(n):
+            ey = unit(n, y)
+            for om1, om2, lf, rf, prod in (
+                    (c1.omega1, c2.omega1, c2.lsucc, c2.rsucc, c1.algebra.succ),
+                    (c1.omega2, c2.omega2, c2.lprec, c2.rprec, c1.algebra.prec)):
+                sxy = prod.table[x][y]
+                diff = vsub(om2.table[x][y], om1.table[x][y])
+                lm, rm = lf.mats[x], rf.mats[y]
+                for r in range(m):
+                    coeffs = [0] * nunk
+                    for c in range(n):
+                        if sxy[c]:
+                            coeffs[col(r, c)] = coeffs[col(r, c)] + sxy[c]
+                    for s in range(m):
+                        if lm[r][s]:
+                            coeffs[col(s, y)] = coeffs[col(s, y)] - lm[r][s]
+                        if rm[r][s]:
+                            coeffs[col(s, x)] = coeffs[col(s, x)] - rm[r][s]
+                    rows.append(tuple(coeffs))
+                    rhs.append(diff[r])
+    sol = solve_linear(tuple(rows), tuple(rhs))
+    probe.tick(len(rows))
+    if sol is None:
+        probe.record("N3-N4", (), (), (), "linear system infeasible: no witness exists")
+        return None, probe
+    zeta = tuple(tuple(sol[0][col(r, c)] for c in range(n)) for r in range(m))
+    return zeta, probe
+
+
+def z1_cocycles(c: CrossedDatum):
+    """Exact basis of the space of 1-cocycles phi : A -> B.
+
+    Constraints: phi(x) annihilates B under all four fibre products, and
+
+        phi(x>y) = l>(x)phi(y) + r>(y)phi(x)
+        phi(x<y) = l<(x)phi(y) + r<(y)phi(x)
+
+    (the phi(x) o phi(y) terms vanish identically on the annihilation
+    subspace, so the whole system is linear).  Returns a list of vdim x dim(A)
+    matrices.
+    """
+    n, m = c.algebra.dim, c.vdim
+    nunk = m * n
+
+    def col(r, cc):
+        return r * n + cc
+
+    rows = []
+
+    def add_row(coeffs):
+        rows.append(tuple(coeffs))
+
+    vs, vp = c.valgebra.succ, c.valgebra.prec
+    for x in range(n):
+        for a in range(m):
+            for op, left in ((vs, True), (vs, False), (vp, True), (vp, False)):
+                # left: phi(x) o e_a ; right: e_a o phi(x)
+                for k in range(m):
+                    coeffs = [0] * nunk
+                    for r in range(m):
+                        coef = op.table[r][a][k] if left else op.table[a][r][k]
+                        if coef:
+                            coeffs[col(r, x)] = coeffs[col(r, x)] + coef
+                    add_row(coeffs)
+    for x in range(n):
+        for y in range(n):
+            for prod, lf, rf in ((c.algebra.succ, c.lsucc, c.rsucc),
+                                 (c.algebra.prec, c.lprec, c.rprec)):
+                sxy = prod.table[x][y]
+                lm, rm = lf.mats[x], rf.mats[y]
+                for r in range(m):
+                    coeffs = [0] * nunk
+                    for cc in range(n):
+                        if sxy[cc]:
+                            coeffs[col(r, cc)] = coeffs[col(r, cc)] + sxy[cc]
+                    for s in range(m):
+                        if lm[r][s]:
+                            coeffs[col(s, y)] = coeffs[col(s, y)] - lm[r][s]
+                        if rm[r][s]:
+                            coeffs[col(s, x)] = coeffs[col(s, x)] - rm[r][s]
+                    add_row(coeffs)
+    if not rows:
+        rows = [tuple([0] * nunk)]
+    basis = nullspace(tuple(rows))
+    return [tuple(tuple(vec[col(r, cc)] for cc in range(n)) for r in range(m))
+            for vec in basis]
+
+
+def find_cohomologous_witness(d1: ExtendingDatum, d2: ExtendingDatum):
+    """Linear fast path for a cohomologous witness (eta = id).
+
+    Only available when the quadratic terms of h7-h10 vanish structurally:
+    both complement products are zero and the base algebra product vanishes.
+    Returns (zeta, report) on success, (None, report) when the linear system
+    is infeasible; raises InputError when the fast path does not apply.
+    """
+    n, m = d1.algebra.dim, d1.vdim
+    if not (d1.succ_v.is_zero() and d1.prec_v.is_zero()
+            and d2.succ_v.is_zero() and d2.prec_v.is_zero()):
+        raise InputError("fast path needs zero complement products on both data")
+    if not (d1.algebra.succ.is_zero() and d1.algebra.prec.is_zero()):
+        raise InputError("fast path needs an abelian base algebra")
+    # with eta = id, h1/h2 require equal A-on-V families
+    probe = Report("fast-path family comparison")
+    for name in ("lsucc", "rsucc", "lprec", "rprec"):
+        if getattr(d1, name).mats != getattr(d2, name).mats:
+            probe.record(name, (), (), (), "A-on-V families differ; no witness exists")
+            return None, probe
+    # unknowns: zeta[r][c], r < n, c < m; equations from h3-h6, h8, h10
+    nunk = n * m
+
+    def zcol(r, c):
+        return r * m + c
+
+    rows, rhs = [], []
+
+    def add_eq(coeffs, value):
+        rows.append(tuple(coeffs))
+        rhs.append(value)
+
+    # h3-h6: zeta(fam(x)a) = (mu' - mu)(a)x    (the x>zeta(a) terms vanish)
+    for x in range(n):
+        ex = unit(n, x)
+        for a in range(m):
+            ea = unit(m, a)
+            for (fam1, mu1, mu2) in ((d1.lsucc, d1.mu_succ, d2.mu_succ),
+                                     (d1.rsucc, d1.rho_succ, d2.rho_succ),
+                                     (d1.lprec, d1.mu_prec, d2.mu_prec),
+                                     (d1.rprec, d1.rho_prec, d2.rho_prec)):
+                lv = fam1.act(ex, ea)  # a V-vector; lhs = zeta(lv)
+                diff = vadd(mu2.act(ea, ex), vneg(mu1.act(ea, ex)))
+                for r in range(n):
+                    coeffs = [0] * nunk
+                    for c in range(m):
+                        if lv[c]:
+                            coeffs[zcol(r, c)] = lv[c]
+                    add_eq(coeffs, diff[r])
+    # h7/h9: l'(zeta(a))b + r'(zeta(b))a = 0   (complement products vanish)
+    # h8/h10: rho'(a)zeta(b) + mu'(b)zeta(a) = varpi - varpi'
+    for a in range(m):
+        for b in range(m):
+            for lfam, rfam in ((d2.lsucc, d2.rsucc), (d2.lprec, d2.rprec)):
+                for r in range(m):
+                    coeffs = [0] * nunk
+                    for x in range(n):
+                        coeffs[zcol(x, a)] = coeffs[zcol(x, a)] + lfam.mats[x][r][b]
+                        coeffs[zcol(x, b)] = coeffs[zcol(x, b)] + rfam.mats[x][r][a]
+                    add_eq(coeffs, 0)
+            for rho2, mu2, v1, v2 in ((d2.rho_succ, d2.mu_succ, d1.varpi1, d2.varpi1),
+                                      (d2.rho_prec, d2.mu_prec, d1.varpi2, d2.varpi2)):
+                diff = vadd(v1.table[a][b], vneg(v2.table[a][b]))
+                pmat, mmat = rho2.mats[a], mu2.mats[b]
+                for r in range(n):
+                    coeffs = [0] * nunk
+                    for s in range(n):
+                        coeffs[zcol(s, b)] = coeffs[zcol(s, b)] + pmat[r][s]
+                        coeffs[zcol(s, a)] = coeffs[zcol(s, a)] + mmat[r][s]
+                    add_eq(coeffs, diff[r])
+    sol = solve_linear(tuple(rows), tuple(rhs))
+    probe.tick(len(rows))
+    if sol is None:
+        probe.record("h3-h10", (), (), (), "linear system infeasible: no witness exists")
+        return None, probe
+    zeta = tuple(tuple(sol[0][zcol(r, c)] for c in range(m)) for r in range(n))
+    return zeta, probe

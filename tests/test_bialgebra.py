@@ -217,6 +217,29 @@ def test_coboundary_and_d_checks_on_r2nil2_pinned():
     assert (d.violations[0].equation, d.violations[0].witness) == ("D3", (0, 0))
 
 
+def test_plain_int_coboundary_over_gf2_is_read_mod_2():
+    """Every coefficient below is the int 2, which is 0 in GF(2): the algebra
+    and the tensor are zero, so CD3-CD10 hold.  Compared as ints, CD7 read
+    -16 and 16 and six conditions failed."""
+    gf2 = PrimeField(2)
+    alg = ADAlgebra.make(2, [(0, 0, 1, 2), (0, 1, 1, 2)], [(1, 0, 1, 2)], field=gf2)
+    assert alg.check().passed
+    r = ((0, 2), (-2, 0))
+    rep = check_coboundary_conditions(alg, r, r, exhaustive=True)
+    assert (rep.passed, rep.checked) == (True, 24)
+    # a failing GF(3) case records its values as field elements
+    gf3 = PrimeField(3)
+    alg3 = ADAlgebra.make(2, [(0, 0, 1, 4)], [], field=gf3)
+    bad = check_coboundary_conditions(alg3, ((4, 0), (0, 0)), ((0, 0), (0, 0)), exhaustive=True)
+    assert not bad.passed
+    for v in bad.violations:
+        assert all(type(x) is type(gf3.zero) for x in leaves(v.lhs) + leaves(v.rhs))
+
+
+def leaves(t):
+    return [y for x in t for y in leaves(x)] if isinstance(t, tuple) else [t]
+
+
 def test_defect_identities_for_cd7_and_cd10():
     """The third-order conditions are exact rewrites of the coalgebra defects;
     this pins the leg conventions against independent expansions."""

@@ -21,8 +21,8 @@ from adw.bialgebra import (check_coalgebra, check_coboundary_conditions,
                            search_skew_solutions)
 from adw.fields import RATIONALS, InputError, PrimeField
 from adw.linalg import inverse, matmul
-from adw.tensors import (contract_12_13, contract_13_23, contract_23_12, t2_apply,
-                         t3_apply)
+from adw.tensors import (contract_12_13, contract_13_23, contract_23_12, t2_add,
+                         t2_apply, t3_apply)
 from . import frozen_dense_kernels as frozen
 from .conftest import nilpotent2, rnil2
 
@@ -82,6 +82,18 @@ def test_leg_kernels_and_matmul_match_frozen(data):
     a = draw_tensor(data, field, (max(m, 1), d[0]))
     b = draw_tensor(data, field, (d[0], d[1]))
     assert matmul(a, b) == frozen.matmul(a, b)
+
+
+@SETTINGS
+@given(st.data())
+def test_t2_add_equals_the_dense_sum(data):
+    """``t2_add`` sums nonzero entries only; the values are those of the sum
+    over every entry."""
+    field = data.draw(st.sampled_from(FIELDS))
+    na, nb = data.draw(st.integers(0, 4)), data.draw(dims)
+    ts = [draw_tensor(data, field, (na, nb)) for _ in range(data.draw(st.integers(1, 3)))]
+    assert t2_add(*ts) == tuple(tuple(sum(t[i][j] for t in ts) for j in range(nb))
+                                for i in range(na))
 
 
 @SETTINGS
@@ -196,14 +208,29 @@ def report_fields(rep):
     return rep.name, rep.checked, rep.violation_count, rep.violations
 
 
+def in_field(field, t):
+    """A tensor with every nonzero entry taken into ``field`` over GF(p), as
+    it is over Q."""
+    if isinstance(t, tuple):
+        return tuple(in_field(field, x) for x in t)
+    return field.coerce(t) if t and field != RATIONALS else t
+
+
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(st.data())
 def test_coboundary_check_matches_frozen(data):
+    """The frozen check compares plain-int values as ints, so over GF(p) it
+    gets the draw with every nonzero entry taken into the field; the live
+    check reads an int such as 5 mod p and so gets the raw draw."""
     draw = data.draw(st.sampled_from([draw_verified_case, draw_table_case]))
     alg, rs, rp = draw(data)
+    f = alg.field
+    alg_f = ADAlgebra(alg.dim, alg.basis, BilinearOp(alg.dim, in_field(f, alg.succ.table)),
+                      BilinearOp(alg.dim, in_field(f, alg.prec.table)), f)
     for exhaustive in (False, True):
         assert report_fields(check_coboundary_conditions(alg, rs, rp, exhaustive)) == \
-            report_fields(frozen.check_coboundary_conditions(alg, rs, rp, exhaustive))
+            report_fields(frozen.check_coboundary_conditions(
+                alg_f, in_field(f, rs), in_field(f, rp), exhaustive))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
