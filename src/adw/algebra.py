@@ -8,6 +8,10 @@ by multilinearity):
     A2:  (x>y)<z = x>(y<z)
 
 where x.y = x>y + x<y is the associated associative product.
+
+A1, A2 and associativity are written once (``a1_chain``, ``a2_pair``,
+``assoc_pair`` on ``lowered`` tables), for ``check_triples`` and the glued
+walks of ``adw.unified``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .reporting import Report
 from .tensors import t3_entries, t3_from_entries, t3_is_zero
 
 A1_TERMS = ("x>(y>z)", "-(x.y)>z", "-x<(y.z)", "(x<y)<z")
+A2_TERMS = ("(x>y)<z", "x>(y<z)")
 
 
 def lmul(table, i, x):
@@ -45,6 +50,62 @@ def rmul(table, x, j):
                 out = ([c * t if t else t for t in col] if out is None
                        else [o + c * t if t else o for o, t in zip(out, col)])
     return vzero(len(table[0][j])) if out is None else tuple(out)
+
+
+def lowered(field, succ, prec=None):
+    """The tables the identities read, as ``field.residues`` gives them:
+    (succ, prec, dot, -dot) with x.y = x>y + x<y summed from the residues.
+    With ``prec`` None, ``succ`` is the one product, returned as dot alone.
+    Over GF(p) the entries are int residues, over Q the tables' own."""
+    if prec is None:
+        return None, None, field.residues(succ), None
+    succ, prec = field.residues(succ), field.residues(prec)
+    dot = field.residues(tuple(
+        tuple(tuple(a + b for a, b in zip(sv, pv)) for sv, pv in zip(srow, prow))
+        for srow, prow in zip(succ, prec)))
+    return succ, prec, dot, tuple(tuple(vneg(v) for v in row) for row in dot)
+
+
+def a1_chain(tables, u, v, w):
+    """A1 at basis vectors u, v, w of ``lowered`` tables: u>(v>w), -(u.v)>w,
+    -u<(v.w), (u<v)<w.  The negated terms are products with -dot, so no term
+    is negated afterwards."""
+    succ, prec, _, neg_dot = tables
+    return (lmul(succ, u, succ[v][w]), rmul(succ, neg_dot[u][v], w),
+            lmul(prec, u, neg_dot[v][w]), rmul(prec, prec[u][v], w))
+
+
+def a2_pair(tables, u, v, w):
+    """A2 at basis vectors u, v, w: (u>v)<w and u>(v<w)."""
+    succ, prec = tables[:2]
+    return rmul(prec, succ[u][v], w), lmul(succ, u, prec[v][w])
+
+
+def assoc_pair(tables, u, v, w):
+    """Associativity of dot at basis vectors u, v, w: (uv)w and u(vw)."""
+    dot = tables[2]
+    return rmul(dot, dot[u][v], w), lmul(dot, u, dot[v][w])
+
+
+ASSOC = ("assoc", assoc_pair, ("(x.y).z", "x.(y.z)"))
+
+
+def check_triples(report, n, tables, identities) -> Report:
+    """Each identity (label, spell, terms) at every basis triple (i, j, k) of an
+    n-dimensional algebra: ``spell(tables, i, j, k)`` gives the values the
+    terms name, and ``report`` requires them equal in its field."""
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for label, spell, terms in identities:
+                    report.require_chain(label, (i, j, k), terms, spell(tables, i, j, k))
+    return report
+
+
+def check_associative(op: BilinearOp, exhaustive: bool = False) -> Report:
+    """(x.y).z = x.(y.z) over all basis triples."""
+    return check_triples(Report("associativity", exhaustive=exhaustive), op.dim,
+                         lowered(RATIONALS, op.table), (ASSOC,))
 
 
 @dataclass(frozen=True)
@@ -105,19 +166,6 @@ class BilinearOp:
         return t3_entries(self.table)
 
 
-def check_associative(op: BilinearOp, exhaustive: bool = False) -> Report:
-    """(x.y).z = x.(y.z) over all basis triples."""
-    rep = Report("associativity", exhaustive=exhaustive)
-    n, t = op.dim, op.table
-    for i in range(n):
-        for j in range(n):
-            left = t[i][j]
-            for k in range(n):
-                rep.require_equal("assoc", (i, j, k), rmul(t, left, k), lmul(t, i, t[j][k]),
-                                  "(x.y).z != x.(y.z)")
-    return rep
-
-
 def require_field(field, *parts):
     """Raise InputError unless every nonzero coefficient of the parts (product
     tables or action families) is an int or an element of ``field``."""
@@ -169,40 +217,11 @@ class ADAlgebra:
                 and self.prec.table == other.prec.table)
 
 
-def residue_tables(field, succ, prec):
-    """The succ, prec and x.y = x>y + x<y tables as ``field.residues`` gives
-    them: int residues mod p over GF(p), x.y summed from the residues; the
-    tables themselves over Q."""
-    succ, prec = field.residues(succ), field.residues(prec)
-    return succ, prec, field.residues(tuple(
-        tuple(tuple(a + b for a, b in zip(sv, pv)) for sv, pv in zip(srow, prow))
-        for srow, prow in zip(succ, prec)))
-
-
 def check_anti_dendriform(alg: ADAlgebra, exhaustive: bool = False) -> Report:
-    """Both defining identities over every basis triple, with witnesses.
-
-    The products run on ``residue_tables``; each compared tuple of vectors is
-    reduced by ``alg.field.residues`` first, and the values of the recorded
-    violations are lifted back into the field at the end.
-    """
-    rep = Report("anti-dendriform axioms", exhaustive=exhaustive)
-    n, reduce = alg.dim, alg.field.residues
-    succ, prec, dot = residue_tables(alg.field, alg.succ.table, alg.prec.table)
-    for i in range(n):
-        for j in range(n):
-            sij, pij, dij = succ[i][j], prec[i][j], dot[i][j]
-            for k in range(n):
-                chain = reduce((
-                    lmul(succ, i, succ[j][k]),
-                    vneg(rmul(succ, dij, k)),
-                    vneg(lmul(prec, i, dot[j][k])),
-                    rmul(prec, pij, k),
-                ))
-                rep.require_chain("A1", (i, j, k), A1_TERMS, chain)
-                lhs, rhs = reduce((rmul(prec, sij, k), lmul(succ, i, prec[j][k])))
-                rep.require_equal("A2", (i, j, k), lhs, rhs, "(x>y)<z != x>(y<z)")
-    return rep.map_values(alg.field.lift)
+    """Both defining identities over every basis triple, with witnesses."""
+    return check_triples(Report("anti-dendriform axioms", exhaustive=exhaustive, field=alg.field),
+                         alg.dim, lowered(alg.field, alg.succ.table, alg.prec.table),
+                         (("A1", a1_chain, A1_TERMS), ("A2", a2_pair, A2_TERMS)))
 
 
 def associated_associative(alg: ADAlgebra) -> BilinearOp:

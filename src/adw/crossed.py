@@ -128,7 +128,7 @@ def check_crossed_system(d: CrossedDatum, exhaustive: bool = False,
     """
     if not d.algebra.is_verified:
         raise PreconditionFailure("base algebra is not anti-dendriform", d.algebra.check())
-    out = Report("crossed system", exhaustive=exhaustive)
+    out = Report("crossed system", exhaustive=exhaustive, field=d.algebra.field)
     if include_fibre:
         fib = d.valgebra.check(exhaustive=exhaustive)
         out.tick(fib.checked)
@@ -137,8 +137,7 @@ def check_crossed_system(d: CrossedDatum, exhaustive: bool = False,
                 out.record("C12", v.witness, v.lhs, v.rhs,
                            "fibre algebra violates %s: %s" % (v.equation, v.detail))
             out.violation_count += fib.violation_count - len(fib.violations)
-    return check_glued(out, d.algebra.dim, d.vdim, _CROSSED_SLOTS, *d.glued(),
-                       field=d.algebra.field)
+    return check_glued(out, d.algebra.dim, d.vdim, _CROSSED_SLOTS, *d.glued())
 
 
 def check_cocycle(d: CrossedDatum, exhaustive: bool = False) -> Report:
@@ -194,7 +193,7 @@ def cocycle_from_section(ealg: ADAlgebra, proj, section) -> "SectionResult":
                     acc[r] += x * y
         return tuple(acc)
 
-    hom = Report("projection homomorphism")
+    hom = Report("projection homomorphism", field=ealg.field)
     for op, qop, tag in ((ealg.succ, alg_a.succ, ">"), (ealg.prec, alg_a.prec, "<")):
         for i in range(ne):
             pi = tuple(proj[r][i] for r in range(na))
@@ -239,7 +238,7 @@ def check_cocycles_cohomologous(c1: CrossedDatum, c2: CrossedDatum, zeta,
         raise InputError("cocycles live over different (A, V) shapes")
     if shape(zeta) != (m, n):
         raise InputError("zeta must be a %dx%d matrix" % (m, n))
-    out = Report("cohomologous cocycles", exhaustive=exhaustive)
+    out = Report("cohomologous cocycles", exhaustive=exhaustive, field=c1.algebra.field)
     out.require_equal("N5", (), c1.valgebra.succ.table, c2.valgebra.succ.table,
                       "fibre > products differ")
     out.require_equal("N5", (), c1.valgebra.prec.table, c2.valgebra.prec.table,
@@ -383,7 +382,7 @@ def check_gh2_tuple(t: GH2Tuple, exhaustive: bool = False) -> Report:
     Derived from C1-C11 specialized to a one-dimensional abelian base and an
     abelian fibre; the vector chain ends in +D.epsilon0.
     """
-    out = Report("rank-one cocycle relations", exhaustive=exhaustive)
+    out = Report("rank-one cocycle relations", exhaustive=exhaustive, field=t.field)
     A, B, C, D = t.a, t.b, t.c, t.d
     th, ep = t.theta0, t.epsilon0
     zn = zeros_mat(t.n, t.n)
@@ -455,7 +454,7 @@ class AutPair:
 
 
 def check_aut_pair(c: CrossedDatum, pair: AutPair) -> Report:
-    out = Report("automorphism pair")
+    out = Report("automorphism pair", field=c.algebra.field)
     out.require_equal("alpha-aut", (), is_automorphism(c.algebra, pair.alpha), True,
                       "alpha is not an automorphism of the base")
     out.require_equal("beta-aut", (), is_automorphism(c.valgebra, pair.beta), True,
@@ -484,7 +483,7 @@ def check_inducible(c: CrossedDatum, pair: AutPair, phi,
     pre = check_aut_pair(c, pair)
     if not pre.passed:
         raise PreconditionFailure("not a pair of automorphisms", pre)
-    out = Report("inducibility", exhaustive=exhaustive)
+    out = Report("inducibility", exhaustive=exhaustive, field=c.algebra.field)
     al, be = pair.alpha, pair.beta
     vs, vp = c.valgebra.succ, c.valgebra.prec
 

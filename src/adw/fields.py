@@ -9,10 +9,12 @@ Plain Python ints may appear as additive/multiplicative constants (0, 1, -1):
 both element types absorb them, so generic code can write ``sum(...)`` or
 ``-x`` without knowing the field.
 
-Hot loops may compute on residues instead of field elements: ``residues``
-lowers a scalar, vector or table to plain ints mod p over GF(p) (and leaves
-it as it is over Q), generic code computes on those, and ``lift`` turns the
-values it reports back into field elements.
+``residues`` lowers a scalar, vector or table to plain ints mod p over GF(p)
+(and leaves it as it is over Q); ``lift`` turns residues back into field
+elements.  They are the comparison boundary: a ``Report`` compares the
+residues of its values and records their lift, so hot loops may compute on
+int residues (``algebra.lowered`` lowers tables once per call) or on
+plain-int tables, and a plain int is read mod p.
 """
 
 from __future__ import annotations

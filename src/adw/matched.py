@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import ActionFamily
-from .algebra import ADAlgebra, BilinearOp, check_associative, require_field
-from .fields import InputError
+from .algebra import ASSOC, ADAlgebra, BilinearOp, check_triples, lowered, require_field
+from .fields import RATIONALS, InputError
 from .reporting import PreconditionFailure, Report
 from .unified import R_SLOTS, check_columns, check_glued, glue, split_slots, unglue
 
@@ -105,11 +105,11 @@ def check_matched_pair(d: MatchedPairDatum, exhaustive: bool = False) -> Report:
     for alg, tag in ((d.alg1, "first"), (d.alg2, "second")):
         if not alg.is_verified:
             raise PreconditionFailure("%s factor is not anti-dendriform" % tag, alg.check())
-    out = Report("matched pair", exhaustive=exhaustive)
-    n, m, field, tables = d.alg1.dim, d.alg2.dim, d.alg1.field, d.glued()
-    check_columns(out, n, m, _REP1_SLOTS, *tables, field=field)
-    check_columns(out, n, m, _REP2_SLOTS, *tables, acting="V", field=field)
-    return check_glued(out, n, m, _MATCHED_SLOTS, *tables, field=field)
+    out = Report("matched pair", exhaustive=exhaustive, field=d.alg1.field)
+    n, m, tables = d.alg1.dim, d.alg2.dim, d.glued()
+    check_columns(out, n, m, _REP1_SLOTS, *tables)
+    check_columns(out, n, m, _REP2_SLOTS, *tables, acting="V")
+    return check_glued(out, n, m, _MATCHED_SLOTS, *tables)
 
 
 def bicrossed_product(d: MatchedPairDatum, precheck: bool = True) -> ADAlgebra:
@@ -129,12 +129,15 @@ def bicrossed_product(d: MatchedPairDatum, precheck: bool = True) -> ADAlgebra:
 
 @dataclass(frozen=True)
 class AssocMatchedPair:
+    """Two associative products acting on each other, with scalars in ``field``."""
+
     op1: BilinearOp
     op2: BilinearOp
     l1: ActionFamily
     r1: ActionFamily
     l2: ActionFamily
     r2: ActionFamily
+    field: object = RATIONALS
 
     def glued(self):
         """Glued product table of the associative bicrossed product."""
@@ -152,9 +155,9 @@ def check_assoc_matched_pair(p: AssocMatchedPair, exhaustive: bool = False) -> R
         AM1 (x,b,c)    AM2 (a,b,z)    AM3 (a,y,z)
         AM4 (x,y,c)    AM5 (a,y,c)    AM6 (x,b,z)
     """
-    out = Report("associative matched pair", exhaustive=exhaustive)
-    pre1 = check_associative(p.op1)
-    pre2 = check_associative(p.op2)
+    out = Report("associative matched pair", exhaustive=exhaustive, field=p.field)
+    pre1, pre2 = (check_triples(Report("associativity", field=p.field), op.dim,
+                                lowered(p.field, op.table), (ASSOC,)) for op in (p.op1, p.op2))
     if not (pre1.passed and pre2.passed):
         raise PreconditionFailure("a factor product is not associative",
                                   pre1 if not pre1.passed else pre2)
@@ -179,7 +182,7 @@ def induced_associative_matched_pair(d: MatchedPairDatum,
             raise PreconditionFailure("not a matched pair", rep)
     amp = AssocMatchedPair(d.alg1.assoc, d.alg2.assoc,
                            d.l1s.add(d.l1p), d.r1s.add(d.r1p),
-                           d.l2s.add(d.l2p), d.r2s.add(d.r2p))
+                           d.l2s.add(d.l2p), d.r2s.add(d.r2p), d.alg1.field)
     return amp, check_assoc_matched_pair(amp)
 
 
@@ -205,7 +208,7 @@ def factorize(calg: ADAlgebra, basis_a, basis_b):
     ``checked`` count that reports and the CLI print, and it guards the
     glue/unglue layouts against drifting apart.
     """
-    out = Report("factorization")
+    out = Report("factorization", field=calg.field)
     basis_a, basis_b = tuple(basis_a), tuple(basis_b)
     idx = sorted(basis_a + basis_b)
     if idx != list(range(calg.dim)) or set(basis_a) & set(basis_b):

@@ -1,8 +1,15 @@
-"""Check reports: verdicts with traceable equation violations."""
+"""Check reports: verdicts with traceable equation violations.
+
+A report compares in its field: ``require_equal`` and ``require_chain``
+compare ``field.residues`` of their values and record ``field.lift`` of a
+kept violation's values (both the identity over Q).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field as dataclass_field
+
+from .fields import RATIONALS
 
 
 @dataclass(frozen=True)
@@ -34,13 +41,15 @@ class Report:
 
     ``violations`` holds the first failure only, unless the check ran in
     exhaustive mode; ``violation_count`` always counts all failures found.
+    ``field``, the field of the compared values, takes no part in ``==``.
     """
 
     name: str
     exhaustive: bool = False
     checked: int = 0
     violation_count: int = 0
-    violations: list = field(default_factory=list)
+    violations: list = dataclass_field(default_factory=list)
+    field: object = dataclass_field(default=RATIONALS, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -55,26 +64,28 @@ class Report:
             self.violations.append(Violation(equation, tuple(witness), lhs, rhs, detail))
 
     def require_equal(self, equation, witness, lhs, rhs, detail="") -> bool:
+        """Require lhs = rhs in the field."""
         self.tick()
-        if lhs != rhs:
-            self.record(equation, witness, lhs, rhs, detail)
-            return False
-        return True
+        lhs, rhs = self.field.residues(lhs), self.field.residues(rhs)
+        return lhs == rhs or self._fail(equation, witness, lhs, rhs, detail)
 
     def require_chain(self, equation, witness, terms, values) -> bool:
-        """Require values[0] = values[1] = ... ; report the first broken link."""
+        """Require values[0] = values[1] = ... in the field; report the first
+        broken link.  ``values`` is a tuple."""
         self.tick()
+        values = self.field.residues(values)
         for a in range(len(values) - 1):
             if values[a] != values[a + 1]:
-                self.record(equation, witness, values[a], values[a + 1],
-                            "%s != %s" % (terms[a], terms[a + 1]))
-                return False
+                return self._fail(equation, witness, values[a], values[a + 1],
+                                  "%s != %s" % (terms[a], terms[a + 1]))
         return True
 
-    def map_values(self, fn) -> "Report":
-        """Pass the lhs and rhs of every recorded violation through ``fn``."""
-        self.violations = [replace(v, lhs=fn(v.lhs), rhs=fn(v.rhs)) for v in self.violations]
-        return self
+    def _fail(self, equation, witness, lhs, rhs, detail) -> bool:
+        """Record a failed comparison of residues; a kept violation is lifted."""
+        if self.exhaustive or not self.violations:
+            lhs, rhs = self.field.lift(lhs), self.field.lift(rhs)
+        self.record(equation, witness, lhs, rhs, detail)
+        return False
 
     def absorb(self, other: "Report") -> "Report":
         self.checked += other.checked

@@ -28,7 +28,7 @@ from functools import cached_property
 
 from .actions import ActionFamily
 from .algebra import ADAlgebra, BilinearOp, multiplication_operators, require_field
-from .fields import InputError
+from .fields import RATIONALS, InputError
 from .reporting import PreconditionFailure, Report
 from .unified import BIMOD_SLOTS, R_SLOTS, check_columns, glue
 
@@ -86,8 +86,8 @@ def check_representation(rep: ADRep, exhaustive: bool = False,
     if require_verified_algebra and not alg.is_verified:
         raise PreconditionFailure("underlying algebra is not anti-dendriform",
                                   alg.check())
-    out = Report("representation axioms", exhaustive=exhaustive)
-    return check_columns(out, alg.dim, rep.mod_dim, R_SLOTS, *rep.glued(), field=alg.field)
+    out = Report("representation axioms", exhaustive=exhaustive, field=alg.field)
+    return check_columns(out, alg.dim, rep.mod_dim, R_SLOTS, *rep.glued())
 
 
 def dual_representation(rep: ADRep, precheck: bool = True) -> ADRep:
@@ -112,19 +112,20 @@ def dual_representation(rep: ADRep, precheck: bool = True) -> ADRep:
 
 @dataclass(frozen=True)
 class AssocRep:
-    """A bimodule (V, l, r) over an associative product."""
+    """A bimodule (V, l, r) over an associative product with scalars in ``field``."""
 
     op: BilinearOp
     mod_dim: int
     left: ActionFamily
     right: ActionFamily
     tag: str = ""
+    field: object = RATIONALS
 
 
 def check_assoc_bimodule(arep: AssocRep, exhaustive: bool = False) -> Report:
     """l(x.y) = l(x)l(y);  r(x.y) = r(y)r(x);  r(y)l(x) = l(x)r(y)."""
     out = Report("associative bimodule axioms%s" % (" (%s)" % arep.tag if arep.tag else ""),
-                 exhaustive=exhaustive)
+                 exhaustive=exhaustive, field=arep.field)
     return check_columns(out, arep.op.dim, arep.mod_dim, BIMOD_SLOTS,
                          semidirect_table(arep.op, arep.mod_dim, arep.left, arep.right))
 
@@ -138,14 +139,14 @@ def induced_associative_reps(rep: ADRep, precheck: bool = True):
     if precheck and not rep.is_verified:
         raise PreconditionFailure("representation does not satisfy R1-R6",
                                   check_representation(rep, require_verified_algebra=False))
-    dot = rep.algebra.assoc
+    dot, m, field = rep.algebra.assoc, rep.mod_dim, rep.algebra.field
     ls, rs, lp, rp = rep.families()
     lsT, rsT, lpT, rpT = (f.transpose() for f in rep.families())
     candidates = [
-        AssocRep(dot, rep.mod_dim, ls.neg(), rp.neg(), tag="(-l>, -r<)"),
-        AssocRep(dot, rep.mod_dim, ls.add(lp), rs.add(rp), tag="(l., r.)"),
-        AssocRep(dot, rep.mod_dim, rpT.neg(), lsT.neg(), tag="dual (-r<*, -l>*)"),
-        AssocRep(dot, rep.mod_dim, rpT.add(rsT), lpT.add(lsT), tag="dual (r.*, l.*)"),
+        AssocRep(dot, m, ls.neg(), rp.neg(), "(-l>, -r<)", field),
+        AssocRep(dot, m, ls.add(lp), rs.add(rp), "(l., r.)", field),
+        AssocRep(dot, m, rpT.neg(), lsT.neg(), "dual (-r<*, -l>*)", field),
+        AssocRep(dot, m, rpT.add(rsT), lpT.add(lsT), "dual (r.*, l.*)", field),
     ]
     return [(c, check_assoc_bimodule(c)) for c in candidates]
 

@@ -360,7 +360,7 @@ def coproducts_from_dict(d, field, basedir=None) -> CoproductPair:
     n = _int(d["dim"], "dim")
     return CoproductPair.from_entries(
         n, _coeff_entries(d["dsucc"], ("x", "i", "j", "c"), field, "dsucc"),
-        _coeff_entries(d["dprec"], ("x", "i", "j", "c"), field, "dprec"))
+        _coeff_entries(d["dprec"], ("x", "i", "j", "c"), field, "dprec"), field)
 
 
 def form_to_dict(f: BilinearForm, field):

@@ -25,9 +25,9 @@ from itertools import product as iproduct
 from operator import itemgetter
 
 from .actions import ActionFamily
-from .algebra import (ADAlgebra, BilinearOp, change_basis, lmul, require_field,
-                      residue_tables, rmul)
-from .fields import RATIONALS, InputError
+from .algebra import (ADAlgebra, BilinearOp, a1_chain, a2_pair, assoc_pair, change_basis,
+                      lowered, require_field)
+from .fields import InputError
 from .linalg import (identity, inverse, matmul, matvec, nullspace, sparse_solve,
                      unit, vadd, vneg, vzero)
 from .reporting import PreconditionFailure, Report
@@ -108,39 +108,11 @@ def split_slots(a1_labels, a2_labels):
             if a1_labels.get(t, none) != none or a2_labels.get(t, none) != none}
 
 
-def a1_chain(tables, u, v, w):
-    """A1 at basis vectors u, v, w: u>(v>w), -(u.v)>w, -u<(v.w), (u<v)<w.  The
-    negated terms are products with -dot, so no term is negated afterwards."""
-    succ, prec, _, neg_dot = tables
-    return (lmul(succ, u, succ[v][w]), rmul(succ, neg_dot[u][v], w),
-            lmul(prec, u, neg_dot[v][w]), rmul(prec, prec[u][v], w))
-
-
-def a2_pair(tables, u, v, w):
-    """A2 at basis vectors u, v, w: (u>v)<w and u>(v<w)."""
-    succ, prec = tables[:2]
-    return rmul(prec, succ[u][v], w), lmul(succ, u, prec[v][w])
-
-
-def assoc_pair(tables, u, v, w):
-    """Associativity of dot at basis vectors u, v, w: (uv)w and u(vw)."""
-    dot = tables[2]
-    return rmul(dot, dot[u][v], w), lmul(dot, u, dot[v][w])
-
-
 IDENTITIES = {"A1": a1_chain, "A2": a2_pair, "assoc": assoc_pair,
               "assoc, sides swapped": lambda *at: assoc_pair(*at)[::-1]}
 
 
-def lowered(field, succ, prec):
-    """``residue_tables`` and -dot; with prec None, succ is the one product (dot)."""
-    if prec is None:
-        return None, None, field.residues(succ), None
-    succ, prec, dot = residue_tables(field, succ, prec)
-    return succ, prec, dot, tuple(tuple(vneg(v) for v in row) for row in dot)
-
-
-def check_glued(report, na, nv, slots, succ, prec=None, field=RATIONALS) -> Report:
+def check_glued(report, na, nv, slots, succ, prec=None) -> Report:
     """Check a glued product on A (+) V slot by slot over typed basis triples.
 
     ``succ``/``prec`` are glued tables from ``glue``.  With both, ``slots``
@@ -149,13 +121,12 @@ def check_glued(report, na, nv, slots, succ, prec=None, field=RATIONALS) -> Repo
     (A-id, V-id) of its associativity components.  Triple types run in the
     order of ``slots``; a witness is (type, i, j, k) with indices local to
     each summand.  The A and V components, the two slices of the glued
-    vectors, are compared as ``field.residues`` and recorded as field elements.
+    vectors, are compared in ``report``'s field.
     """
     n = na + nv
     comps = (slice(0, na), slice(na, n))
     summand = {"A": range(na), "V": range(na, n)}
-    tables, reduce = lowered(field, succ, prec), field.residues
-    sub = Report(report.name, exhaustive=report.exhaustive)
+    tables = lowered(report.field, succ, prec)
     for ttype, labels in slots.items():
         parts = ((("assoc", labels, ASSOC_TERMS),) if prec is None else
                  (("A1", labels[0], (A1_CHAIN_TERMS,) * 2), ("A2", labels[1], A2_TERMS)))
@@ -170,13 +141,12 @@ def check_glued(report, na, nv, slots, succ, prec=None, field=RATIONALS) -> Repo
                     for identity, cells in checks:
                         values = identity(tables, u, v, w)
                         for comp, label, terms in cells:
-                            sub.require_chain(label, (tname, iu, iv, iw), terms,
-                                              reduce(tuple(t[comp] for t in values)))
-    return report.absorb(sub.map_values(field.lift))
+                            report.require_chain(label, (tname, iu, iv, iw), terms,
+                                                 tuple(t[comp] for t in values))
+    return report
 
 
-def check_columns(report, na, nv, slots, succ, prec=None, acting="A",
-                  field=RATIONALS) -> Report:
+def check_columns(report, na, nv, slots, succ, prec=None, acting="A") -> Report:
     """Check the actions of the ``acting`` summand of a glued product on the other.
 
     Each slot (label, placement, identity, terms) is checked once per ordered
@@ -188,17 +158,16 @@ def check_columns(report, na, nv, slots, succ, prec=None, acting="A",
     n = na + nv
     summand = {"A": range(na), "V": range(na, n)}
     module, cut = ("V", slice(na, n)) if acting == "A" else ("A", slice(0, na))
-    tables, reduce = lowered(field, succ, prec), field.residues
-    sub = Report(report.name, exhaustive=report.exhaustive)
+    tables = lowered(report.field, succ, prec)
     slots = [(label, itemgetter(*("xyw".index(p) for p in placement)), IDENTITIES[identity],
               terms) for label, placement, identity, terms in slots]
     for i, x in enumerate(summand[acting]):
         for j, y in enumerate(summand[acting]):
             for label, place, identity, terms in slots:
                 cols = [identity(tables, *place((x, y, w))) for w in summand[module]]
-                sub.require_chain(label, (i, j), terms, reduce(tuple(
-                    tuple(zip(*(col[t][cut] for col in cols))) for t in range(len(terms)))))
-    return report.absorb(sub.map_values(field.lift))
+                report.require_chain(label, (i, j), terms, tuple(
+                    tuple(zip(*(col[t][cut] for col in cols))) for t in range(len(terms))))
+    return report
 
 
 # Column slots (label, placement, identity, terms) of the axioms of a
@@ -329,10 +298,10 @@ def check_extending_structure(d: ExtendingDatum, exhaustive: bool = False) -> Re
     """
     if not d.algebra.is_verified:
         raise PreconditionFailure("base algebra is not anti-dendriform", d.algebra.check())
-    out = Report("extending structure", exhaustive=exhaustive)
-    na, nv, field, tables = d.algebra.dim, d.vdim, d.algebra.field, d.glued()
-    check_columns(out, na, nv, R_SLOTS, *tables, field=field)
-    return check_glued(out, na, nv, _EXT_SLOTS, *tables, field=field)
+    out = Report("extending structure", exhaustive=exhaustive, field=d.algebra.field)
+    na, nv, tables = d.algebra.dim, d.vdim, d.glued()
+    check_columns(out, na, nv, R_SLOTS, *tables)
+    return check_glued(out, na, nv, _EXT_SLOTS, *tables)
 
 
 def unified_product(d: ExtendingDatum, precheck: bool = True) -> ADAlgebra:
@@ -458,7 +427,8 @@ def check_equivalence(d1: ExtendingDatum, d2: ExtendingDatum, w: EquivWitness,
     elif inverse(eta) is None:
         raise PreconditionFailure("equivalence mode requires an invertible eta")
 
-    out = Report("extending-structure %s" % mode, exhaustive=exhaustive)
+    out = Report("extending-structure %s" % mode, exhaustive=exhaustive,
+                 field=d1.algebra.field)
     alg = d1.algebra
 
     def zv(a):

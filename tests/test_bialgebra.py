@@ -240,6 +240,27 @@ def leaves(t):
     return [y for x in t for y in leaves(x)] if isinstance(t, tuple) else [t]
 
 
+def test_plain_int_d_coalgebra_and_ybe_over_gf2_are_read_mod_2():
+    """The zero algebra and tensor of the CD case above, written with the int
+    2: the coboundary pair is zero in GF(2), so the coalgebra axioms and
+    D1-D9 hold and r solves YE6.  Compared as ints, Ca2 failed twice, D
+    reported 15 violations out of 36 and the residual held 16 and -8."""
+    gf2 = PrimeField(2)
+    alg = ADAlgebra.make(2, [(0, 0, 1, 2), (0, 1, 1, 2)], [(1, 0, 1, 2)], field=gf2)
+    r = ((0, 2), (-2, 0))
+    cp = coboundary_coproducts(alg, r, r)
+    assert cp.field == gf2
+    ca = check_coalgebra(cp)
+    assert (ca.passed, ca.checked) == (True, 4)
+    d = check_d_bialgebra(alg, cp)
+    assert (d.passed, d.checked) == (True, 36)
+    assert is_ybe_solution(alg, r)
+    # the residual tensor itself is returned as computed
+    assert 16 in leaves(adybe_residual(alg, r))
+    # the CD, coalgebra + D and YE6 verdicts agree, as over Q
+    assert check_coboundary_conditions(alg, r, r).passed
+
+
 def test_defect_identities_for_cd7_and_cd10():
     """The third-order conditions are exact rewrites of the coalgebra defects;
     this pins the leg conventions against independent expansions."""

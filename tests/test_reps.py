@@ -165,3 +165,13 @@ def test_plain_int_tables_over_gf2_are_read_mod_2():
     assert check_representation(rr).passed
     assert check_representation(rr, require_verified_algebra=False).checked == 7
     assert check_extending_structure(ExtendingDatum.from_representation(rr)).passed
+
+
+def test_induced_bimodules_over_gf2_are_read_mod_2():
+    """The four induced bimodules of the regular representation of x>x = 2x
+    over GF(2) carry its field and pass.  Compared as ints, (-l>, -r<) failed
+    bimod-l with lhs ((-4,),) and rhs ((4,),), and its dual bimod-r likewise."""
+    gf2 = PrimeField(2)
+    alg = ADAlgebra.make(1, [(0, 0, 0, 2)], field=gf2)
+    pairs = induced_associative_reps(regular_representation(alg))
+    assert [(arep.field, rep.passed, rep.checked) for arep, rep in pairs] == [(gf2, True, 3)] * 4
