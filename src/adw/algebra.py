@@ -102,10 +102,11 @@ def check_triples(report, n, tables, identities) -> Report:
     return report
 
 
-def check_associative(op: BilinearOp, exhaustive: bool = False) -> Report:
-    """(x.y).z = x.(y.z) over all basis triples."""
-    return check_triples(Report("associativity", exhaustive=exhaustive), op.dim,
-                         lowered(RATIONALS, op.table), (ASSOC,))
+def check_associative(op: BilinearOp, exhaustive: bool = False,
+                      field=RATIONALS) -> Report:
+    """(x.y).z = x.(y.z) over all basis triples, compared in ``field``."""
+    return check_triples(Report("associativity", exhaustive=exhaustive, field=field), op.dim,
+                         lowered(field, op.table), (ASSOC,))
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,42 @@ def require_field(field, *parts):
     for part in parts:
         for _, _, _, c in part.entries():
             field.coerce(c)
+
+
+_PART_NOUNS = {"family": "action family", "product": "product", "fold": "fold map",
+               "cocycle": "cocycle"}
+
+
+def check_parts(obj):
+    """Check a datum against its class's ``PARTS`` table.
+
+    Each row is (attribute, JSON key, kind, shape), in constructor order.  An
+    ``algebra`` or ``dim`` row names the dimension of a summand ("A" or "V");
+    a component row (an action ``family``, or a ``product``, ``fold`` or
+    ``cocycle`` table) names its (source, target) summands, so "VA" reads
+    V -> End(A) for a family and V x V -> A for a table.  Every dimension and
+    shape is checked first; then every coefficient of the components and of
+    the other algebras' tables must lie in the first algebra's field."""
+    dims, algebras, components = {}, [], []
+    for attr, _, kind, shape in obj.PARTS:
+        part = getattr(obj, attr)
+        if kind == "algebra":
+            dims[shape] = part.dim
+            algebras.append(part)
+        elif kind == "dim":
+            if part < 0:
+                raise InputError("%s: expected a non-negative integer" % attr)
+            dims[shape] = part
+        else:
+            got = ((part.alg_dim, part.mod_dim) if kind == "family"
+                   else (part.dim, part.out_dim))
+            want = (dims[shape[0]], dims[shape[1]])
+            if got != want:
+                raise InputError("%s: %s has shape (%d,%d), expected (%d,%d)"
+                                 % ((attr, _PART_NOUNS[kind]) + got + want))
+            components.append(part)
+    require_field(algebras[0].field, *(op for a in algebras[1:] for op in (a.succ, a.prec)),
+                  *components)
 
 
 @dataclass(frozen=True)

@@ -51,16 +51,15 @@ class BilinearForm:
 
 
 def check_connes_cocycle(op: BilinearOp, form: BilinearForm,
-                         exhaustive: bool = False,
-                         require_associative: bool = True) -> Report:
-    """Symmetry plus the cyclic identity w(x.y,z) + w(y.z,x) + w(z.x,y) = 0."""
+                         exhaustive: bool = False, field=RATIONALS) -> Report:
+    """Symmetry plus the cyclic identity w(x.y,z) + w(y.z,x) + w(z.x,y) = 0,
+    on an associative product, compared in ``field``."""
     if op.dim != form.dim:
         raise InputError("form and product have different dimensions")
-    if require_associative:
-        pre = check_associative(op)
-        if not pre.passed:
-            raise PreconditionFailure("product is not associative", pre)
-    out = Report("commutative invariant cocycle", exhaustive=exhaustive)
+    pre = check_associative(op, field=field)
+    if not pre.passed:
+        raise PreconditionFailure("product is not associative", pre)
+    out = Report("commutative invariant cocycle", exhaustive=exhaustive, field=field)
     n = op.dim
     for i in range(n):
         for j in range(n):
@@ -100,7 +99,7 @@ def derive_compatible_ad(op: BilinearOp, form: BilinearForm,
     if ginv is None:
         raise PreconditionFailure("form is degenerate")
     if precheck:
-        pre = check_connes_cocycle(op, form)
+        pre = check_connes_cocycle(op, form, field=field)
         if not pre.passed:
             raise PreconditionFailure("form is not a commutative invariant cocycle", pre)
     n, t = op.dim, op.table
@@ -174,9 +173,7 @@ def build_double_construction(alg: ADAlgebra, dual_alg: ADAlgebra) -> DoubleCons
         return DoubleConstruction(amp, mrep, BilinearOp.zero(2 * n), form,
                                   Report("skipped"), False)
     big = assoc_bicrossed_product(amp)
-    # big is associative: a passing matched pair checks every component of
-    # associativity on the glued product, in the field
-    frep = check_connes_cocycle(big, form, require_associative=False)
+    frep = check_connes_cocycle(big, form, field=alg.field)
     return DoubleConstruction(amp, mrep, big, form, frep,
                               mrep.passed and frep.passed)
 
@@ -568,16 +565,18 @@ def check_o_operator(tmat, rep: ADRep, exhaustive: bool = False) -> Report:
 
 
 def check_o_operator_assoc(tmat, op: BilinearOp, left: ActionFamily,
-                           right: ActionFamily, exhaustive: bool = False) -> Report:
-    """Associative-mode identity T(u).T(v) = T(l(Tu)v + r(Tv)u)."""
+                           right: ActionFamily, exhaustive: bool = False,
+                           field=RATIONALS) -> Report:
+    """Associative-mode identity T(u).T(v) = T(l(Tu)v + r(Tv)u), compared in
+    ``field``."""
     n, m = op.dim, left.mod_dim
     if shape(tmat) != (n, m):
         raise InputError("operator matrix must be %dx%d" % (n, m))
     if left.alg_dim != n or right.alg_dim != n or right.mod_dim != m:
         raise InputError("action families do not match the product and module")
-    return _check_o_rows(Report("associative O-operator identity", exhaustive=exhaustive),
-                         tmat, m, (("O-assoc", op, left, right,
-                                    "T(u).T(v) != T(l(Tu)v + r(Tv)u)"),))
+    return _check_o_rows(Report("associative O-operator identity", exhaustive=exhaustive,
+                                field=field), tmat, m, (
+        ("O-assoc", op, left, right, "T(u).T(v) != T(l(Tu)v + r(Tv)u)"),))
 
 
 def tr_ybe_identity(alg: ADAlgebra, r, exhaustive: bool = False) -> Report:
@@ -591,7 +590,7 @@ def tr_ybe_identity(alg: ADAlgebra, r, exhaustive: bool = False) -> Report:
     return check_o_operator_assoc(t_r(r), alg.assoc,
                                   ops.rprec.transpose().neg(),
                                   ops.lsucc.transpose().neg(),
-                                  exhaustive=exhaustive)
+                                  exhaustive=exhaustive, field=alg.field)
 
 
 @dataclass(frozen=True)

@@ -281,7 +281,7 @@ def _h_matched_factorize(args, run):
 def _h_connes_check(args, run):
     op, _ = io.load_product(args.file, run.field)
     form = io.load_form(args.form, run.field)
-    run.report = check_connes_cocycle(op, form, exhaustive=args.exhaustive)
+    run.report = check_connes_cocycle(op, form, exhaustive=args.exhaustive, field=run.field)
 
 
 def _h_connes_derive(args, run):

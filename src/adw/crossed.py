@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import ActionFamily
-from .algebra import ADAlgebra, BilinearOp, is_automorphism, require_field
+from .algebra import ADAlgebra, BilinearOp, check_parts, is_automorphism
 from .fields import RATIONALS, InputError
 from .linalg import (identity, inverse, mat_add, mat_neg, mat_scale, matmul,
                      matvec, shape, solve_linear, sparse_nullspace, sparse_solve,
@@ -44,18 +44,10 @@ class CrossedDatum:
     omega1: BilinearOp  # A x A -> V
     omega2: BilinearOp
 
-    def __post_init__(self):
-        n, m = self.algebra.dim, self.valgebra.dim
-        for fam in (self.lsucc, self.rsucc, self.lprec, self.rprec):
-            if (fam.alg_dim, fam.mod_dim) != (n, m):
-                raise InputError("crossed-datum action family has shape (%d,%d), "
-                                 "expected (%d,%d)" % (fam.alg_dim, fam.mod_dim, n, m))
-        for b in (self.omega1, self.omega2):
-            if (b.dim, b.out_dim) != (n, m):
-                raise InputError("cocycle has shape (%d,%d), expected (%d,%d)"
-                                 % (b.dim, b.out_dim, n, m))
-        require_field(self.algebra.field, self.valgebra.succ, self.valgebra.prec,
-                      self.lsucc, self.rsucc, self.lprec, self.rprec, self.omega1, self.omega2)
+    PARTS = (("algebra", "algebra", "algebra", "A"), ("valgebra", "valgebra", "algebra", "V"),
+             *((k, k, "family", "AV") for k in ("lsucc", "rsucc", "lprec", "rprec")),
+             ("omega1", "omega1", "cocycle", "AV"), ("omega2", "omega2", "cocycle", "AV"))
+    __post_init__ = check_parts
 
     @staticmethod
     def split(algebra: ADAlgebra, valgebra: ADAlgebra,

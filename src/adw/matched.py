@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import ActionFamily
-from .algebra import ASSOC, ADAlgebra, BilinearOp, check_triples, lowered, require_field
+from .algebra import ASSOC, ADAlgebra, BilinearOp, check_parts, check_triples, lowered
 from .fields import RATIONALS, InputError
 from .reporting import PreconditionFailure, Report
 from .unified import R_SLOTS, check_columns, check_glued, glue, split_slots, unglue
@@ -40,16 +40,10 @@ class MatchedPairDatum:
     l2p: ActionFamily
     r2p: ActionFamily
 
-    def __post_init__(self):
-        n, m = self.alg1.dim, self.alg2.dim
-        for fam in (self.l1s, self.r1s, self.l1p, self.r1p):
-            if (fam.alg_dim, fam.mod_dim) != (n, m):
-                raise InputError("alg1-on-alg2 family shape mismatch")
-        for fam in (self.l2s, self.r2s, self.l2p, self.r2p):
-            if (fam.alg_dim, fam.mod_dim) != (m, n):
-                raise InputError("alg2-on-alg1 family shape mismatch")
-        require_field(self.alg1.field, self.alg2.succ, self.alg2.prec, self.l1s, self.r1s,
-                      self.l1p, self.r1p, self.l2s, self.r2s, self.l2p, self.r2p)
+    PARTS = (("alg1", "alg1", "algebra", "A"), ("alg2", "alg2", "algebra", "V"),
+             *((k, k, "family", "AV") for k in ("l1s", "r1s", "l1p", "r1p")),
+             *((k, k, "family", "VA") for k in ("l2s", "r2s", "l2p", "r2p")))
+    __post_init__ = check_parts
 
     @staticmethod
     def trivial(alg1: ADAlgebra, alg2: ADAlgebra) -> "MatchedPairDatum":

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .actions import ActionFamily
-from .algebra import ADAlgebra, BilinearOp, multiplication_operators, require_field
-from .fields import RATIONALS, InputError
+from .algebra import ADAlgebra, BilinearOp, check_parts, multiplication_operators
+from .fields import RATIONALS
 from .reporting import PreconditionFailure, Report
 from .unified import BIMOD_SLOTS, R_SLOTS, check_columns, glue
 
@@ -42,12 +42,9 @@ class ADRep:
     lprec: ActionFamily
     rprec: ActionFamily
 
-    def __post_init__(self):
-        for fam in (self.lsucc, self.rsucc, self.lprec, self.rprec):
-            if fam.alg_dim != self.algebra.dim or fam.mod_dim != self.mod_dim:
-                raise InputError("representation family shapes do not match (%d, %d)"
-                                 % (self.algebra.dim, self.mod_dim))
-        require_field(self.algebra.field, *self.families())
+    PARTS = (("algebra", "algebra", "algebra", "A"), ("mod_dim", "modDim", "dim", "V"),
+             *((k, k, "family", "AV") for k in ("lsucc", "rsucc", "lprec", "rprec")))
+    __post_init__ = check_parts
 
     @staticmethod
     def zero(algebra, mod_dim):

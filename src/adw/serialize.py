@@ -40,6 +40,12 @@ def _int(v, what):
     return v
 
 
+def _dim(v, what):
+    if _int(v, what) < 0:
+        raise InputError("%s: expected a non-negative integer" % what)
+    return v
+
+
 def _coeff(v, field, what):
     """A coefficient: a string such as "-2/7" or a JSON integer.  A JSON float
     is refused: the parser has already rounded it (1e-400 reads as 0.0)."""
@@ -131,7 +137,7 @@ def algebra_to_dict(alg: ADAlgebra, field=None):
 
 def algebra_from_dict(d, field, basedir=None) -> ADAlgebra:
     _require_keys(d, ("dimension", "basis", "succ", "prec"), "algebra file")
-    n = _int(d["dimension"], "dimension")
+    n = _dim(d["dimension"], "dimension")
     basis = _basis(d, n, "algebra file")
     succ = BilinearOp.from_entries(n, _coeff_entries(d["succ"], _OP_KEYS, field, "succ"))
     prec = BilinearOp.from_entries(n, _coeff_entries(d["prec"], _OP_KEYS, field, "prec"))
@@ -145,150 +151,60 @@ def product_to_dict(op: BilinearOp, basis, field):
 
 def product_from_dict(d, field, basedir=None):
     _require_keys(d, ("dimension", "basis", "product"), "product file")
-    n = _int(d["dimension"], "dimension")
+    n = _dim(d["dimension"], "dimension")
     basis = _basis(d, n, "product file")
     op = BilinearOp.from_entries(n, _coeff_entries(d["product"], _OP_KEYS, field, "product"))
     return op, basis
 
 
 # ---------------------------------------------------------------------------
-# action families and representations
+# representations, extending data, crossed data and matched pairs: each is
+# read and written from its class's PARTS table (see ``algebra.check_parts``)
 
-def _family_entries(fam: ActionFamily, field):
-    return _entry_list(fam.entries(), ("x", "r", "c", "v"), field)
-
-
-def _family_from(items, alg_dim, mod_dim, field, what):
-    return ActionFamily.from_entries(alg_dim, mod_dim,
-                                     _coeff_entries(items, ("x", "r", "c", "v"),
-                                                    field, what))
+_ENTRY_KEYS = {"family": ("x", "r", "c", "v"), "product": _OP_KEYS, "fold": _FOLD_KEYS,
+               "cocycle": _OP_KEYS}
 
 
-def rep_to_dict(rep: ADRep, field=None):
-    field = field or rep.algebra.field
-    return {"algebra": algebra_to_dict(rep.algebra, field), "modDim": rep.mod_dim,
-            "lsucc": _family_entries(rep.lsucc, field),
-            "rsucc": _family_entries(rep.rsucc, field),
-            "lprec": _family_entries(rep.lprec, field),
-            "rprec": _family_entries(rep.rprec, field)}
-
-
-def rep_from_dict(d, field, basedir=None) -> ADRep:
-    _require_keys(d, ("algebra", "modDim", "lsucc", "rsucc", "lprec", "rprec"),
-                  "representation file")
-    alg = _inline_or_path(d["algebra"], basedir, algebra_from_dict, field, "algebra")
-    m = _int(d["modDim"], "modDim")
-    fams = {k: _family_from(d[k], alg.dim, m, field, k)
-            for k in ("lsucc", "rsucc", "lprec", "rprec")}
-    return ADRep(alg, m, fams["lsucc"], fams["rsucc"], fams["lprec"], fams["rprec"])
-
-
-# ---------------------------------------------------------------------------
-# extending data
-
-def datum_to_dict(d: ExtendingDatum, field=None):
-    field = field or d.algebra.field
-    return {
-        "algebra": algebra_to_dict(d.algebra, field), "vDim": d.vdim,
-        "lsucc": _family_entries(d.lsucc, field),
-        "rsucc": _family_entries(d.rsucc, field),
-        "lprec": _family_entries(d.lprec, field),
-        "rprec": _family_entries(d.rprec, field),
-        "rhoSucc": _family_entries(d.rho_succ, field),
-        "muSucc": _family_entries(d.mu_succ, field),
-        "rhoPrec": _family_entries(d.rho_prec, field),
-        "muPrec": _family_entries(d.mu_prec, field),
-        "varpi1": _entry_list(d.varpi1.entries(), _FOLD_KEYS, field),
-        "varpi2": _entry_list(d.varpi2.entries(), _FOLD_KEYS, field),
-        "succV": _entry_list(d.succ_v.entries(), _OP_KEYS, field),
-        "precV": _entry_list(d.prec_v.entries(), _OP_KEYS, field),
-    }
-
-
-def datum_from_dict(d, field, basedir=None) -> ExtendingDatum:
-    keys = ("algebra", "vDim", "lsucc", "rsucc", "lprec", "rprec", "rhoSucc",
-            "muSucc", "rhoPrec", "muPrec", "varpi1", "varpi2", "succV", "precV")
-    _require_keys(d, keys, "extending-datum file")
-    alg = _inline_or_path(d["algebra"], basedir, algebra_from_dict, field, "algebra")
-    m = _int(d["vDim"], "vDim")
-    n = alg.dim
-    return ExtendingDatum(
-        alg, m,
-        _family_from(d["lsucc"], n, m, field, "lsucc"),
-        _family_from(d["rsucc"], n, m, field, "rsucc"),
-        _family_from(d["lprec"], n, m, field, "lprec"),
-        _family_from(d["rprec"], n, m, field, "rprec"),
-        _family_from(d["rhoSucc"], m, n, field, "rhoSucc"),
-        _family_from(d["muSucc"], m, n, field, "muSucc"),
-        _family_from(d["rhoPrec"], m, n, field, "rhoPrec"),
-        _family_from(d["muPrec"], m, n, field, "muPrec"),
-        BilinearOp.from_entries(m, _coeff_entries(d["varpi1"], _FOLD_KEYS, field, "varpi1"), n),
-        BilinearOp.from_entries(m, _coeff_entries(d["varpi2"], _FOLD_KEYS, field, "varpi2"), n),
-        BilinearOp.from_entries(m, _coeff_entries(d["succV"], _OP_KEYS, field, "succV")),
-        BilinearOp.from_entries(m, _coeff_entries(d["precV"], _OP_KEYS, field, "precV")),
-    )
-
-
-# ---------------------------------------------------------------------------
-# crossed data
-
-def crossed_to_dict(c: CrossedDatum, field=None):
-    field = field or c.algebra.field
-    return {
-        "algebra": algebra_to_dict(c.algebra, field),
-        "valgebra": algebra_to_dict(c.valgebra, field),
-        "lsucc": _family_entries(c.lsucc, field),
-        "rsucc": _family_entries(c.rsucc, field),
-        "lprec": _family_entries(c.lprec, field),
-        "rprec": _family_entries(c.rprec, field),
-        "omega1": _entry_list(c.omega1.entries(), _OP_KEYS, field),
-        "omega2": _entry_list(c.omega2.entries(), _OP_KEYS, field),
-    }
-
-
-def crossed_from_dict(d, field, basedir=None) -> CrossedDatum:
-    keys = ("algebra", "valgebra", "lsucc", "rsucc", "lprec", "rprec",
-            "omega1", "omega2")
-    _require_keys(d, keys, "crossed-datum file")
-    alg = _inline_or_path(d["algebra"], basedir, algebra_from_dict, field, "algebra")
-    valg = _inline_or_path(d["valgebra"], basedir, algebra_from_dict, field, "valgebra")
-    n, m = alg.dim, valg.dim
-    return CrossedDatum(
-        alg, valg,
-        _family_from(d["lsucc"], n, m, field, "lsucc"),
-        _family_from(d["rsucc"], n, m, field, "rsucc"),
-        _family_from(d["lprec"], n, m, field, "lprec"),
-        _family_from(d["rprec"], n, m, field, "rprec"),
-        BilinearOp.from_entries(n, _coeff_entries(d["omega1"], _OP_KEYS, field, "omega1"), m),
-        BilinearOp.from_entries(n, _coeff_entries(d["omega2"], _OP_KEYS, field, "omega2"), m),
-    )
-
-
-# ---------------------------------------------------------------------------
-# matched pairs
-
-_MP_KEYS = ("l1s", "r1s", "l1p", "r1p", "l2s", "r2s", "l2p", "r2p")
-
-
-def matched_to_dict(d: MatchedPairDatum, field=None):
-    field = field or d.alg1.field
-    out = {"alg1": algebra_to_dict(d.alg1, field), "alg2": algebra_to_dict(d.alg2, field)}
-    for k in _MP_KEYS:
-        out[k] = _family_entries(getattr(d, k), field)
+def _parts_to_dict(obj, field=None):
+    """The JSON object of a datum: one key per row of its ``PARTS``."""
+    parts = obj.PARTS
+    field = field or getattr(obj, parts[0][0]).field
+    out = {}
+    for attr, key, kind, _ in parts:
+        part = getattr(obj, attr)
+        out[key] = (algebra_to_dict(part, field) if kind == "algebra"
+                    else part if kind == "dim"
+                    else _entry_list(part.entries(), _ENTRY_KEYS[kind], field))
     return out
 
 
-def matched_from_dict(d, field, basedir=None) -> MatchedPairDatum:
-    _require_keys(d, ("alg1", "alg2") + _MP_KEYS, "matched-pair file")
-    a1 = _inline_or_path(d["alg1"], basedir, algebra_from_dict, field, "alg1")
-    a2 = _inline_or_path(d["alg2"], basedir, algebra_from_dict, field, "alg2")
-    n, m = a1.dim, a2.dim
-    fams = {}
-    for k in _MP_KEYS:
-        dims = (n, m) if k.startswith("l1") or k.startswith("r1") else (m, n)
-        fams[k] = _family_from(d[k], dims[0], dims[1], field, k)
-    return MatchedPairDatum(a1, a2, fams["l1s"], fams["r1s"], fams["l1p"], fams["r1p"],
-                            fams["l2s"], fams["r2s"], fams["l2p"], fams["r2p"])
+def _parts_reader(cls, what):
+    """The inverse of ``_parts_to_dict`` for the datum class ``cls``; ``what``
+    names the file kind in error messages."""
+    def from_dict(d, field, basedir=None):
+        _require_keys(d, [key for _, key, _, _ in cls.PARTS], what)
+        dims, args = {}, []
+        for _, key, kind, shape in cls.PARTS:
+            if kind == "algebra":
+                part = _inline_or_path(d[key], basedir, algebra_from_dict, field, key)
+                dims[shape] = part.dim
+            elif kind == "dim":
+                part = dims[shape] = _dim(d[key], key)
+            else:
+                src, dst = dims[shape[0]], dims[shape[1]]
+                entries = _coeff_entries(d[key], _ENTRY_KEYS[kind], field, key)
+                part = (ActionFamily.from_entries(src, dst, entries) if kind == "family"
+                        else BilinearOp.from_entries(src, entries, dst))
+            args.append(part)
+        return cls(*args)
+    return from_dict
+
+
+rep_to_dict = datum_to_dict = crossed_to_dict = matched_to_dict = _parts_to_dict
+rep_from_dict = _parts_reader(ADRep, "representation file")
+datum_from_dict = _parts_reader(ExtendingDatum, "extending-datum file")
+crossed_from_dict = _parts_reader(CrossedDatum, "crossed-datum file")
+matched_from_dict = _parts_reader(MatchedPairDatum, "matched-pair file")
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +218,7 @@ def matrix_to_dict(mat, field):
 def matrix_from_dict(d, field, basedir=None):
     _require_keys(d, ("rows", "cols", "entries"), "matrix file")
     mat = _matrix_from_rows(d["entries"], field, "matrix",
-                            (_int(d["rows"], "rows"), _int(d["cols"], "cols")))
+                            (_dim(d["rows"], "rows"), _dim(d["cols"], "cols")))
     return mat
 
 
@@ -316,7 +232,7 @@ def gh2_to_dict(t: GH2Tuple, field=None):
 
 def gh2_from_dict(d, field, basedir=None) -> GH2Tuple:
     _require_keys(d, ("n", "A", "B", "C", "D", "theta0", "epsilon0"), "six-tuple file")
-    n = _int(d["n"], "n")
+    n = _dim(d["n"], "n")
     mats = {k: _matrix_from_rows(d[k], field, k, (n, n)) for k in "ABCD"}
     th, ep = (tuple(_coeff(v, field, k) for v in d[k]) for k in ("theta0", "epsilon0"))
     return GH2Tuple(n, mats["A"], mats["B"], mats["C"], mats["D"], th, ep, field)
@@ -340,7 +256,7 @@ def rmatrix_to_dict(r, field):
 
 def rmatrix_from_dict(d, field, basedir=None):
     _require_keys(d, ("dim", "entries"), "r-matrix file")
-    n = _int(d["dim"], "dim")
+    n = _dim(d["dim"], "dim")
     acc = [[field.zero] * n for _ in range(n)]
     for i, j, c in _coeff_entries(d["entries"], ("i", "j", "c"), field, "entries"):
         if not (0 <= i < n and 0 <= j < n):
@@ -357,7 +273,7 @@ def coproducts_to_dict(cp: CoproductPair, field):
 
 def coproducts_from_dict(d, field, basedir=None) -> CoproductPair:
     _require_keys(d, ("dim", "dsucc", "dprec"), "coproduct file")
-    n = _int(d["dim"], "dim")
+    n = _dim(d["dim"], "dim")
     return CoproductPair.from_entries(
         n, _coeff_entries(d["dsucc"], ("x", "i", "j", "c"), field, "dsucc"),
         _coeff_entries(d["dprec"], ("x", "i", "j", "c"), field, "dprec"), field)
@@ -369,7 +285,7 @@ def form_to_dict(f: BilinearForm, field):
 
 def form_from_dict(d, field, basedir=None) -> BilinearForm:
     _require_keys(d, ("dim", "gram"), "bilinear-form file")
-    n = _int(d["dim"], "dim")
+    n = _dim(d["dim"], "dim")
     return BilinearForm(n, _matrix_from_rows(d["gram"], field, "gram", (n, n)))
 
 

@@ -26,7 +26,7 @@ from operator import itemgetter
 
 from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, a1_chain, a2_pair, assoc_pair, change_basis,
-                      lowered, require_field)
+                      check_parts, lowered)
 from .fields import InputError
 from .linalg import (identity, inverse, matmul, matvec, nullspace, sparse_solve,
                      unit, vadd, vneg, vzero)
@@ -210,25 +210,14 @@ class ExtendingDatum:
     succ_v: BilinearOp
     prec_v: BilinearOp
 
-    def __post_init__(self):
-        n, m = self.algebra.dim, self.vdim
-        for fam in (self.lsucc, self.rsucc, self.lprec, self.rprec):
-            if (fam.alg_dim, fam.mod_dim) != (n, m):
-                raise InputError("A-on-V family has shape (%d,%d), expected (%d,%d)"
-                                 % (fam.alg_dim, fam.mod_dim, n, m))
-        for fam in (self.rho_succ, self.mu_succ, self.rho_prec, self.mu_prec):
-            if (fam.alg_dim, fam.mod_dim) != (m, n):
-                raise InputError("V-on-A family has shape (%d,%d), expected (%d,%d)"
-                                 % (fam.alg_dim, fam.mod_dim, m, n))
-        for b in (self.varpi1, self.varpi2):
-            if (b.dim, b.out_dim) != (m, n):
-                raise InputError("fold map has shape (%d,%d), expected (%d,%d)"
-                                 % (b.dim, b.out_dim, m, n))
-        if self.succ_v.dim != m or self.prec_v.dim != m:
-            raise InputError("complement products do not match vdim %d" % m)
-        require_field(self.algebra.field, self.lsucc, self.rsucc, self.lprec, self.rprec,
-                      self.rho_succ, self.mu_succ, self.rho_prec, self.mu_prec,
-                      self.varpi1, self.varpi2, self.succ_v, self.prec_v)
+    PARTS = (("algebra", "algebra", "algebra", "A"), ("vdim", "vDim", "dim", "V"),
+             *((k, k, "family", "AV") for k in ("lsucc", "rsucc", "lprec", "rprec")),
+             *((k, key, "family", "VA") for k, key in (
+                 ("rho_succ", "rhoSucc"), ("mu_succ", "muSucc"),
+                 ("rho_prec", "rhoPrec"), ("mu_prec", "muPrec"))),
+             ("varpi1", "varpi1", "fold", "VA"), ("varpi2", "varpi2", "fold", "VA"),
+             ("succ_v", "succV", "product", "VV"), ("prec_v", "precV", "product", "VV"))
+    __post_init__ = check_parts
 
     @staticmethod
     def from_representation(rep) -> "ExtendingDatum":

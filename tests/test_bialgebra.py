@@ -5,7 +5,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from adw.algebra import ADAlgebra, BilinearOp, direct_sum, multiplication_operators
+from adw.algebra import (ADAlgebra, BilinearOp, check_associative, direct_sum,
+                         multiplication_operators)
 from adw.bialgebra import (BilinearForm, CoproductPair, adybe_residual,
                            algebra_from_coproducts, build_double_construction,
                            check_coalgebra, check_coboundary_conditions,
@@ -347,6 +348,62 @@ def test_tr_identity_agrees_with_residual_on_grids():
     for combo in iproduct((Q(-1), Q(0), Q(1)), repeat=3):
         r = skew_tensor_from_uppers(3, combo)
         assert is_ybe_solution(nil3, r) == tr_ybe_identity(nil3, r).passed
+
+
+def int_representatives(alg):
+    """``alg`` over GF(p) with every table entry v written as the plain int v + p,
+    so that a zero is the truthy int p."""
+    field, n = alg.field, alg.dim
+
+    def table(op):
+        return BilinearOp(n, tuple(tuple(tuple(field.residues(c) + field.p for c in v)
+                                         for v in row) for row in op.table))
+
+    return ADAlgebra(n, alg.basis, table(alg.succ), table(alg.prec), field)
+
+
+def grid_cases():
+    """(algebra, grid of upper entries): R(nil2) and nil2 (+) 0 over Q {-1,0,1},
+    GF(2) and GF(3); over GF(p) R(nil2) with field elements, and nil2 (+) 0
+    with int-representative tables and plain-int entries."""
+    for field in (RATIONALS, PrimeField(2), PrimeField(3)):
+        nil = ADAlgebra.make(2, succ_entries=[(0, 0, 1, field.one)], field=field)
+        nil3 = direct_sum(nil, ADAlgebra.zero(1, field))
+        if field is RATIONALS:
+            values = (Q(-1), Q(0), Q(1))
+            yield rnil2(field), values
+            yield nil3, values
+        else:
+            yield rnil2(field), tuple(field.elements())
+            yield int_representatives(nil3), tuple(range(-1, field.p - 1))
+
+
+def test_tr_identity_agrees_with_residual_on_every_grid_point():
+    """T_r is an associative O-operator iff r solves YE6 (skew r), in the field."""
+    for alg, values in grid_cases():
+        n = alg.dim
+        for combo in iproduct(values, repeat=n * (n - 1) // 2):
+            r = skew_tensor_from_uppers(n, combo)
+            assert is_ybe_solution(alg, r) == tr_ybe_identity(alg, r).passed, (alg, r)
+
+
+def test_field_of_bare_product_checks():
+    """The checks on a bare product compare in the field they are given."""
+    gf2 = PrimeField(2)
+    # the zero algebra over GF(2), written with the int 2
+    zero = ADAlgebra.make(2, [(0, 0, 1, 2), (0, 1, 1, 2)], [(1, 0, 1, 2)], field=gf2)
+    r = ((0, 1), (-1, 0))
+    assert is_ybe_solution(zero, r)
+    out = tr_ybe_identity(zero, r)
+    assert (out.passed, out.checked) == (True, 4)
+    # associative mod 2 (e2.e2 = 2 e2 is zero there), not over Q
+    op = BilinearOp.from_entries(2, [(0, 0, 1, 1), (1, 1, 1, 2)])
+    assert not check_associative(op).passed
+    assert check_associative(op, field=gf2).passed
+    form = BilinearForm(2, ((0, 1), (1, 0)))
+    with pytest.raises(PreconditionFailure, match="product is not associative"):
+        check_connes_cocycle(op, form)
+    assert check_connes_cocycle(op, form, field=gf2).checked == 12
 
 
 def test_coboundary_equivalence_on_skew_grid():

@@ -8,6 +8,7 @@ zero vectors and dim-0 sources.  The A and associativity checks keep their
 verdict and ``checked`` under ``change_basis``.
 """
 
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -19,7 +20,8 @@ from adw.algebra import (ADAlgebra, BilinearOp, change_basis, check_anti_dendrif
 from adw.crossed import CrossedDatum
 from adw.fields import RATIONALS, GFElement, InputError, PrimeField
 from adw.linalg import inverse, unit
-from adw.reps import regular_representation, semidirect_product
+from adw.matched import MatchedPairDatum
+from adw.reps import ADRep, regular_representation, semidirect_product
 from adw.unified import ExtendingDatum
 
 from .frozen_split_engine import apply as frozen_apply
@@ -94,6 +96,33 @@ def test_fold_maps_and_cocycles_check_their_target():
     with pytest.raises(InputError, match=r"cocycle has shape \(1,1\), expected \(2,1\)"):
         CrossedDatum(base, c.valgebra, c.lsucc, c.rsucc, c.lprec, c.rprec,
                      BilinearOp.zero(1, 1), c.omega2)
+
+
+def test_every_datum_names_its_misshapen_part():
+    """The one ``PARTS`` check names the attribute, its kind and both shapes."""
+    base, fibre = ADAlgebra.zero(2), ADAlgebra.zero(1)
+    a_on_v, v_on_a = ActionFamily.zero(2, 1), ActionFamily.zero(1, 2)
+    folds = (BilinearOp.zero(1, 2),) * 2
+
+    def refused(message, cls, *parts):
+        with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+            cls(*parts)
+
+    refused("rprec: action family has shape (2,2), expected (2,1)",
+            ADRep, base, 1, a_on_v, a_on_v, a_on_v, ActionFamily.zero(2, 2))
+    refused("mu_succ: action family has shape (2,1), expected (1,2)",
+            ExtendingDatum, base, 1, *(a_on_v,) * 4, v_on_a, a_on_v, v_on_a, v_on_a,
+            *folds, BilinearOp.zero(1), BilinearOp.zero(1))
+    refused("prec_v: product has shape (2,2), expected (1,1)",
+            ExtendingDatum, base, 1, *(a_on_v,) * 4, *(v_on_a,) * 4,
+            *folds, BilinearOp.zero(1), BilinearOp.zero(2))
+    refused("omega2: cocycle has shape (2,2), expected (2,1)",
+            CrossedDatum, base, fibre, *(a_on_v,) * 4, BilinearOp.zero(2, 1),
+            BilinearOp.zero(2))
+    refused("l2p: action family has shape (2,1), expected (1,2)",
+            MatchedPairDatum, base, fibre, *(a_on_v,) * 4, v_on_a, v_on_a, a_on_v, v_on_a)
+    refused("mod_dim: expected a non-negative integer",
+            ADRep, ADAlgebra.zero(0), -1, *(ActionFamily.zero(0, -1),) * 4)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from adw import serialize as io
 from adw.actions import ActionFamily
 from adw.algebra import ADAlgebra, BilinearOp
-from adw.bialgebra import BilinearForm, coboundary_coproducts
+from adw.bialgebra import BilinearForm, coboundary_coproducts, dualize_algebra
 from adw.crossed import AutPair, CrossedDatum, GH2Tuple
 from adw.fields import RATIONALS, InputError, PrimeField
 from adw.linalg import identity
@@ -149,3 +149,34 @@ def test_ooperator_roundtrip():
     d = io.ooperator_to_dict(tmat, rr, RATIONALS)
     t2, rep2 = io.ooperator_from_dict(d, RATIONALS)
     assert t2 == tmat and rep2.algebra.equal_tables(rr.algebra)
+
+
+def dimension_files():
+    """(file kind, reader, well-formed file, one of its dimension keys), per key."""
+    f, nil = RATIONALS, nilpotent2()
+    rr = regular_representation(nil)
+    form = BilinearForm(2, identity(2, Q(1)))
+    gh = GH2Tuple(1, ((Q(1),),), ((Q(1),),), ((Q(1),),), ((Q(1),),), (Q(0),), (Q(0),))
+    mat = io.matrix_to_dict(identity(2, Q(1)), f)
+    return [("algebra", io.algebra_from_dict, io.algebra_to_dict(nil), "dimension"),
+            ("product", io.product_from_dict, io.product_to_dict(nil.assoc, nil.basis, f),
+             "dimension"),
+            ("rep", io.rep_from_dict, io.rep_to_dict(rr), "modDim"),
+            ("datum", io.datum_from_dict,
+             io.datum_to_dict(ExtendingDatum.from_representation(rr)), "vDim"),
+            ("gh2", io.gh2_from_dict, io.gh2_to_dict(gh), "n"),
+            ("rmatrix", io.rmatrix_from_dict, io.rmatrix_to_dict(identity(2, Q(1)), f), "dim"),
+            ("coproducts", io.coproducts_from_dict,
+             io.coproducts_to_dict(dualize_algebra(nil), f), "dim"),
+            ("form", io.form_from_dict, io.form_to_dict(form, f), "dim"),
+            ("matrix", io.matrix_from_dict, mat, "rows"),
+            ("matrix", io.matrix_from_dict, mat, "cols")]
+
+
+@pytest.mark.parametrize("kind, reader, d, key", dimension_files(),
+                         ids=["%s-%s" % (case[0], case[3]) for case in dimension_files()])
+@pytest.mark.parametrize("value", [-1, -2])
+def test_negative_dimensions_are_refused_by_name(kind, reader, d, key, value):
+    assert reader(json.loads(json.dumps(d)), RATIONALS) is not None
+    with pytest.raises(InputError, match="^%s: expected a non-negative integer$" % key):
+        reader(dict(d, **{key: value}), RATIONALS)
