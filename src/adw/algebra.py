@@ -365,16 +365,41 @@ def direct_sum(a: ADAlgebra, b: ADAlgebra) -> ADAlgebra:
                      block(a.prec, b.prec), a.field)
 
 
-def is_homomorphism(phi, src: ADAlgebra, dst: ADAlgebra) -> bool:
-    """phi: dst.dim x src.dim matrix; checks phi(x o y) = phi(x) o phi(y) for both products."""
-    for op_s, op_d in ((src.succ, dst.succ), (src.prec, dst.prec)):
+def check_homomorphism(report, label, phi, src: ADAlgebra, dst: ADAlgebra) -> Report:
+    """Require phi(u o v) = phi(u) o phi(v) in ``report``'s field, for both
+    products and every pair (i, j) of basis vectors of ``src``.
+
+    ``phi`` is a dst.dim x src.dim matrix; its nonzero entries are read once,
+    column by column, and phi(u o v) sums over those alone.  ``label`` reads
+    "name-hom", and a violation's detail "name(u > v) != name(u) > name(v)".
+    """
+    if len(phi) != dst.dim or any(len(row) != src.dim for row in phi):
+        raise InputError("%s: the map is not a %dx%d matrix" % (report.name, dst.dim, src.dim))
+    name = label.rsplit("-", 1)[0]
+    cols = [[(r, row[k]) for r, row in enumerate(phi) if row[k]] for k in range(src.dim)]
+    images = [tuple(row[k] for row in phi) for k in range(src.dim)]
+
+    def image(v):
+        acc = [0] * dst.dim
+        for k, y in enumerate(v):
+            if y:
+                for r, x in cols[k]:
+                    acc[r] += x * y
+        return tuple(acc)
+
+    for op, dop, tag in ((src.succ, dst.succ, ">"), (src.prec, dst.prec, "<")):
+        detail = "%s(u %s v) != %s(u) %s %s(v)" % (name, tag, name, tag, name)
         for i in range(src.dim):
-            ci = tuple(phi[r][i] for r in range(dst.dim))
             for j in range(src.dim):
-                cj = tuple(phi[r][j] for r in range(dst.dim))
-                if matvec(phi, op_s.table[i][j]) != op_d.apply(ci, cj):
-                    return False
-    return True
+                report.require_equal(label, (i, j), image(op.table[i][j]),
+                                     dop.apply(images[i], images[j]), detail)
+    return report
+
+
+def is_homomorphism(phi, src: ADAlgebra, dst: ADAlgebra) -> bool:
+    """phi: dst.dim x src.dim matrix; phi(x o y) = phi(x) o phi(y) for both products."""
+    return check_homomorphism(Report("homomorphism", field=src.field), "phi-hom",
+                              phi, src, dst).passed
 
 
 def is_isomorphism(phi, src: ADAlgebra, dst: ADAlgebra) -> bool:

@@ -22,7 +22,7 @@ from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, check_anti_dendriform,
                       check_associative, lowered, multiplication_operators)
 from .fields import RATIONALS, InputError, PrimeField
-from .linalg import inverse, matmul, matvec, shape, unit, vadd
+from .linalg import inverse, matmul, matvec, shape, transpose, unit, vadd
 from .matched import (AssocMatchedPair, assoc_bicrossed_product,
                       check_assoc_matched_pair)
 from .reporting import PreconditionFailure, Report
@@ -245,40 +245,24 @@ def algebra_from_coproducts(cp: CoproductPair, field=RATIONALS) -> ADAlgebra:
     return ADAlgebra(n, tuple("f%d" % (i + 1) for i in range(n)), succ, prec, field)
 
 
+def _flat(parts):
+    """A coproduct given per basis element as the n x n^2 matrix of its rows."""
+    return tuple(tuple(x for row in part for x in row) for part in parts)
+
+
 def _cop_leg1(parts, t):
-    """Apply a coproduct (given per basis element) to leg 1 of a Tensor2."""
+    """Apply a coproduct (given per basis element) to leg 1 of a Tensor2:
+    out[p][q][r] = sum_i t[i][r] parts[i][p][q]."""
     n = len(parts)
-    na, nb = shape(t)
-    out = [[[0] * nb for _ in range(n)] for _ in range(n)]
-    for i in range(na):
-        for r in range(nb):
-            c = t[i][r]
-            if not c:
-                continue
-            ti = parts[i]
-            for p in range(n):
-                for q in range(n):
-                    if ti[p][q]:
-                        out[p][q][r] = out[p][q][r] + c * ti[p][q]
-    return tuple(tuple(tuple(x) for x in plane) for plane in out)
+    cols = transpose(matmul(transpose(t), _flat(parts)))
+    return tuple(cols[p * n:(p + 1) * n] for p in range(n))
 
 
 def _cop_leg2(parts, t):
-    """Apply a coproduct to leg 2 of a Tensor2."""
+    """Apply a coproduct to leg 2 of a Tensor2: out[p][q][r] = sum_j t[p][j] parts[j][q][r]."""
     n = len(parts)
-    na, nb = shape(t)
-    out = [[[0] * n for _ in range(n)] for _ in range(na)]
-    for p in range(na):
-        for j in range(nb):
-            c = t[p][j]
-            if not c:
-                continue
-            tj = parts[j]
-            for q in range(n):
-                for r in range(n):
-                    if tj[q][r]:
-                        out[p][q][r] = out[p][q][r] + c * tj[q][r]
-    return tuple(tuple(tuple(x) for x in plane) for plane in out)
+    return tuple(tuple(row[q * n:(q + 1) * n] for q in range(n))
+                 for row in matmul(t, _flat(parts)))
 
 
 CA2_TERMS = ("(I(x)Ds)Ds", "-(D(x)I)Ds", "(Dp(x)I)Dp", "-(I(x)D)Dp")
@@ -307,24 +291,20 @@ def check_coalgebra(cp: CoproductPair, exhaustive: bool = False) -> Report:
     return out
 
 
-def check_d_bialgebra(alg: ADAlgebra, cp: CoproductPair,
-                      include_dual_side: bool = True,
-                      exhaustive: bool = False) -> Report:
+def check_d_bialgebra(alg: ADAlgebra, cp: CoproductPair, exhaustive: bool = False) -> Report:
     """The six compatibility equations D1-D6 over all basis pairs.
 
-    With ``include_dual_side`` the mirrored equations D7-D9 (the first three
-    compatibilities for the transposed structure on the dual space) are
-    checked and reported separately rather than presumed redundant.  The
-    coalgebra axioms are a separate precondition, checked by check_coalgebra.
+    The mirrored equations D7-D9 (the first three compatibilities for the
+    transposed structure on the dual space) are checked and reported
+    separately rather than presumed redundant.  The coalgebra axioms are a
+    separate precondition, checked by check_coalgebra.
     """
     if alg.dim != cp.dim:
         raise InputError("algebra and coproducts have different dimensions")
     out = Report("D-bialgebra compatibilities", exhaustive=exhaustive, field=alg.field)
     _check_d_equations(alg, cp, out, ("D1", "D2", "D3", "D4", "D5", "D6"))
-    if include_dual_side:
-        dual_alg = algebra_from_coproducts(cp, alg.field)
-        dual_cp = dualize_algebra(alg)
-        _check_d_equations(dual_alg, dual_cp, out, ("D7", "D8", "D9"))
+    _check_d_equations(algebra_from_coproducts(cp, alg.field), dualize_algebra(alg), out,
+                       ("D7", "D8", "D9"))
     return out
 
 
@@ -603,7 +583,7 @@ class LiftResult:
     consistent: bool
 
 
-def o_operator_to_ybe(tmat, rep: ADRep, precheck_rep: bool = True) -> LiftResult:
+def o_operator_to_ybe(tmat, rep: ADRep) -> LiftResult:
     """Lift an operator to a skew tensor on the split extension by the dual module.
 
     The ambient algebra is A semidirect V* (via the dual representation); the
@@ -613,7 +593,7 @@ def o_operator_to_ybe(tmat, rep: ADRep, precheck_rep: bool = True) -> LiftResult
     n, m = rep.algebra.dim, rep.mod_dim
     if shape(tmat) != (n, m):
         raise InputError("operator matrix must be %dx%d" % (n, m))
-    drep = dual_representation(rep, precheck=precheck_rep)
+    drep = dual_representation(rep)
     ambient = semidirect_product(drep, precheck=False)
     big = n + m
     t = [[0] * big for _ in range(big)]

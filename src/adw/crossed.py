@@ -22,13 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import ActionFamily
-from .algebra import ADAlgebra, BilinearOp, check_parts, is_automorphism
+from .algebra import (ADAlgebra, BilinearOp, change_basis, check_homomorphism, check_parts,
+                      is_automorphism)
 from .fields import RATIONALS, InputError
-from .linalg import (identity, inverse, mat_add, mat_neg, mat_scale, matmul,
-                     matvec, shape, solve_linear, sparse_nullspace, sparse_solve,
-                     transpose, unit, vadd, vneg, vsub, vzero, zeros_mat)
+from .linalg import (block_matrix, identity, inverse, mat_add, mat_neg, matmul, matvec,
+                     shape, solve_linear, sparse_nullspace, sparse_solve, unit, vadd,
+                     vneg, vsub, zeros_mat)
 from .reporting import PreconditionFailure, Report
-from .unified import adapted_blocks, check_glued, glue, split_slots
+from .unified import adapted_blocks, check_glued, glue, split_slots, unglue
 
 
 @dataclass(frozen=True)
@@ -174,26 +175,8 @@ def cocycle_from_section(ealg: ADAlgebra, proj, section) -> "SectionResult":
     # the quotient products are the A-parts of s(x) o s(y)
     alg_a = ADAlgebra(na, tuple("q%d" % (i + 1) for i in range(na)),
                       BilinearOp(na, succ[0][0]), BilinearOp(na, prec[0][0]), ealg.field)
-    # p(v) summed over the nonzero entries of p, column by column
-    pcols = [[(r, x) for r, x in enumerate(col) if x] for col in transpose(proj)]
-
-    def project(v):
-        acc = [0] * na
-        for k, y in enumerate(v):
-            if y:
-                for r, x in pcols[k]:
-                    acc[r] += x * y
-        return tuple(acc)
-
-    hom = Report("projection homomorphism", field=ealg.field)
-    for op, qop, tag in ((ealg.succ, alg_a.succ, ">"), (ealg.prec, alg_a.prec, "<")):
-        for i in range(ne):
-            pi = tuple(proj[r][i] for r in range(na))
-            for j in range(ne):
-                pj = tuple(proj[r][j] for r in range(na))
-                hom.require_equal("p-hom", (i, j), project(op.table[i][j]),
-                                  qop.apply(pi, pj),
-                                  "p(u %s v) != p(u) %s p(v)" % (tag, tag))
+    hom = check_homomorphism(Report("projection homomorphism", field=ealg.field), "p-hom",
+                             proj, ealg, alg_a)
     if not hom.passed:
         raise PreconditionFailure("projection is not an algebra homomorphism", hom)
     m = ne - na
@@ -235,7 +218,17 @@ def check_cocycles_cohomologous(c1: CrossedDatum, c2: CrossedDatum, zeta,
                       "fibre > products differ")
     out.require_equal("N5", (), c1.valgebra.prec.table, c2.valgebra.prec.table,
                       "fibre < products differ")
-    vsucc, vprec = c2.valgebra.succ, c2.valgebra.prec
+    vs, vp = c2.valgebra.succ, c2.valgebra.prec
+    # (label, unprimed and primed family, fibre product, zeta(x) on the right, detail)
+    actions = (("N1", c1.lprec, c2.lprec, vp, False, "l<(x)a != l'<(x)a + zeta(x) <_V a"),
+               ("N1", c1.lsucc, c2.lsucc, vs, False, "l>(x)a != l'>(x)a + zeta(x) >_V a"),
+               ("N2", c1.rprec, c2.rprec, vp, True, "r<(x)a != r'<(x)a + a <_V zeta(x)"),
+               ("N2", c1.rsucc, c2.rsucc, vs, True, "r>(x)a != r'>(x)a + a >_V zeta(x)"))
+    # (label, unprimed cocycle and product, primed cocycle, families and fibre product)
+    cocycles = (("N3", c1.omega1, c1.algebra.succ, c2.omega1, c2.lsucc, c2.rsucc, vs,
+                 "omega1 + zeta(x>y) mismatch"),
+                ("N4", c1.omega2, c1.algebra.prec, c2.omega2, c2.lprec, c2.rprec, vp,
+                 "omega2 + zeta(x<y) mismatch"))
 
     def z(x):
         return matvec(zeta, x)
@@ -245,34 +238,21 @@ def check_cocycles_cohomologous(c1: CrossedDatum, c2: CrossedDatum, zeta,
         zx = z(ex)
         for a in range(m):
             ea = unit(m, a)
-            out.require_equal("N1", (x, a), c1.lprec.act(ex, ea),
-                              vadd(c2.lprec.act(ex, ea), vprec.apply(zx, ea)),
-                              "l<(x)a != l'<(x)a + zeta(x) <_V a")
-            out.require_equal("N1", (x, a), c1.lsucc.act(ex, ea),
-                              vadd(c2.lsucc.act(ex, ea), vsucc.apply(zx, ea)),
-                              "l>(x)a != l'>(x)a + zeta(x) >_V a")
-            out.require_equal("N2", (x, a), c1.rprec.act(ex, ea),
-                              vadd(c2.rprec.act(ex, ea), vprec.apply(ea, zx)),
-                              "r<(x)a != r'<(x)a + a <_V zeta(x)")
-            out.require_equal("N2", (x, a), c1.rsucc.act(ex, ea),
-                              vadd(c2.rsucc.act(ex, ea), vsucc.apply(ea, zx)),
-                              "r>(x)a != r'>(x)a + a >_V zeta(x)")
+            for eq, fam1, fam2, prod, right, detail in actions:
+                out.require_equal(eq, (x, a), fam1.act(ex, ea),
+                                  vadd(fam2.act(ex, ea),
+                                       prod.apply(ea, zx) if right else prod.apply(zx, ea)),
+                                  detail)
     for x in range(n):
         ex = unit(n, x)
         zx = z(ex)
         for y in range(n):
             ey = unit(n, y)
             zy = z(ey)
-            out.require_equal("N3", (x, y),
-                              vadd(c1.omega1.table[x][y], z(c1.algebra.succ.table[x][y])),
-                              vadd(c2.omega1.table[x][y], c2.lsucc.act(ex, zy),
-                                   c2.rsucc.act(ey, zx), vsucc.apply(zx, zy)),
-                              "omega1 + zeta(x>y) mismatch")
-            out.require_equal("N4", (x, y),
-                              vadd(c1.omega2.table[x][y], z(c1.algebra.prec.table[x][y])),
-                              vadd(c2.omega2.table[x][y], c2.lprec.act(ex, zy),
-                                   c2.rprec.act(ey, zx), vprec.apply(zx, zy)),
-                              "omega2 + zeta(x<y) mismatch")
+            for eq, om1, prod1, om2, lf, rf, prod, detail in cocycles:
+                out.require_equal(eq, (x, y), vadd(om1.table[x][y], z(prod1.table[x][y])),
+                                  vadd(om2.table[x][y], lf.act(ex, zy), rf.act(ey, zx),
+                                       prod.apply(zx, zy)), detail)
     return out
 
 
@@ -331,13 +311,8 @@ def _derivation_rows(sxy, lm, rm, x, y, n):
 
 def crossed_isomorphism_matrix(c: CrossedDatum, zeta):
     """Matrix of (x,a) -> (x, zeta(x) + a) on A (+) V coordinates."""
-    n, m = c.algebra.dim, c.vdim
     one = c.algebra.field.one
-    rows = [tuple((one if r == c_ else 0) for c_ in range(n)) + vzero(m)
-            for r in range(n)]
-    rows += [tuple(zeta[r]) + tuple((one if r == c_ else 0) for c_ in range(m))
-             for r in range(m)]
-    return tuple(rows)
+    return block_matrix(identity(c.algebra.dim, one), 0, zeta, identity(c.vdim, one))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +454,12 @@ def check_inducible(c: CrossedDatum, pair: AutPair, phi,
     al, be = pair.alpha, pair.beta
     vs, vp = c.valgebra.succ, c.valgebra.prec
 
+    # (label, cocycle, base and fibre product, left and right families, detail)
+    cocycles = (("Iam3", c.omega1, c.algebra.succ, vs, c.lsucc, c.rsucc,
+                 "omega1 defect mismatch"),
+                ("Iam4", c.omega2, c.algebra.prec, vp, c.lprec, c.rprec,
+                 "omega2 defect mismatch"))
+
     def ph(x):
         return matvec(phi, x)
 
@@ -505,34 +486,27 @@ def check_inducible(c: CrossedDatum, pair: AutPair, phi,
             ey = unit(n, y)
             ay = matvec(al, ey)
             phy = ph(ey)
-            lhs1 = vsub(matvec(be, c.omega1.table[x][y]), c.omega1.apply(ax, ay))
-            rhs1 = vadd(vs.apply(phx, phy), vneg(ph(c.algebra.succ.table[x][y])),
-                        c.lsucc.act(ax, phy), c.rsucc.act(ay, phx))
-            out.require_equal("Iam3", (x, y), lhs1, rhs1, "omega1 defect mismatch")
-            lhs2 = vsub(matvec(be, c.omega2.table[x][y]), c.omega2.apply(ax, ay))
-            rhs2 = vadd(vp.apply(phx, phy), vneg(ph(c.algebra.prec.table[x][y])),
-                        c.lprec.act(ax, phy), c.rprec.act(ay, phx))
-            out.require_equal("Iam4", (x, y), lhs2, rhs2, "omega2 defect mismatch")
+            for eq, om, prod, vprod, lf, rf, detail in cocycles:
+                out.require_equal(eq, (x, y),
+                                  vsub(matvec(be, om.table[x][y]), om.apply(ax, ay)),
+                                  vadd(vprod.apply(phx, phy), vneg(ph(prod.table[x][y])),
+                                       lf.act(ax, phy), rf.act(ay, phx)), detail)
     if out.passed:
         ext = crossed_product(c, precheck=False)
         gamma = lift_matrix(c, pair, phi)
-        ok = is_automorphism(ext, gamma)
-        out.require_equal("gamma-aut", (), ok, True,
+        out.require_equal("gamma-aut", (), is_automorphism(ext, gamma), True,
                           "materialized lift is not an automorphism")
-        one = c.algebra.field.one
-        pmat = tuple(tuple(one if r == cc else 0 for cc in range(n + m)) for r in range(n))
-        imat = tuple(tuple(one if r - n == cc else 0 for cc in range(m)) for r in range(n + m))
+        ident = identity(n + m, c.algebra.field.one)
+        pmat, imat = ident[:n], tuple(row[n:] for row in ident)
         out.require_equal("p.gamma=alpha.p", (), matmul(pmat, gamma), matmul(al, pmat))
         out.require_equal("gamma.i=i.beta", (), matmul(gamma, imat), matmul(imat, be))
     return out
 
 
 def lift_matrix(c: CrossedDatum, pair: AutPair, phi):
-    """gamma(x,a) = (alpha x, phi x + beta a) on A (+) B coordinates."""
-    n, m = c.algebra.dim, c.vdim
-    rows = [tuple(pair.alpha[r]) + vzero(m) for r in range(n)]
-    rows += [tuple(phi[r]) + tuple(pair.beta[r]) for r in range(m)]
-    return tuple(rows)
+    """gamma(x,a) = (alpha x, phi x + beta a) on A (+) B coordinates; phi may
+    be 0."""
+    return block_matrix(pair.alpha, 0, phi, pair.beta)
 
 
 def transformed_cocycle(c: CrossedDatum, pair: AutPair, precheck: bool = True) -> CrossedDatum:
@@ -540,43 +514,23 @@ def transformed_cocycle(c: CrossedDatum, pair: AutPair, precheck: bool = True) -
 
         l'(x)  = beta l(inv(alpha) x) inv(beta)     (all four families)
         om'(x,y) = beta om(inv(alpha) x, inv(alpha) y)
+
+    that is, the crossed product carried along (alpha, beta): its tables in
+    the basis (inv(alpha), inv(beta)), read back as a datum over A and V.
     """
     if precheck:
         pre = check_aut_pair(c, pair)
         if not pre.passed:
             raise PreconditionFailure("not a pair of automorphisms", pre)
-    n, m = c.algebra.dim, c.vdim
     ainv = inverse(pair.alpha)
     binv = inverse(pair.beta)
     if ainv is None or binv is None:
         raise InputError("automorphism pair is singular")
-
-    def conj_family(fam):
-        mats = []
-        for i in range(n):
-            acc = zeros_mat(m, m)
-            for k in range(n):
-                if ainv[k][i]:
-                    acc = mat_add(acc, mat_scale(ainv[k][i],
-                                                 matmul(pair.beta, matmul(fam.mats[k], binv))))
-            mats.append(acc)
-        return ActionFamily(n, m, tuple(mats))
-
-    def conj_cocycle(om):
-        table = []
-        for i in range(n):
-            ai = tuple(ainv[r][i] for r in range(n))
-            row = []
-            for j in range(n):
-                aj = tuple(ainv[r][j] for r in range(n))
-                row.append(matvec(pair.beta, om.apply(ai, aj)))
-            table.append(tuple(row))
-        return BilinearOp(n, tuple(table), m)
-
-    return CrossedDatum(c.algebra, c.valgebra,
-                        conj_family(c.lsucc), conj_family(c.rsucc),
-                        conj_family(c.lprec), conj_family(c.rprec),
-                        conj_cocycle(c.omega1), conj_cocycle(c.omega2))
+    moved = change_basis(crossed_product(c, precheck=False),
+                         lift_matrix(c, AutPair(ainv, binv), 0))
+    ia, iv = range(c.algebra.dim), range(c.algebra.dim, moved.dim)
+    return CrossedDatum.unglued(c.algebra, c.valgebra,
+                                *(unglue(op.table, ia, iv) for op in (moved.succ, moved.prec)))
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,19 @@ def matmul(a, b):
     return _row_products(_nonzeros(a), _nonzeros(b), cb)
 
 
+def block_matrix(tl, tr, bl, br):
+    """The 2x2 block matrix [[tl, tr], [bl, br]] with square diagonal blocks;
+    an off-diagonal block given as 0 is the zero block (int 0 entries)."""
+    n, m = len(tl), len(br)
+    tr = zeros_mat(n, m) if tr == 0 else tr
+    bl = zeros_mat(m, n) if bl == 0 else bl
+    rows = tuple(tuple(a) + tuple(b) for a, b in zip(tl, tr)) + \
+        tuple(tuple(a) + tuple(b) for a, b in zip(bl, br))
+    if len(rows) != n + m or any(len(row) != n + m for row in rows):
+        raise InputError("block matrix: the blocks do not fit together")
+    return rows
+
+
 def mat_add(a, b):
     if shape(a) != shape(b):
         raise InputError("matrix shape mismatch")

@@ -234,6 +234,9 @@ def gh2_from_dict(d, field, basedir=None) -> GH2Tuple:
     _require_keys(d, ("n", "A", "B", "C", "D", "theta0", "epsilon0"), "six-tuple file")
     n = _dim(d["n"], "n")
     mats = {k: _matrix_from_rows(d[k], field, k, (n, n)) for k in "ABCD"}
+    for k in ("theta0", "epsilon0"):
+        if not isinstance(d[k], list):
+            raise InputError("%s: expected a list of coefficients" % k)
     th, ep = (tuple(_coeff(v, field, k) for v in d[k]) for k in ("theta0", "epsilon0"))
     return GH2Tuple(n, mats["A"], mats["B"], mats["C"], mats["D"], th, ep, field)
 

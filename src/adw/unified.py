@@ -28,8 +28,8 @@ from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, a1_chain, a2_pair, assoc_pair, change_basis,
                       check_parts, lowered)
 from .fields import InputError
-from .linalg import (identity, inverse, matmul, matvec, nullspace, sparse_solve,
-                     unit, vadd, vneg, vzero)
+from .linalg import (block_matrix, identity, inverse, matmul, matvec, nullspace, shape,
+                     sparse_solve, unit, vadd, vneg, vzero)
 from .reporting import PreconditionFailure, Report
 
 A1_CHAIN_TERMS = ("u>(v>w)", "-(u.v)>w", "-u<(v.w)", "(u<v)<w")
@@ -345,7 +345,7 @@ def extract_extending_datum(ealg: ADAlgebra, include_a, proj_a) -> ExtractionRes
     report = Report("extraction")
     ne = ealg.dim
     na = len(proj_a)
-    if len(include_a) != ne or len(include_a[0]) != na or len(proj_a[0]) != ne:
+    if shape(include_a) != (ne, na) or shape(proj_a) != (na, ne):
         raise InputError("inclusion/projection shapes do not match the ambient algebra")
     if matmul(proj_a, include_a) != identity(na, ealg.field.one):
         raise InputError("projection is not a left inverse of the inclusion")
@@ -387,9 +387,6 @@ class EquivWitness:
     eta: tuple   # (dim V) x (dim V) matrix: V -> V
 
 
-H_EQS = ("h1", "h2", "h3", "h4", "h5", "h6", "h7", "h8", "h9", "h10")
-
-
 def check_equivalence(d1: ExtendingDatum, d2: ExtendingDatum, w: EquivWitness,
                       cohomologous: bool = False, exhaustive: bool = False) -> Report:
     """Verify the morphism equations h1-h10 for psi(x,a) = (x + zeta(a), eta(a)).
@@ -407,7 +404,7 @@ def check_equivalence(d1: ExtendingDatum, d2: ExtendingDatum, w: EquivWitness,
         raise InputError("data have different base algebras")
     n, m = d1.algebra.dim, d1.vdim
     zeta, eta = w.zeta, w.eta
-    if len(zeta) != n or len(zeta[0]) != m or len(eta) != m or len(eta[0]) != m:
+    if shape(zeta) != (n, m) or shape(eta) != (m, m):
         raise InputError("witness shapes do not match (dim A, dim V)")
     mode = "cohomologous" if cohomologous else "equivalence"
     if cohomologous:
@@ -419,6 +416,28 @@ def check_equivalence(d1: ExtendingDatum, d2: ExtendingDatum, w: EquivWitness,
     out = Report("extending-structure %s" % mode, exhaustive=exhaustive,
                  field=d1.algebra.field)
     alg = d1.algebra
+
+    # h1/h2, eta intertwines the A-on-V actions: (label, source and target family, detail)
+    actions = (("h1", d1.lsucc, d2.lsucc, "eta(l>(x)a) != l'>(x)eta(a)"),
+               ("h1", d1.rsucc, d2.rsucc, "eta(r>(x)a) != r'>(x)eta(a)"),
+               ("h2", d1.lprec, d2.lprec, "eta(l<(x)a) != l'<(x)eta(a)"),
+               ("h2", d1.rprec, d2.rprec, "eta(r<(x)a) != r'<(x)eta(a)"))
+    # h3-h6, zeta against the V-on-A actions: (label, A-on-V family, product,
+    # zeta(a) on the right, source and target V-on-A family, detail)
+    folds = (("h3", d1.lsucc, alg.succ, False, d1.mu_succ, d2.mu_succ,
+              "zeta(l>(x)a) != x>zeta(a) - mu>(a)x + mu'>(eta a)x"),
+             ("h4", d1.rsucc, alg.succ, True, d1.rho_succ, d2.rho_succ,
+              "zeta(r>(x)a) != zeta(a)>x - rho>(a)x + rho'>(eta a)x"),
+             ("h5", d1.lprec, alg.prec, False, d1.mu_prec, d2.mu_prec,
+              "zeta(l<(x)a) != x<zeta(a) - mu<(a)x + mu'<(eta a)x [normalized reading]"),
+             ("h6", d1.rprec, alg.prec, True, d1.rho_prec, d2.rho_prec,
+              "zeta(r<(x)a) != zeta(a)<x - rho<(a)x + rho'<(eta a)x"))
+    # h7-h10 per product: (labels, source complement product and fold map, base
+    # product, the target's complement product, families and fold map, tag)
+    products = ((("h7", "h8"), d1.succ_v, d1.varpi1, alg.succ, d2.succ_v, d2.lsucc, d2.rsucc,
+                 d2.rho_succ, d2.mu_succ, d2.varpi1, (">", "1")),
+                (("h9", "h10"), d1.prec_v, d1.varpi2, alg.prec, d2.prec_v, d2.lprec, d2.rprec,
+                 d2.rho_prec, d2.mu_prec, d2.varpi2, ("<", "2")))
 
     def zv(a):
         return matvec(zeta, a)
@@ -432,80 +451,34 @@ def check_equivalence(d1: ExtendingDatum, d2: ExtendingDatum, w: EquivWitness,
             ea = unit(m, a)
             eta_a = ev(ea)
             zeta_a = zv(ea)
-            # h1/h2: eta intertwines the A-on-V actions
-            out.require_equal("h1", (x, a), ev(d1.lsucc.act(ex, ea)),
-                              d2.lsucc.act(ex, eta_a), "eta(l>(x)a) != l'>(x)eta(a)")
-            out.require_equal("h1", (x, a), ev(d1.rsucc.act(ex, ea)),
-                              d2.rsucc.act(ex, eta_a), "eta(r>(x)a) != r'>(x)eta(a)")
-            out.require_equal("h2", (x, a), ev(d1.lprec.act(ex, ea)),
-                              d2.lprec.act(ex, eta_a), "eta(l<(x)a) != l'<(x)eta(a)")
-            out.require_equal("h2", (x, a), ev(d1.rprec.act(ex, ea)),
-                              d2.rprec.act(ex, eta_a), "eta(r<(x)a) != r'<(x)eta(a)")
-            # h3-h6: zeta against the V-on-A actions
-            out.require_equal("h3", (x, a), zv(d1.lsucc.act(ex, ea)),
-                              vadd(alg.succ.apply(ex, zeta_a),
-                                   vneg(d1.mu_succ.act(ea, ex)),
-                                   d2.mu_succ.act(eta_a, ex)),
-                              "zeta(l>(x)a) != x>zeta(a) - mu>(a)x + mu'>(eta a)x")
-            out.require_equal("h4", (x, a), zv(d1.rsucc.act(ex, ea)),
-                              vadd(alg.succ.apply(zeta_a, ex),
-                                   vneg(d1.rho_succ.act(ea, ex)),
-                                   d2.rho_succ.act(eta_a, ex)),
-                              "zeta(r>(x)a) != zeta(a)>x - rho>(a)x + rho'>(eta a)x")
-            out.require_equal("h5", (x, a), zv(d1.lprec.act(ex, ea)),
-                              vadd(alg.prec.apply(ex, zeta_a),
-                                   vneg(d1.mu_prec.act(ea, ex)),
-                                   d2.mu_prec.act(eta_a, ex)),
-                              "zeta(l<(x)a) != x<zeta(a) - mu<(a)x + mu'<(eta a)x "
-                              "[normalized reading]")
-            out.require_equal("h6", (x, a), zv(d1.rprec.act(ex, ea)),
-                              vadd(alg.prec.apply(zeta_a, ex),
-                                   vneg(d1.rho_prec.act(ea, ex)),
-                                   d2.rho_prec.act(eta_a, ex)),
-                              "zeta(r<(x)a) != zeta(a)<x - rho<(a)x + rho'<(eta a)x")
+            for eq, fam1, fam2, detail in actions:
+                out.require_equal(eq, (x, a), ev(fam1.act(ex, ea)), fam2.act(ex, eta_a), detail)
+            for eq, fam, prod, right, va1, va2, detail in folds:
+                out.require_equal(eq, (x, a), zv(fam.act(ex, ea)),
+                                  vadd(prod.apply(zeta_a, ex) if right
+                                       else prod.apply(ex, zeta_a),
+                                       vneg(va1.act(ea, ex)), va2.act(eta_a, ex)), detail)
     for a in range(m):
         ea = unit(m, a)
         eta_a, zeta_a = ev(ea), zv(ea)
         for b in range(m):
             eb = unit(m, b)
             eta_b, zeta_b = ev(eb), zv(eb)
-            out.require_equal("h7", (a, b), ev(d1.succ_v.table[a][b]),
-                              vadd(d2.succ_v.apply(eta_a, eta_b),
-                                   d2.lsucc.act(zeta_a, eta_b),
-                                   d2.rsucc.act(zeta_b, eta_a)),
-                              "eta(a >_V b) mismatch")
-            out.require_equal("h8", (a, b),
-                              vadd(zv(d1.succ_v.table[a][b]), d1.varpi1.table[a][b]),
-                              vadd(alg.succ.apply(zeta_a, zeta_b),
-                                   d2.rho_succ.act(eta_a, zeta_b),
-                                   d2.mu_succ.act(eta_b, zeta_a),
-                                   d2.varpi1.apply(eta_a, eta_b)),
-                              "zeta(a >_V b) + varpi1(a,b) mismatch")
-            out.require_equal("h9", (a, b), ev(d1.prec_v.table[a][b]),
-                              vadd(d2.prec_v.apply(eta_a, eta_b),
-                                   d2.lprec.act(zeta_a, eta_b),
-                                   d2.rprec.act(zeta_b, eta_a)),
-                              "eta(a <_V b) mismatch")
-            out.require_equal("h10", (a, b),
-                              vadd(zv(d1.prec_v.table[a][b]), d1.varpi2.table[a][b]),
-                              vadd(alg.prec.apply(zeta_a, zeta_b),
-                                   d2.rho_prec.act(eta_a, zeta_b),
-                                   d2.mu_prec.act(eta_b, zeta_a),
-                                   d2.varpi2.apply(eta_a, eta_b)),
-                              "zeta(a <_V b) + varpi2(a,b) mismatch")
+            for (eq_v, eq_a), v1, w1, prod, v2, lf, rf, rho, mu, w2, (tag, k) in products:
+                out.require_equal(eq_v, (a, b), ev(v1.table[a][b]),
+                                  vadd(v2.apply(eta_a, eta_b), lf.act(zeta_a, eta_b),
+                                       rf.act(zeta_b, eta_a)),
+                                  "eta(a %s_V b) mismatch" % tag)
+                out.require_equal(eq_a, (a, b), vadd(zv(v1.table[a][b]), w1.table[a][b]),
+                                  vadd(prod.apply(zeta_a, zeta_b), rho.act(eta_a, zeta_b),
+                                       mu.act(eta_b, zeta_a), w2.apply(eta_a, eta_b)),
+                                  "zeta(a %s_V b) + varpi%s(a,b) mismatch" % (tag, k))
     return out
 
 
 def equivalence_morphism_matrix(d: ExtendingDatum, w: EquivWitness):
     """Matrix of psi(x,a) = (x + zeta(a), eta(a)) on A (+) V coordinates."""
-    n, m = d.algebra.dim, d.vdim
-    one = d.algebra.field.one
-    rows = []
-    for r in range(n):
-        rows.append(tuple((one if r == c else 0) for c in range(n)) + tuple(w.zeta[r]))
-    for r in range(m):
-        rows.append(vzero(n) + tuple(w.eta[r]))
-    return tuple(rows)
+    return block_matrix(identity(d.algebra.dim, d.algebra.field.one), w.zeta, 0, w.eta)
 
 
 def find_cohomologous_witness(d1: ExtendingDatum, d2: ExtendingDatum):

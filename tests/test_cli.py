@@ -12,7 +12,7 @@ from adw import serialize as io
 from adw.actions import ActionFamily
 from adw.algebra import ADAlgebra, BilinearOp, change_basis, direct_sum
 from adw.cli import main
-from adw.crossed import AutPair
+from adw.crossed import AutPair, CrossedDatum
 from adw.fields import RATIONALS, PrimeField
 from adw.matched import MatchedPairDatum
 from adw.reps import ADRep, regular_representation
@@ -510,3 +510,53 @@ def test_rep_coefficient_outside_the_field_is_an_input_error(tmp_path):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(payload))
     assert_input_error(run_child(["rep", "check", str(path)], ADW_FIELD="fp5"))
+
+
+def zero_dim_files(tmp_path):
+    """A 0-dim algebra, an extending datum over it with a 1-dim complement,
+    and the 0x0 matrix."""
+    alg = io.algebra_to_dict(ADAlgebra.zero(0))
+    datum = dict(io.datum_to_dict(ExtendingDatum.from_representation(regular_representation(
+        ADAlgebra.zero(1)))), algebra=alg)
+    paths = {}
+    for name, payload in (("alg", alg), ("datum", datum),
+                          ("empty", {"rows": 0, "cols": 0, "entries": []})):
+        paths[name] = str(tmp_path / ("%s.json" % name))
+        io.write_json(paths[name], payload)
+    return paths
+
+
+def test_equivalence_over_a_zero_dim_base_is_an_input_error(tmp_path, capsys):
+    p = zero_dim_files(tmp_path)
+    assert main(["unified", "equiv", p["datum"], p["datum"], "--zeta", p["empty"]]) == 2
+    assert capsys.readouterr().err == \
+        "input error: witness shapes do not match (dim A, dim V)\n"
+
+
+def test_extraction_of_a_zero_dim_algebra_passes(tmp_path, capsys):
+    p = zero_dim_files(tmp_path)
+    assert main(["unified", "extract", p["alg"], "--include", p["empty"],
+                 "--project", p["empty"]]) == 0
+    assert capsys.readouterr().out == \
+        "extending structure: pass (0 identities checked)\nverdict: pass\nvBasis: []\n"
+
+
+def test_automorphism_pair_of_the_wrong_size_is_an_input_error(tmp_path, capsys):
+    nil = ADAlgebra.make(2, [(0, 0, 1, Q(1))])
+    crossed = tmp_path / "c.json"
+    io.write_json(str(crossed), io.crossed_to_dict(CrossedDatum.split(nil, ADAlgebra.zero(1))))
+    pair, phi = tmp_path / "pair.json", tmp_path / "phi.json"
+    io.write_json(str(pair), io.autpair_to_dict(AutPair(((Q(1),),), ((Q(1),),)), RATIONALS))
+    io.write_json(str(phi), io.matrix_to_dict(((Q(0), Q(0)),), RATIONALS))
+    assert main(["inducible", "check", str(crossed), "--pair", str(pair),
+                 "--phi", str(phi)]) == 2
+    assert capsys.readouterr().err == \
+        "input error: homomorphism: the map is not a 2x2 matrix\n"
+
+
+def test_six_tuple_vector_that_is_not_a_list_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    io.write_json(str(path), {"n": 1, "A": [["0"]], "B": [["0"]], "C": [["0"]], "D": [["0"]],
+                              "theta0": ["1"], "epsilon0": None})
+    assert main(["gh2", "check", str(path)]) == 2
+    assert capsys.readouterr().err == "input error: epsilon0: expected a list of coefficients\n"
