@@ -4,18 +4,35 @@ Structure constants over the rationals (or a small prime field); axiom and
 compatibility checkers with traceable equation labels; constructions for
 split/unified/crossed/bicrossed products, non-abelian cocycles, the
 automorphism-lifting machinery, bialgebras and the Yang-Baxter residual.
+
+The names in ``__all__`` are loaded from their submodule on first access
+(PEP 562), so ``import adw`` loads no submodule and ``adw.cli`` loads only
+what a command calls.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .algebra import ADAlgebra, BilinearOp, check_anti_dendriform, check_associative
-from .fields import RATIONALS, InputError, PrimeField, field_from_name
-from .reporting import PreconditionFailure, Report, Violation
-from .reps import ADRep, check_representation, dual_representation, semidirect_product
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "ADAlgebra": "algebra", "BilinearOp": "algebra", "check_anti_dendriform": "algebra",
+    "check_associative": "algebra",
+    "RATIONALS": "fields", "InputError": "fields", "PrimeField": "fields",
+    "field_from_name": "fields",
+    "PreconditionFailure": "reporting", "Report": "reporting", "Violation": "reporting",
+    "ADRep": "reps", "check_representation": "reps", "dual_representation": "reps",
+    "semidirect_product": "reps",
+}
 
-__all__ = [
-    "ADAlgebra", "ADRep", "BilinearOp", "InputError", "PreconditionFailure",
-    "PrimeField", "RATIONALS", "Report", "Violation", "check_anti_dendriform",
-    "check_associative", "check_representation", "dual_representation",
-    "field_from_name", "semidirect_product", "__version__",
-]
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + _EXPORTS[name], __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

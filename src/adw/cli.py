@@ -5,6 +5,10 @@ Exit codes: 0 = checked and passed (or object built), 1 = checked and failed
 emits the run report as JSON on stdout; the default is human-readable text.
 The scalar field is selected by the ADW_FIELD environment variable
 ("rational" by default, or "fp<prime>" for searches over a prime field).
+
+Each handler imports the modules it calls, so that a process loads only the
+layer its command needs: ``adw algebra check`` never loads the
+representation, unified, crossed, matched or bialgebra modules.
 """
 
 from __future__ import annotations
@@ -15,25 +19,8 @@ import sys
 
 from . import serialize as io
 from .algebra import check_anti_dendriform
-from .bialgebra import (adybe_residual, build_double_construction,
-                        check_coalgebra, check_coboundary_conditions,
-                        check_connes_cocycle, check_d_bialgebra,
-                        check_o_operator, coboundary_coproducts,
-                        derive_compatible_ad, dualize_algebra, is_skew,
-                        o_operator_to_ybe, search_skew_solutions)
-from .crossed import (check_cocycles_cohomologous, check_crossed_system,
-                      check_gh2_tuple, check_inducible, cocycle_from_section,
-                      crossed_product, find_cohomologous_zeta,
-                      gh2_tuples_cohomologous, wells_map, z1_cocycles)
 from .fields import InputError, field_from_env
-from .matched import bicrossed_product, check_matched_pair, factorize
 from .reporting import PreconditionFailure, Report
-from .reps import (check_representation, dual_representation,
-                   semidirect_product)
-from .tensors import t3_is_zero
-from .unified import (EquivWitness, check_equivalence,
-                      check_extending_structure, extract_extending_datum,
-                      unified_product)
 
 
 class _Run:
@@ -109,21 +96,25 @@ def _h_algebra_assoc(args, run):
 
 
 def _h_algebra_dual(args, run):
+    from .bialgebra import dualize_algebra
     alg = io.load_algebra(args.file, run.field)
     run.write(args.out, io.coproducts_to_dict(dualize_algebra(alg), run.field))
 
 
 def _h_rep_check(args, run):
+    from .reps import check_representation
     rep = io.load_rep(args.file, run.field)
     run.report = check_representation(rep, exhaustive=args.exhaustive)
 
 
 def _h_rep_dual(args, run):
+    from .reps import dual_representation
     rep = io.load_rep(args.file, run.field)
     run.write(args.out, io.rep_to_dict(dual_representation(rep), run.field))
 
 
 def _h_rep_semidirect(args, run):
+    from .reps import semidirect_product
     rep = io.load_rep(args.file, run.field)
     alg = semidirect_product(rep)
     run.report = check_anti_dendriform(alg)
@@ -132,11 +123,13 @@ def _h_rep_semidirect(args, run):
 
 
 def _h_unified_check(args, run):
+    from .unified import check_extending_structure
     d = io.load_datum(args.file, run.field)
     run.report = check_extending_structure(d, exhaustive=args.exhaustive)
 
 
 def _h_unified_build(args, run):
+    from .unified import unified_product
     d = io.load_datum(args.file, run.field)
     alg = unified_product(d)
     if args.out:
@@ -144,6 +137,7 @@ def _h_unified_build(args, run):
 
 
 def _h_unified_extract(args, run):
+    from .unified import check_extending_structure, extract_extending_datum
     ealg = io.load_algebra(args.file, run.field)
     incl = io.load_matrix(args.include, run.field)
     proj = io.load_matrix(args.project, run.field)
@@ -155,10 +149,11 @@ def _h_unified_extract(args, run):
 
 
 def _h_unified_equiv(args, run):
+    from .linalg import identity
+    from .unified import EquivWitness, check_equivalence
     d1 = io.load_datum(args.first, run.field)
     d2 = io.load_datum(args.second, run.field)
     zeta = io.load_matrix(args.zeta, run.field)
-    from .linalg import identity
     eta = (io.load_matrix(args.eta, run.field) if args.eta
            else identity(d1.vdim, run.field.one))
     run.report = check_equivalence(d1, d2, EquivWitness(zeta, eta),
@@ -167,11 +162,13 @@ def _h_unified_equiv(args, run):
 
 
 def _h_crossed_check(args, run):
+    from .crossed import check_crossed_system
     c = io.load_crossed(args.file, run.field)
     run.report = check_crossed_system(c, exhaustive=args.exhaustive)
 
 
 def _h_crossed_build(args, run):
+    from .crossed import crossed_product
     c = io.load_crossed(args.file, run.field)
     alg = crossed_product(c)
     if args.out:
@@ -179,6 +176,7 @@ def _h_crossed_build(args, run):
 
 
 def _h_crossed_from_section(args, run):
+    from .crossed import check_crossed_system, cocycle_from_section
     ealg = io.load_algebra(args.file, run.field)
     proj = io.load_matrix(args.project, run.field)
     sect = io.load_matrix(args.section, run.field)
@@ -190,6 +188,7 @@ def _h_crossed_from_section(args, run):
 
 
 def _h_crossed_cohomologous(args, run):
+    from .crossed import check_cocycles_cohomologous, find_cohomologous_zeta
     c1 = io.load_crossed(args.first, run.field)
     c2 = io.load_crossed(args.second, run.field)
     if args.zeta:
@@ -205,11 +204,13 @@ def _h_crossed_cohomologous(args, run):
 
 
 def _h_gh2_check(args, run):
+    from .crossed import check_gh2_tuple
     t = io.load_gh2(args.file, run.field)
     run.report = check_gh2_tuple(t, exhaustive=args.exhaustive)
 
 
 def _h_gh2_cohomologous(args, run):
+    from .crossed import gh2_tuples_cohomologous
     t1 = io.load_gh2(args.first, run.field)
     t2 = io.load_gh2(args.second, run.field)
     w, rep = gh2_tuples_cohomologous(t1, t2)
@@ -219,6 +220,7 @@ def _h_gh2_cohomologous(args, run):
 
 
 def _h_inducible_check(args, run):
+    from .crossed import check_inducible
     c = io.load_crossed(args.file, run.field)
     pair = io.load_autpair(args.pair, run.field)
     phi = io.load_matrix(args.phi, run.field)
@@ -226,6 +228,7 @@ def _h_inducible_check(args, run):
 
 
 def _h_wells_eval(args, run):
+    from .crossed import wells_map
     c = io.load_crossed(args.file, run.field)
     pair = io.load_autpair(args.pair, run.field)
     zeta = io.load_matrix(args.zeta, run.field) if args.zeta else None
@@ -244,6 +247,7 @@ def _h_wells_eval(args, run):
 
 
 def _h_z1_basis(args, run):
+    from .crossed import z1_cocycles
     c = io.load_crossed(args.file, run.field)
     basis = z1_cocycles(c)
     run.data["dimension"] = len(basis)
@@ -254,11 +258,13 @@ def _h_z1_basis(args, run):
 
 
 def _h_matched_check(args, run):
+    from .matched import check_matched_pair
     d = io.load_matched(args.file, run.field)
     run.report = check_matched_pair(d, exhaustive=args.exhaustive)
 
 
 def _h_matched_build(args, run):
+    from .matched import bicrossed_product
     d = io.load_matched(args.file, run.field)
     alg = bicrossed_product(d)
     if args.out:
@@ -266,6 +272,7 @@ def _h_matched_build(args, run):
 
 
 def _h_matched_factorize(args, run):
+    from .matched import factorize
     calg = io.load_algebra(args.file, run.field)
     try:
         first = [int(s) for s in args.first.split(",") if s != ""]
@@ -279,12 +286,14 @@ def _h_matched_factorize(args, run):
 
 
 def _h_connes_check(args, run):
+    from .bialgebra import check_connes_cocycle
     op, _ = io.load_product(args.file, run.field)
     form = io.load_form(args.form, run.field)
     run.report = check_connes_cocycle(op, form, exhaustive=args.exhaustive, field=run.field)
 
 
 def _h_connes_derive(args, run):
+    from .bialgebra import derive_compatible_ad
     op, _ = io.load_product(args.file, run.field)
     form = io.load_form(args.form, run.field)
     alg = derive_compatible_ad(op, form, field=run.field)
@@ -293,6 +302,7 @@ def _h_connes_derive(args, run):
 
 
 def _h_connes_double(args, run):
+    from .bialgebra import build_double_construction
     alg = io.load_algebra(args.file, run.field)
     dual_alg = io.load_algebra(args.dual, run.field)
     dc = build_double_construction(alg, dual_alg)
@@ -307,6 +317,7 @@ def _h_connes_double(args, run):
 
 
 def _h_bialgebra_check(args, run):
+    from .bialgebra import check_coalgebra, check_d_bialgebra
     alg = io.load_algebra(args.file, run.field)
     cp = io.load_coproducts(args.coproducts, run.field)
     rep = Report("D-bialgebra")
@@ -316,6 +327,7 @@ def _h_bialgebra_check(args, run):
 
 
 def _h_bialgebra_coboundary(args, run):
+    from .bialgebra import check_coboundary_conditions, coboundary_coproducts
     alg = io.load_algebra(args.file, run.field)
     rs = io.load_rmatrix(args.rsucc, run.field)
     rp = io.load_rmatrix(args.rprec, run.field)
@@ -326,6 +338,8 @@ def _h_bialgebra_coboundary(args, run):
 
 
 def _h_ybe_residual(args, run):
+    from .bialgebra import adybe_residual, is_skew
+    from .tensors import t3_is_zero
     alg = io.load_algebra(args.file, run.field)
     r = io.load_rmatrix(args.r, run.field)
     residual = adybe_residual(alg, r)
@@ -340,6 +354,7 @@ def _h_ybe_residual(args, run):
 
 
 def _h_ybe_search(args, run):
+    from .bialgebra import search_skew_solutions
     alg = io.load_algebra(args.file, run.field)
     if args.grid:
         values = [run.field.parse(s) for s in args.grid.split(",")]
@@ -357,11 +372,13 @@ def _h_ybe_search(args, run):
 
 
 def _h_oop_check(args, run):
+    from .bialgebra import check_o_operator
     tmat, rep = io.load_ooperator(args.file, run.field)
     run.report = check_o_operator(tmat, rep, exhaustive=args.exhaustive)
 
 
 def _h_oop_lift(args, run):
+    from .bialgebra import o_operator_to_ybe
     tmat, rep = io.load_ooperator(args.file, run.field)
     res = o_operator_to_ybe(tmat, rep)
     out = Report("skew solution from operator")

@@ -4,22 +4,22 @@ Files are strict: unknown keys are rejected, indices are 0-based ints, and
 coefficients are decimal-integer fraction strings like "3" or "-2/7".  The
 writer is canonical (sorted keys, entries ordered by index, coefficients in
 lowest terms), so saving and reloading reproduces values bit-identically.
+
+A reader imports the module of its datum class when it is first called, so
+loading an algebra does not load the representation, crossed, matched or
+bialgebra machinery.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 
 from .actions import ActionFamily
 from .algebra import ADAlgebra, BilinearOp
-from .bialgebra import BilinearForm, CoproductPair
-from .crossed import AutPair, CrossedDatum, GH2Tuple
 from .fields import RATIONALS, InputError
-from .matched import MatchedPairDatum
-from .reps import ADRep
 from .tensors import t3_entries
-from .unified import ExtendingDatum
 
 
 def _require_keys(d, required, what, optional=()):
@@ -108,6 +108,11 @@ def read_json(path):
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise InputError("%s is not valid JSON: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError("%s is not UTF-8 text: %s" % (path, exc)) from exc
+    except RecursionError as exc:
+        # the decoder recurses once per level of nested arrays or objects
+        raise InputError("%s is nested too deeply to read" % path) from exc
 
 
 def write_json(path, payload):
@@ -178,10 +183,12 @@ def _parts_to_dict(obj, field=None):
     return out
 
 
-def _parts_reader(cls, what):
-    """The inverse of ``_parts_to_dict`` for the datum class ``cls``; ``what``
-    names the file kind in error messages."""
+def _parts_reader(module, name, what):
+    """The inverse of ``_parts_to_dict`` for the datum class ``name`` of the
+    submodule ``module``, imported on the first call; ``what`` names the file
+    kind in error messages."""
     def from_dict(d, field, basedir=None):
+        cls = getattr(importlib.import_module("." + module, __package__), name)
         _require_keys(d, [key for _, key, _, _ in cls.PARTS], what)
         dims, args = {}, []
         for _, key, kind, shape in cls.PARTS:
@@ -201,10 +208,10 @@ def _parts_reader(cls, what):
 
 
 rep_to_dict = datum_to_dict = crossed_to_dict = matched_to_dict = _parts_to_dict
-rep_from_dict = _parts_reader(ADRep, "representation file")
-datum_from_dict = _parts_reader(ExtendingDatum, "extending-datum file")
-crossed_from_dict = _parts_reader(CrossedDatum, "crossed-datum file")
-matched_from_dict = _parts_reader(MatchedPairDatum, "matched-pair file")
+rep_from_dict = _parts_reader("reps", "ADRep", "representation file")
+datum_from_dict = _parts_reader("unified", "ExtendingDatum", "extending-datum file")
+crossed_from_dict = _parts_reader("crossed", "CrossedDatum", "crossed-datum file")
+matched_from_dict = _parts_reader("matched", "MatchedPairDatum", "matched-pair file")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +229,7 @@ def matrix_from_dict(d, field, basedir=None):
     return mat
 
 
-def gh2_to_dict(t: GH2Tuple, field=None):
+def gh2_to_dict(t, field=None):
     field = field or t.field
     return {"n": t.n, "A": _matrix_to_rows(t.a, field), "B": _matrix_to_rows(t.b, field),
             "C": _matrix_to_rows(t.c, field), "D": _matrix_to_rows(t.d, field),
@@ -230,7 +237,8 @@ def gh2_to_dict(t: GH2Tuple, field=None):
             "epsilon0": [field.to_str(v) for v in t.epsilon0]}
 
 
-def gh2_from_dict(d, field, basedir=None) -> GH2Tuple:
+def gh2_from_dict(d, field, basedir=None):
+    from .crossed import GH2Tuple
     _require_keys(d, ("n", "A", "B", "C", "D", "theta0", "epsilon0"), "six-tuple file")
     n = _dim(d["n"], "n")
     mats = {k: _matrix_from_rows(d[k], field, k, (n, n)) for k in "ABCD"}
@@ -241,11 +249,12 @@ def gh2_from_dict(d, field, basedir=None) -> GH2Tuple:
     return GH2Tuple(n, mats["A"], mats["B"], mats["C"], mats["D"], th, ep, field)
 
 
-def autpair_to_dict(p: AutPair, field):
+def autpair_to_dict(p, field):
     return {"alpha": _matrix_to_rows(p.alpha, field), "beta": _matrix_to_rows(p.beta, field)}
 
 
-def autpair_from_dict(d, field, basedir=None) -> AutPair:
+def autpair_from_dict(d, field, basedir=None):
+    from .crossed import AutPair
     _require_keys(d, ("alpha", "beta"), "automorphism-pair file")
     return AutPair(_matrix_from_rows(d["alpha"], field, "alpha"),
                    _matrix_from_rows(d["beta"], field, "beta"))
@@ -268,13 +277,14 @@ def rmatrix_from_dict(d, field, basedir=None):
     return tuple(tuple(row) for row in acc)
 
 
-def coproducts_to_dict(cp: CoproductPair, field):
+def coproducts_to_dict(cp, field):
     keys = ("x", "i", "j", "c")
     return {"dim": cp.dim, "dsucc": _entry_list(t3_entries(cp.dsucc), keys, field),
             "dprec": _entry_list(t3_entries(cp.dprec), keys, field)}
 
 
-def coproducts_from_dict(d, field, basedir=None) -> CoproductPair:
+def coproducts_from_dict(d, field, basedir=None):
+    from .bialgebra import CoproductPair
     _require_keys(d, ("dim", "dsucc", "dprec"), "coproduct file")
     n = _dim(d["dim"], "dim")
     return CoproductPair.from_entries(
@@ -282,17 +292,18 @@ def coproducts_from_dict(d, field, basedir=None) -> CoproductPair:
         _coeff_entries(d["dprec"], ("x", "i", "j", "c"), field, "dprec"), field)
 
 
-def form_to_dict(f: BilinearForm, field):
+def form_to_dict(f, field):
     return {"dim": f.dim, "gram": _matrix_to_rows(f.gram, field)}
 
 
-def form_from_dict(d, field, basedir=None) -> BilinearForm:
+def form_from_dict(d, field, basedir=None):
+    from .bialgebra import BilinearForm
     _require_keys(d, ("dim", "gram"), "bilinear-form file")
     n = _dim(d["dim"], "dim")
     return BilinearForm(n, _matrix_from_rows(d["gram"], field, "gram", (n, n)))
 
 
-def ooperator_to_dict(tmat, rep: ADRep, field):
+def ooperator_to_dict(tmat, rep, field):
     return {"representation": rep_to_dict(rep, field),
             "matrix": _matrix_to_rows(tmat, field)}
 

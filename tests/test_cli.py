@@ -560,3 +560,17 @@ def test_six_tuple_vector_that_is_not_a_list_is_an_input_error(tmp_path, capsys)
                               "theta0": ["1"], "epsilon0": None})
     assert main(["gh2", "check", str(path)]) == 2
     assert capsys.readouterr().err == "input error: epsilon0: expected a list of coefficients\n"
+
+
+@pytest.mark.parametrize("content, reason", [(b"\xff\xfe{}", "is not UTF-8 text"),
+                                             (b"[" * 100000, "is nested too deeply")],
+                         ids=["not-utf8", "deep-nesting"])
+def test_unreadable_json_is_an_input_error(tmp_path, capsys, content, reason):
+    """A file that is not UTF-8, and one nested past the decoder's recursion
+    limit, end in exit 2 with an input error; both used to end in a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["algebra", "check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: %s %s" % (path, reason))
