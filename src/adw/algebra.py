@@ -11,12 +11,16 @@ where x.y = x>y + x<y is the associated associative product.
 
 A1, A2 and associativity are written once (``a1_chain``, ``a2_pair``,
 ``assoc_pair`` on ``lowered`` tables), for ``check_triples`` and the glued
-walks of ``adw.unified``.
+walks of ``adw.unified``.  Every check computes on plain ints: the field's
+``lowering`` takes the tables to int residues over GF(p), and over Q to ints
+scaled by the lcm d of their denominators.  The identities are of degree 2
+in the tables, so the walk compares in the field of degree 2
+(``lowered_walk``) and a verdict over Q is the one on the tables as given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .actions import ActionFamily
@@ -52,18 +56,28 @@ def rmul(table, x, j):
     return vzero(len(table[0][j])) if out is None else tuple(out)
 
 
-def lowered(field, succ, prec=None):
-    """The tables the identities read, as ``field.residues`` gives them:
-    (succ, prec, dot, -dot) with x.y = x>y + x<y summed from the residues.
-    With ``prec`` None, ``succ`` is the one product, returned as dot alone.
-    Over GF(p) the entries are int residues, over Q the tables' own."""
+def lowered(lowering, succ, prec=None):
+    """The tables the identities read, lowered by ``lowering`` = (lower, at)
+    from ``field.lowering``: (succ, prec, dot, -dot) with x.y = x>y + x<y
+    summed from the lowered tables and taken to ``at(1).residues`` (mod p
+    over GF(p)).  With ``prec`` None, ``succ`` is the one product, returned
+    as dot alone."""
+    lower, at = lowering
     if prec is None:
-        return None, None, field.residues(succ), None
-    succ, prec = field.residues(succ), field.residues(prec)
-    dot = field.residues(tuple(
+        return None, None, lower(succ), None
+    succ, prec = lower(succ), lower(prec)
+    dot = at(1).residues(tuple(
         tuple(tuple(a + b for a, b in zip(sv, pv)) for sv, pv in zip(srow, prow))
         for srow, prow in zip(succ, prec)))
     return succ, prec, dot, tuple(tuple(vneg(v) for v in row) for row in dot)
+
+
+def lowered_walk(report, succ, prec=None):
+    """(tables, part) for a walk of identities of degree 2 in the tables (A1,
+    A2, associativity, every glued slot): the ``lowered`` tables, and an empty
+    ``report.part`` that compares their values in the lowering's field."""
+    lowering = report.field.lowering(succ, prec)
+    return lowered(lowering, succ, prec), report.part(lowering[1](2))
 
 
 def a1_chain(tables, u, v, w):
@@ -90,23 +104,37 @@ def assoc_pair(tables, u, v, w):
 ASSOC = ("assoc", assoc_pair, ("(x.y).z", "x.(y.z)"))
 
 
-def check_triples(report, n, tables, identities) -> Report:
+def check_triples(report, n, identities, succ, prec=None) -> Report:
     """Each identity (label, spell, terms) at every basis triple (i, j, k) of an
     n-dimensional algebra: ``spell(tables, i, j, k)`` gives the values the
-    terms name, and ``report`` requires them equal in its field."""
+    terms name on the ``lowered_walk`` tables, compared in its field.  Over Q
+    a kept violation is spelled again on the tables as given, so that its
+    values are the tables' own scalars, and ``report`` absorbs the walk."""
+    tables, part = lowered_walk(report, succ, prec)
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for label, spell, terms in identities:
-                    report.require_chain(label, (i, j, k), terms, spell(tables, i, j, k))
-    return report
+                    part.require_chain(label, (i, j, k), terms, spell(tables, i, j, k))
+    if part.violations and part.field is not report.field:
+        given = lowered((report.field.residues, lambda k: report.field), succ, prec)
+        spells = {label: spell for label, spell, _ in identities}
+        part.violations = [_respelled(v, spells[v.equation](given, *v.witness))
+                           for v in part.violations]
+    return report.absorb(part)
+
+
+def _respelled(violation, values):
+    """``violation`` with the values of its first broken link taken from ``values``."""
+    a = next(a for a in range(len(values) - 1) if values[a] != values[a + 1])
+    return replace(violation, lhs=values[a], rhs=values[a + 1])
 
 
 def check_associative(op: BilinearOp, exhaustive: bool = False,
                       field=RATIONALS) -> Report:
     """(x.y).z = x.(y.z) over all basis triples, compared in ``field``."""
     return check_triples(Report("associativity", exhaustive=exhaustive, field=field), op.dim,
-                         lowered(field, op.table), (ASSOC,))
+                         (ASSOC,), op.table)
 
 
 @dataclass(frozen=True)
@@ -257,8 +285,8 @@ class ADAlgebra:
 def check_anti_dendriform(alg: ADAlgebra, exhaustive: bool = False) -> Report:
     """Both defining identities over every basis triple, with witnesses."""
     return check_triples(Report("anti-dendriform axioms", exhaustive=exhaustive, field=alg.field),
-                         alg.dim, lowered(alg.field, alg.succ.table, alg.prec.table),
-                         (("A1", a1_chain, A1_TERMS), ("A2", a2_pair, A2_TERMS)))
+                         alg.dim, (("A1", a1_chain, A1_TERMS), ("A2", a2_pair, A2_TERMS)),
+                         alg.succ.table, alg.prec.table)
 
 
 def associated_associative(alg: ADAlgebra) -> BilinearOp:

@@ -12,6 +12,15 @@ The Yang-Baxter residual of a single tensor r is
 
 with the leg conventions of the tensors module; r is a solution when the
 residual vanishes identically.
+
+CD3-CD10, the residual and the YE6 polarization of ``ybe search`` compute
+on plain ints: ``field.lowering`` takes the tables and the tensors r
+together to int residues over GF(p), and over Q to ints scaled by one d, the
+lcm of all their denominators.  CD3-CD6 and YE6 are of degree 3 in (tables,
+r) and CD7-CD10 of degree 4, so their values compare at the scale d**3 or
+d**4, and what leaves a check (a kept violation, a residual cell, a form
+coefficient) is lifted.  D1-D9 and the coalgebra axioms compute on the
+scalars as given.
 """
 
 from __future__ import annotations
@@ -27,10 +36,10 @@ from .matched import (AssocMatchedPair, assoc_bicrossed_product,
                       check_assoc_matched_pair)
 from .reporting import PreconditionFailure, Report
 from .reps import ADRep, dual_representation, semidirect_product
-from .tensors import (contract_12_13, contract_13_23, contract_23_12, t2_add,
-                      t2_apply, t2_neg, t2_sub, t2_zero, t3_add, t3_apply,
-                      t3_entries, t3_from_entries, t3_is_zero, t3_neg, t3_sub,
-                      t3_zero, twist)
+from .tensors import (C12_13, C13_23, C23_12, add_contraction, contract_12_13,
+                      contract_13_23, contract_23_12, t2_add, t2_apply, t2_neg, t2_sub,
+                      t2_zero, t3_add, t3_apply, t3_from_cells,
+                      t3_from_entries, t3_is_zero, t3_neg, t3_sub, t3_zero, twist)
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +396,20 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
 
     Passing is equivalent to (algebra, coboundary pair) satisfying the full
     D-bialgebra package (coalgebra axioms plus D1-D6); the equivalence is
-    exercised by the test suite rather than assumed.
+    exercised by the test suite rather than assumed.  The conditions run on
+    the tables and both tensors lowered together; a kept violation is
+    lifted.
     """
     n = alg.dim
     if shape(rsucc) != (n, n) or shape(rprec) != (n, n):
         raise InputError("tensors must be %dx%d" % (n, n))
     out = Report("coboundary conditions", exhaustive=exhaustive, field=alg.field)
+    # CD3-CD6 are of degree 2 in the tables and 1 in r, CD7-CD10 of 2 and 2
+    tables = (alg.succ.table, alg.prec.table)
+    lower, at = alg.field.lowering(*tables, rsucc, rprec)
+    alg = ADAlgebra(n, alg.basis, *(BilinearOp(n, lower(t)) for t in tables), alg.field)
+    rsucc, rprec = lower(rsucc), lower(rprec)
+    cubic, quartic = out.part(at(3)), out.part(at(4))
     z2, z3 = t2_zero(n), t3_zero(n)
     ops = multiplication_operators(alg)
     ls, rs = ops.lsucc.mats, ops.rsucc.mats
@@ -412,18 +429,18 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
             # CD3: (R<(x) (x) I + I (x) L.(x)) (L>(y) (x) I + I (x) R.(y)) (r> + tau r<)
             inner = t2_add(t2_apply(ls[j], s_plus_tp, 1), t2_apply(rd[j], s_plus_tp, 2))
             cd3 = t2_add(t2_apply(rp[i], inner, 1), t2_apply(ld[i], inner, 2))
-            out.require_equal("CD3", (i, j), cd3, z2, "CD3 does not vanish")
+            cubic.require_equal("CD3", (i, j), cd3, z2, "CD3 does not vanish")
             # CD4: [I (x) L>(x<y) - R<(y) (x) L>(x) + R<(x<y + x.y) (x) I](r> - r<)
             rp_ls = t2_apply(rp[j], t2_apply(ls[i], s_minus_p, 2), 1)
             cd4 = t2_add(t2_apply(ops.lsucc.mat(pij), s_minus_p, 2),
                          t2_neg(rp_ls),
                          t2_apply(ops.rprec.mat(vadd(pij, dij)), s_minus_p, 1))
-            out.require_equal("CD4", (i, j), cd4, z2, "CD4 does not vanish")
+            cubic.require_equal("CD4", (i, j), cd4, z2, "CD4 does not vanish")
             # CD5: [I (x) L>(x>y + x.y) + R<(x>y) (x) I - R<(y) (x) L>(x)](r> - r<)
             cd5 = t2_add(t2_apply(ops.lsucc.mat(vadd(sij, dij)), s_minus_p, 2),
                          t2_apply(ops.rprec.mat(sij), s_minus_p, 1),
                          t2_neg(rp_ls))
-            out.require_equal("CD5", (i, j), cd5, z2, "CD5 does not vanish")
+            cubic.require_equal("CD5", (i, j), cd5, z2, "CD5 does not vanish")
             # CD6: [L>(x)R>(y) (x) I - R>(y) (x) R<(x)](r< + tau r>)
             #      + [I (x) R<(x)L<(y) - L>(x) (x) L<(y)](r> + tau r<)
             #      - [L>(x)R<(y) (x) I - R<(y) (x) R<(x) + L>(x) (x) L>(y)
@@ -440,7 +457,7 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
                 t2_neg(t2_apply(ls[i], t2_apply(ls[j], s_minus_p, 2), 1)),
                 t2_apply(matmul(rp[i], ls[j]), s_minus_p, 2),
             )
-            out.require_equal("CD6", (i, j), cd6, z2, "CD6 does not vanish")
+            cubic.require_equal("CD6", (i, j), cd6, z2, "CD6 does not vanish")
     # the brackets of CD7-CD10 that do not depend on x = e_i, each once
     c12, c13, c23 = contract_12_13, contract_13_23, contract_23_12
     ss_dot13, ss_prec23 = c13(rsucc, rsucc, dotop), c23(rsucc, rsucc, prec)
@@ -460,42 +477,76 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
         ls_rp = t2_apply(ls[i], rprec, 2)
         # CD7
         cd7 = t3_sub(t3_apply(rp[i], k7, 1), t3_apply(ls[i], k7, 3))
-        out.require_equal("CD7", (i,), cd7, z3, "CD7 does not vanish")
+        quartic.require_equal("CD7", (i,), cd7, z3, "CD7 does not vanish")
         # CD8
         cd8 = t3_add(c12(s_minus_p, rp_rs, prec), c23(rp_rs, s_minus_p, succ),
                      t3_apply(ld[i], k8c, 3), t3_apply(rp[i], k8d, 1))
-        out.require_equal("CD8", (i,), cd8, z3, "CD8 does not vanish")
+        quartic.require_equal("CD8", (i,), cd8, z3, "CD8 does not vanish")
         # CD9
         cd9 = t3_add(t3_apply(rd[i], k9a, 1), t3_apply(ls[i], k9b, 3),
                      c13(ls_rp, p_minus_s, succ), c23(p_minus_s, ls_rp, prec))
-        out.require_equal("CD9", (i,), cd9, z3, "CD9 does not vanish")
+        quartic.require_equal("CD9", (i,), cd9, z3, "CD9 does not vanish")
         # CD10
         cd10 = t3_add(t3_apply(rp[i], k10a, 1), t3_neg(t3_apply(ls[i], k10b, 3)),
                       t3_neg(c23(rp_rs, rsucc, prec)), c23(t2_apply(rp[i], rprec, 1), rprec, prec))
-        out.require_equal("CD10", (i,), cd10, z3, "CD10 does not vanish")
-    return out
+        quartic.require_equal("CD10", (i,), cd10, z3, "CD10 does not vanish")
+    return out.absorb(cubic).absorb(quartic)
 
 
 # ---------------------------------------------------------------------------
 # the Yang-Baxter residual and r-to-map conversion
 
 def adybe_residual(alg: ADAlgebra, r):
-    """The residual tensor  r_12 . r_13 + r_23 > r_12 - r_13 < r_23."""
+    """The residual tensor  r_12 . r_13  +  r_23 > r_12  -  r_13 < r_23.
+
+    A cell that no term reaches is int 0.  Over Q, when some table
+    coefficient is a ``Fraction``, the terms run on the tables and r lowered
+    together (degree 1 in the tables and 2 in r) and each reached cell is
+    lifted to a ``Fraction``, the type it has on such tables as given.  Over
+    GF(p), and on plain-int tables, the terms run on the scalars as given.
+    """
+    n = _ye6_dim(alg, r)
+    tables = (alg.succ.table, alg.prec.table)
+    # over Q every coefficient is an int or a Fraction
+    has_fraction = not isinstance(alg.field, PrimeField) and any(
+        x and type(x) is not int for t in tables for row in t for v in row if any(v) for x in v)
+    if not has_fraction:
+        return t3_from_cells((n, n, n), _residual_cells(r, alg.assoc.table, *tables))
+    r, tables, at = _lowered_ye6(alg, r)
+    return t3_from_cells((n, n, n), _residual_cells(r, *tables), at(3).lift)
+
+
+def _ye6_dim(alg, r):
     n = alg.dim
     if shape(r) != (n, n):
         raise InputError("tensor must be %dx%d" % (n, n))
-    return _residual(r, alg.assoc, alg.succ, alg.prec)
+    return n
 
 
-def _residual(r, dot, succ, prec):
-    """``adybe_residual`` on given product tables (or ``BilinearOp``s)."""
-    return t3_add(contract_12_13(r, r, dot), contract_23_12(r, r, succ),
-                  t3_neg(contract_13_23(r, r, prec)))
+def _lowered_ye6(alg, r):
+    """(r, (dot, succ, prec), at): r and the tables lowered together."""
+    lower, at = lowering = alg.field.lowering(alg.succ.table, alg.prec.table, r)
+    succ, prec, dot, _ = lowered(lowering, alg.succ.table, alg.prec.table)
+    return lower(r), (dot, succ, prec), at
+
+
+def _residual_cells(r, dot, succ, prec):
+    """The residual on given product tables as {cell: value}, over the cells
+    some term reached (``add_contraction``)."""
+    cells = {}
+    add_contraction(cells, r, r, dot, C12_13)
+    add_contraction(cells, r, r, succ, C23_12)
+    add_contraction(cells, t2_neg(r), r, prec, C13_23)
+    return cells
 
 
 def is_ybe_solution(alg: ADAlgebra, r) -> bool:
-    """True iff the residual vanishes in the algebra's field."""
-    return t3_is_zero(alg.field.residues(adybe_residual(alg, r)))
+    """True iff the residual vanishes in the algebra's field.  The terms run
+    on the tables and r lowered together, and no tensor is built."""
+    _ye6_dim(alg, r)
+    r, tables, at = _lowered_ye6(alg, r)
+    residues = at(3).residues
+    return not any(residues(x) for x in _residual_cells(r, *tables).values())
 
 
 def t_r(r):
@@ -635,20 +686,28 @@ def _ye6_form(alg: ADAlgebra, k):
     components whose highest variable is x_t, each a list of (a, b, c) with
     c = ``alg.field.residues`` of the coefficient, nonzero.
     """
-    n, reduce = alg.dim, alg.field.residues
-    succ, prec, dot, _ = lowered(alg.field, alg.succ.table, alg.prec.table)
+    n, field = alg.dim, alg.field
+    lowering = field.lowering(alg.succ.table, alg.prec.table)
+    succ, prec, dot, _ = lowered(lowering, alg.succ.table, alg.prec.table)
+    # over Q a coefficient, of degree 1 in the tables, is lifted
+    reduce = field.residues if isinstance(field, PrimeField) else lowering[1](1).lift
     units = [skew_tensor_from_uppers(n, [int(a == b) for b in range(k)]) for a in range(k)]
-    squares = [_residual(s, dot, succ, prec) for s in units]
+    squares = [_residual_cells(s, dot, succ, prec) for s in units]
     comps = {}
     for b in range(k):
         for a in range(b + 1):
-            res = squares[a] if a == b else t3_sub(
-                _residual(t2_add(units[a], units[b]), dot, succ, prec),
-                t3_add(squares[a], squares[b]))
-            for p, q, s, c in t3_entries(res):
-                c = reduce(c)
+            if a == b:
+                res = squares[a]
+            else:
+                res = _residual_cells(t2_add(units[a], units[b]), dot, succ, prec)
+                for square in (squares[a], squares[b]):
+                    for key, x in square.items():
+                        res[key] = res.get(key, 0) - x
+            # in index order, the order of the dense residual's entries
+            for key in sorted(res):
+                c = reduce(res[key]) if res[key] else 0
                 if c:
-                    comps.setdefault((p, q, s), []).append((a, b, c))
+                    comps.setdefault(key, []).append((a, b, c))
     by_last = [[] for _ in range(k)]
     for terms in comps.values():
         # terms were appended in increasing b, so the last one holds the highest

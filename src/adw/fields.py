@@ -9,18 +9,23 @@ Plain Python ints may appear as additive/multiplicative constants (0, 1, -1):
 both element types absorb them, so generic code can write ``sum(...)`` or
 ``-x`` without knowing the field.
 
-``residues`` lowers a scalar, vector or table to plain ints mod p over GF(p)
-(and leaves it as it is over Q); ``lift`` turns residues back into field
-elements.  They are the comparison boundary: a ``Report`` compares the
-residues of its values and records their lift, so hot loops may compute on
-int residues (``algebra.lowered`` lowers tables once per call) or on
-plain-int tables, and a plain int is read mod p.
+``lowering`` is the one way checks compute on plain ints.  Over GF(p) it
+lowers scalars to their int residues mod p; over Q it scales every input of
+a check by d, the lcm of their denominators, to ints.  ``residues`` and
+``lift`` are the comparison boundary: a ``Report`` compares the residues of
+its values and records the lift of a kept violation.  Over GF(p) they reduce
+mod p and return field elements; after a lowering over Q the report compares
+in ``ScaledRationals(d**k)``, for values of degree k in the inputs, whose
+``residues`` leaves the ints as they are and whose ``lift`` divides by d**k.
+An identity that is homogeneous of degree k holds on the inputs exactly when
+it holds on their lowering, so a verdict never depends on the path.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import lcm
 
 
 class InputError(ValueError):
@@ -142,12 +147,43 @@ class Rationals:
         raise InputError("the rational field is not enumerable; use a grid or fp<p>")
 
     def residues(self, x):
-        """Rationals compute as they are: x itself."""
+        """Rationals compare as they are: x itself."""
         return x
 
     def lift(self, x):
         """The inverse of ``residues``: x itself."""
         return x
+
+    def lowering(self, *parts):
+        """(lower, at) for the nested tuples of scalars in ``parts`` (None is skipped).
+
+        d is the lcm of the denominators of their coefficients.  ``lower``
+        takes a nested tuple of those coefficients to the ints d*x, every zero
+        to int 0; ``at(k)`` is ``ScaledRationals(d**k)``, where a value of
+        degree k in the lowered parts compares and lifts.  Parts holding a
+        scalar that is neither an int nor a ``Fraction`` are left as they are.
+        """
+        dens = set()
+        try:
+            for part in parts:
+                if part is not None:
+                    for vec in _vectors(part):
+                        if any(vec):
+                            dens.update(x.denominator for x in vec if x)
+        except AttributeError:
+            # a scalar that is neither an int nor a Fraction, which a datum
+            # that does not check its field may hold: compute on it as given
+            return self.residues, lambda k: self
+        d = lcm(*dens)
+
+        def lower(x):
+            if x and type(x[0]) is tuple:
+                return tuple(map(lower, x))
+            if not any(x):
+                return (0,) * len(x)
+            return tuple(y.numerator * (d // y.denominator) if y else 0 for y in x)
+
+        return lower, lambda k: ScaledRationals(d ** k)
 
     def __repr__(self):
         return "Rationals()"
@@ -157,6 +193,39 @@ class Rationals:
 
     def __hash__(self):
         return hash("rational")
+
+
+class ScaledRationals:
+    """The rationals as ints over a fixed scale: the int v stands for v/scale.
+
+    A check whose inputs were lowered by ``Rationals.lowering`` compares its
+    values here: they are already ints at this scale, so ``residues``
+    leaves them as they are, and ``lift`` divides them by the scale.
+    """
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def residues(self, x):
+        return x
+
+    def lift(self, x):
+        """The ``Fraction`` x/scale of an int, or of each int in a nested tuple."""
+        if type(x) is tuple:
+            return tuple(map(self.lift, x))
+        return Fraction(x) if self.scale == 1 else Fraction(x, self.scale)
+
+    def __repr__(self):
+        return "ScaledRationals(%d)" % self.scale
+
+
+def _vectors(x):
+    """The innermost tuples of scalars of a nested tuple."""
+    if x and type(x[0]) is tuple:
+        for y in x:
+            yield from _vectors(y)
+    else:
+        yield x
 
 
 class PrimeField:
@@ -222,6 +291,11 @@ class PrimeField:
         if type(x) is tuple:
             return tuple(map(self.lift, x))
         return GFElement(self.p, x)
+
+    def lowering(self, *parts):
+        """(lower, at): ``residues`` lowers, and values of every degree
+        compare in this field."""
+        return self.residues, lambda k: self
 
     def __repr__(self):
         return "PrimeField(%d)" % self.p

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import ActionFamily
-from .algebra import ASSOC, ADAlgebra, BilinearOp, check_parts, check_triples, lowered
+from .algebra import ASSOC, ADAlgebra, BilinearOp, check_parts, check_triples
 from .fields import RATIONALS, InputError
 from .reporting import PreconditionFailure, Report
 from .unified import R_SLOTS, check_columns, check_glued, glue, split_slots, unglue
@@ -150,8 +150,8 @@ def check_assoc_matched_pair(p: AssocMatchedPair, exhaustive: bool = False) -> R
         AM4 (x,y,c)    AM5 (a,y,c)    AM6 (x,b,z)
     """
     out = Report("associative matched pair", exhaustive=exhaustive, field=p.field)
-    pre1, pre2 = (check_triples(Report("associativity", field=p.field), op.dim,
-                                lowered(p.field, op.table), (ASSOC,)) for op in (p.op1, p.op2))
+    pre1, pre2 = (check_triples(Report("associativity", field=p.field), op.dim, (ASSOC,),
+                                op.table) for op in (p.op1, p.op2))
     if not (pre1.passed and pre2.passed):
         raise PreconditionFailure("a factor product is not associative",
                                   pre1 if not pre1.passed else pre2)

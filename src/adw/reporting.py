@@ -2,7 +2,10 @@
 
 A report compares in its field: ``require_equal`` and ``require_chain``
 compare ``field.residues`` of their values and record ``field.lift`` of a
-kept violation's values (both the identity over Q).
+kept violation's values (both the identity over Q).  A check that computes
+on lowered inputs (``fields``) fills a ``part`` that compares in the
+lowering's field, such as ``ScaledRationals(d**k)``, and ``absorb``s it, so
+the report it returns keeps the field of its data.
 """
 
 from __future__ import annotations
@@ -86,6 +89,10 @@ class Report:
             lhs, rhs = self.field.lift(lhs), self.field.lift(rhs)
         self.record(equation, witness, lhs, rhs, detail)
         return False
+
+    def part(self, field) -> "Report":
+        """An empty report of this name and mode that compares in ``field``."""
+        return Report(self.name, self.exhaustive, field=field)
 
     def absorb(self, other: "Report") -> "Report":
         self.checked += other.checked

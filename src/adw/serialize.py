@@ -113,6 +113,9 @@ def read_json(path):
     except RecursionError as exc:
         # the decoder recurses once per level of nested arrays or objects
         raise InputError("%s is nested too deeply to read" % path) from exc
+    except ValueError as exc:
+        # int() refuses a literal longer than sys.get_int_max_str_digits()
+        raise InputError("%s holds a number too long to read: %s" % (path, exc)) from exc
 
 
 def write_json(path, payload):

@@ -175,16 +175,24 @@ def _by_leg(t, leg):
     return out
 
 
-def _contract(u, v, op, legs, order):
-    """Sum u[.] v[.] c[i][j][p] over the nonzero entries of u, v and c.
+# (legs, order) of the three contractions: the index of u on leg a and of v on
+# leg b meet the product; output slot k holds component order[k] of (s, t, p)
+C12_13 = ((0, 0), (2, 0, 1))
+C13_23 = ((1, 1), (0, 1, 2))
+C23_12 = ((0, 1), (1, 2, 0))
 
-    ``legs`` = (a, b): the index of u on leg a and of v on leg b are i and j.
-    With s and t the other indices of u and v, the term (u v) c[i][j][p]
-    lands at ``(s, t, p)`` permuted by ``order``: output slot k holds
-    component order[k].  An entry that no term reaches stays int 0.
+
+def add_contraction(cells, u, v, op, how):
+    """Add the terms of a contraction to ``cells``, {output position: value}.
+
+    ``how`` = ((a, b), order): with i the index of u on leg a, j the index of
+    v on leg b, and s and t their other indices, the term u v c[i][j][p] over
+    the nonzero entries of u, v and c lands at ``(s, t, p)`` permuted by
+    ``order``.  A cell that no term reaches gets no key, so the keys are the
+    reached cells.  Returns the output dimensions.
     """
     c = _prod_table(op)
-    a, b = legs
+    (a, b), order = how
     if shape(u)[a] != len(c) or shape(v)[b] != len(c):
         raise InputError("contraction: tensor legs do not match the product dimension")
     us, vs = _by_leg(u, a), _by_leg(v, b)
@@ -202,24 +210,39 @@ def _contract(u, v, op, legs, order):
                     for p, z in cell:
                         key = (s, t, p)
                         acc[key] = acc.get(key, 0) + f * z
-    dims = (shape(u)[1 - a], shape(v)[1 - b], len(c))
-    d0, d1, d2 = (dims[k] for k in order)
-    out = [[[0] * d2 for _ in range(d1)] for _ in range(d0)]
+    o0, o1, o2 = order
     for key, x in acc.items():
-        out[key[order[0]]][key[order[1]]][key[order[2]]] = x
+        pos = (key[o0], key[o1], key[o2])
+        cells[pos] = cells.get(pos, 0) + x
+    dims = (shape(u)[1 - a], shape(v)[1 - b], len(c))
+    return dims[o0], dims[o1], dims[o2]
+
+
+def t3_from_cells(dims, cells, lift=None):
+    """The dense tensor holding ``cells`` ({position: value}), each taken
+    through ``lift`` if given, and int 0 elsewhere."""
+    d0, d1, d2 = dims
+    out = [[[0] * d2 for _ in range(d1)] for _ in range(d0)]
+    for (i, j, k), x in cells.items():
+        out[i][j][k] = x if lift is None else lift(x)
     return tuple(tuple(tuple(r) for r in plane) for plane in out)
+
+
+def _contract(u, v, op, how):
+    cells = {}
+    return t3_from_cells(add_contraction(cells, u, v, op, how), cells)
 
 
 def contract_12_13(u, v, op):
     """u_12 o v_13 = sum_{i,j} (a_i o c_j) (x) b_i (x) d_j."""
-    return _contract(u, v, op, (0, 0), (2, 0, 1))
+    return _contract(u, v, op, C12_13)
 
 
 def contract_13_23(u, v, op):
     """u_13 o v_23 = sum_{i,j} a_i (x) c_j (x) (b_i o d_j)."""
-    return _contract(u, v, op, (1, 1), (0, 1, 2))
+    return _contract(u, v, op, C13_23)
 
 
 def contract_23_12(u, v, op):
     """u_23 o v_12 = sum_{i,j} c_j (x) (a_i o d_j) (x) b_i."""
-    return _contract(u, v, op, (0, 1), (1, 2, 0))
+    return _contract(u, v, op, C23_12)

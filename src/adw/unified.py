@@ -26,7 +26,7 @@ from operator import itemgetter
 
 from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, a1_chain, a2_pair, assoc_pair, change_basis,
-                      check_parts, lowered)
+                      check_parts, lowered_walk)
 from .fields import InputError
 from .linalg import (block_matrix, identity, inverse, matmul, matvec, nullspace, shape,
                      sparse_solve, unit, vadd, vneg, vzero)
@@ -121,12 +121,13 @@ def check_glued(report, na, nv, slots, succ, prec=None) -> Report:
     (A-id, V-id) of its associativity components.  Triple types run in the
     order of ``slots``; a witness is (type, i, j, k) with indices local to
     each summand.  The A and V components, the two slices of the glued
-    vectors, are compared in ``report``'s field.
+    vectors, are compared on the ``lowered_walk`` tables, and ``report``
+    absorbs the walk.
     """
     n = na + nv
     comps = (slice(0, na), slice(na, n))
     summand = {"A": range(na), "V": range(na, n)}
-    tables = lowered(report.field, succ, prec)
+    tables, part = lowered_walk(report, succ, prec)
     for ttype, labels in slots.items():
         parts = ((("assoc", labels, ASSOC_TERMS),) if prec is None else
                  (("A1", labels[0], (A1_CHAIN_TERMS,) * 2), ("A2", labels[1], A2_TERMS)))
@@ -141,9 +142,9 @@ def check_glued(report, na, nv, slots, succ, prec=None) -> Report:
                     for identity, cells in checks:
                         values = identity(tables, u, v, w)
                         for comp, label, terms in cells:
-                            report.require_chain(label, (tname, iu, iv, iw), terms,
-                                                 tuple(t[comp] for t in values))
-    return report
+                            part.require_chain(label, (tname, iu, iv, iw), terms,
+                                               tuple(t[comp] for t in values))
+    return report.absorb(part)
 
 
 def check_columns(report, na, nv, slots, succ, prec=None, acting="A") -> Report:
@@ -158,16 +159,16 @@ def check_columns(report, na, nv, slots, succ, prec=None, acting="A") -> Report:
     n = na + nv
     summand = {"A": range(na), "V": range(na, n)}
     module, cut = ("V", slice(na, n)) if acting == "A" else ("A", slice(0, na))
-    tables = lowered(report.field, succ, prec)
+    tables, part = lowered_walk(report, succ, prec)
     slots = [(label, itemgetter(*("xyw".index(p) for p in placement)), IDENTITIES[identity],
               terms) for label, placement, identity, terms in slots]
     for i, x in enumerate(summand[acting]):
         for j, y in enumerate(summand[acting]):
             for label, place, identity, terms in slots:
                 cols = [identity(tables, *place((x, y, w))) for w in summand[module]]
-                report.require_chain(label, (i, j), terms, tuple(
+                part.require_chain(label, (i, j), terms, tuple(
                     tuple(zip(*(col[t][cut] for col in cols))) for t in range(len(terms))))
-    return report
+    return report.absorb(part)
 
 
 # Column slots (label, placement, identity, terms) of the axioms of a

@@ -574,3 +574,20 @@ def test_unreadable_json_is_an_input_error(tmp_path, capsys, content, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: %s %s" % (path, reason))
+
+
+@pytest.mark.parametrize("key", ["c", "dimension"])
+def test_overlong_integer_literal_is_an_input_error(tmp_path, capsys, key):
+    """A JSON integer literal longer than the interpreter's int-conversion
+    limit (4,300 digits by default), as a coefficient or as a dimension, ends
+    in exit 2 with an input error; it used to end in a traceback."""
+    digits = "7" * 5000
+    coefficient = digits if key == "c" else '"1"'
+    dimension = digits if key == "dimension" else "2"
+    path = tmp_path / "long.json"
+    path.write_text('{"dimension": %s, "basis": ["e1", "e2"], "succ": [{"i": 0, "j": 0, '
+                    '"k": 1, "c": %s}], "prec": []}' % (dimension, coefficient))
+    assert main(["algebra", "check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: %s holds a number too long to read" % path)

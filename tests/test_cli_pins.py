@@ -20,7 +20,7 @@ from adw.bialgebra import BilinearForm, coboundary_coproducts
 from adw.cli import main
 from adw.crossed import AutPair, CrossedDatum, gh2_to_crossed
 from adw.matched import MatchedPairDatum
-from adw.reps import regular_representation, semidirect_product
+from adw.reps import ADRep, regular_representation, semidirect_product
 from adw.unified import ExtendingDatum
 from .conftest import nilpotent2
 
@@ -285,3 +285,113 @@ def test_subcommand_output_bytes(case, argv, outs, tmp_path, capsys, monkeypatch
     write_inputs()
     got = {"text": pin(argv, outs, capsys), "json": pin(argv + ["--json"], outs, capsys)}
     assert got == PINS[case]
+
+
+# ---------------------------------------------------------------------------
+# rational inputs whose coefficients have denominators 2, 3 and 7, so that the
+# values of a failing check print as fractions
+
+def _denominator_inputs():
+    """(name, payload) of the input files of the denominator cases.
+
+    X is three copies of nil2 with e > e = c f for c = 1/2, -2/3, 3/7; the
+    failing algebra adds 1/7 e1 to e1 > e1; the failing representation adds
+    1/3 to the diagonal of l>(e1); r is supported on the annihilator
+    (passing) or spread over X (failing).
+    """
+    c = (Q(1, 2), Q(-2, 3), Q(3, 7))
+    ents = [(2 * b, 2 * b, 2 * b + 1, c[b]) for b in range(3)]
+    alg = ADAlgebra.make(6, succ_entries=ents)
+    bad = ADAlgebra.make(6, succ_entries=ents + [(0, 0, 0, Q(1, 7))])
+    rr = regular_representation(alg)
+    mats = rr.lsucc.mats
+    shifted = tuple(tuple(x + Q(1, 3) if r == col else x for col, x in enumerate(row))
+                    for r, row in enumerate(mats[0]))
+    bad_rep = ADRep(alg, 6, ActionFamily(6, 6, (shifted,) + mats[1:]),
+                    rr.rsucc, rr.lprec, rr.rprec)
+
+    def tensor(cells):
+        t = [[ZERO] * 6 for _ in range(6)]
+        for (i, j), x in cells.items():
+            t[i][j] = x
+        return tuple(map(tuple, t))
+
+    r_ann = tensor({(1, 3): Q(1, 2), (3, 1): Q(-1, 2), (5, 5): Q(2, 7), (1, 5): Q(1, 3)})
+    r_bad = tensor({(0, 0): Q(1, 2), (0, 2): Q(1, 3), (2, 4): Q(2, 7), (4, 0): Q(-1, 7),
+                    (1, 2): Q(5, 3)})
+    return {
+        "x.json": io.algebra_to_dict(alg),
+        "xbad.json": io.algebra_to_dict(bad),
+        "xrep.json": io.rep_to_dict(rr),
+        "xrepbad.json": io.rep_to_dict(bad_rep),
+        "xdatum.json": io.datum_to_dict(ExtendingDatum.from_representation(rr)),
+        "xdatumbad.json": io.datum_to_dict(ExtendingDatum.from_representation(bad_rep)),
+        "rann.json": io.rmatrix_to_dict(r_ann, alg.field),
+        "rbad.json": io.rmatrix_to_dict(r_bad, alg.field),
+    }
+
+
+DENOMINATOR_CASES = [
+    ("algebra-check-pass", ["algebra", "check", "x.json"], []),
+    ("algebra-check-fail", ["algebra", "check", "xbad.json", "--exhaustive"], []),
+    ("rep-check-pass", ["rep", "check", "xrep.json"], []),
+    ("rep-check-fail", ["rep", "check", "xrepbad.json", "--exhaustive"], []),
+    ("unified-check-pass", ["unified", "check", "xdatum.json"], []),
+    ("unified-check-fail", ["unified", "check", "xdatumbad.json", "--exhaustive"], []),
+    ("ybe-residual-pass", ["ybe", "residual", "x.json", "rann.json"], []),
+    ("ybe-residual-fail", ["ybe", "residual", "x.json", "rbad.json"], []),
+    ("bialgebra-coboundary-pass", ["bialgebra", "coboundary", "x.json", "rann.json",
+                                   "rann.json", "--out", "out.json"], ["out.json"]),
+    ("bialgebra-coboundary-fail", ["bialgebra", "coboundary", "x.json", "rbad.json",
+                                   "rbad.json", "--exhaustive", "--out", "out.json"],
+     ["out.json"]),
+]
+
+# recorded before the checks over Q computed on scaled ints
+DENOMINATOR_PINS = {
+    "algebra-check-pass": {
+        "text": (0, "ab36840b5e8ed30df9e60152d65845a5601a2859f19cdb2df4fdd092ae2188ba", ()),
+        "json": (0, "b2226f843853f460b051d1efa8d3a0aa88afd1dfda8ffcd01e1f2f0e40d9b853", ())},
+    "algebra-check-fail": {
+        "text": (1, "76cce232398a1cbe1690dab586706848c357852820c328f3d5eb7a620491f394", ()),
+        "json": (1, "91adcc073aa85b6c2f5710db4d2aa2e2cab33f780ce61017ebc263d877ae3026", ())},
+    "rep-check-pass": {
+        "text": (0, "ce1958dc64d7eaff372fdb0fd54c78c217adc62f19d79e661babd6ff4334da91", ()),
+        "json": (0, "98719666073502ed29c1ffc5e0017e62227bbe6ca376202157e72ee168541c52", ())},
+    "rep-check-fail": {
+        "text": (1, "4432c70a7cd767952d95ecfb383963cbf0c3e712599916180ce739fafdfa7ac9", ()),
+        "json": (1, "9bdc2e02e31c91a1e87774f039724d0510d838c8765bdb4d53ac38ab24bf28bf", ())},
+    "unified-check-pass": {
+        "text": (0, "2f29918e5ea28020bfce319adb8bfbb98ef5444dddee2127dff916ce0e679e4c", ()),
+        "json": (0, "835c6e2a776dc5a813fe4230b7e400cbc301a38527a97709b424cccfd23a3486", ())},
+    "unified-check-fail": {
+        "text": (1, "223c2f5b38926dc508cc2a90aa7cfcaccf325018d5fd5298f730bf01e9036c81", ()),
+        "json": (1, "44ffdbd95a8aeba393f6aac9ab15a604173aa032421e8db6c03edbbe014e9a12", ())},
+    "ybe-residual-pass": {
+        "text": (0, "17ddf096eb88b64f09669829a57ebaa44d1487aef4e2217679a075563e5e6f8b", ()),
+        "json": (0, "a1640ff20a19a1ff12fecdc34424ac6b754aafeb8075f2b2964b5f70a0863afc", ())},
+    "ybe-residual-fail": {
+        "text": (1, "e992e557112129eb29e063a67f4615fcae994d2e31a5c91758ffa63386dcb404", ()),
+        "json": (1, "9e8dee96d936d5b60309fb4a5fcd41e96cc183890f753be515515e26be2558a3", ())},
+    "bialgebra-coboundary-pass": {
+        "text": (0, "7523c82c4f556aa1e3d95778e614bd7483a067fd6e054a5b5b076a90a9bbd42d",
+                 ("7891c71626fed1f299f5888e0e5b527474a8eb727117154611e1a2ea01133c2e",)),
+        "json": (0, "e7eeb937acf85b4e12f81d32612f5c3c0a37b5938bc5785093b7a6b7076bb2fe",
+                 ("7891c71626fed1f299f5888e0e5b527474a8eb727117154611e1a2ea01133c2e",))},
+    "bialgebra-coboundary-fail": {
+        "text": (1, "4e6d29428bac83b70f1e9d164f258b3f64e1b6d589d2f6db01a23ddd855c9c7d",
+                 ("f69ce90e2c58a7cf0659c05fc3313c152b10c7ee5c2ba45fde240c4c02185319",)),
+        "json": (1, "477e324ea8ba7439451e709c702648cf3b681eeb70034358ad80beb82a3fdc65",
+                 ("f69ce90e2c58a7cf0659c05fc3313c152b10c7ee5c2ba45fde240c4c02185319",))},
+}
+
+
+@pytest.mark.parametrize("case, argv, outs", DENOMINATOR_CASES,
+                         ids=[c[0] for c in DENOMINATOR_CASES])
+def test_denominator_output_bytes(case, argv, outs, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ADW_FIELD", raising=False)
+    for name, payload in _denominator_inputs().items():
+        io.write_json(name, payload)
+    got = {"text": pin(argv, outs, capsys), "json": pin(argv + ["--json"], outs, capsys)}
+    assert got == DENOMINATOR_PINS[case]
