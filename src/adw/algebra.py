@@ -16,6 +16,8 @@ walks of ``adw.unified``.  Every check computes on plain ints: the field's
 scaled by the lcm d of their denominators.  The identities are of degree 2
 in the tables, so the walk compares in the field of degree 2
 (``lowered_walk``) and a verdict over Q is the one on the tables as given.
+A walk evaluates only the live triples of its ``Walk``, those where some
+term can be nonzero, and ticks the rest without evaluating them.
 """
 
 from __future__ import annotations
@@ -72,12 +74,39 @@ def lowered(lowering, succ, prec=None):
     return succ, prec, dot, tuple(tuple(vneg(v) for v in row) for row in dot)
 
 
-def lowered_walk(report, succ, prec=None):
-    """(tables, part) for a walk of identities of degree 2 in the tables (A1,
-    A2, associativity, every glued slot): the ``lowered`` tables, and an empty
-    ``report.part`` that compares their values in the lowering's field."""
+class Walk:
+    """What the walks of one check share, computed once: the ``lowered``
+    tables, their support ``live`` (``live[u][v]`` is true when (u, v) is a
+    nonzero pair of some lowered table, so an entry that is 0 in the field is
+    dead) and the ``part`` that compares values in the lowering's field.
+
+    A triple (u, v, w) is live when (u, v) or (v, w) is: every term of A1, A2
+    and associativity is a product with a table's value at one of those two
+    pairs, so at a dead triple every term is the zero vector and the
+    identity holds.  The walks evaluate the live triples, in their order,
+    and tick the dead ones (``Report.tick_each``) without evaluating them.
+    A plain class: a frozen dataclass costs each command-line process about
+    a millisecond to create."""
+
+    __slots__ = ("tables", "live", "part")
+
+    def __init__(self, tables, live, part: Report):
+        self.tables, self.live, self.part = tables, live, part
+
+
+def lowered_walk(report, succ, prec=None) -> Walk:
+    """The ``Walk`` of identities of degree 2 in the tables (A1, A2,
+    associativity, every glued slot) on ``succ``/``prec``; its empty
+    ``part`` of ``report`` compares their values in the lowering's field."""
     lowering = report.field.lowering(succ, prec)
-    return lowered(lowering, succ, prec), report.part(lowering[1](2))
+    tables = lowered(lowering, succ, prec)
+    succ, prec, dot, _ = tables
+    if succ is None:
+        live = tuple(tuple(map(any, row)) for row in dot)
+    else:
+        live = tuple(tuple(any(s) or any(p) for s, p in zip(srow, prow))
+                     for srow, prow in zip(succ, prec))
+    return Walk(tables, live, report.part(lowering[1](2)))
 
 
 def a1_chain(tables, u, v, w):
@@ -107,15 +136,22 @@ ASSOC = ("assoc", assoc_pair, ("(x.y).z", "x.(y.z)"))
 def check_triples(report, n, identities, succ, prec=None) -> Report:
     """Each identity (label, spell, terms) at every basis triple (i, j, k) of an
     n-dimensional algebra: ``spell(tables, i, j, k)`` gives the values the
-    terms name on the ``lowered_walk`` tables, compared in its field.  Over Q
-    a kept violation is spelled again on the tables as given, so that its
-    values are the tables' own scalars, and ``report`` absorbs the walk."""
-    tables, part = lowered_walk(report, succ, prec)
+    terms name on the ``lowered_walk`` tables, compared in its field.  Only
+    the live triples are spelled.  Over Q a kept violation is spelled again
+    on the tables as given, so that its values are the tables' own scalars,
+    and ``report`` absorbs the walk."""
+    walk = lowered_walk(report, succ, prec)
+    tables, live, part = walk.tables, walk.live, walk.part
+    after = [[k for k in range(n) if row[k]] for row in live]
+    every, dead = range(n), 0
     for i in range(n):
         for j in range(n):
-            for k in range(n):
+            ks = every if live[i][j] else after[j]
+            dead += n - len(ks)
+            for k in ks:
                 for label, spell, terms in identities:
                     part.require_chain(label, (i, j, k), terms, spell(tables, i, j, k))
+    part.tick_each(dead * len(identities))
     if part.violations and part.field is not report.field:
         given = lowered((report.field.residues, lambda k: report.field), succ, prec)
         spells = {label: spell for label, spell, _ in identities}

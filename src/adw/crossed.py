@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, change_basis, check_homomorphism, check_parts,
-                      is_automorphism)
+                      is_automorphism, lowered_walk)
 from .fields import RATIONALS, InputError
 from .linalg import (block_matrix, identity, inverse, mat_add, mat_neg, matmul, matvec,
                      shape, solve_linear, sparse_nullspace, sparse_solve, unit, vadd,
@@ -130,7 +130,9 @@ def check_crossed_system(d: CrossedDatum, exhaustive: bool = False,
                 out.record("C12", v.witness, v.lhs, v.rhs,
                            "fibre algebra violates %s: %s" % (v.equation, v.detail))
             out.violation_count += fib.violation_count - len(fib.violations)
-    return check_glued(out, d.algebra.dim, d.vdim, _CROSSED_SLOTS, *d.glued())
+    walk = lowered_walk(out, *d.glued())
+    check_glued(walk, d.algebra.dim, d.vdim, _CROSSED_SLOTS)
+    return out.absorb(walk.part)
 
 
 def check_cocycle(d: CrossedDatum, exhaustive: bool = False) -> Report:
@@ -267,8 +269,9 @@ def find_cohomologous_zeta(c1: CrossedDatum, c2: CrossedDatum):
     if not (c1.fibre_abelian() and c2.fibre_abelian()):
         raise InputError("fast path requires abelian fibres on both sides")
     probe = Report("cohomologous fast path")
+    residues = c1.algebra.field.residues  # a plain int is read mod p
     for name in ("lsucc", "rsucc", "lprec", "rprec"):
-        if getattr(c1, name).mats != getattr(c2, name).mats:
+        if residues(getattr(c1, name).mats) != residues(getattr(c2, name).mats):
             probe.record(name, (), (), (),
                          "action families differ with abelian fibre: no witness exists")
             return None, probe
@@ -280,7 +283,7 @@ def find_cohomologous_zeta(c1: CrossedDatum, c2: CrossedDatum):
                     (c1.omega2, c2.omega2, c2.lprec, c2.rprec, c1.algebra.prec)):
                 rows += _derivation_rows(prod.table[x][y], lf.mats[x], rf.mats[y], x, y, n)
                 rhs += vsub(om2.table[x][y], om1.table[x][y])
-    sol = sparse_solve(rows, rhs, m * n)
+    sol = sparse_solve(rows, rhs, m * n, c1.algebra.field)
     probe.tick(len(rows))
     if sol is None:
         probe.record("N3-N4", (), (), (), "linear system infeasible: no witness exists")
@@ -599,6 +602,6 @@ def z1_cocycles(c: CrossedDatum):
             for prod, lf, rf in ((c.algebra.succ, c.lsucc, c.rsucc),
                                  (c.algebra.prec, c.lprec, c.rprec)):
                 rows += _derivation_rows(prod.table[x][y], lf.mats[x], rf.mats[y], x, y, n)
-    basis = sparse_nullspace(rows, m * n)
+    basis = sparse_nullspace(rows, m * n, c.algebra.field)
     return [tuple(tuple(vec[r * n + cc] for cc in range(n)) for r in range(m))
             for vec in basis]

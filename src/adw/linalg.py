@@ -16,16 +16,19 @@ to their zeros get ``zero - f*zero`` once, as the row's new zero.  So every
 returned value has the value and the type dense elimination gives it, zeros
 included: an int row stays int until a ``Fraction`` pivot row meets it.
 There is no fill-reducing ordering and no numerical heuristic; plain ints
-divide to an int or a ``Fraction``, never to a float.  ``sparse_nullspace``
-and ``sparse_solve`` take the rows as dicts directly, for systems built
-row by row.
+divide to an int or a ``Fraction``, never to a float.  Over GF(p) every
+int entry is first taken into the field, so two ints never divide to a
+``Fraction``: the rows are over GF(p) when some entry is a GF(p) element,
+or when the caller names the field.  ``sparse_nullspace`` and
+``sparse_solve`` take the rows as dicts directly, for systems built row by
+row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import InputError
+from .fields import GFElement, InputError, PrimeField
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +179,33 @@ def _sparse(row):
     return {c: x for c, x in enumerate(row) if x or type(x) is not tz or x != zero}, zero
 
 
-def _gauss_jordan(rows, ncols):
+def _into_field(rows, field):
+    """Sparse rows with every int entry, zeros included, taken into GF(p)
+    when they are over GF(p): ``field`` is ``PrimeField(p)``, or ``field`` is
+    None and some entry is a GF(p) element.  Other rows come back as given."""
+    if field is None:
+        p = next((x.p for e, z in rows for x in (z, *e.values()) if type(x) is GFElement), None)
+    else:
+        p = field.p if isinstance(field, PrimeField) else None
+    if p is None:
+        return rows
+
+    def take(x):
+        return GFElement(p, x) if type(x) is int else x
+
+    return [({c: take(x) for c, x in e.items()}, take(z)) for e, z in rows]
+
+
+def _gauss_jordan(rows, ncols, field=None):
     """Reduce sparse rows; returns (the rows in their final order, pivots).
 
     A row is (entries, zero): a dict from column to value, and the value of
-    every column missing from it.  The eliminator makes the moves of dense
-    Gauss-Jordan elimination in the same order and on the same values; the
-    sparse layout only changes which entries it reads.
+    every column missing from it.  The rows are first taken ``_into_field``.
+    The eliminator makes the moves of dense Gauss-Jordan elimination in the
+    same order and on the same values; the sparse layout only changes which
+    entries it reads.
     """
+    rows = _into_field(rows, field)
     nrows = len(rows)
     entries = [e for e, _ in rows]
     zeros = [z for _, z in rows]
@@ -270,9 +292,9 @@ def _kernel(rows, pivots, ncols):
     return tuple(basis)
 
 
-def _solve(aug, cols):
+def _solve(aug, cols, field=None):
     """Solve the sparse rows ``aug`` of [A | b], with b in column ``cols``."""
-    rr, pivots = _gauss_jordan(aug, cols + 1)
+    rr, pivots = _gauss_jordan(aug, cols + 1, field)
     if cols in pivots:
         return None
     particular = [0] * cols
@@ -294,16 +316,17 @@ def solve_linear(amat, b):
     return _solve([_sparse(tuple(amat[r]) + (b[r],)) for r in range(rows)], cols)
 
 
-def sparse_solve(rows, rhs, ncols):
+def sparse_solve(rows, rhs, ncols, field=None):
     """``solve_linear`` of the ``ncols``-column matrix whose rows are the
-    dicts {column: value} of ``rows``, every other entry int 0."""
+    dicts {column: value} of ``rows``, every other entry int 0, over
+    ``field`` when it is given."""
     aug = []
     for e, b in zip(rows, rhs):
         if b or type(b) is not int:
             e = dict(e)
             e[ncols] = b
         aug.append((e, 0))
-    return _solve(aug, ncols)
+    return _solve(aug, ncols, field)
 
 
 def nullspace(amat):
@@ -313,10 +336,11 @@ def nullspace(amat):
     return _kernel(rr, pivots, cols)
 
 
-def sparse_nullspace(rows, ncols):
+def sparse_nullspace(rows, ncols, field=None):
     """``nullspace`` of the ``ncols``-column matrix whose rows are the dicts
-    {column: value} of ``rows``, every other entry int 0."""
-    rr, pivots = _gauss_jordan([(e, 0) for e in rows], ncols)
+    {column: value} of ``rows``, every other entry int 0, over ``field``
+    when it is given."""
+    rr, pivots = _gauss_jordan([(e, 0) for e in rows], ncols, field)
     return _kernel(rr, pivots, ncols)
 
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import ActionFamily
-from .algebra import ASSOC, ADAlgebra, BilinearOp, check_parts, check_triples
+from .algebra import (ASSOC, ADAlgebra, BilinearOp, check_parts, check_triples,
+                      lowered_walk)
 from .fields import RATIONALS, InputError
 from .reporting import PreconditionFailure, Report
 from .unified import R_SLOTS, check_columns, check_glued, glue, split_slots, unglue
@@ -100,10 +101,11 @@ def check_matched_pair(d: MatchedPairDatum, exhaustive: bool = False) -> Report:
         if not alg.is_verified:
             raise PreconditionFailure("%s factor is not anti-dendriform" % tag, alg.check())
     out = Report("matched pair", exhaustive=exhaustive, field=d.alg1.field)
-    n, m, tables = d.alg1.dim, d.alg2.dim, d.glued()
-    check_columns(out, n, m, _REP1_SLOTS, *tables)
-    check_columns(out, n, m, _REP2_SLOTS, *tables, acting="V")
-    return check_glued(out, n, m, _MATCHED_SLOTS, *tables)
+    n, m, walk = d.alg1.dim, d.alg2.dim, lowered_walk(out, *d.glued())
+    check_columns(walk, n, m, _REP1_SLOTS)
+    check_columns(walk, n, m, _REP2_SLOTS, acting="V")
+    check_glued(walk, n, m, _MATCHED_SLOTS)
+    return out.absorb(walk.part)
 
 
 def bicrossed_product(d: MatchedPairDatum, precheck: bool = True) -> ADAlgebra:
@@ -164,7 +166,9 @@ def check_assoc_matched_pair(p: AssocMatchedPair, exhaustive: bool = False) -> R
         ("V", "A", "V"): ("bimod2-c", "AM5"),
         ("V", "V", "A"): ("bimod2-l", "AM2"),
     }
-    return check_glued(out, n, m, labels, p.glued())
+    walk = lowered_walk(out, p.glued())
+    check_glued(walk, n, m, labels)
+    return out.absorb(walk.part)
 
 
 def induced_associative_matched_pair(d: MatchedPairDatum,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .actions import ActionFamily
-from .algebra import ADAlgebra, BilinearOp, check_parts, multiplication_operators
+from .algebra import ADAlgebra, BilinearOp, check_parts, lowered_walk, multiplication_operators
 from .fields import RATIONALS
 from .reporting import PreconditionFailure, Report
 from .unified import BIMOD_SLOTS, R_SLOTS, check_columns, glue
@@ -84,7 +84,9 @@ def check_representation(rep: ADRep, exhaustive: bool = False,
         raise PreconditionFailure("underlying algebra is not anti-dendriform",
                                   alg.check())
     out = Report("representation axioms", exhaustive=exhaustive, field=alg.field)
-    return check_columns(out, alg.dim, rep.mod_dim, R_SLOTS, *rep.glued())
+    walk = lowered_walk(out, *rep.glued())
+    check_columns(walk, alg.dim, rep.mod_dim, R_SLOTS)
+    return out.absorb(walk.part)
 
 
 def dual_representation(rep: ADRep, precheck: bool = True) -> ADRep:
@@ -123,8 +125,9 @@ def check_assoc_bimodule(arep: AssocRep, exhaustive: bool = False) -> Report:
     """l(x.y) = l(x)l(y);  r(x.y) = r(y)r(x);  r(y)l(x) = l(x)r(y)."""
     out = Report("associative bimodule axioms%s" % (" (%s)" % arep.tag if arep.tag else ""),
                  exhaustive=exhaustive, field=arep.field)
-    return check_columns(out, arep.op.dim, arep.mod_dim, BIMOD_SLOTS,
-                         semidirect_table(arep.op, arep.mod_dim, arep.left, arep.right))
+    walk = lowered_walk(out, semidirect_table(arep.op, arep.mod_dim, arep.left, arep.right))
+    check_columns(walk, arep.op.dim, arep.mod_dim, BIMOD_SLOTS)
+    return out.absorb(walk.part)
 
 
 def induced_associative_reps(rep: ADRep, precheck: bool = True):

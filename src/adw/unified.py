@@ -112,63 +112,93 @@ IDENTITIES = {"A1": a1_chain, "A2": a2_pair, "assoc": assoc_pair,
               "assoc, sides swapped": lambda *at: assoc_pair(*at)[::-1]}
 
 
-def check_glued(report, na, nv, slots, succ, prec=None) -> Report:
+def check_glued(walk, na, nv, slots) -> None:
     """Check a glued product on A (+) V slot by slot over typed basis triples.
 
-    ``succ``/``prec`` are glued tables from ``glue``.  With both, ``slots``
-    (from ``split_slots``) labels the components of A1/A2; with ``prec``
-    None, ``succ`` is one product and ``slots`` maps each type to the
-    (A-id, V-id) of its associativity components.  Triple types run in the
-    order of ``slots``; a witness is (type, i, j, k) with indices local to
-    each summand.  The A and V components, the two slices of the glued
-    vectors, are compared on the ``lowered_walk`` tables, and ``report``
-    absorbs the walk.
+    ``walk`` is the ``lowered_walk`` of glued tables from ``glue``.  With
+    both products, ``slots`` (from ``split_slots``) labels the components of
+    A1/A2; with one, ``slots`` maps each type to the (A-id, V-id) of its
+    associativity components.  Triple types run in the order of ``slots``; a
+    witness is (type, i, j, k) with indices local to each summand.  The A and
+    V components, the two slices of the glued vectors, are compared in
+    ``walk.part`` at the live triples; the dead ones are ticked.
     """
     n = na + nv
     comps = (slice(0, na), slice(na, n))
     summand = {"A": range(na), "V": range(na, n)}
-    tables, part = lowered_walk(report, succ, prec)
+    tables, live, part = walk.tables, walk.live, walk.part
+    # the live w of each summand after each v, with their local indices
+    after = {s: [[(iw, w) for iw, w in enumerate(ws) if live[v][w]] for v in range(n)]
+             for s, ws in summand.items()}
     for ttype, labels in slots.items():
-        parts = ((("assoc", labels, ASSOC_TERMS),) if prec is None else
+        parts = ((("assoc", labels, ASSOC_TERMS),) if tables[0] is None else
                  (("A1", labels[0], (A1_CHAIN_TERMS,) * 2), ("A2", labels[1], A2_TERMS)))
         # per identity: (component, label, terms) of its labelled slots
         checks = [(IDENTITIES[identity], cells) for identity, ids, terms in parts
                   if (cells := [cell for cell in zip(comps, ids, terms) if cell[1]])]
         tname = "".join(ttype)
         ru, rv, rw = (summand[t] for t in ttype)
+        every, dead = list(enumerate(rw)), 0
         for iu, u in enumerate(ru):
             for iv, v in enumerate(rv):
-                for iw, w in enumerate(rw):
+                ws = every if live[u][v] else after[ttype[2]][v]
+                dead += len(rw) - len(ws)
+                for iw, w in ws:
                     for identity, cells in checks:
                         values = identity(tables, u, v, w)
                         for comp, label, terms in cells:
                             part.require_chain(label, (tname, iu, iv, iw), terms,
                                                tuple(t[comp] for t in values))
-    return report.absorb(part)
+        part.tick_each(dead * sum(len(cells) for _, cells in checks))
 
 
-def check_columns(report, na, nv, slots, succ, prec=None, acting="A") -> Report:
+def check_columns(walk, na, nv, slots, acting="A") -> None:
     """Check the actions of the ``acting`` summand of a glued product on the other.
 
     Each slot (label, placement, identity, terms) is checked once per ordered
     pair (x, y) of acting basis vectors, witness (i, j) local to the summand:
     column w of each matrix is the identity at the triple that ``placement``
     spells in x, y and the module basis vector w, cut to the module
-    component.  Values are compared as in ``check_glued``.
+    component.  Values are compared as in ``check_glued``; a column at a dead
+    triple is the zero column, and a slot whose columns are all dead is
+    ticked without being evaluated.
     """
     n = na + nv
     summand = {"A": range(na), "V": range(na, n)}
-    module, cut = ("V", slice(na, n)) if acting == "A" else ("A", slice(0, na))
-    tables, part = lowered_walk(report, succ, prec)
-    slots = [(label, itemgetter(*("xyw".index(p) for p in placement)), IDENTITIES[identity],
-              terms) for label, placement, identity, terms in slots]
+    module, cut = ((summand["V"], slice(na, n)) if acting == "A" else
+                   (summand["A"], slice(0, na)))
+    tables, live, part = walk.tables, walk.live, walk.part
+    # out[u][k] / into[u][k]: is (u, w) / (w, u) live, for the k-th module vector w
+    out = [[live[u][w] for w in module] for u in range(n)]
+    into = [[live[w][u] for w in module] for u in range(n)]
+    everywhere = [True] * len(module)
+
+    def alive(placement, at):
+        """Per module vector w, whether the triple (u, v, t) that ``placement``
+        spells in at["x"], at["y"] and w is live: (u, v) or (v, t) is."""
+        first, mid, last = placement
+        if last == "w":
+            return everywhere if live[at[first]][at[mid]] else out[at[mid]]
+        if first == "w":
+            return everywhere if live[at[mid]][at[last]] else into[at[mid]]
+        return [a or b for a, b in zip(out[at[first]], into[at[last]])]
+
+    slots = [(label, placement, itemgetter(*("xyw".index(p) for p in placement)),
+              IDENTITIES[identity], terms, (vzero(n),) * len(terms))
+             for label, placement, identity, terms in slots]
+    placements = {slot[1] for slot in slots}
     for i, x in enumerate(summand[acting]):
         for j, y in enumerate(summand[acting]):
-            for label, place, identity, terms in slots:
-                cols = [identity(tables, *place((x, y, w))) for w in summand[module]]
+            at = {"x": x, "y": y}
+            flags = {placement: alive(placement, at) for placement in placements}
+            for label, placement, place, identity, terms, zero in slots:
+                if not any(flags[placement]):
+                    part.tick()
+                    continue
+                cols = [identity(tables, *place((x, y, w))) if flag else zero
+                        for w, flag in zip(module, flags[placement])]
                 part.require_chain(label, (i, j), terms, tuple(
                     tuple(zip(*(col[t][cut] for col in cols))) for t in range(len(terms))))
-    return report.absorb(part)
 
 
 # Column slots (label, placement, identity, terms) of the axioms of a
@@ -289,9 +319,10 @@ def check_extending_structure(d: ExtendingDatum, exhaustive: bool = False) -> Re
     if not d.algebra.is_verified:
         raise PreconditionFailure("base algebra is not anti-dendriform", d.algebra.check())
     out = Report("extending structure", exhaustive=exhaustive, field=d.algebra.field)
-    na, nv, tables = d.algebra.dim, d.vdim, d.glued()
-    check_columns(out, na, nv, R_SLOTS, *tables)
-    return check_glued(out, na, nv, _EXT_SLOTS, *tables)
+    na, nv, walk = d.algebra.dim, d.vdim, lowered_walk(out, *d.glued())
+    check_columns(walk, na, nv, R_SLOTS)
+    check_glued(walk, na, nv, _EXT_SLOTS)
+    return out.absorb(walk.part)
 
 
 def unified_product(d: ExtendingDatum, precheck: bool = True) -> ADAlgebra:
@@ -498,8 +529,9 @@ def find_cohomologous_witness(d1: ExtendingDatum, d2: ExtendingDatum):
         raise InputError("fast path needs an abelian base algebra")
     # with eta = id, h1/h2 require equal A-on-V families
     probe = Report("fast-path family comparison")
+    residues = d1.algebra.field.residues  # a plain int is read mod p
     for name in ("lsucc", "rsucc", "lprec", "rprec"):
-        if getattr(d1, name).mats != getattr(d2, name).mats:
+        if residues(getattr(d1, name).mats) != residues(getattr(d2, name).mats):
             probe.record(name, (), (), (), "A-on-V families differ; no witness exists")
             return None, probe
     # unknowns: zeta[r][c], r < n, c < m; equations from h3-h6, h8, h10;
@@ -543,7 +575,7 @@ def find_cohomologous_witness(d1: ExtendingDatum, d2: ExtendingDatum):
                         row[s * m + a] = row.get(s * m + a, 0) + mmat[r][s]
                     rows.append(row)
                     rhs.append(diff[r])
-    sol = sparse_solve(rows, rhs, n * m)
+    sol = sparse_solve(rows, rhs, n * m, d1.algebra.field)
     probe.tick(len(rows))
     if sol is None:
         probe.record("h3-h10", (), (), (), "linear system infeasible: no witness exists")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction as Q
 
 import pytest
@@ -53,6 +54,19 @@ def rand_family(rng, alg_dim, mod_dim, span=1):
     return ActionFamily(alg_dim, mod_dim,
                         tuple(rand_matrix(rng, mod_dim, mod_dim, span)
                               for _ in range(alg_dim)))
+
+
+def datum_in_field(obj, field):
+    """An algebra, table, family, representation or datum with every nonzero
+    coefficient of its tables taken into ``field``."""
+    if is_dataclass(obj):
+        parts = [f.name for f in fields(obj)
+                 if f.name in ("table", "mats") or is_dataclass(getattr(obj, f.name))]
+        return replace(obj, **{name: datum_in_field(getattr(obj, name), field)
+                               for name in parts})
+    if isinstance(obj, tuple):
+        return tuple(datum_in_field(x, field) for x in obj)
+    return field.coerce(obj) if obj else obj
 
 
 def conjugate_rep(rep: ADRep, pmat) -> ADRep:

@@ -8,6 +8,15 @@ Matrices mix int 0, the field's own zero and nonzero ints and field elements
 densities, with zero rows, low rank and inconsistent right-hand sides.  For
 ``z1_cocycles``, ``find_cohomologous_zeta`` and ``find_cohomologous_witness``
 the system each builder hands to its solver is compared too, row by row.
+
+Over GF(5) the eliminator takes every int entry into the field before it
+eliminates, where the dense code divided two ints to a ``Fraction`` that
+then met a ``GFElement`` and raised.  So a matrix holding a GF(5) element is
+compared with the dense code on the matrix with every int taken into GF(5),
+by ``repr``; and the builders, which name the datum's field to the solver,
+are compared on GF(5) data with plain-int coefficients with the dense
+builders on the data with every nonzero coefficient taken into GF(5), by
+``==`` in the field, where neither may raise.
 """
 
 from __future__ import annotations
@@ -22,12 +31,12 @@ import adw.unified
 from adw.actions import ActionFamily
 from adw.algebra import ADAlgebra, BilinearOp
 from adw.crossed import CrossedDatum, find_cohomologous_zeta, z1_cocycles
-from adw.fields import RATIONALS, PrimeField
+from adw.fields import RATIONALS, GFElement, PrimeField
 from adw.linalg import inverse, nullspace, rank, rref, solve_linear
 from adw.reps import regular_representation
 from adw.unified import ExtendingDatum, find_cohomologous_witness
 from . import frozen_dense_kernels as frozen
-from .conftest import rnil2
+from .conftest import datum_in_field, rnil2
 
 GF5 = PrimeField(5)
 KINDS = ("int", "rational", "fp5")
@@ -92,16 +101,43 @@ def systems(draw):
     return amat, b
 
 
+def taken(*parts):
+    """Matrices and vectors with every int entry taken into GF(5) when some
+    entry of theirs is a GF(5) element, as the eliminator takes its rows;
+    else as given."""
+    def flat(part):
+        return (x for row in part for x in (row if isinstance(row, tuple) else (row,)))
+
+    if not any(type(x) is GFElement for part in parts for x in flat(part)):
+        return parts
+
+    def take(x):
+        return tuple(map(take, x)) if isinstance(x, tuple) else \
+            GF5.coerce(x) if type(x) is int else x
+
+    return tuple(take(part) for part in parts)
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(systems())
 def test_elimination_matches_dense_by_repr(case):
     amat, b = case
+    (field_amat,) = taken(amat)
     for new, old in ((rref, frozen.rref), (nullspace, frozen.nullspace),
                      (rank, frozen.rank)):
-        assert outcome(new, amat) == outcome(old, amat)
-    assert outcome(solve_linear, amat, b) == outcome(frozen.solve_linear, amat, b)
+        assert outcome(new, amat) == outcome(old, field_amat)
+    assert outcome(solve_linear, amat, b) == outcome(frozen.solve_linear, *taken(amat, b))
     if amat and len(amat) == len(amat[0]):
-        assert outcome(inverse, amat) == outcome(frozen.inverse, amat)
+        assert outcome(inverse, amat) == outcome(frozen.inverse, field_amat)
+
+
+def test_int_rows_over_gf_p_do_not_raise():
+    """The dense code divided the ints 1 and 2 to a Fraction, which then met a
+    GFElement: TypeError.  Over GF(5), 1/2 is 3."""
+    amat = ((2, 1, 0), (GF5.one, GF5.one, GF5.one))
+    assert outcome(frozen.nullspace, amat) == "raises TypeError"
+    assert nullspace(amat) == ((GF5.one, GF5.coerce(3), 1),)
+    assert repr(nullspace(amat)) == repr(frozen.nullspace(*taken(amat)))
 
 
 def test_singular_and_inconsistent_systems_match_dense():
@@ -126,11 +162,13 @@ def test_singular_and_inconsistent_systems_match_dense():
 FIELD_OF = {"rational": RATIONALS, "fp5": GF5}
 
 
-def same_system(module, sparse_name, new, old, *args):
+def same_system(module, sparse_name, new, old, field, *args):
     """Run the sparse builder ``new`` and the dense builder ``old`` on args,
     capturing the system each hands to its solver; assert equal outcomes and
-    equal rows and right-hand sides by ``repr``, the sparse rows read densely.
-    Returns the outcome."""
+    equal rows and right-hand sides, the sparse rows read densely.  Over Q
+    both run on args and compare by ``repr``; over GF(5) ``old`` runs on
+    args in the field and both compare by ``==`` in the field, and neither
+    may raise.  Returns the outcome."""
     got = {}
 
     def capture(name, real):
@@ -145,19 +183,24 @@ def same_system(module, sparse_name, new, old, *args):
     setattr(module, sparse_name, capture("sparse", sparse_real))
     setattr(frozen, dense_name, capture("dense", dense_real))
     try:
-        result = outcome(new, *args)
-        assert result == outcome(old, *args)
+        if field is RATIONALS:
+            result, want = outcome(new, *args), outcome(old, *args)
+            same = repr
+        else:
+            result, want = new(*args), old(*(datum_in_field(a, field) for a in args))
+            same = field.residues
+        assert result == want
     finally:
         setattr(module, sparse_name, sparse_real)
         setattr(frozen, dense_name, dense_real)
     assert ("sparse" in got) == ("dense" in got)
     if "dense" in got:
-        rows, ncols = got["sparse"][0], got["sparse"][-1]
+        rows, ncols = got["sparse"][0], got["sparse"][-2]
         dense_rows = tuple(tuple(row.get(c, 0) for c in range(ncols)) for row in rows)
-        assert repr(dense_rows) == repr(got["dense"][0])
+        assert same(dense_rows) == same(got["dense"][0])
         if dense_name == "solve_linear":
-            assert repr(tuple(got["sparse"][1])) == repr(got["dense"][1])
-    return result
+            assert same(tuple(got["sparse"][1])) == same(got["dense"][1])
+    return result if field is RATIONALS else repr(result)
 
 
 def draw_family(data, pool, n, m):
@@ -223,7 +266,8 @@ def shifted(c, zeta):
 @given(st.data())
 def test_z1_cocycles_match_dense_builder(data):
     c = draw_crossed(data, data.draw(st.sampled_from(["rational", "fp5"])))
-    same_system(adw.crossed, "sparse_nullspace", z1_cocycles, frozen.z1_cocycles, c)
+    same_system(adw.crossed, "sparse_nullspace", z1_cocycles, frozen.z1_cocycles,
+                c.algebra.field, c)
 
 
 
@@ -231,9 +275,7 @@ def test_z1_cocycles_match_dense_builder(data):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.data())
 def test_cohomologous_zeta_matches_dense_builder(data):
-    """On a coboundary shift, where a witness exists, and on random cocycles.
-    Over GF(5) plain-int coefficients can make both builders raise: the
-    eliminator then divides ints to a Fraction, which meets a GFElement."""
+    """On a coboundary shift, where a witness exists, and on random cocycles."""
     kind = data.draw(st.sampled_from(["rational", "fp5"]))
     c1 = draw_crossed(data, kind, abelian=True)
     n, m = c1.algebra.dim, c1.vdim
@@ -246,7 +288,7 @@ def test_cohomologous_zeta_matches_dense_builder(data):
         c2 = CrossedDatum(c1.algebra, c1.valgebra, c1.lsucc, c1.rsucc, c1.lprec, c1.rprec,
                           draw_op(data, pool, n, m), draw_op(data, pool, n, m))
     got = same_system(adw.crossed, "sparse_solve", find_cohomologous_zeta,
-                      frozen.find_cohomologous_zeta, c1, c2)
+                      frozen.find_cohomologous_zeta, c1.algebra.field, c1, c2)
     if coboundary:
         assert not got.startswith("(None,")
 
@@ -314,6 +356,20 @@ def test_cohomologous_witness_matches_dense_builder(data):
     else:
         d2 = d1 if case == "equal" else datum()
     got = same_system(adw.unified, "sparse_solve", find_cohomologous_witness,
-                      frozen.find_cohomologous_witness, d1, d2)
+                      frozen.find_cohomologous_witness, field, d1, d2)
     if case != "random":
         assert not got.startswith("(None,")
+
+
+def test_fast_paths_read_int_families_mod_p():
+    """Over GF(5) an action family holding the int 5 is the zero family, so
+    both fast paths go on to solve instead of reporting that the families
+    differ; each finds the zero witness."""
+    alg = ADAlgebra.zero(1, GF5)
+    five, zero = ActionFamily.from_entries(1, 1, [(0, 0, 0, 5)]), ActionFamily.zero(1, 1)
+    c1, c2 = (CrossedDatum.split(alg, ADAlgebra.zero(1, GF5), lsucc=fam) for fam in (five, zero))
+    assert find_cohomologous_zeta(c1, c2)[0] == ((0,),)
+    d1, d2 = (ExtendingDatum(alg, 1, fam, zero, zero, zero, zero, zero, zero, zero,
+                             BilinearOp.zero(1), BilinearOp.zero(1), BilinearOp.zero(1),
+                             BilinearOp.zero(1)) for fam in (five, zero))
+    assert find_cohomologous_witness(d1, d2)[0] == ((0,),)
