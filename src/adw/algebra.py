@@ -224,8 +224,9 @@ class BilinearOp:
         return BilinearOp(self.dim, tuple(tuple(vneg(v) for v in row) for row in self.table),
                           self.out_dim)
 
-    def is_zero(self):
-        return t3_is_zero(self.table)
+    def is_zero(self, field=RATIONALS):
+        """Every coefficient is zero in ``field`` (a plain int is read mod p)."""
+        return t3_is_zero(field.residues(self.table))
 
     def entries(self):
         return t3_entries(self.table)

@@ -64,7 +64,8 @@ class CrossedDatum:
         return self.valgebra.dim
 
     def fibre_abelian(self) -> bool:
-        return self.valgebra.succ.is_zero() and self.valgebra.prec.is_zero()
+        field = self.algebra.field  # a plain int is read mod p
+        return self.valgebra.succ.is_zero(field) and self.valgebra.prec.is_zero(field)
 
     def glued(self):
         """Glued (succ, prec) tables of the crossed product on A (+) V."""

@@ -1,6 +1,10 @@
-"""Dense order-2 and order-3 tensors and their leg operations.
+"""Order-2 and order-3 tensors, dense and as cell maps, and their leg operations.
 
-The leg maps and contractions multiply only nonzero entries.
+The checks compute on cell maps, {flat index: value} over the cells some
+term reached.  A linear map on one leg is given by its nonzero columns, read
+straight off a table (``operators``), so the leg maps touch only nonzero
+pairs: Gustavson's (1978) row products, carried over to tensor legs.  A
+check builds the dense tensor of a value (``from_cells``) only to compare it.
 
 Order-3 tables are also how every 3-index structure is stored: product
 tables, action families and coproducts all build from entries with
@@ -20,8 +24,11 @@ i.e. the shared leg multiplies u's factor on the left of v's factor.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from math import prod
+
 from .fields import InputError
-from .linalg import _nonzeros, _row_products, shape
+from .linalg import shape
 
 
 # ---------------------------------------------------------------------------
@@ -38,46 +45,8 @@ def t3_zero(n0, n1=None, n2=None):
     return tuple(tuple((0,) * n2 for _ in range(n1)) for _ in range(n0))
 
 
-def t2_add(*ts):
-    """The sum, over the nonzero entries only: a cell that none reaches is int 0."""
-    na, nb = shape(ts[0])
-    for t in ts:
-        if shape(t) != (na, nb):
-            raise InputError("tensor shape mismatch")
-    acc = [[0] * nb for _ in range(na)]
-    for t in ts:
-        for arow, row in zip(acc, t):
-            for j, x in enumerate(row):
-                if x:
-                    arow[j] += x
-    return tuple(map(tuple, acc))
-
-
 def t2_neg(t):
     return tuple(tuple(-x for x in row) for row in t)
-
-
-def t2_sub(a, b):
-    return t2_add(a, t2_neg(b))
-
-
-def t3_add(*ts):
-    d = t3_dims(ts[0])
-    for t in ts:
-        if t3_dims(t) != d:
-            raise InputError("tensor shape mismatch")
-    return tuple(
-        tuple(tuple(sum(t[i][j][k] for t in ts) for k in range(d[2])) for j in range(d[1]))
-        for i in range(d[0])
-    )
-
-
-def t3_neg(t):
-    return tuple(tuple(tuple(-x for x in row) for row in plane) for plane in t)
-
-
-def t3_sub(a, b):
-    return t3_add(a, t3_neg(b))
 
 
 def t3_from_entries(dims, entries, what):
@@ -110,50 +79,86 @@ def t3_dims(t):
 
 
 # ---------------------------------------------------------------------------
-# twist
+# cell maps: a tensor as {flat index: value}, row-major, over its reached cells
 
-def twist(t):
-    """The flip map on A (x) A: (twist t)[i][j] = t[j][i].  Square tensors only."""
-    na, nb = shape(t)
-    if na != nb:
-        raise InputError("twist: tensor is %dx%d, not square" % (na, nb))
-    return tuple(tuple(t[j][i] for j in range(na)) for i in range(na))
+def cell_map(cells=()):
+    """A cell map that kernels add into: empty, or holding ``cells``."""
+    return defaultdict(int, cells)
 
 
-# ---------------------------------------------------------------------------
-# applying linear maps to single legs (nonzero entries only)
-
-def _nonzero_cols(mat, cols):
-    """The nonzero (row, entry) pairs of each of the first ``cols`` columns."""
-    return [[(q, row[j]) for q, row in enumerate(mat) if row[j]] for j in range(cols)]
+def t2_cells(t):
+    """The cell map {i * nb + j: t[i][j]} of a dense order-2 tensor."""
+    nb = len(t[0]) if t else 0
+    return cell_map((i * nb + j, x) for i, row in enumerate(t) for j, x in enumerate(row) if x)
 
 
-def t2_apply(mat, t, leg):
-    """Apply a matrix to leg 1 or 2 of a Tensor2."""
-    nb = shape(t)[1]
-    if leg == 1:
-        return _row_products(_nonzeros(mat), _nonzeros(t), nb)
-    if leg == 2:
-        return _row_products(_nonzeros(t), _nonzero_cols(mat, nb), len(mat))
-    raise InputError("t2_apply: leg must be 1 or 2")
+def flip(t, n):
+    """The cells of the twist tau t of an n x n tensor: (tau t)[i][j] = t[j][i]."""
+    return cell_map(((k % n) * n + k // n, x) for k, x in t.items())
 
 
-def t3_apply(mat, t, leg):
-    """Apply a matrix to leg 1, 2 or 3 of a Tensor3."""
-    _, d1, d2 = t3_dims(t)
-    if leg == 1:
-        # the planes of t as rows of length d1 * d2
-        flat = [[(q * d2 + r, x) for q, row in enumerate(plane) for r, x in enumerate(row) if x]
-                for plane in t]
-        rows = _row_products(_nonzeros(mat), flat, d1 * d2)
-        return tuple(tuple(row[q * d2:(q + 1) * d2] for q in range(d1)) for row in rows)
-    if leg == 2:
-        mrows = _nonzeros(mat)
-        return tuple(_row_products(mrows, _nonzeros(plane), d2) for plane in t)
-    if leg == 3:
-        mcols = _nonzero_cols(mat, d2)
-        return tuple(_row_products(_nonzeros(plane), mcols, len(mat)) for plane in t)
-    raise InputError("t3_apply: leg must be 1, 2 or 3")
+# The kernels read the nonzero cells of t and add into acc: a cell map, or a
+# flat accumulator (``zeros``) for a value that goes straight to a comparison.
+# A map on one leg is its columns: cols[c] lists the nonzero (image, m) of
+# M e_c, with image a flat index, a row of a matrix or the cell p * n + q of
+# a coproduct's D(e_c), which so takes an order-2 tensor to an order-3 one.
+
+def add_cells(acc, t, c=1):
+    """acc += c t."""
+    for key, x in t.items():
+        acc[key] += c * x
+    return acc
+
+
+def operators(table):
+    """(left, right): the multiplication operators of a square product table,
+    left[i] the columns of L(e_i) and right[j] those of R(e_j).  Column c
+    lists the nonzero (k, x) of table[i][c], respectively table[c][j]."""
+    left = [[[(k, x) for k, x in enumerate(v) if x] for v in row] for row in table]
+    return left, [[row[j] for row in left] for j in range(len(left))]
+
+
+def add_first(acc, cols, t, rest, sign=1):
+    """acc += sign (M on the first leg) t, over nonzero terms only: the cell
+    c * rest + lo of t goes to image * rest + lo."""
+    for key, x in t.items():
+        if x:
+            c, lo = divmod(key, rest)
+            x *= sign
+            for image, m in cols[c]:
+                acc[image * rest + lo] += m * x
+    return acc
+
+
+def add_last(acc, cols, t, width, size, sign=1):
+    """acc += sign (M on the last leg, of ``width`` indices) t, over nonzero
+    terms only: the cell h * width + c of t goes to h * size + image."""
+    for key, x in t.items():
+        if x:
+            h, c = divmod(key, width)
+            base, x = h * size, x * sign
+            for image, m in cols[c]:
+                acc[base + image] += m * x
+    return acc
+
+
+def zeros(*dims):
+    """A dense flat accumulator of shape ``dims``."""
+    return [0] * prod(dims)
+
+
+def from_cells(dims, cells, lift=None):
+    """The dense tensor of shape ``dims`` of a flat accumulator, or of a cell
+    map, with each value taken through ``lift`` if given and int 0 elsewhere."""
+    flat = cells
+    if type(cells) is not list:
+        flat = zeros(*dims)
+        for key, x in cells.items():
+            flat[key] = x if lift is None else lift(x)
+    for k in range(len(dims) - 1, 0, -1):
+        d = dims[k]
+        flat = [tuple(flat[i * d:(i + 1) * d]) for i in range(prod(dims[:k]))]
+    return tuple(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +193,8 @@ def add_contraction(cells, u, v, op, how):
     ``how`` = ((a, b), order): with i the index of u on leg a, j the index of
     v on leg b, and s and t their other indices, the term u v c[i][j][p] over
     the nonzero entries of u, v and c lands at ``(s, t, p)`` permuted by
-    ``order``.  A cell that no term reaches gets no key, so the keys are the
-    reached cells.  Returns the output dimensions.
+    ``order``, keyed by its flat index.  A cell that no term reaches gets no
+    key, so the keys are the reached cells.  Returns the output dimensions.
     """
     c = _prod_table(op)
     (a, b), order = how
@@ -211,26 +216,17 @@ def add_contraction(cells, u, v, op, how):
                         key = (s, t, p)
                         acc[key] = acc.get(key, 0) + f * z
     o0, o1, o2 = order
-    for key, x in acc.items():
-        pos = (key[o0], key[o1], key[o2])
-        cells[pos] = cells.get(pos, 0) + x
     dims = (shape(u)[1 - a], shape(v)[1 - b], len(c))
-    return dims[o0], dims[o1], dims[o2]
-
-
-def t3_from_cells(dims, cells, lift=None):
-    """The dense tensor holding ``cells`` ({position: value}), each taken
-    through ``lift`` if given, and int 0 elsewhere."""
-    d0, d1, d2 = dims
-    out = [[[0] * d2 for _ in range(d1)] for _ in range(d0)]
-    for (i, j, k), x in cells.items():
-        out[i][j][k] = x if lift is None else lift(x)
-    return tuple(tuple(tuple(r) for r in plane) for plane in out)
+    d1, d2 = dims[o1], dims[o2]
+    for key, x in acc.items():
+        pos = (key[o0] * d1 + key[o1]) * d2 + key[o2]
+        cells[pos] = cells.get(pos, 0) + x
+    return dims[o0], d1, d2
 
 
 def _contract(u, v, op, how):
     cells = {}
-    return t3_from_cells(add_contraction(cells, u, v, op, how), cells)
+    return from_cells(add_contraction(cells, u, v, op, how), cells)
 
 
 def contract_12_13(u, v, op):

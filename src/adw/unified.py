@@ -161,7 +161,8 @@ def check_columns(walk, na, nv, slots, acting="A") -> None:
     spells in x, y and the module basis vector w, cut to the module
     component.  Values are compared as in ``check_glued``; a column at a dead
     triple is the zero column, and a slot whose columns are all dead is
-    ticked without being evaluated.
+    ticked without being evaluated; the matrices are built only to record a
+    broken chain.
     """
     n = na + nv
     summand = {"A": range(na), "V": range(na, n)}
@@ -197,8 +198,12 @@ def check_columns(walk, na, nv, slots, acting="A") -> None:
                     continue
                 cols = [identity(tables, *place((x, y, w))) if flag else zero
                         for w, flag in zip(module, flags[placement])]
-                part.require_chain(label, (i, j), terms, tuple(
-                    tuple(zip(*(col[t][cut] for col in cols))) for t in range(len(terms))))
+                rows = tuple(tuple(col[t][cut] for col in cols) for t in range(len(terms)))
+                values = part.field.residues(rows)
+                if values.count(values[0]) == len(values):
+                    part.tick()
+                else:
+                    part.require_chain(label, (i, j), terms, tuple(tuple(zip(*r)) for r in rows))
 
 
 # Column slots (label, placement, identity, terms) of the axioms of a
@@ -522,14 +527,14 @@ def find_cohomologous_witness(d1: ExtendingDatum, d2: ExtendingDatum):
     is infeasible; raises InputError when the fast path does not apply.
     """
     n, m = d1.algebra.dim, d1.vdim
-    if not (d1.succ_v.is_zero() and d1.prec_v.is_zero()
-            and d2.succ_v.is_zero() and d2.prec_v.is_zero()):
+    field = d1.algebra.field  # a plain int is read mod p
+    if not all(op.is_zero(field) for op in (d1.succ_v, d1.prec_v, d2.succ_v, d2.prec_v)):
         raise InputError("fast path needs zero complement products on both data")
-    if not (d1.algebra.succ.is_zero() and d1.algebra.prec.is_zero()):
+    if not (d1.algebra.succ.is_zero(field) and d1.algebra.prec.is_zero(field)):
         raise InputError("fast path needs an abelian base algebra")
     # with eta = id, h1/h2 require equal A-on-V families
     probe = Report("fast-path family comparison")
-    residues = d1.algebra.field.residues  # a plain int is read mod p
+    residues = field.residues
     for name in ("lsucc", "rsucc", "lprec", "rprec"):
         if residues(getattr(d1, name).mats) != residues(getattr(d2, name).mats):
             probe.record(name, (), (), (), "A-on-V families differ; no witness exists")

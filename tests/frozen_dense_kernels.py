@@ -4,11 +4,10 @@ oracles.
 ``matmul``, ``t2_apply`` and ``t3_apply`` sum over every index; the three
 contractions are the separate loops they were; ``check_coboundary_conditions``
 recomputes every contraction of CD7-CD10 for each i and calls only the
-kernels of this file.  The helpers it imports from ``adw`` (sums, negation,
-twist, the multiplication operators, ``Report``) are not the kernels under
-test; ``t2_add``, which now sums nonzero entries only, is compared with the
-sum over every entry on its own.  ``test_leg_kernels_differential`` compares
-these with ``adw.linalg`` and ``adw.tensors``.
+kernels of this file.  The helpers it imports (sums, negation, twist, the
+multiplication operators, ``Report``) are not the kernels under test.
+``test_leg_kernels_differential`` compares these with ``adw.linalg`` and
+``adw.tensors``.
 
 ``rref`` is dense Gauss-Jordan elimination over full rows, and ``nullspace``,
 ``solve_linear``, ``rank`` and ``inverse`` call it; ``z1_cocycles``,
@@ -27,9 +26,9 @@ from adw.crossed import CrossedDatum
 from adw.fields import InputError
 from adw.linalg import shape, transpose, unit, vadd, vneg, vsub
 from adw.reporting import Report
-from adw.tensors import (t2_add, t2_neg, t2_sub, t2_zero, t3_add, t3_dims, t3_neg,
-                         t3_sub, t3_zero, twist)
+from adw.tensors import t2_neg, t2_zero, t3_dims, t3_zero
 from adw.unified import ExtendingDatum
+from .frozen_bialgebra import t2_add, t2_sub, t3_add, t3_neg, t3_sub, twist
 
 
 def matmul(a, b):

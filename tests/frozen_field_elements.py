@@ -14,7 +14,8 @@ from adw.bialgebra import adybe_residual, skew_tensor_from_uppers
 from adw.fields import InputError
 from adw.linalg import inverse, matvec, vneg
 from adw.reporting import Report
-from adw.tensors import t2_add, t3_add, t3_entries, t3_sub
+from adw.tensors import t3_entries
+from .frozen_bialgebra import t2_add, t3_add, t3_sub
 
 
 def check_anti_dendriform(alg: ADAlgebra, exhaustive: bool = False) -> Report:

@@ -1,4 +1,4 @@
-"""The zero-skipping leg kernels and the coboundary check against the dense
+"""The cell-map leg kernels and the coboundary check against the dense
 code they replaced (``frozen_dense_kernels``), and the paper's statement that
 CD3-CD10 hold exactly when the coboundary pair is a D-bialgebra.
 
@@ -21,8 +21,8 @@ from adw.bialgebra import (check_coalgebra, check_coboundary_conditions,
                            search_skew_solutions)
 from adw.fields import RATIONALS, InputError, PrimeField
 from adw.linalg import inverse, matmul
-from adw.tensors import (contract_12_13, contract_13_23, contract_23_12, t2_add,
-                         t2_apply, t3_apply)
+from adw.tensors import (add_cells, add_first, add_last, cell_map, contract_12_13,
+                         contract_13_23, contract_23_12, from_cells, t2_cells, zeros)
 from . import frozen_dense_kernels as frozen
 from .conftest import nilpotent2, rnil2
 
@@ -65,20 +65,36 @@ def draw_tensor(data, field, dims):
 dims = st.integers(1, 4)
 
 
+def columns(mat, cols):
+    """A matrix as the leg kernels read it: column c lists the nonzero (r, m)."""
+    return [[(r, row[c]) for r, row in enumerate(mat) if row[c]] for c in range(cols)]
+
+
 @SETTINGS
 @given(st.data())
 def test_leg_kernels_and_matmul_match_frozen(data):
+    """``add_first`` and ``add_last`` on the cells of a tensor, made dense
+    again by ``from_cells``, against the dense leg maps: into a cell map on
+    order-2 tensors, into a flat accumulator on order-3 ones."""
     field = data.draw(st.sampled_from(FIELDS))
     d = [data.draw(dims) for _ in range(3)]
     m = data.draw(st.integers(0, 4))
     t2 = draw_tensor(data, field, d[:2])
-    for leg in (1, 2):
-        mat = draw_tensor(data, field, (m, d[leg - 1]))
-        assert t2_apply(mat, t2, leg) == frozen.t2_apply(mat, t2, leg)
+    mat = draw_tensor(data, field, (m, d[0]))
+    got = add_first(cell_map(), columns(mat, d[0]), t2_cells(t2), d[1])
+    assert from_cells((m, d[1]), got) == frozen.t2_apply(mat, t2, 1)
+    mat = draw_tensor(data, field, (m, d[1]))
+    got = add_last(cell_map(), columns(mat, d[1]), t2_cells(t2), d[1], m)
+    assert from_cells((d[0], m), got) == frozen.t2_apply(mat, t2, 2)
     t3 = draw_tensor(data, field, d)
-    for leg in (1, 2, 3):
-        mat = draw_tensor(data, field, (m, d[leg - 1]))
-        assert t3_apply(mat, t3, leg) == frozen.t3_apply(mat, t3, leg)
+    t3_cells = {(i * d[1] + j) * d[2] + k: x for i, plane in enumerate(t3)
+                for j, row in enumerate(plane) for k, x in enumerate(row) if x}
+    mat = draw_tensor(data, field, (m, d[0]))
+    got = add_first(zeros(m, d[1], d[2]), columns(mat, d[0]), t3_cells, d[1] * d[2])
+    assert from_cells((m, d[1], d[2]), got) == frozen.t3_apply(mat, t3, 1)
+    mat = draw_tensor(data, field, (m, d[2]))
+    got = add_last(zeros(d[0], d[1], m), columns(mat, d[2]), t3_cells, d[2], m)
+    assert from_cells((d[0], d[1], m), got) == frozen.t3_apply(mat, t3, 3)
     a = draw_tensor(data, field, (max(m, 1), d[0]))
     b = draw_tensor(data, field, (d[0], d[1]))
     assert matmul(a, b) == frozen.matmul(a, b)
@@ -86,14 +102,17 @@ def test_leg_kernels_and_matmul_match_frozen(data):
 
 @SETTINGS
 @given(st.data())
-def test_t2_add_equals_the_dense_sum(data):
-    """``t2_add`` sums nonzero entries only; the values are those of the sum
-    over every entry."""
+def test_add_cells_equals_the_dense_sum(data):
+    """``add_cells`` sums nonzero cells only, into a cell map or a flat
+    accumulator; the values are those of the sum over every entry."""
     field = data.draw(st.sampled_from(FIELDS))
     na, nb = data.draw(st.integers(0, 4)), data.draw(dims)
     ts = [draw_tensor(data, field, (na, nb)) for _ in range(data.draw(st.integers(1, 3)))]
-    assert t2_add(*ts) == tuple(tuple(sum(t[i][j] for t in ts) for j in range(nb))
-                                for i in range(na))
+    dense = tuple(tuple(sum(t[i][j] for t in ts) for j in range(nb)) for i in range(na))
+    for acc in (cell_map(), zeros(na, nb)):
+        for t in ts:
+            add_cells(acc, t2_cells(t))
+        assert from_cells((na, nb), acc) == dense
 
 
 @SETTINGS

@@ -12,9 +12,10 @@ and lifts what leaves the check.  The draws here hold denominators 2, 3, 5,
   ``repr`` when the tables' nonzero coefficients are all ``Fraction``s or
   all ints, whatever r holds;
 * scaling the tables and r by t must multiply the values of every label of
-  A1/A2, the glued slots, CD3-CD10 and YE6 by t**k, with the k the lift
-  divides by: 2 for A1/A2 and the glued slots, 3 for CD3-CD6 and YE6, 4 for
-  CD7-CD10.
+  A1/A2, the glued slots, CD3-CD10, D1-D9, Ca1/Ca2 and YE6 by t**k, with the
+  k the lift divides by: 2 for A1/A2, the glued slots, D1-D9 (1 in the
+  tables, 1 in the coproducts) and Ca1/Ca2 (2 in the coproducts), 3 for
+  CD3-CD6 and YE6, 4 for CD7-CD10.
 """
 
 from __future__ import annotations
@@ -28,17 +29,19 @@ from hypothesis import strategies as st
 
 from adw.algebra import (ADAlgebra, BilinearOp, check_anti_dendriform, direct_sum,
                          lowered_walk)
-from adw.bialgebra import adybe_residual, check_coboundary_conditions, is_ybe_solution
+from adw.bialgebra import (CoproductPair, adybe_residual, check_coalgebra,
+                           check_coboundary_conditions, check_d_bialgebra, is_ybe_solution)
 from adw.crossed import _CROSSED_SLOTS
 from adw.matched import _MATCHED_SLOTS, _REP1_SLOTS, _REP2_SLOTS
 from adw.reporting import Report
 from adw.reps import regular_representation, semidirect_product
-from adw.tensors import t3_add, t3_is_zero, t3_neg
+from adw.tensors import t3_is_zero
 from adw.unified import _EXT_SLOTS, BIMOD_SLOTS, R_SLOTS, check_columns, check_glued
 
 from . import frozen_dense_kernels as dense
 from . import frozen_field_elements as elements
 from .conftest import nilpotent2
+from .frozen_bialgebra import t3_add, t3_neg
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -171,7 +174,9 @@ def test_residual_types_on_fraction_tables_with_an_int_r():
 # ---------------------------------------------------------------------------
 # homogeneity: the degree k of every label
 
-DEGREE = dict({"A1": 2, "A2": 2}, **{"CD%d" % k: 3 if k <= 6 else 4 for k in range(3, 11)})
+DEGREE = dict({"A1": 2, "A2": 2, "Ca1": 2, "Ca2": 2},
+              **{"CD%d" % k: 3 if k <= 6 else 4 for k in range(3, 11)},
+              **{"D%d" % k: 2 for k in range(1, 10)})
 ASSOC_LABELS = {t: ("assoc-" + "".join(t) + "-A", "assoc-" + "".join(t) + "-V")
                 for t in product("AV", repeat=3)}
 
@@ -240,6 +245,8 @@ def test_every_label_scales_by_its_degree(recorded, data):
     big = ADAlgebra(n, alg.basis, BilinearOp(n, scaled(alg.succ.table, t)),
                     BilinearOp(n, scaled(alg.prec.table, t)))
     tables = (alg.succ.table, alg.prec.table)
+    ds, dp = draw_tensor(data, (n, n, n)), draw_tensor(data, (n, n, n))
+    cp, big_cp = CoproductPair(n, ds, dp), CoproductPair(n, scaled(ds, t), scaled(dp, t))
     runs = [
         (lambda: check_anti_dendriform(alg, True), lambda: check_anti_dendriform(big, True),
          DEGREE.get, tables),
@@ -248,6 +255,10 @@ def test_every_label_scales_by_its_degree(recorded, data):
          DEGREE.get, tables + (rs, rp)),
         (glued_runs(na, nv, succ, prec), glued_runs(na, nv, scaled(succ, t), scaled(prec, t)),
          lambda label: 2, (succ, prec)),
+        (lambda: check_d_bialgebra(alg, cp, True), lambda: check_d_bialgebra(big, big_cp, True),
+         DEGREE.get, tables + (ds, dp)),
+        (lambda: check_coalgebra(cp, True), lambda: check_coalgebra(big_cp, True),
+         DEGREE.get, (ds, dp)),
     ]
     for first, second, degree, inputs in runs:
         recorded.clear()
@@ -263,11 +274,16 @@ def test_every_label_scales_by_its_degree(recorded, data):
 
 
 def test_scale_test_sees_every_label(recorded):
-    """The walks above reach every label of A1/A2, CD3-CD10 and the slot sets."""
+    """The walks above reach every label of A1/A2, CD3-CD10, D1-D9, Ca1/Ca2
+    and the slot sets."""
     alg = semidirect_product(regular_representation(nilpotent2()))
     r = tuple(tuple(Q(i - j, 3) for j in range(4)) for i in range(4))
     check_anti_dendriform(alg)
     check_coboundary_conditions(alg, r, r)
+    cp = CoproductPair(4, *(tuple(tuple(tuple(Q(i + 2 * j - k + s, 7) for k in range(4))
+                                        for j in range(4)) for i in range(4)) for s in (0, 1)))
+    check_d_bialgebra(alg, cp)
+    check_coalgebra(cp)
     table = tuple(tuple(tuple(Q(i + 2 * j - k, 5) for k in range(2)) for j in range(2))
                   for i in range(2))
     glued_runs(1, 1, table, table)()

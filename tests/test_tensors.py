@@ -6,9 +6,9 @@ import pytest
 
 from adw.algebra import BilinearOp
 from adw.fields import InputError
-from adw.tensors import (contract_12_13, contract_13_23, contract_23_12, t2_zero,
-                         t3_zero, twist)
+from adw.tensors import contract_12_13, contract_13_23, contract_23_12, t2_zero, t3_zero
 from .conftest import rand_matrix, sigma, sigma123, sigma132
+from .frozen_bialgebra import twist
 
 
 def basis_t2(n, i, j):
