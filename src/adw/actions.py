@@ -1,7 +1,7 @@
 """Families of linear actions: a linear map from an algebra into End(V).
 
-Stored as one module-dimension square matrix per algebra basis element, so
-``family.mat(x)`` for a coordinate vector x is the matrix of the action of x.
+Stored as one module-dimension square matrix per algebra basis element;
+``family.act(x, w)`` applies the action of a coordinate vector x to w.
 """
 
 from __future__ import annotations
@@ -38,15 +38,6 @@ class ActionFamily:
         """entries: iterable of (x, row, col, value)."""
         return ActionFamily(alg_dim, mod_dim, t3_from_entries((alg_dim, mod_dim, mod_dim),
                                                               entries, "action entry"))
-
-    def mat(self, x):
-        """Matrix of the action of the coordinate vector x."""
-        out = None
-        for i, xi in enumerate(x):
-            if xi:
-                term = mat_scale(xi, self.mats[i])
-                out = term if out is None else mat_add(out, term)
-        return zeros_mat(self.mod_dim, self.mod_dim) if out is None else out
 
     def act(self, x, w):
         """Apply the action of algebra vector x to module vector w."""

@@ -10,75 +10,62 @@ by multilinearity):
 where x.y = x>y + x<y is the associated associative product.
 
 A1, A2 and associativity are written once (``a1_chain``, ``a2_pair``,
-``assoc_pair`` on ``lowered`` tables), for ``check_triples`` and the glued
-walks of ``adw.unified``.  Every check computes on plain ints: the field's
-``lowering`` takes the tables to int residues over GF(p), and over Q to ints
-scaled by the lcm d of their denominators.  The identities are of degree 2
-in the tables, so the walk compares in the field of degree 2
-(``lowered_walk``) and a verdict over Q is the one on the tables as given.
-A walk evaluates only the live triples of its ``Walk``, those where some
-term can be nonzero, and ticks the rest without evaluating them.
+``assoc_pair``), for ``check_triples`` and the glued walks of ``adw.unified``.
+Every check computes on plain ints: the field's ``lowering`` takes the
+tables to int residues over GF(p), and over Q to ints scaled by the lcm d of
+their denominators, straight to sparse cells (``lowered_cells``): cells[i][j]
+lists the nonzero (k, c) of e_i o e_j, and each term is one call of the
+kernel ``linalg.accumulate`` on them.  The identities are of degree 2 in the
+tables, so the walk compares in the field of degree 2 (``lowered_walk``) and
+a verdict over Q is the one on the tables as given.  A walk evaluates only
+the live triples of its ``Walk``, those where some term can be nonzero (a
+pair is live when it holds a cell), and ticks the rest without evaluating
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 from .actions import ActionFamily
 from .fields import RATIONALS, InputError
-from .linalg import inverse, matvec, vadd, vneg, vzero
+from .linalg import accumulate, inverse, matvec, vadd, vneg
 from .reporting import Report
-from .tensors import t3_entries, t3_from_entries, t3_is_zero
+from .tensors import cells_sum, operators, t3_entries, t3_from_entries, t3_is_zero, table_cells
 
 A1_TERMS = ("x>(y>z)", "-(x.y)>z", "-x<(y.z)", "(x<y)<z")
 A2_TERMS = ("(x>y)<z", "x>(y<z)")
 
 
-def lmul(table, i, x):
-    """e_i o x for a coordinate vector x; table[i][k] is the vector of e_i o e_k."""
-    row, out = table[i], None
-    if any(x):  # a zero x, the common case on sparse tables, skips the loop
-        for k, c in enumerate(x):
-            if c:
-                out = ([c * t if t else t for t in row[k]] if out is None
-                       else [o + c * t if t else o for o, t in zip(out, row[k])])
-    return vzero(len(row[0])) if out is None else tuple(out)
-
-
-def rmul(table, x, j):
-    """x o e_j for a coordinate vector x; table[k][j] is the vector of e_k o e_j."""
-    out = None
-    if any(x):
-        for k, c in enumerate(x):
-            if c:
-                col = table[k][j]
-                out = ([c * t if t else t for t in col] if out is None
-                       else [o + c * t if t else o for o, t in zip(out, col)])
-    return vzero(len(table[0][j])) if out is None else tuple(out)
-
-
-def lowered(lowering, succ, prec=None):
-    """The tables the identities read, lowered by ``lowering`` = (lower, at)
-    from ``field.lowering``: (succ, prec, dot, -dot) with x.y = x>y + x<y
-    summed from the lowered tables and taken to ``at(1).residues`` (mod p
+def lowered_cells(lowering, succ, prec=None):
+    """The ``table_cells`` of the tables the identities read, lowered by
+    ``lowering`` = (lower, at) from ``field.lowering``: (succ, prec, dot) with
+    x.y = x>y + x<y summed cell by cell and taken to ``at(1).residues`` (mod p
     over GF(p)).  With ``prec`` None, ``succ`` is the one product, returned
     as dot alone."""
     lower, at = lowering
     if prec is None:
-        return None, None, lower(succ), None
-    succ, prec = lower(succ), lower(prec)
-    dot = at(1).residues(tuple(
-        tuple(tuple(a + b for a, b in zip(sv, pv)) for sv, pv in zip(srow, prow))
-        for srow, prow in zip(succ, prec)))
-    return succ, prec, dot, tuple(tuple(vneg(v) for v in row) for row in dot)
+        return None, None, table_cells(succ, lower)
+    succ, prec = table_cells(succ, lower), table_cells(prec, lower)
+    return succ, prec, cells_sum(succ, prec, at(1).residues)
+
+
+def _spelled(mul, succ, prec, dot):
+    """The tables the spells read: ``mul``, a kernel taking (cols, x) as
+    ``accumulate`` does, the three tables' ``operators`` and -dot's cells."""
+    if succ is None:
+        return mul, None, None, operators(dot), None
+    neg = tuple(tuple(tuple((k, -c) for k, c in cell) for cell in row) for row in dot)
+    return mul, operators(succ), operators(prec), operators(dot), neg
 
 
 class Walk:
-    """What the walks of one check share, computed once: the ``lowered``
-    tables, their support ``live`` (``live[u][v]`` is true when (u, v) is a
-    nonzero pair of some lowered table, so an entry that is 0 in the field is
-    dead) and the ``part`` that compares values in the lowering's field.
+    """What the walks of one check share, computed once: the lowered tables
+    as the spells read them (``lowered_cells``), their support ``live``
+    (``live[u][v]`` is true when (u, v) holds a cell of some lowered table,
+    so an entry that is 0 in the field is dead) and the ``part`` that
+    compares values in the lowering's field.
 
     A triple (u, v, w) is live when (u, v) or (v, w) is: every term of A1, A2
     and associativity is a product with a table's value at one of those two
@@ -99,35 +86,32 @@ def lowered_walk(report, succ, prec=None) -> Walk:
     associativity, every glued slot) on ``succ``/``prec``; its empty
     ``part`` of ``report`` compares their values in the lowering's field."""
     lowering = report.field.lowering(succ, prec)
-    tables = lowered(lowering, succ, prec)
-    succ, prec, dot, _ = tables
-    if succ is None:
-        live = tuple(tuple(map(any, row)) for row in dot)
-    else:
-        live = tuple(tuple(any(s) or any(p) for s, p in zip(srow, prow))
-                     for srow, prow in zip(succ, prec))
-    return Walk(tables, live, report.part(lowering[1](2)))
+    succ, prec, dot = lowered_cells(lowering, succ, prec)
+    live = (tuple(tuple(map(bool, row)) for row in dot) if succ is None else
+            tuple(tuple(bool(a or b) for a, b in zip(s, p)) for s, p in zip(succ, prec)))
+    return Walk(_spelled(partial(accumulate, len(dot)), succ, prec, dot), live,
+                report.part(lowering[1](2)))
 
 
 def a1_chain(tables, u, v, w):
-    """A1 at basis vectors u, v, w of ``lowered`` tables: u>(v>w), -(u.v)>w,
-    -u<(v.w), (u<v)<w.  The negated terms are products with -dot, so no term
-    is negated afterwards."""
-    succ, prec, _, neg_dot = tables
-    return (lmul(succ, u, succ[v][w]), rmul(succ, neg_dot[u][v], w),
-            lmul(prec, u, neg_dot[v][w]), rmul(prec, prec[u][v], w))
+    """A1 at basis vectors u, v, w of ``lowered_walk`` tables: u>(v>w),
+    -(u.v)>w, -u<(v.w), (u<v)<w.  The negated terms are products with -dot,
+    so no term is negated afterwards."""
+    mul, (sl, sr), (pl, pr), _, neg = tables
+    return (mul(sl[u], sl[v][w]), mul(sr[w], neg[u][v]), mul(pl[u], neg[v][w]),
+            mul(pr[w], pl[u][v]))
 
 
 def a2_pair(tables, u, v, w):
     """A2 at basis vectors u, v, w: (u>v)<w and u>(v<w)."""
-    succ, prec = tables[:2]
-    return rmul(prec, succ[u][v], w), lmul(succ, u, prec[v][w])
+    mul, (sl, _), (pl, pr) = tables[:3]
+    return mul(pr[w], sl[u][v]), mul(sl[u], pl[v][w])
 
 
 def assoc_pair(tables, u, v, w):
     """Associativity of dot at basis vectors u, v, w: (uv)w and u(vw)."""
-    dot = tables[2]
-    return rmul(dot, dot[u][v], w), lmul(dot, u, dot[v][w])
+    mul, (dl, dr) = tables[0], tables[3]
+    return mul(dr[w], dl[u][v]), mul(dl[u], dl[v][w])
 
 
 ASSOC = ("assoc", assoc_pair, ("(x.y).z", "x.(y.z)"))
@@ -152,12 +136,40 @@ def check_triples(report, n, identities, succ, prec=None) -> Report:
                 for label, spell, terms in identities:
                     part.require_chain(label, (i, j, k), terms, spell(tables, i, j, k))
     part.tick_each(dead * len(identities))
-    if part.violations and part.field is not report.field:
-        given = lowered((report.field.residues, lambda k: report.field), succ, prec)
+    if part.violations and report.field == RATIONALS:
+        given = _as_given(succ, prec)
         spells = {label: spell for label, spell, _ in identities}
         part.violations = [_respelled(v, spells[v.equation](given, *v.witness))
                            for v in part.violations]
     return report.absorb(part)
+
+
+def _as_given(succ, prec=None):
+    """The spells' tables of ``succ``/``prec`` as given, for a kept violation
+    over Q.  The cells keep every zero that is not the int 0, and the kernel
+    starts a value from the zeros of the first column it reads, so each value
+    has the types a dense product on these tables gives them."""
+    def mul(cols, x):
+        out, first = [0] * len(succ), True
+        for k, c in x:
+            if c:
+                for l, t in cols[k]:
+                    if t:
+                        out[l] += c * t
+                    elif first:
+                        out[l] = t
+                first = False
+        return tuple(out)
+
+    def cells(table):
+        return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c or type(c) is not int)
+                           for v in row) for row in table)
+
+    if prec is None:
+        return _spelled(mul, None, None, cells(succ))
+    return _spelled(mul, cells(succ), cells(prec), cells(tuple(
+        tuple(tuple(a + b for a, b in zip(sv, pv)) for sv, pv in zip(srow, prow))
+        for srow, prow in zip(succ, prec))))
 
 
 def _respelled(violation, values):
@@ -205,13 +217,15 @@ class BilinearOp:
                                                "structure-constant index"), out_dim)
 
     def apply(self, u, v):
-        """Product of two coordinate vectors: u o v = sum_i u_i (e_i o v)."""
-        if not any(u):
-            return vzero(self.out_dim)
-        # rmul over a one-column table holding e_i o v; rmul reads row i only
-        # where u_i != 0, so the other rows are never computed
-        lefts = tuple((lmul(self.table, i, v) if ui else None,) for i, ui in enumerate(u))
-        return rmul(lefts, u, 0)
+        """Product of two coordinate vectors: u o v = sum u_i v_k (e_i o e_k),
+        on the cells of the table, column i * dim + k holding e_i o e_k."""
+        vk, n = [(k, c) for k, c in enumerate(v) if c], self.dim
+        return accumulate(self.out_dim, self._cells,
+                          [(i * n + k, a * c) for i, a in enumerate(u) if a for k, c in vk])
+
+    @cached_property
+    def _cells(self):
+        return tuple(cell for row in table_cells(self.table) for cell in row)
 
     def add(self, other):
         if other.dim != self.dim:
@@ -445,12 +459,7 @@ def check_homomorphism(report, label, phi, src: ADAlgebra, dst: ADAlgebra) -> Re
     images = [tuple(row[k] for row in phi) for k in range(src.dim)]
 
     def image(v):
-        acc = [0] * dst.dim
-        for k, y in enumerate(v):
-            if y:
-                for r, x in cols[k]:
-                    acc[r] += x * y
-        return tuple(acc)
+        return accumulate(dst.dim, cols, [(k, y) for k, y in enumerate(v) if y])
 
     for op, dop, tag in ((src.succ, dst.succ, ">"), (src.prec, dst.prec, "<")):
         detail = "%s(u %s v) != %s(u) %s %s(v)" % (name, tag, name, tag, name)

@@ -20,9 +20,10 @@ and over Q to ints scaled by one d, the lcm of all their denominators.  D1-D9
 (1 in the tables, 1 in the coproducts) and Ca1/Ca2 are of degree 2, CD3-CD6
 and YE6 of degree 3 and CD7-CD10 of degree 4, so their values compare at the
 scale d**k, and what leaves a check (a kept violation, a residual cell, a
-form coefficient) is lifted.  The checks hold tensors as cell maps and apply
-leg maps over nonzero cells only (``tensors``); a value is made dense only to
-be compared.
+form coefficient) is lifted.  The checks read the tables as their lowered
+cells (``algebra.lowered_cells``), hold tensors as cell maps, apply leg maps
+over nonzero cells only and contract tensors grouped once by leg
+(``tensors``); a value is made dense only to be compared.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import partial
 
 from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, check_anti_dendriform,
-                      check_associative, lowered, multiplication_operators)
+                      check_associative, lowered_cells, multiplication_operators)
 from .fields import RATIONALS, InputError, PrimeField
 from .linalg import inverse, matvec, shape, unit, vadd
 from .matched import (AssocMatchedPair, assoc_bicrossed_product,
@@ -40,8 +41,8 @@ from .matched import (AssocMatchedPair, assoc_bicrossed_product,
 from .reporting import PreconditionFailure, Report
 from .reps import ADRep, dual_representation, semidirect_product
 from .tensors import (C12_13, C13_23, C23_12, add_cells, add_contraction, add_first, add_last,
-                      cell_map, flip, from_cells, operators, t2_cells, t2_neg, t2_zero,
-                      t3_from_entries, t3_is_zero, t3_zero, zeros)
+                      cell_map, cells_sum, flip, from_cells, legs, operators, t2_cells, t2_neg,
+                      t2_zero, t3_from_entries, t3_is_zero, t3_zero, table_cells, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +300,21 @@ def check_d_bialgebra(alg: ADAlgebra, cp: CoproductPair, exhaustive: bool = Fals
     lower, at = lowering = alg.field.lowering(alg.succ.table, alg.prec.table,
                                               cp.dsucc, cp.dprec)
     part = out.part(at(2))
-    succ, prec, dot, _ = lowered(lowering, alg.succ.table, alg.prec.table)
     dsucc, dprec = lower(cp.dsucc), lower(cp.dprec)
-    _check_d_equations(part, (succ, prec, dot), (dsucc, dprec),
-                       ("D1", "D2", "D3", "D4", "D5", "D6"))
-    dual = _cop_to_table(dsucc), _cop_to_table(dprec)
-    dual_dot = tuple(tuple(vadd(u, v) for u, v in zip(srow, prow)) for srow, prow in zip(*dual))
-    _check_d_equations(part, dual + (dual_dot,), (_table_to_cop(succ), _table_to_cop(prec)),
+    _check_d_equations(part, lowered_cells(lowering, alg.succ.table, alg.prec.table),
+                       (dsucc, dprec), ("D1", "D2", "D3", "D4", "D5", "D6"))
+    # D7-D9: the transposed structure, the coproducts read as tables and back
+    dual = table_cells(_cop_to_table(dsucc)), table_cells(_cop_to_table(dprec))
+    _check_d_equations(part, dual + (cells_sum(*dual, at(1).residues),),
+                       [_table_to_cop(lower(op.table)) for op in (alg.succ, alg.prec)],
                        ("D7", "D8", "D9"))
     return out.absorb(part)
 
 
 def _check_d_equations(out, tables, coproducts, labels):
-    """D1-D6 (or D1-D3 alone, with three labels) on lowered tables and
-    coproducts, as cell maps of n x n tensors: add_first applies M (x) I and
-    add_last I (x) M."""
+    """D1-D6 (or D1-D3 alone, with three labels) on the cells of lowered
+    tables and coproducts, as cell maps of n x n tensors: add_first applies
+    M (x) I and add_last I (x) M."""
     n = len(tables[0])
     (ls, rs), (lp, rp), (ld, rd) = (operators(t) for t in tables)
     ds, dp = ([t2_cells(t) for t in part] for part in coproducts)
@@ -364,7 +365,8 @@ def coboundary_coproducts(alg: ADAlgebra, rsucc, rprec) -> CoproductPair:
     n = alg.dim
     if shape(rsucc) != (n, n) or shape(rprec) != (n, n):
         raise InputError("tensors must be %dx%d" % (n, n))
-    (ls, _), (_, rp), (ld, rd) = (operators(op.table) for op in (alg.succ, alg.prec, alg.assoc))
+    (ls, _), (_, rp), (ld, rd) = (operators(table_cells(op.table))
+                                  for op in (alg.succ, alg.prec, alg.assoc))
     s, p = t2_cells(rsucc), t2_cells(rprec)
     ds = (add_last(add_first(zeros(n, n), rp[k], s, n, -1), ld[k], s, n, n, -1)
           for k in range(n))
@@ -374,11 +376,11 @@ def coboundary_coproducts(alg: ADAlgebra, rsucc, rprec) -> CoproductPair:
 
 
 def _contracted(*terms):
-    """The cells of a sum of contractions (u, v, table, how); a term enters
-    negated through a negated u."""
+    """The cells of a sum of contractions (u, v, cells, how) of tensors given
+    by their ``legs``; a term enters negated through a negated u."""
     acc = cell_map()
-    for u, v, table, how in terms:
-        add_contraction(acc, u, v, table, how)
+    for u, v, cells, how in terms:
+        add_contraction(acc, u, v, cells, how)
     return acc
 
 
@@ -398,7 +400,7 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
     out = Report("coboundary conditions", exhaustive=exhaustive, field=alg.field)
     # CD3-CD6 are of degree 2 in the tables and 1 in r, CD7-CD10 of 2 and 2
     lower, at = lowering = alg.field.lowering(alg.succ.table, alg.prec.table, rsucc, rprec)
-    succ, prec, dot, _ = lowered(lowering, alg.succ.table, alg.prec.table)
+    succ, prec, dot = lowered_cells(lowering, alg.succ.table, alg.prec.table)
     rsucc, rprec = lower(rsucc), lower(rprec)
     cubic, quartic = out.part(at(3)), out.part(at(4))
     z2, z3 = t2_zero(n), t3_zero(n)
@@ -452,27 +454,30 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
             cd6 = add_last(add_first(zeros(n, n), ls[i], after_ls[j], n), rp[i], after_rp[j], n, n)
             add_first(add_first(cd6, rs[j], rp2_pts[i], n, -1), rp[j], rp2_smp[i], n)
             cubic.require_equal("CD6", (i, j), dense(cd6), z2, "CD6 does not vanish")
-    # the brackets of CD7-CD10 that do not depend on x = e_i, each once
-    neg_s, neg_p = t2_neg(rsucc), t2_neg(rprec)
-    s_p = dense(s_minus_p)
-    p_s = t2_neg(s_p)
-    ss_dot13 = (rsucc, rsucc, dot, C13_23)
-    base_s = (ss_dot13, (rsucc, rsucc, prec, C23_12))
-    base_p = ((rprec, rprec, dot, C12_13), (rprec, rprec, succ, C23_12))
-    k7 = _contracted((rsucc, rprec, prec, C12_13), (rprec, rsucc, dot, C23_12),
-                     (rsucc, rprec, succ, C13_23))
-    k8c = _contracted(ss_dot13, (neg_p, rsucc, dot, C12_13), (neg_s, rprec, succ, C23_12),
-                      (rsucc, rsucc, prec, C12_13), (rsucc, rsucc, dot, C23_12))
-    k8d = _contracted(*base_s, (neg_p, rsucc, succ, C12_13))
-    k9a = _contracted(base_p[0], (neg_s, rprec, prec, C23_12), (neg_p, rsucc, dot, C13_23),
-                      (rprec, rprec, dot, C23_12), (rprec, rprec, succ, C13_23))
-    k9b = _contracted(*base_p, (neg_p, rsucc, prec, C13_23))
-    k10a = _contracted(*base_s, (neg_p, rprec, succ, C12_13))
-    k10b = _contracted(*base_p, (neg_s, rsucc, prec, C13_23))
+    # the brackets of CD7-CD10 that do not depend on x = e_i, each once, on
+    # the legs of every tensor they read, grouped once
+    def lg(t, sign=1):
+        return legs(t if sign == 1 else add_cells(cell_map(), t, sign), n, n)
+
+    r_s2, r_p2, neg_s, neg_p = lg(r_s), lg(r_p), lg(r_s, -1), lg(r_p, -1)
+    s_p, p_s = lg(s_minus_p), lg(s_minus_p, -1)
+    ss_dot13 = (r_s2, r_s2, dot, C13_23)
+    base_s = (ss_dot13, (r_s2, r_s2, prec, C23_12))
+    base_p = ((r_p2, r_p2, dot, C12_13), (r_p2, r_p2, succ, C23_12))
+    k7 = _contracted((r_s2, r_p2, prec, C12_13), (r_p2, r_s2, dot, C23_12),
+                     (r_s2, r_p2, succ, C13_23))
+    k8c = _contracted(ss_dot13, (neg_p, r_s2, dot, C12_13), (neg_s, r_p2, succ, C23_12),
+                      (r_s2, r_s2, prec, C12_13), (r_s2, r_s2, dot, C23_12))
+    k8d = _contracted(*base_s, (neg_p, r_s2, succ, C12_13))
+    k9a = _contracted(base_p[0], (neg_s, r_p2, prec, C23_12), (neg_p, r_s2, dot, C13_23),
+                      (r_p2, r_p2, dot, C23_12), (r_p2, r_p2, succ, C13_23))
+    k9b = _contracted(*base_p, (neg_p, r_s2, prec, C13_23))
+    k10a = _contracted(*base_s, (neg_p, r_p2, succ, C12_13))
+    k10b = _contracted(*base_p, (neg_s, r_s2, prec, C13_23))
     nn = n * n
     for i in range(n):
-        rp_rs = dense(add_first(zeros(n, n), rp[i], r_s, n))
-        ls_rp = dense(add_last(zeros(n, n), ls[i], r_p, n, n))
+        rp_rs = lg(add_first(zeros(n, n), rp[i], r_s, n))
+        ls_rp = lg(add_last(zeros(n, n), ls[i], r_p, n, n))
         # CD7
         cd7 = add_last(add_first(zeros(n, n, n), rp[i], k7, nn), ls[i], k7, n, n, -1)
         quartic.require_equal("CD7", (i,), dense3(cd7), z3, "CD7 does not vanish")
@@ -486,7 +491,7 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
         quartic.require_equal("CD9", (i,), dense3(cd9), z3, "CD9 does not vanish")
         # CD10
         cd10 = _contracted((rp_rs, neg_s, prec, C23_12),
-                           (dense(add_first(zeros(n, n), rp[i], r_p, n)), rprec, prec, C23_12))
+                           (lg(add_first(zeros(n, n), rp[i], r_p, n)), r_p2, prec, C23_12))
         add_last(add_first(cd10, rp[i], k10a, nn), ls[i], k10b, n, n, -1)
         quartic.require_equal("CD10", (i,), dense3(cd10), z3, "CD10 does not vanish")
     return out.absorb(cubic).absorb(quartic)
@@ -510,7 +515,8 @@ def adybe_residual(alg: ADAlgebra, r):
     has_fraction = not isinstance(alg.field, PrimeField) and any(
         x and type(x) is not int for t in tables for row in t for v in row if any(v) for x in v)
     if not has_fraction:
-        return from_cells((n, n, n), _residual_cells(r, alg.assoc.table, *tables))
+        return from_cells((n, n, n), _residual_cells(
+            r, *map(table_cells, (alg.assoc.table,) + tables)))
     r, tables, at = _lowered_ye6(alg, r)
     return from_cells((n, n, n), _residual_cells(r, *tables), at(3).lift)
 
@@ -523,19 +529,20 @@ def _ye6_dim(alg, r):
 
 
 def _lowered_ye6(alg, r):
-    """(r, (dot, succ, prec), at): r and the tables lowered together."""
+    """(r, (dot, succ, prec), at): r and the tables' cells lowered together."""
     lower, at = lowering = alg.field.lowering(alg.succ.table, alg.prec.table, r)
-    succ, prec, dot, _ = lowered(lowering, alg.succ.table, alg.prec.table)
+    succ, prec, dot = lowered_cells(lowering, alg.succ.table, alg.prec.table)
     return lower(r), (dot, succ, prec), at
 
 
 def _residual_cells(r, dot, succ, prec):
-    """The residual on given product tables as {cell: value}, over the cells
-    some term reached (``add_contraction``)."""
-    cells = {}
-    add_contraction(cells, r, r, dot, C12_13)
-    add_contraction(cells, r, r, succ, C23_12)
-    add_contraction(cells, t2_neg(r), r, prec, C13_23)
+    """The residual on the cells of given product tables as {cell: value},
+    over the cells some term reached (``add_contraction``)."""
+    n = len(r)
+    cells, r2 = cell_map(), legs(t2_cells(r), n, n)
+    add_contraction(cells, r2, r2, dot, C12_13)
+    add_contraction(cells, r2, r2, succ, C23_12)
+    add_contraction(cells, legs(t2_cells(t2_neg(r)), n, n), r2, prec, C13_23)
     return cells
 
 
@@ -683,7 +690,7 @@ def _ye6_form(alg: ADAlgebra, k):
     """
     n, field = alg.dim, alg.field
     lowering = field.lowering(alg.succ.table, alg.prec.table)
-    succ, prec, dot, _ = lowered(lowering, alg.succ.table, alg.prec.table)
+    succ, prec, dot = lowered_cells(lowering, alg.succ.table, alg.prec.table)
     # over Q a coefficient, of degree 1 in the tables, is lifted
     reduce = field.residues if isinstance(field, PrimeField) else lowering[1](1).lift
     units = [skew_tensor_from_uppers(n, [int(a == b) for b in range(k)]) for a in range(k)]
@@ -697,8 +704,7 @@ def _ye6_form(alg: ADAlgebra, k):
                 both = skew_tensor_from_uppers(n, [int(c in (a, b)) for c in range(k)])
                 res = _residual_cells(both, dot, succ, prec)
                 for square in (squares[a], squares[b]):
-                    for key, x in square.items():
-                        res[key] = res.get(key, 0) - x
+                    add_cells(res, square, -1)
             # in index order, the order of the dense residual's entries
             for key in sorted(res):
                 c = reduce(res[key]) if res[key] else 0

@@ -98,20 +98,16 @@ def _nonzeros(m):
     return [[(j, x) for j, x in enumerate(row) if x] for row in m]
 
 
-def _row_products(arows, brows, cols):
-    """The rows of A B from the nonzero pairs of the rows of A and of B.
-
-    Row p of A B is the sum of a_pk (row k of B) over the nonzero a_pk only,
-    accumulated row by row (Gustavson 1978); an entry that no term reaches
-    stays int 0.
-    """
-    out = []
-    for arow in arows:
-        acc = [0] * cols
-        for k, a in arow:
-            for j, b in brows[k]:
-                acc[j] += a * b
-        out.append(tuple(acc))
+def accumulate(n, cols, x):
+    """The product kernel: sum c cols[k] over the (k, c) of a sparse vector
+    x, as a dense tuple of length n, where cols[k] lists the nonzero (l, t)
+    of column k; an entry that no term reaches stays int 0.  Row p of A B is
+    row p of A against the rows of B (Gustavson 1978); e_i o x on a table
+    reads the cells of row i (``adw.tensors.table_cells``)."""
+    out = [0] * n
+    for k, c in x:
+        for l, t in cols[k]:
+            out[l] += c * t
     return tuple(out)
 
 
@@ -120,7 +116,8 @@ def matmul(a, b):
     rb, cb = shape(b)
     if ca != rb:
         raise InputError("matmul: inner dimensions %d and %d differ" % (ca, rb))
-    return _row_products(_nonzeros(a), _nonzeros(b), cb)
+    brows = _nonzeros(b)
+    return tuple(accumulate(cb, brows, arow) for arow in _nonzeros(a))
 
 
 def block_matrix(tl, tr, bl, br):

@@ -40,9 +40,16 @@ def _int(v, what):
     return v
 
 
+# The largest dimension a file may declare: tables are dense, n**3 cells each
+# (README, "File formats", has the measurement)
+MAX_DIM = 128
+
+
 def _dim(v, what):
     if _int(v, what) < 0:
         raise InputError("%s: expected a non-negative integer" % what)
+    if v > MAX_DIM:
+        raise InputError("%s: %d is above the largest dimension, %d" % (what, v, MAX_DIM))
     return v
 
 

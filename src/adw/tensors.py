@@ -1,10 +1,15 @@
 """Order-2 and order-3 tensors, dense and as cell maps, and their leg operations.
 
-The checks compute on cell maps, {flat index: value} over the cells some
-term reached.  A linear map on one leg is given by its nonzero columns, read
-straight off a table (``operators``), so the leg maps touch only nonzero
-pairs: Gustavson's (1978) row products, carried over to tensor legs.  A
-check builds the dense tensor of a value (``from_cells``) only to compare it.
+A product table is read as its cells (``table_cells``): cells[i][j] lists
+the nonzero (k, c) of e_i o e_j, after a field's lowering if one is given.
+Row i holds the columns of L(e_i), so the cells are the table's
+multiplication operators (``operators``), and ``linalg.accumulate``
+evaluates every product on them.  The bialgebra checks compute on cell maps,
+{flat index: value} over the cells some term reached: a leg map touches only
+the nonzero columns of its operator (Gustavson's (1978) row products, carried
+over to tensor legs), a contraction reads each tensor's nonzeros grouped once
+by leg (``legs``), and a check builds the dense tensor of a value
+(``from_cells``) only to compare it.
 
 Order-3 tables are also how every 3-index structure is stored: product
 tables, action families and coproducts all build from entries with
@@ -28,7 +33,7 @@ from collections import defaultdict
 from math import prod
 
 from .fields import InputError
-from .linalg import shape
+from .linalg import accumulate, shape
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +115,33 @@ def add_cells(acc, t, c=1):
     return acc
 
 
-def operators(table):
-    """(left, right): the multiplication operators of a square product table,
-    left[i] the columns of L(e_i) and right[j] those of R(e_j).  Column c
-    lists the nonzero (k, x) of table[i][c], respectively table[c][j]."""
-    left = [[[(k, x) for k, x in enumerate(v) if x] for v in row] for row in table]
-    return left, [[row[j] for row in left] for j in range(len(left))]
+def table_cells(table, lower=None):
+    """The cells of a product table: cells[i][j] lists the nonzero (k, c) of
+    table[i][j], taken through ``lower`` (a field's lowering) first if given,
+    so that an entry that is 0 mod p is dropped."""
+    lower = lower or (lambda v: v)
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(lower(v)) if c) if any(v) else ()
+                       for v in row) for row in table)
+
+
+def operators(cells):
+    """(left, right): the multiplication operators of a square table's
+    ``table_cells``, left[i] the columns of L(e_i), which are the cells of
+    row i, and right[j] those of R(e_j), column c the cells of e_c o e_j."""
+    return cells, tuple(zip(*cells))
+
+
+def cells_sum(a, b, residues):
+    """The cells of the sum of two square tables given by their cells; a cell
+    that both hold is summed by ``accumulate`` and taken to ``residues`` (a
+    field's, so mod p over GF(p))."""
+    def add(x, y):
+        if not (x and y):
+            return x or y
+        v = residues(accumulate(len(a), (x, y), ((0, 1), (1, 1))))
+        return tuple((k, c) for k, c in enumerate(v) if c)
+
+    return tuple(tuple(map(add, ra, rb)) for ra, rb in zip(a, b))
 
 
 def add_first(acc, cols, t, rest, sign=1):
@@ -169,15 +195,16 @@ def _prod_table(op):
     return op.table if hasattr(op, "table") else op
 
 
-def _by_leg(t, leg):
-    """The nonzero entries of a Tensor2 as {index on ``leg``: [(other index, entry)]}."""
-    out = {}
-    for x0, row in enumerate(t):
-        for x1, x in enumerate(row):
-            if x:
-                i, s = (x0, x1) if leg == 0 else (x1, x0)
-                out.setdefault(i, []).append((s, x))
-    return out
+def legs(t, na, nb):
+    """The nonzero cells of an na x nb tensor, a cell map or a flat list,
+    grouped by each leg: ({i: [(j, x)]}, {j: [(i, x)]}, na, nb)."""
+    by0, by1 = {}, {}
+    for key, x in (t.items() if isinstance(t, dict) else enumerate(t)):
+        if x:
+            i, j = divmod(key, nb)
+            by0.setdefault(i, []).append((j, x))
+            by1.setdefault(j, []).append((i, x))
+    return by0, by1, na, nb
 
 
 # (legs, order) of the three contractions: the index of u on leg a and of v on
@@ -187,24 +214,26 @@ C13_23 = ((1, 1), (0, 1, 2))
 C23_12 = ((0, 1), (1, 2, 0))
 
 
-def add_contraction(cells, u, v, op, how):
-    """Add the terms of a contraction to ``cells``, {output position: value}.
+def add_contraction(acc, u, v, cells, how):
+    """Add the terms of a contraction to the cell map ``acc``.
 
-    ``how`` = ((a, b), order): with i the index of u on leg a, j the index of
-    v on leg b, and s and t their other indices, the term u v c[i][j][p] over
-    the nonzero entries of u, v and c lands at ``(s, t, p)`` permuted by
-    ``order``, keyed by its flat index.  A cell that no term reaches gets no
-    key, so the keys are the reached cells.  Returns the output dimensions.
+    ``u`` and ``v`` are the ``legs`` of two tensors and ``cells`` the
+    ``table_cells`` of a product.  ``how`` = ((a, b), order): with i the
+    index of u on leg a, j the index of v on leg b, and s and t their other
+    indices, the term u v c[i][j][p] over the nonzero entries of u, v and c
+    lands at ``(s, t, p)`` permuted by ``order``, keyed by its flat index.  A
+    cell that no term reaches gets no key, so the keys are the reached cells.
+    Returns the output dimensions.
     """
-    c = _prod_table(op)
     (a, b), order = how
-    if shape(u)[a] != len(c) or shape(v)[b] != len(c):
-        raise InputError("contraction: tensor legs do not match the product dimension")
-    us, vs = _by_leg(u, a), _by_leg(v, b)
-    acc = {}
-    for i, uterms in us.items():
-        for j, vterms in vs.items():
-            cell = [(p, z) for p, z in enumerate(c[i][j]) if z]
+    dims = (u[3 - a], v[3 - b], len(cells))
+    out = tuple(dims[o] for o in order)
+    stride = (out[1] * out[2], out[2], 1)
+    ss, ts, ps = (stride[order.index(c)] for c in range(3))
+    for i, uterms in u[a].items():
+        row = cells[i]
+        for j, vterms in v[b].items():
+            cell = row[j]
             if not cell:
                 continue
             for s, x in uterms:
@@ -212,21 +241,20 @@ def add_contraction(cells, u, v, op, how):
                     f = x * y
                     if not f:
                         continue
+                    base = s * ss + t * ts
                     for p, z in cell:
-                        key = (s, t, p)
-                        acc[key] = acc.get(key, 0) + f * z
-    o0, o1, o2 = order
-    dims = (shape(u)[1 - a], shape(v)[1 - b], len(c))
-    d1, d2 = dims[o1], dims[o2]
-    for key, x in acc.items():
-        pos = (key[o0] * d1 + key[o1]) * d2 + key[o2]
-        cells[pos] = cells.get(pos, 0) + x
-    return dims[o0], d1, d2
+                        acc[base + p * ps] += f * z
+    return out
 
 
 def _contract(u, v, op, how):
-    cells = {}
-    return from_cells(add_contraction(cells, u, v, op, how), cells)
+    c = _prod_table(op)
+    (a, b), _ = how
+    if shape(u)[a] != len(c) or shape(v)[b] != len(c):
+        raise InputError("contraction: tensor legs do not match the product dimension")
+    cells = cell_map()
+    return from_cells(add_contraction(cells, legs(t2_cells(u), *shape(u)),
+                                      legs(t2_cells(v), *shape(v)), table_cells(c), how), cells)
 
 
 def contract_12_13(u, v, op):

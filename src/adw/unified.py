@@ -16,6 +16,9 @@ defining identities on mixed basis triples; the checker evaluates those
 components and labels each slot with its equation id.  Six further component
 identities (the second defining identity on triples with two V-entries) carry
 no printed number in the usual presentation and are labelled S19a-S19f here.
+The glued tables are lowered once per check to their sparse cells
+(``lowered_walk``); every slot value is a dense vector on A (+) V summed from
+the cells by the one product kernel, and its A and V components are slices.
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ def check_glued(walk, na, nv, slots) -> None:
     after = {s: [[(iw, w) for iw, w in enumerate(ws) if live[v][w]] for v in range(n)]
              for s, ws in summand.items()}
     for ttype, labels in slots.items():
-        parts = ((("assoc", labels, ASSOC_TERMS),) if tables[0] is None else
+        parts = ((("assoc", labels, ASSOC_TERMS),) if tables[1] is None else
                  (("A1", labels[0], (A1_CHAIN_TERMS,) * 2), ("A2", labels[1], A2_TERMS)))
         # per identity: (component, label, terms) of its labelled slots
         checks = [(IDENTITIES[identity], cells) for identity, ids, terms in parts

@@ -16,7 +16,7 @@ from __future__ import annotations
 from adw.algebra import ADAlgebra, BilinearOp, multiplication_operators
 from adw.bialgebra import CoproductPair
 from adw.fields import InputError
-from adw.linalg import _nonzeros, _row_products, matmul, shape, transpose, unit
+from adw.linalg import _nonzeros, matmul, shape, transpose, unit
 from adw.reporting import Report
 
 
@@ -85,6 +85,18 @@ def twist(t):
 def _nonzero_cols(mat, cols):
     """The nonzero (row, entry) pairs of each of the first ``cols`` columns."""
     return [[(q, row[j]) for q, row in enumerate(mat) if row[j]] for j in range(cols)]
+
+
+def _row_products(arows, brows, cols):
+    """The rows of A B from the nonzero pairs of the rows of A and of B."""
+    out = []
+    for arow in arows:
+        acc = [0] * cols
+        for k, a in arow:
+            for j, b in brows[k]:
+                acc[j] += a * b
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def t2_apply(mat, t, leg):

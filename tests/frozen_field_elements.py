@@ -9,13 +9,14 @@ in ``adw.algebra`` and ``adw.bialgebra``.  Do not optimise or refactor them.
 
 from __future__ import annotations
 
-from adw.algebra import A1_TERMS, ADAlgebra, BilinearOp, lmul, rmul
+from adw.algebra import A1_TERMS, ADAlgebra, BilinearOp
 from adw.bialgebra import adybe_residual, skew_tensor_from_uppers
 from adw.fields import InputError
 from adw.linalg import inverse, matvec, vneg
 from adw.reporting import Report
 from adw.tensors import t3_entries
 from .frozen_bialgebra import t2_add, t3_add, t3_sub
+from .frozen_dense_kernels import lmul, rmul
 
 
 def check_anti_dendriform(alg: ADAlgebra, exhaustive: bool = False) -> Report:

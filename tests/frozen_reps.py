@@ -1,8 +1,9 @@
 """The representation and bimodule checkers as matrix algebra, kept as an oracle.
 
 R1-R7 and the associative bimodule axioms written as products of action
-matrices (``matmul``, ``mat_neg``, ``ActionFamily.mat``), as they stood before
-``adw.reps`` read them off the glued semidirect product.  It is independent
+matrices (``matmul``, ``mat_neg``, and ``mat``, the matrix of an action that
+``ActionFamily.mat`` built), as they stood before ``adw.reps`` read them off
+the glued semidirect product.  It is independent
 of ``adw.unified.glue`` and the glued walks; ``test_reps_differential`` and
 the S and M oracle in ``frozen_split_engine`` compare against it.
 Do not optimise or refactor it.
@@ -10,12 +11,22 @@ Do not optimise or refactor it.
 
 from __future__ import annotations
 
-from adw.linalg import mat_neg, matmul
+from adw.linalg import mat_add, mat_neg, mat_scale, matmul, zeros_mat
 from adw.reporting import PreconditionFailure, Report
 
 R1_TERMS = ("l>(x)l>(y)", "-l>(x.y)", "-l<(x)l.(y)", "l<(x<y)")
 R2_TERMS = ("r>(x>y)", "-r>(y)r.(x)", "-r<(x.y)", "r<(y)r<(x)")
 R3_TERMS = ("l>(x)r>(y)", "-r>(y)l.(x)", "-l<(x)r.(y)", "r<(y)l<(x)")
+
+
+def mat(fam, x):
+    """Matrix of the action of the coordinate vector x."""
+    out = None
+    for i, xi in enumerate(x):
+        if xi:
+            term = mat_scale(xi, fam.mats[i])
+            out = term if out is None else mat_add(out, term)
+    return zeros_mat(fam.mod_dim, fam.mod_dim) if out is None else out
 
 
 def check_representation(rep, exhaustive=False, require_verified_algebra=True) -> Report:
@@ -35,14 +46,14 @@ def check_representation(rep, exhaustive=False, require_verified_algebra=True) -
             dij = alg.assoc.table[i][j]
             out.require_chain("R1", (i, j), R1_TERMS, (
                 matmul(ls[i], ls[j]),
-                mat_neg(rep.lsucc.mat(dij)),
+                mat_neg(mat(rep.lsucc, dij)),
                 mat_neg(matmul(lp[i], ldot[j])),
-                rep.lprec.mat(pij),
+                mat(rep.lprec, pij),
             ))
             out.require_chain("R2", (i, j), R2_TERMS, (
-                rep.rsucc.mat(sij),
+                mat(rep.rsucc, sij),
                 mat_neg(matmul(rs[j], rdot[i])),
-                mat_neg(rep.rprec.mat(dij)),
+                mat_neg(mat(rep.rprec, dij)),
                 matmul(rp[j], rp[i]),
             ))
             out.require_chain("R3", (i, j), R3_TERMS, (
@@ -51,9 +62,9 @@ def check_representation(rep, exhaustive=False, require_verified_algebra=True) -
                 mat_neg(matmul(lp[i], rdot[j])),
                 matmul(rp[j], lp[i]),
             ))
-            out.require_equal("R4", (i, j), rep.lprec.mat(sij), matmul(ls[i], lp[j]),
+            out.require_equal("R4", (i, j), mat(rep.lprec, sij), matmul(ls[i], lp[j]),
                               "l<(x>y) != l>(x)l<(y)")
-            out.require_equal("R5", (i, j), matmul(rp[j], rs[i]), rep.rsucc.mat(pij),
+            out.require_equal("R5", (i, j), matmul(rp[j], rs[i]), mat(rep.rsucc, pij),
                               "r<(y)r>(x) != r>(x<y)")
             out.require_equal("R6", (i, j), matmul(rp[j], ls[i]), matmul(ls[i], rp[j]),
                               "r<(y)l>(x) != l>(x)r<(y)")
@@ -70,9 +81,9 @@ def check_assoc_bimodule(arep, exhaustive=False) -> Report:
     for i in range(n):
         for j in range(n):
             dij = arep.op.table[i][j]
-            out.require_equal("bimod-l", (i, j), l.mat(dij), matmul(l.mats[i], l.mats[j]),
+            out.require_equal("bimod-l", (i, j), mat(l, dij), matmul(l.mats[i], l.mats[j]),
                               "l(x.y) != l(x)l(y)")
-            out.require_equal("bimod-r", (i, j), r.mat(dij), matmul(r.mats[j], r.mats[i]),
+            out.require_equal("bimod-r", (i, j), mat(r, dij), matmul(r.mats[j], r.mats[i]),
                               "r(x.y) != r(y)r(x)")
             out.require_equal("bimod-c", (i, j), matmul(r.mats[j], l.mats[i]),
                               matmul(l.mats[i], r.mats[j]), "r(y)l(x) != l(x)r(y)")

@@ -1,7 +1,8 @@
-"""The ``lmul``/``rmul`` product kernel and the merged ``BilinearOp``.
+"""The ``accumulate`` product kernel on a table's cells and the merged ``BilinearOp``.
 
-``lmul``, ``rmul`` and ``BilinearOp.apply`` are compared by ``==`` with the
-pair loop that products ran on before the kernel, frozen in
+``accumulate`` on the cells of a row (e_i o x) and of a column (x o e_j) of
+a table, and ``BilinearOp.apply``, are compared by ``==`` with the pair loop
+that products ran on before the kernel, frozen in
 ``frozen_split_engine.apply``: over Q and GF(5), on tables that mix int 0,
 field zeros and nonzero entries, with ``out_dim`` different from ``dim``,
 zero vectors and dim-0 sources.  The A and associativity checks keep their
@@ -16,12 +17,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from adw.actions import ActionFamily
 from adw.algebra import (ADAlgebra, BilinearOp, change_basis, check_anti_dendriform,
-                         check_associative, direct_sum, lmul, rmul)
+                         check_associative, direct_sum)
 from adw.crossed import CrossedDatum
 from adw.fields import RATIONALS, GFElement, InputError, PrimeField
 from adw.linalg import inverse, unit
 from adw.matched import MatchedPairDatum
 from adw.reps import ADRep, regular_representation, semidirect_product
+from adw.linalg import accumulate
+from adw.tensors import operators, table_cells
 from adw.unified import ExtendingDatum
 
 from .frozen_split_engine import apply as frozen_apply
@@ -67,9 +70,11 @@ def test_kernel_matches_the_frozen_pair_loop(case):
     n = op.dim
     assert op.apply(u, v) == frozen_apply(op, u, v)
     assert len(op.apply(u, v)) == op.out_dim
+    left, right = operators(table_cells(op.table))
+    ux, vx = ([(k, c) for k, c in enumerate(x) if c] for x in (u, v))
     for i in range(n):
-        assert lmul(op.table, i, v) == frozen_apply(op, unit(n, i), v)
-        assert rmul(op.table, u, i) == frozen_apply(op, u, unit(n, i))
+        assert accumulate(op.out_dim, left[i], vx) == frozen_apply(op, unit(n, i), v)
+        assert accumulate(op.out_dim, right[i], ux) == frozen_apply(op, u, unit(n, i))
 
 
 def test_out_dim_is_stored_and_checked():

@@ -30,6 +30,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adw.cli import main
+from adw.serialize import MAX_DIM
+from adw.tensors import t3_from_entries
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
 FAMILY = ("x", "r", "c", "v")
@@ -268,6 +270,33 @@ def test_negative_complement_dimension_is_named(workdir):
     with contextlib.redirect_stderr(err):
         assert main(["unified", "check", str(path)]) == 2
     assert err.getvalue() == "input error: vDim: expected a non-negative integer\n"
+
+
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 10 ** 12])
+@pytest.mark.parametrize("key", ["dimension", "vDim"])
+def test_a_dimension_above_the_bound_is_refused_before_allocating(workdir, key, dim):
+    """No table above the bound is built: the refusal comes while the
+    dimensions are read."""
+    alg = {"dimension": 1, "basis": ["e1"], "succ": [], "prec": []}
+    if key == "dimension":
+        group, d = "algebra", dict(alg, dimension=dim, basis=["e%d" % i for i in range(dim)]
+                                   if dim == MAX_DIM + 1 else ["e1"])
+    else:
+        group, d = "unified", {"algebra": alg, "vDim": dim}
+        d.update((k, []) for k, what, _ in FORMATS["unified"] if what not in ("algebra", "dim"))
+    path = workdir / "huge.json"
+    path.write_text(json.dumps(d))
+    err = io.StringIO()
+
+    def allocate(dims, *args):
+        assert max(dims) <= MAX_DIM, "a table of shape %s was allocated" % (dims,)
+        return t3_from_entries(dims, *args)
+
+    with mock.patch("adw.algebra.t3_from_entries", allocate), \
+            mock.patch("adw.actions.t3_from_entries", allocate), contextlib.redirect_stderr(err):
+        assert main([group, "check", str(path)]) == 2
+    assert err.getvalue() == "input error: %s: %d is above the largest dimension, %d\n" % (
+        key, dim, MAX_DIM)
 
 
 @pytest.mark.parametrize("group, command", sorted(MULTI), ids=["-".join(k) for k in sorted(MULTI)])

@@ -1,4 +1,4 @@
-"""Four of the paper's statements as ``hypothesis`` properties.
+"""Five of the paper's statements as ``hypothesis`` properties.
 
 They check verdicts only, so they hold whatever scalars a check computes on:
 
@@ -11,20 +11,25 @@ They check verdicts only, so they hold whatever scalars a check computes on:
   anti-dendriform, and S passes on an extending datum iff its unified product
   is.  The draws are very sparse (all-zero rows and columns included), where
   the checks skip most basis triples as dead, or dense, where none is dead,
-  and each kind meets both verdicts.
+  and each kind meets both verdicts;
+* an O-operator T of a representation lifts to a skew solution of YE6 on
+  A semidirect V* (``o_operator_to_ybe``), with nonzero operators and
+  nonzero non-operators among the draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction as Q
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adw.actions import ActionFamily
 from adw.algebra import ADAlgebra, BilinearOp, change_basis, check_anti_dendriform, direct_sum
-from adw.bialgebra import check_coboundary_conditions, is_ybe_solution, search_skew_solutions
+from adw.bialgebra import (check_coboundary_conditions, check_o_operator, is_skew, is_ybe_solution,
+                           o_operator_to_ybe, search_skew_solutions)
 from adw.fields import RATIONALS, PrimeField
 from adw.linalg import block_matrix, matmul
 from adw.reps import (ADRep, check_representation, dual_representation, regular_representation,
@@ -279,3 +284,40 @@ def test_extending_structure_passes_iff_unified_product_is_anti_dendriform():
 
     prop()
     assert seen == {(False, False), (False, True), (True, False), (True, True)}, seen
+
+
+# ---------------------------------------------------------------------------
+# O-operators lift to skew solutions of YE6
+
+def test_o_operator_lifts_to_a_skew_ybe_solution():
+    """An O-operator T of a representation gives, through
+    ``o_operator_to_ybe``, a skew r = T - tau(T) on A semidirect V* that
+    solves YE6.  The bases are the 2-dimensional ones over Q and GF(3) after
+    a unimodular change, with their regular representation or its dual; T is
+    drawn from the O-operators of the grid {-1, 0, 1} (found by checking all
+    81 matrices) or from the rest of the grid."""
+    seen = set()
+
+    @SETTINGS
+    @given(st.data())
+    def prop(data):
+        field = data.draw(st.sampled_from([RATIONALS, PrimeField(3)]))
+        alg = data.draw(st.sampled_from(bases()[:2]))
+        alg = change_basis(in_field(alg, field), unimodular(data, 2, field))
+        rep = regular_representation(alg)
+        rep = data.draw(st.sampled_from([rep, dual_representation(rep)]))
+        grid = [tuple(tuple(into(field, x) for x in m[r:r + 2]) for r in (0, 2))
+                for m in product((-1, 0, 1), repeat=4)]
+        operators = [t for t in grid if check_o_operator(t, rep).passed]
+        pick = data.draw(st.booleans())
+        pool = [t for t in grid if (t in operators) == pick] or grid
+        tmat = data.draw(st.sampled_from(pool))
+        res = o_operator_to_ybe(tmat, rep)
+        operator = res.operator_report.passed
+        if operator:
+            assert is_skew(res.r) and is_ybe_solution(res.ambient, res.r)
+            assert res.is_solution
+        seen.add((operator, any(x for row in tmat for x in row)))
+
+    prop()
+    assert {(True, True), (False, True)} <= seen, seen
