@@ -220,12 +220,12 @@ class ScaledRationals:
 
 
 def _vectors(x):
-    """The innermost tuples of scalars of a nested tuple."""
-    if x and type(x[0]) is tuple:
-        for y in x:
-            yield from _vectors(y)
-    else:
-        yield x
+    """The innermost tuples of scalars of a nested tuple, flattened one level
+    at a time."""
+    vecs = [x]
+    while vecs[0] and type(vecs[0][0]) is tuple:
+        vecs = [y for v in vecs for y in v]
+    return vecs
 
 
 class PrimeField:
