@@ -210,7 +210,7 @@ def test_draws_meet_both_verdicts_and_every_zero():
     with ``Fraction(0)``, ``GFElement`` zeros and multiples of p."""
     seen = set()
 
-    @settings(derandomize=True, max_examples=40, deadline=None)
+    @DIFF
     @given(st.data())
     def note(data):
         alg = any_algebra(data)
