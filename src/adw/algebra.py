@@ -9,30 +9,44 @@ by multilinearity):
 
 where x.y = x>y + x<y is the associated associative product.
 
-A1, A2 and associativity are written once (``a1_chain``, ``a2_pair``,
-``assoc_pair``), for ``check_triples`` and the glued walks of ``adw.unified``.
+A1, A2 and associativity are written once per form: per basis triple
+(``a1_chain``, ``a2_pair``, ``assoc_pair``), for the triple walks and the
+glued walks of ``adw.unified``, and per basis pair over every third vector
+(``a1_slabs``, ``a2_slabs``, ``assoc_slabs``), for ``check_triples``.
 Every check computes on plain ints: the field's ``lowering`` takes the
 tables to int residues over GF(p), and over Q to ints scaled by the lcm d of
 their denominators, straight to sparse cells (``lowered_cells``): cells[i][j]
-lists the nonzero (k, c) of e_i o e_j, and each term is one call of the
-kernel ``linalg.accumulate`` on them.  The identities are of degree 2 in the
-tables, so the walk compares in the field of degree 2 (``lowered_walk``) and
-a verdict over Q is the one on the tables as given.  A walk evaluates only
-the live triples of its ``Walk``, those where some term can be nonzero (a
-pair is live when it holds a cell), and ticks the rest without evaluating
-them.
+lists the nonzero (k, c) of e_i o e_j, and each term of a triple is one call
+of the kernel ``linalg.accumulate`` on them.  The identities are of degree 2
+in the tables, so the walk compares in the field of degree 2
+(``lowered_walk``) and a verdict over Q is the one on the tables as given.
+
+``check_triples`` evaluates a pair (i, j) over every k at once by Kronecker
+substitution: the cells are packed into slabs, ints holding one digit per
+(k, l) in base 2**b (``tensors.packed``), so that each term is a few integer
+multiply-adds and each chain a comparison of slabs, after reducing their
+digits mod p over GF(p) (``slab_residues``).  b is wide enough for every
+digit with its sign, so slabs are equal exactly when every triple's values
+are.  Only a pair with a broken chain, and the first triple of the pair
+after it, are walked triple by triple, so the checks, violations and
+witnesses are those of a walk over every triple.  The glued walks evaluate only the live triples of their ``Walk``, those where
+some term can be nonzero (a pair is live when it holds a cell), and tick the
+rest without evaluating them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import repeat
 
 from .actions import ActionFamily
 from .fields import RATIONALS, InputError
 from .linalg import accumulate, inverse, matvec, vadd, vneg
 from .reporting import Report
-from .tensors import cells_sum, operators, t3_entries, t3_from_entries, t3_is_zero, table_cells
+from .tensors import (cells_sum, operators, packed, t3_entries, t3_from_entries, t3_is_zero,
+                      table_cells)
 
 A1_TERMS = ("x>(y>z)", "-(x.y)>z", "-x<(y.z)", "(x<y)<z")
 A2_TERMS = ("(x>y)<z", "x>(y<z)")
@@ -51,13 +65,19 @@ def lowered_cells(lowering, succ, prec=None):
     return succ, prec, cells_sum(succ, prec, at(1).residues)
 
 
-def _spelled(mul, succ, prec, dot):
-    """The tables the spells read: ``mul``, a kernel taking (cols, x) as
-    ``accumulate`` does, the three tables' ``operators`` and -dot's cells."""
+def _negated(dot, p=0):
+    """The cells of -dot: each entry c as -c, or as p - c over GF(p), so that
+    a lowered entry stays a residue in 0..p-1."""
+    return tuple(tuple(tuple((k, p - c) for k, c in cell) for cell in row) for row in dot)
+
+
+def _spelled(kernel, succ, prec, dot, p=0):
+    """The tables the spells read: ``kernel``, taking (cols, x) as
+    ``accumulate`` does, the three tables' ``operators`` and the cells of
+    -dot, entries p - c over GF(p) (``_negated``)."""
     if succ is None:
-        return mul, None, None, operators(dot), None
-    neg = tuple(tuple(tuple((k, -c) for k, c in cell) for cell in row) for row in dot)
-    return mul, operators(succ), operators(prec), operators(dot), neg
+        return kernel, None, None, operators(dot), None
+    return kernel, operators(succ), operators(prec), operators(dot), _negated(dot, p)
 
 
 class Walk:
@@ -70,8 +90,9 @@ class Walk:
     A triple (u, v, w) is live when (u, v) or (v, w) is: every term of A1, A2
     and associativity is a product with a table's value at one of those two
     pairs, so at a dead triple every term is the zero vector and the
-    identity holds.  The walks evaluate the live triples, in their order,
-    and tick the dead ones (``Report.tick_each``) without evaluating them.
+    identity holds.  The glued walks of ``adw.unified`` evaluate the live
+    triples, in their order, and tick the dead ones (``Report.tick_each``)
+    without evaluating them; ``check_triples`` reads the tables alone.
     A plain class: a frozen dataclass costs each command-line process about
     a millisecond to create."""
 
@@ -89,8 +110,9 @@ def lowered_walk(report, succ, prec=None) -> Walk:
     succ, prec, dot = lowered_cells(lowering, succ, prec)
     live = (tuple(tuple(map(bool, row)) for row in dot) if succ is None else
             tuple(tuple(bool(a or b) for a, b in zip(s, p)) for s, p in zip(succ, prec)))
-    return Walk(_spelled(partial(accumulate, len(dot)), succ, prec, dot), live,
-                report.part(lowering[1](2)))
+    part = report.part(lowering[1](2))
+    return Walk(_spelled(partial(accumulate, len(dot)), succ, prec, dot,
+                         getattr(part.field, "p", 0)), live, part)
 
 
 def a1_chain(tables, u, v, w):
@@ -114,34 +136,148 @@ def assoc_pair(tables, u, v, w):
     return mul(dr[w], dl[u][v]), mul(dl[u], dl[v][w])
 
 
-ASSOC = ("assoc", assoc_pair, ("(x.y).z", "x.(y.z)"))
+def _combined(cell, rows):
+    """The slab sum c rows[k] over the (k, c) of a cell."""
+    return sum(c * rows[k] for k, c in cell) if cell else 0
+
+
+def _spread(spread, cols):
+    """The slab sum over w and k of (e_v o e_w)_k cols[k], shifted into
+    block w, for the ``spread`` of v.  Each block's coordinates meet the
+    column slabs apart and the sum is shifted after: one product per k of a
+    slab spread over every block would also multiply its empty digits, n - 1
+    of every n, which costs more than the per-block products once digits
+    are wider than a machine word."""
+    shifts, coords = spread
+    if not (shifts and cols):
+        return 0
+    return sum(map(operator.lshift,
+                   map(sum, map(map, repeat(operator.mul), coords, repeat(cols))), shifts))
+
+
+def a1_slabs(views, u, v):
+    """A1 at the basis pair (u, v) over every w, as slabs of a ``Packing``,
+    yielded cheapest first, so that a broken chain stops early: -(u.v)>w,
+    (u<v)<w (a cell's multiples of row slabs), u>(v>w), -u<(v.w) (spread
+    coordinates against column slabs)."""
+    (_, srow, scol, sspread), (prec, prow, pcol, _), _, (neg, _, _, nspread) = views
+    yield _combined(neg[u][v], srow)
+    yield _combined(prec[u][v], prow)
+    yield _spread(sspread[v], scol[u])
+    yield _spread(nspread[v], pcol[u])
+
+
+def a2_slabs(views, u, v):
+    """A2 at the basis pair (u, v) over every w: (u>v)<w and u>(v<w)."""
+    (succ, _, scol, _), (_, prow, _, pspread) = views[:2]
+    return _combined(succ[u][v], prow), _spread(pspread[v], scol[u])
+
+
+def assoc_slabs(views, u, v):
+    """Associativity of dot at the basis pair (u, v) over every w: (uv)w and u(vw)."""
+    dot, drow, dcol, dspread = views[2]
+    return _combined(dot[u][v], drow), _spread(dspread[v], dcol[u])
+
+
+ASSOC = ("assoc", assoc_pair, ("(x.y).z", "x.(y.z)"), assoc_slabs)
+AD_IDENTITIES = (("A1", a1_chain, A1_TERMS, a1_slabs), ("A2", a2_pair, A2_TERMS, a2_slabs))
+
+
+class Packing:
+    """A walk's tables packed for whole basis pairs (``packing``): ``views``
+    holds per table (succ, prec, dot, -dot) the (cells, row, col, spread) of
+    ``tensors.packed``, or None for a table the identities do not read, with
+    digits of ``b`` bits; slabs compare in the walk's ``field``, after its
+    ``residues`` (``slab_residues``) if it has them."""
+
+    __slots__ = ("views", "b", "field", "residues")
+
+    def __init__(self, views, b, field, n):
+        self.views, self.b, self.field = views, b, field
+        self.residues = field.slab_residues(b, n * n)
+
+
+def packing(walk, n):
+    """The ``Packing`` of a ``Walk`` of an n-dimensional algebra, or None when
+    the lowering left the scalars as given.  A1 and A2 read succ, prec and
+    -dot, associativity reads dot alone.
+
+    A digit of a term sums n products of two lowered entries, so with M the
+    largest |entry| it lies below n M**2 in absolute value, and b bits with
+    n M**2 < 2**(b-1) hold every digit with its sign: two slabs are equal
+    exactly when their digits are."""
+    if walk.part.field == RATIONALS:
+        return None
+    _, succ, prec, dot, neg = walk.tables
+    tables = (None, None, dot[0], None) if succ is None else (succ[0], prec[0], None, neg)
+    top = max((abs(c) for t in tables if t for row in t for cell in row for _, c in cell),
+              default=0)
+    b = (n * top * top).bit_length() + 1
+    return Packing(tuple(t and (t,) + packed(t, b) for t in tables), b, walk.part.field, n)
 
 
 def check_triples(report, n, identities, succ, prec=None) -> Report:
-    """Each identity (label, spell, terms) at every basis triple (i, j, k) of an
-    n-dimensional algebra: ``spell(tables, i, j, k)`` gives the values the
-    terms name on the ``lowered_walk`` tables, compared in its field.  Only
-    the live triples are spelled.  Over Q a kept violation is spelled again
-    on the tables as given, so that its values are the tables' own scalars,
-    and ``report`` absorbs the walk."""
+    """Each identity (label, spell, terms, slabs) at every basis triple (i, j, k)
+    of an n-dimensional algebra, compared in the field of its ``lowered_walk``.
+
+    ``slabs(views, i, j)`` gives the terms at (i, j) over every k at once, as
+    slabs of the walk's ``packing``; a pair whose chains all agree ticks its
+    checks.  A pair with a broken chain is walked triple by triple:
+    ``spell(tables, i, j, k)`` gives the values the terms name on the walk's
+    tables, so the checks, violations and values are those of a walk over
+    every triple.  The first pair, and each pair after a broken one, walks
+    its first triple before its slabs, and a pair broken there is walked
+    through without them: where most pairs break, as on random tables, the
+    slabs would be computed for nothing, and the tables are packed only at
+    the first pair that holds at its first triple.  Scalars that the
+    lowering leaves as given are walked triple by triple.  Over Q a kept
+    violation is spelled again on the tables as given, so that its values
+    are the tables' own scalars, and ``report`` absorbs the walk."""
     walk = lowered_walk(report, succ, prec)
-    tables, live, part = walk.tables, walk.live, walk.part
-    after = [[k for k in range(n) if row[k]] for row in live]
-    every, dead = range(n), 0
+    tables, part = walk.tables, walk.part
+
+    def walked(i, j, ks):
+        """Walk the triples (i, j, k) for k in ``ks``; did every chain hold?"""
+        held = True
+        for k in ks:
+            for label, spell, terms, _ in identities:
+                held = part.require_chain(label, (i, j, k), terms, spell(tables, i, j, k)) and held
+        return held
+
+    packs, agreed, broken = None, 0, True
     for i in range(n):
         for j in range(n):
-            ks = every if live[i][j] else after[j]
-            dead += n - len(ks)
-            for k in ks:
-                for label, spell, terms in identities:
-                    part.require_chain(label, (i, j, k), terms, spell(tables, i, j, k))
-    part.tick_each(dead * len(identities))
+            first = int(broken)
+            if broken and not walked(i, j, range(1)):
+                walked(i, j, range(1, n))
+                continue
+            packs = packs or packing(walk, n)
+            if packs and all(_agree(packs, identity, i, j) for identity in identities):
+                agreed += n - first
+                broken = False
+            else:
+                walked(i, j, range(first, n))
+                broken = True
+    part.tick_each(agreed * len(identities))
     if part.violations and report.field == RATIONALS:
         given = _as_given(succ, prec)
-        spells = {label: spell for label, spell, _ in identities}
+        spells = {label: spell for label, spell, *_ in identities}
         part.violations = [_respelled(v, spells[v.equation](given, *v.witness))
                            for v in part.violations]
     return report.absorb(part)
+
+
+def _agree(packs, identity, i, j):
+    """Does the chain of ``identity`` hold at the pair (i, j) for every k?
+    Its slabs compare in the packing's field, up to the first that differs."""
+    values = iter(identity[3](packs.views, i, j))
+    if packs.residues:
+        values = map(packs.residues, values)
+    first = next(values)
+    for x in values:
+        if x != first:
+            return False
+    return True
 
 
 def _as_given(succ, prec=None):
@@ -149,7 +285,7 @@ def _as_given(succ, prec=None):
     over Q.  The cells keep every zero that is not the int 0, and the kernel
     starts a value from the zeros of the first column it reads, so each value
     has the types a dense product on these tables gives them."""
-    def mul(cols, x):
+    def kernel(cols, x):
         out, first = [0] * len(succ), True
         for k, c in x:
             if c:
@@ -166,8 +302,8 @@ def _as_given(succ, prec=None):
                            for v in row) for row in table)
 
     if prec is None:
-        return _spelled(mul, None, None, cells(succ))
-    return _spelled(mul, cells(succ), cells(prec), cells(tuple(
+        return _spelled(kernel, None, None, cells(succ))
+    return _spelled(kernel, cells(succ), cells(prec), cells(tuple(
         tuple(tuple(a + b for a, b in zip(sv, pv)) for sv, pv in zip(srow, prow))
         for srow, prow in zip(succ, prec))))
 
@@ -336,8 +472,7 @@ class ADAlgebra:
 def check_anti_dendriform(alg: ADAlgebra, exhaustive: bool = False) -> Report:
     """Both defining identities over every basis triple, with witnesses."""
     return check_triples(Report("anti-dendriform axioms", exhaustive=exhaustive, field=alg.field),
-                         alg.dim, (("A1", a1_chain, A1_TERMS), ("A2", a2_pair, A2_TERMS)),
-                         alg.succ.table, alg.prec.table)
+                         alg.dim, AD_IDENTITIES, alg.succ.table, alg.prec.table)
 
 
 def associated_associative(alg: ADAlgebra) -> BilinearOp:

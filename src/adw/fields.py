@@ -215,6 +215,10 @@ class ScaledRationals:
             return tuple(map(self.lift, x))
         return Fraction(x) if self.scale == 1 else Fraction(x, self.scale)
 
+    def slab_residues(self, b, count):
+        """None: slabs (``tensors.packed``) compare as the ints they are."""
+        return None
+
     def __repr__(self):
         return "ScaledRationals(%d)" % self.scale
 
@@ -291,6 +295,28 @@ class PrimeField:
         if type(x) is tuple:
             return tuple(map(self.lift, x))
         return GFElement(self.p, x)
+
+    def slab_residues(self, b, count):
+        """The map taking a slab (``tensors.packed``) of ``count`` digits of b
+        bits, each in 0..2**(b-1)-1, to the slab of their residues mod p.
+
+        The even and the odd digits are reduced apart, so that each digit has
+        b free bits above it and one multiplication gives every quotient:
+        with s = b - 1 + bitlength(p - 1) and m = ceil(2**s / p), Barrett's
+        quotient floor(d m / 2**s) is floor(d / p) for every such digit d
+        (Granlund and Montgomery 1994), and d m is below 2**(2b - 1).
+        """
+        p, s, w = self.p, b - 1 + (self.p - 1).bit_length(), 2 * b
+        m, half = -(-(1 << s) // p), range((count + 1) // 2)
+        digits = sum(((1 << b) - 1) << w * j for j in half)
+        quotients = sum(((1 << max(w - s, 0)) - 1) << w * j for j in half)
+
+        def residues(x):
+            even, odd = x & digits, x >> b & digits
+            even -= p * (even * m >> s & quotients)
+            odd -= p * (odd * m >> s & quotients)
+            return even | odd << b
+        return residues
 
     def lowering(self, *parts):
         """(lower, at): ``residues`` lowers, and values of every degree

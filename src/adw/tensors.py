@@ -67,12 +67,14 @@ def t3_from_entries(dims, entries, what):
 
 
 def t3_entries(t):
-    """The nonzero entries (i, j, k, c) of a table, in index order."""
+    """The nonzero entries (i, j, k, c) of a table, in index order; an
+    all-zero vector is passed over in one ``any``, as ``table_cells`` does."""
     for i, plane in enumerate(t):
         for j, row in enumerate(plane):
-            for k, c in enumerate(row):
-                if c:
-                    yield (i, j, k, c)
+            if any(row):
+                for k, c in enumerate(row):
+                    if c:
+                        yield (i, j, k, c)
 
 
 def t3_is_zero(t):
@@ -122,6 +124,34 @@ def table_cells(table, lower=None):
     lower = lower or (lambda v: v)
     return tuple(tuple(tuple((k, c) for k, c in enumerate(lower(v)) if c) if any(v) else ()
                        for v in row) for row in table)
+
+
+def packed(cells, b):
+    """The Kronecker-packed views of a square table's ``table_cells``: slabs,
+    ints holding the digit (w, l) at bit b (w n + l), in base 2**b, so that
+    a sum of products of slabs is a whole block of products at once
+    (Kronecker substitution).  ``row[k]`` packs e_k o e_w over every (w, l)
+    and ``col[u][k]`` packs e_u o e_k over l; a row of the table without
+    cells gives an empty ``col[u]``.  ``spread[v]`` is coordinate k of
+    e_v o e_w spread over w: the offsets b n w of the blocks w with a cell
+    (v, w), and the coordinate vectors of those cells, so that
+    sum_w (sum_k (e_v o e_w)_k col[u][k]) << b n w is u o (v o w) over every
+    (w, l).  Returns (row, col, spread)."""
+    n, stride = len(cells), b * len(cells)
+    col, spread = [], []
+    for row in cells:
+        col.append(tuple(sum(c << b * l for l, c in cell) for cell in row) if any(row) else ())
+        shifts, coords = [], []
+        for w, cell in enumerate(row):
+            if cell:
+                vector = [0] * n
+                for k, c in cell:
+                    vector[k] = c
+                shifts.append(stride * w)
+                coords.append(tuple(vector))
+        spread.append((tuple(shifts), tuple(coords)))
+    return (tuple(sum(x << stride * w for w, x in enumerate(slabs)) for slabs in col),
+            tuple(col), tuple(spread))
 
 
 def operators(cells):

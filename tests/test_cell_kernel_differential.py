@@ -13,6 +13,19 @@ denominators, and over GF(3) and GF(5) ``GFElement`` zeros and plain ints
 that are multiples of p; most of them fail.  In both modes the reports must
 be equal by ``==`` and by ``repr`` (so a kept violation's values carry the
 same types), and residual tensors by ``repr``.
+
+A1/A2 and associativity compare whole basis pairs as Kronecker-packed slabs,
+whose digit width is chosen from the largest lowered entry; their draws go
+wider: over Q entries with numerators of up to 31 digits, negative values
+and mixed denominators, over GF(2), GF(3) and GF(251) residues, field
+elements and multiples of p, dense dimensions 5-9 and the dimensions 0 and
+1, passing tables after a dense basis change, the same with one entry
+changed, and random tables.  Every 2-dimensional table with entries in
+{-1, 0, 1} is checked for associativity too: there the digits reach the
+bound n M**2 the width is chosen from, so a width one bit short passes some
+of their violations.  On the passing draws every pair must agree as slabs,
+since a slab that is wrong only where its chain holds would change no
+report.
 """
 
 from __future__ import annotations
@@ -20,8 +33,11 @@ from __future__ import annotations
 from contextlib import ExitStack
 from dataclasses import replace
 from fractions import Fraction as Q
+from functools import cache
+from itertools import product
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,11 +46,13 @@ import adw.matched
 import adw.reps
 import adw.unified
 from adw.actions import ActionFamily
-from adw.algebra import ADAlgebra, BilinearOp, change_basis, check_anti_dendriform
+from adw.algebra import (ADAlgebra, BilinearOp, change_basis, check_anti_dendriform,
+                         check_associative, direct_sum)
 from adw.bialgebra import adybe_residual, check_coboundary_conditions, is_ybe_solution
 from adw.crossed import CrossedDatum, check_crossed_system
 from adw.fields import RATIONALS, PrimeField
 from adw.matched import MatchedPairDatum, check_matched_pair
+from adw.reporting import Report
 from adw.reps import ADRep, check_representation, regular_representation, semidirect_product
 from adw.tensors import t3_is_zero
 from adw.unified import ExtendingDatum, check_extending_structure
@@ -226,3 +244,161 @@ def test_draws_meet_both_verdicts_and_every_zero():
     note()
     assert {(s, v) for s in ("A", "R", "CD") for v in (True, False)} <= seen
     assert {"Fraction(0)", "GF zero", "multiple of p"} <= seen
+
+
+# ---------------------------------------------------------------------------
+# A1/A2 and associativity on slabs: wide entries, GF(2) and GF(251), dense
+# dimensions 5-9, dimensions 0 and 1
+
+WIDE_FIELDS = (RATIONALS, PrimeField(2), PrimeField(3), PrimeField(251))
+WIDE_DIMS = (0, 1, 5, 6, 7, 8, 9)
+WIDE_Q = (Q(10**30 + 7), Q(-(2**61 - 1)), Q(10**18 + 9, 7), Q(-5, 12), Q(7, 3),
+          Q(-(10**12), 11), -1, 2, -3)
+
+
+def wide_scalar(data, field):
+    if field is RATIONALS:
+        return data.draw(st.sampled_from((0, Q(0)) * 3 + WIDE_Q))
+    p = field.p
+    return data.draw(st.sampled_from((0, field.zero, p, -p, -1, p - 1, field.coerce(p - 1),
+                                      field.coerce(p // 2), field.coerce(1))))
+
+
+def wide_random(data, field, n):
+    succ, prec = (BilinearOp(n, tuple(tuple(tuple(wide_scalar(data, field) for _ in range(n))
+                                            for _ in range(n)) for _ in range(n)))
+                  for _ in range(2))
+    return ADAlgebra(n, tuple("e%d" % (i + 1) for i in range(n)), succ, prec, field)
+
+
+@cache
+def verified_of_dim(field, n):
+    """A verified algebra of dimension n over ``field``: R(R(nil2)), R(nil2),
+    nil2 and the zero algebra of dimension 1, summed, whose products of three
+    vectors all vanish; over GF(3) n copies of e>e = e<e = e instead, whose
+    A1/A2 terms are all e (as -2 = 1 mod 3), so its chains hold with nonzero
+    values."""
+    if field == PrimeField(3):
+        one = ADAlgebra.make(1, [(0, 0, 0, field.one)], [(0, 0, 0, field.one)], field=field)
+        alg = ADAlgebra.zero(0, field)
+        for _ in range(n):
+            alg = direct_sum(alg, one)
+        return alg
+    nil = ADAlgebra.make(2, succ_entries=[(0, 0, 1, field.one)], field=field)
+    rnil = semidirect_product(regular_representation(nil))
+    parts = {0: [], 1: [1], 5: [rnil, 1], 6: [rnil, nil], 7: [rnil, nil, 1],
+             8: [semidirect_product(regular_representation(rnil))]}
+    parts[9] = parts[8] + [1]
+    alg = ADAlgebra.zero(0, field)
+    for part in parts[n]:
+        alg = direct_sum(alg, ADAlgebra.zero(1, field) if part == 1 else part)
+    return alg
+
+
+def dense_change(data, field, n):
+    """An invertible matrix with few zeros: over Q a unitriangular one with
+    wide entries times a diagonal one, over GF(p) an upper times a lower
+    unitriangular one with random entries."""
+    if field is RATIONALS:
+        entry = st.sampled_from((Q(1), Q(-3, 2), Q(10**9 + 7, 5), Q(-(10**6), 7), Q(0)))
+        diag = [data.draw(st.sampled_from((Q(1), Q(-1), Q(2, 3), Q(-(10**5), 3))))
+                for _ in range(n)]
+        return tuple(tuple(diag[c] * (Q(1) if r == c else data.draw(entry) if r < c else Q(0))
+                           for c in range(n)) for r in range(n))
+    coeff = st.integers(0, field.p - 1)
+    upper = [[1 if r == c else data.draw(coeff) if r < c else 0 for c in range(n)]
+             for r in range(n)]
+    lower = [[1 if r == c else data.draw(coeff) if r > c else 0 for c in range(n)]
+             for r in range(n)]
+    return tuple(tuple(field.coerce(sum(upper[r][k] * lower[k][c] for k in range(n)))
+                       for c in range(n)) for r in range(n))
+
+
+def wide_algebra(data, field, n):
+    """Random tables, or a verified algebra after a dense basis change,
+    possibly with one entry changed."""
+    kind = data.draw(st.sampled_from(("random", "verified", "changed")))
+    if kind == "random" or n == 0:
+        return wide_random(data, field, n)
+    alg = change_basis(verified_of_dim(field, n), dense_change(data, field, n))
+    if kind == "changed":
+        i, j, k = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        c = (data.draw(st.sampled_from(WIDE_Q)) if field is RATIONALS
+             else field.coerce(data.draw(st.integers(1, field.p - 1))))
+        alg = ADAlgebra(n, alg.basis, alg.succ.add(BilinearOp.from_entries(n, [(i, j, k, c)])),
+                        alg.prec, field)
+    return alg
+
+
+def frozen_associative(op, exhaustive, field):
+    """``check_associative`` on the frozen triple walk."""
+    return frozen.check_triples(Report("associativity", exhaustive=exhaustive, field=field),
+                                op.dim, (("assoc", frozen.assoc_pair, ("(x.y).z", "x.(y.z)")),),
+                                op.table)
+
+
+WIDE = settings(derandomize=True, max_examples=5, deadline=None)
+FIELDS_AND_DIMS = pytest.mark.parametrize("field, n", list(product(WIDE_FIELDS, WIDE_DIMS)),
+                                          ids=lambda x: getattr(x, "name", str(x)))
+
+
+@FIELDS_AND_DIMS
+@WIDE
+@given(data=st.data())
+def test_pair_checks_match_the_frozen_triple_walk(field, n, data):
+    alg = wide_algebra(data, field, n)
+    both_modes(check_anti_dendriform, frozen.check_anti_dendriform_on_rows, alg)
+    for op in (alg.assoc, alg.succ):
+        for exhaustive in (False, True):
+            same(check_associative(op, exhaustive, field),
+                 frozen_associative(op, exhaustive, field))
+
+
+@pytest.mark.parametrize("field, n", list(product(WIDE_FIELDS, WIDE_DIMS[1:])),
+                         ids=lambda x: getattr(x, "name", str(x)))
+@WIDE
+@given(data=st.data())
+def test_passing_pairs_agree_as_slabs(field, n, data):
+    """On a verified algebra after a dense basis change every pair agrees as
+    slabs: only the first triple, which is walked before any slab, reaches
+    ``require_chain``.  A slab spell that is wrong only where its chain
+    holds would change no report, only send pairs to the triple walk."""
+    alg = change_basis(verified_of_dim(field, n), dense_change(data, field, n))
+    walked = []
+
+    def chain(self, equation, witness, terms, values):
+        walked.append((equation, witness))
+        return original(self, equation, witness, terms, values)
+
+    original = Report.require_chain
+    with mock.patch.object(Report, "require_chain", chain):
+        assert check_anti_dendriform(alg).passed
+        assert check_associative(alg.assoc, field=field).passed
+    assert walked == [("A1", (0, 0, 0)), ("A2", (0, 0, 0)), ("assoc", (0, 0, 0))]
+
+
+def test_wide_draws_meet_both_verdicts_in_every_field():
+    """The draws above pass and fail A1/A2 and associativity in every field."""
+    seen = set()
+    for field, n in product(WIDE_FIELDS, WIDE_DIMS):
+        @WIDE
+        @given(st.data())
+        def note(data):
+            alg = wide_algebra(data, field, n)
+            seen.add(("A", field, check_anti_dendriform(alg).passed))
+            seen.add(("assoc", field, check_associative(alg.succ, field=field).passed))
+
+        note()
+    assert {(what, field, verdict) for what in ("A", "assoc") for field in WIDE_FIELDS
+            for verdict in (True, False)} <= seen
+
+
+def test_associativity_at_the_digit_bound():
+    """Every 2-dimensional table with entries in {-1, 0, 1}: the digits of
+    its slabs reach n M**2 = 2, the bound of the digit width."""
+    for entries in product((-1, 0, 1), repeat=8):
+        flat = iter(entries)
+        op = BilinearOp(2, tuple(tuple(tuple(next(flat) for _ in range(2)) for _ in range(2))
+                                 for _ in range(2)))
+        for exhaustive in (False, True):
+            same(check_associative(op, exhaustive), frozen_associative(op, exhaustive, RATIONALS))

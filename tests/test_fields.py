@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adw.fields import GFElement, InputError, PrimeField, RATIONALS, field_from_name
 
@@ -106,3 +108,32 @@ def test_residues_and_lift():
     # over Q both are the identity
     v = (Q(1, 2), 0, Q(-3))
     assert RATIONALS.residues(v) is v and RATIONALS.lift(v) is v
+
+
+def slab(digits, b):
+    return sum(d << b * i for i, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 251])
+def test_slab_residues_reduce_every_digit_value(p):
+    """Every digit value below 2**(b-1), at an even and at an odd position,
+    for every digit width b up to 14, is taken to its residue mod p."""
+    field = PrimeField(p)
+    for b in range(1, 15):
+        every = list(range(1 << (b - 1)))
+        for digits in (every, [0] + every):
+            assert (field.slab_residues(b, len(digits))(slab(digits, b))
+                    == slab([d % p for d in digits], b))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_slab_residues_on_wide_digits(data):
+    """Digits of up to 60 bits, the largest ones among them."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 13, 251]))
+    b = data.draw(st.integers(1, 61))
+    top = (1 << (b - 1)) - 1
+    digits = data.draw(st.lists(st.one_of(st.sampled_from([0, top, top // 2, top - top // 3]),
+                                          st.integers(0, top)), max_size=12))
+    assert (PrimeField(p).slab_residues(b, len(digits))(slab(digits, b))
+            == slab([d % p for d in digits], b))

@@ -15,7 +15,9 @@ and lifts what leaves the check.  The draws here hold denominators 2, 3, 5,
   A1/A2, the glued slots, CD3-CD10, D1-D9, Ca1/Ca2 and YE6 by t**k, with the
   k the lift divides by: 2 for A1/A2, the glued slots, D1-D9 (1 in the
   tables, 1 in the coproducts) and Ca1/Ca2 (2 in the coproducts), 3 for
-  CD3-CD6 and YE6, 4 for CD7-CD10.
+  CD3-CD6 and YE6, 4 for CD7-CD10.  A1/A2 compare whole basis pairs as
+  Kronecker-packed slabs first; those comparisons are recorded too, digit
+  by digit, so a pair that passes as slabs is seen to scale as well.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from adw import algebra
 from adw.algebra import (ADAlgebra, BilinearOp, check_anti_dendriform, direct_sum,
                          lowered_walk)
 from adw.bialgebra import (CoproductPair, adybe_residual, check_coalgebra,
@@ -181,9 +184,22 @@ ASSOC_LABELS = {t: ("assoc-" + "".join(t) + "-A", "assoc-" + "".join(t) + "-V")
                 for t in product("AV", repeat=3)}
 
 
+def digits(slab, b):
+    """The signed base-2**b digits of a slab, lowest first, up to its last
+    nonzero one: each is below 2**(b-1) in absolute value."""
+    out, half = [], 1 << (b - 1)
+    while slab:
+        d = (slab + half) % (1 << b) - half
+        out.append(d)
+        slab = (slab - d) >> b
+    return tuple(out)
+
+
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every compared value, lifted, as (equation, witness, values)."""
+    """Every compared value, lifted, as (equation, witness, values).  A slab
+    comparison of ``check_triples`` at a pair (i, j) is recorded with the
+    witness (i, j) and each slab as its digits, one per (k, l)."""
     seen = []
 
     def chain(self, equation, witness, terms, values):
@@ -194,9 +210,17 @@ def recorded(monkeypatch):
         seen.append((equation, witness, self.field.lift((lhs, rhs))))
         return original_equal(self, equation, witness, lhs, rhs, detail)
 
+    def agree(packs, identity, i, j):
+        slabs = identity[3](packs.views, i, j)
+        seen.append((identity[0], (i, j),
+                     packs.field.lift(tuple(digits(x, packs.b) for x in slabs))))
+        return original_agree(packs, identity, i, j)
+
     original_chain, original_equal = Report.require_chain, Report.require_equal
+    original_agree = algebra._agree
     monkeypatch.setattr(Report, "require_chain", chain)
     monkeypatch.setattr(Report, "require_equal", equal)
+    monkeypatch.setattr(algebra, "_agree", agree)
     return seen
 
 
@@ -266,7 +290,7 @@ def test_every_label_scales_by_its_degree(recorded, data):
         before = list(recorded)
         recorded.clear()
         second()
-        # the walks compare only live triples: only all-zero inputs compare nothing
+        # the glued walks compare only live triples: only all-zero inputs compare nothing
         assert before or not holds_nonzero(inputs)
         assert len(recorded) == len(before)
         assert_scales(before, list(recorded), t, degree)
