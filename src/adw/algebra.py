@@ -10,9 +10,9 @@ by multilinearity):
 where x.y = x>y + x<y is the associated associative product.
 
 A1, A2 and associativity are written once per form: per basis triple
-(``a1_chain``, ``a2_pair``, ``assoc_pair``), for the triple walks and the
-glued walks of ``adw.unified``, and per basis pair over every third vector
-(``a1_slabs``, ``a2_slabs``, ``assoc_slabs``), for ``check_triples``.
+(``a1_chain``, ``a2_pair``, ``assoc_pair``) and per basis pair over every
+third vector (``a1_slabs``, ``a2_slabs``, ``assoc_slabs``), for
+``check_triples`` and the glued walks of ``adw.unified``.
 Every check computes on plain ints: the field's ``lowering`` takes the
 tables to int residues over GF(p), and over Q to ints scaled by the lcm d of
 their denominators, straight to sparse cells (``lowered_cells``): cells[i][j]
@@ -21,17 +21,18 @@ of the kernel ``linalg.accumulate`` on them.  The identities are of degree 2
 in the tables, so the walk compares in the field of degree 2
 (``lowered_walk``) and a verdict over Q is the one on the tables as given.
 
-``check_triples`` evaluates a pair (i, j) over every k at once by Kronecker
+A walk evaluates a basis pair (u, v) over every w of a range at once (every
+w in ``check_triples``, those of one summand in the glued walks) by Kronecker
 substitution: the cells are packed into slabs, ints holding one digit per
 (k, l) in base 2**b (``tensors.packed``), so that each term is a few integer
 multiply-adds and each chain a comparison of slabs, after reducing their
 digits mod p over GF(p) (``slab_residues``).  b is wide enough for every
 digit with its sign, so slabs are equal exactly when every triple's values
-are.  Only a pair with a broken chain, and the first triple of the pair
-after it, are walked triple by triple, so the checks, violations and
-witnesses are those of a walk over every triple.  The glued walks evaluate only the live triples of their ``Walk``, those where
-some term can be nonzero (a pair is live when it holds a cell), and tick the
-rest without evaluating them.
+are.  ``check_triples`` compares each pair once; the glued walks of
+``adw.unified`` share the tables of pair verdicts of a ``Walk``
+(``Walk.verdicts``), each pair compared at most once per range.  A pair with a broken chain, and the
+first triple of the pair after it, are walked triple by triple, so the
+checks, violations and witnesses are those of a walk over every triple.
 """
 
 from __future__ import annotations
@@ -81,25 +82,56 @@ def _spelled(kernel, succ, prec, dot, p=0):
 
 
 class Walk:
-    """What the walks of one check share, computed once: the lowered tables
-    as the spells read them (``lowered_cells``), their support ``live``
-    (``live[u][v]`` is true when (u, v) holds a cell of some lowered table,
-    so an entry that is 0 in the field is dead) and the ``part`` that
-    compares values in the lowering's field.
+    """What the walks of one check share: the lowered tables as the spells
+    read them (``lowered_cells``), the ``part`` that compares values in the
+    lowering's field, and the tables of pair verdicts (``verdicts``), on
+    ``packs`` made at the first pair compared.  A plain class: a frozen
+    dataclass costs each command-line process about a millisecond to
+    create."""
 
-    A triple (u, v, w) is live when (u, v) or (v, w) is: every term of A1, A2
-    and associativity is a product with a table's value at one of those two
-    pairs, so at a dead triple every term is the zero vector and the
-    identity holds.  The glued walks of ``adw.unified`` evaluate the live
-    triples, in their order, and tick the dead ones (``Report.tick_each``)
-    without evaluating them; ``check_triples`` reads the tables alone.
-    A plain class: a frozen dataclass costs each command-line process about
-    a millisecond to create."""
+    __slots__ = ("tables", "part", "packs", "_verdicts")
 
-    __slots__ = ("tables", "live", "part")
+    def __init__(self, tables, part: Report):
+        self.tables, self.part, self.packs, self._verdicts = tables, part, {}, {}
 
-    def __init__(self, tables, live, part: Report):
-        self.tables, self.live, self.part = tables, live, part
+    def verdicts(self, identities, ws):
+        """The ``Verdicts`` of the pairs where every identity of
+        ``identities`` holds over the third vectors in the range ``ws``, one
+        table per walk.  With the scalars left as given (no ``packing``) no
+        pair agrees.  With both products associativity holds where A1 and A2
+        do: (u.v)>w = u<(v.w) and (u<v)<w = u>(v>w) by A1, (u>v)<w = u>(v<w)
+        by A2, and these are the terms of (u.v).w and u.(v.w)."""
+        key = tuple(identity[0] for identity in identities), ws
+        if key in self._verdicts:
+            return self._verdicts[key]
+        if len(identities) > 1:
+            parts = [self.verdicts((identity,), ws) for identity in identities]
+            table = Verdicts(lambda pair: all(part[pair] for part in parts))
+        elif identities[0][3] is assoc_slabs and self.tables[1] is not None:
+            table = self.verdicts(AD_IDENTITIES, ws)
+        else:
+            def compare(pair):
+                if ws not in self.packs:
+                    self.packs[ws] = packing(self, ws)
+                return bool(self.packs[ws]) and _agree(self.packs[ws], identities[0], *pair)
+            table = Verdicts(compare)
+        self._verdicts[key] = table
+        return table
+
+
+class Verdicts(dict):
+    """A table of pair verdicts: ``table[u, v]`` is whether a chain holds at
+    (u, v, w) for every w of its range, ``compare``d at the first lookup."""
+
+    __slots__ = ("compare",)
+
+    def __init__(self, compare):
+        super().__init__()
+        self.compare = compare
+
+    def __missing__(self, pair):
+        verdict = self[pair] = self.compare(pair)
+        return verdict
 
 
 def lowered_walk(report, succ, prec=None) -> Walk:
@@ -108,11 +140,9 @@ def lowered_walk(report, succ, prec=None) -> Walk:
     ``part`` of ``report`` compares their values in the lowering's field."""
     lowering = report.field.lowering(succ, prec)
     succ, prec, dot = lowered_cells(lowering, succ, prec)
-    live = (tuple(tuple(map(bool, row)) for row in dot) if succ is None else
-            tuple(tuple(bool(a or b) for a, b in zip(s, p)) for s, p in zip(succ, prec)))
     part = report.part(lowering[1](2))
     return Walk(_spelled(partial(accumulate, len(dot)), succ, prec, dot,
-                         getattr(part.field, "p", 0)), live, part)
+                         getattr(part.field, "p", 0)), part)
 
 
 def a1_chain(tables, u, v, w):
@@ -187,20 +217,20 @@ class Packing:
     """A walk's tables packed for whole basis pairs (``packing``): ``views``
     holds per table (succ, prec, dot, -dot) the (cells, row, col, spread) of
     ``tensors.packed``, or None for a table the identities do not read, with
-    digits of ``b`` bits; slabs compare in the walk's ``field``, after its
-    ``residues`` (``slab_residues``) if it has them."""
+    ``count`` digits of ``b`` bits; slabs compare in the walk's ``field``,
+    after its ``residues`` (``slab_residues``) if it has them."""
 
     __slots__ = ("views", "b", "field", "residues")
 
-    def __init__(self, views, b, field, n):
+    def __init__(self, views, b, field, count):
         self.views, self.b, self.field = views, b, field
-        self.residues = field.slab_residues(b, n * n)
+        self.residues = field.slab_residues(b, count)
 
 
-def packing(walk, n):
-    """The ``Packing`` of a ``Walk`` of an n-dimensional algebra, or None when
-    the lowering left the scalars as given.  A1 and A2 read succ, prec and
-    -dot, associativity reads dot alone.
+def packing(walk, ws):
+    """The ``Packing`` of a ``Walk`` over the third vectors w in the range
+    ``ws``, or None when the lowering left the scalars as given.  A1 and A2
+    read succ, prec and -dot, associativity on one product reads dot alone.
 
     A digit of a term sums n products of two lowered entries, so with M the
     largest |entry| it lies below n M**2 in absolute value, and b bits with
@@ -209,11 +239,13 @@ def packing(walk, n):
     if walk.part.field == RATIONALS:
         return None
     _, succ, prec, dot, neg = walk.tables
+    n = len(dot[0])
     tables = (None, None, dot[0], None) if succ is None else (succ[0], prec[0], None, neg)
     top = max((abs(c) for t in tables if t for row in t for cell in row for _, c in cell),
               default=0)
     b = (n * top * top).bit_length() + 1
-    return Packing(tuple(t and (t,) + packed(t, b) for t in tables), b, walk.part.field, n)
+    return Packing(tuple(t and (t,) + packed(t, b, ws) for t in tables), b, walk.part.field,
+                   len(ws) * n)
 
 
 def check_triples(report, n, identities, succ, prec=None) -> Report:
@@ -251,7 +283,7 @@ def check_triples(report, n, identities, succ, prec=None) -> Report:
             if broken and not walked(i, j, range(1)):
                 walked(i, j, range(1, n))
                 continue
-            packs = packs or packing(walk, n)
+            packs = packs or packing(walk, range(n))
             if packs and all(_agree(packs, identity, i, j) for identity in identities):
                 agreed += n - first
                 broken = False

@@ -281,14 +281,15 @@ class PrimeField:
         x is a scalar or a nested tuple of scalars (a vector, a matrix, a
         product table).  A nonzero scalar must be an int or an element of
         this field; ints, such as sums and products of residues, are reduced
-        mod p.
+        mod p, and an element of this field gives its residue as it is.
         """
         if type(x) is not tuple:
             return self.coerce(x).v if x else 0
         if x and type(x[0]) is tuple:
             return tuple(map(self.residues, x))
         p = self.p
-        return tuple(y % p if type(y) is int else self.residues(y) for y in x)
+        return tuple(y % p if type(y) is int else
+                     y.v if type(y) is GFElement and y.p == p else self.residues(y) for y in x)
 
     def lift(self, x):
         """The field elements of a residue or a nested tuple of residues."""

@@ -126,32 +126,34 @@ def table_cells(table, lower=None):
                        for v in row) for row in table)
 
 
-def packed(cells, b):
-    """The Kronecker-packed views of a square table's ``table_cells``: slabs,
-    ints holding the digit (w, l) at bit b (w n + l), in base 2**b, so that
-    a sum of products of slabs is a whole block of products at once
-    (Kronecker substitution).  ``row[k]`` packs e_k o e_w over every (w, l)
-    and ``col[u][k]`` packs e_u o e_k over l; a row of the table without
-    cells gives an empty ``col[u]``.  ``spread[v]`` is coordinate k of
-    e_v o e_w spread over w: the offsets b n w of the blocks w with a cell
-    (v, w), and the coordinate vectors of those cells, so that
-    sum_w (sum_k (e_v o e_w)_k col[u][k]) << b n w is u o (v o w) over every
-    (w, l).  Returns (row, col, spread)."""
+def packed(cells, b, ws):
+    """The Kronecker-packed views of a square table's ``table_cells`` over the
+    third vectors w in the range ``ws``: slabs, ints holding the digit (w, l)
+    at bit b (n (w - ws.start) + l), in base 2**b, so that a sum of products
+    of slabs is a whole block of products at once (Kronecker substitution).
+    ``row[k]`` packs e_k o e_w over every (w, l) and ``col[u][k]`` packs
+    e_u o e_k over l; a row of the table without cells gives an empty
+    ``col[u]``.  ``spread[v]`` is coordinate k of e_v o e_w spread over w:
+    the offsets of the blocks w with a cell (v, w), and the coordinate
+    vectors of those cells, so that the sum over w of
+    (sum_k (e_v o e_w)_k col[u][k]) shifted to block w is u o (v o w) over
+    every (w, l).  Returns (row, col, spread)."""
     n, stride = len(cells), b * len(cells)
     col, spread = [], []
     for row in cells:
-        col.append(tuple(sum(c << b * l for l, c in cell) for cell in row) if any(row) else ())
+        col.append(tuple(sum(c << b * l for l, c in cell) if cell else 0 for cell in row)
+                   if any(row) else ())
         shifts, coords = [], []
-        for w, cell in enumerate(row):
-            if cell:
+        for w in ws:
+            if row[w]:
                 vector = [0] * n
-                for k, c in cell:
+                for k, c in row[w]:
                     vector[k] = c
-                shifts.append(stride * w)
+                shifts.append(stride * (w - ws.start))
                 coords.append(tuple(vector))
         spread.append((tuple(shifts), tuple(coords)))
-    return (tuple(sum(x << stride * w for w, x in enumerate(slabs)) for slabs in col),
-            tuple(col), tuple(spread))
+    return (tuple(sum(slabs[w] << stride * (w - ws.start) for w in ws) if slabs else 0
+                  for slabs in col), tuple(col), tuple(spread))
 
 
 def operators(cells):

@@ -17,8 +17,11 @@ components and labels each slot with its equation id.  Six further component
 identities (the second defining identity on triples with two V-entries) carry
 no printed number in the usual presentation and are labelled S19a-S19f here.
 The glued tables are lowered once per check to their sparse cells
-(``lowered_walk``); every slot value is a dense vector on A (+) V summed from
-the cells by the one product kernel, and its A and V components are slices.
+(``lowered_walk``).  Every walk of the check reads one table of pair
+verdicts per identity and summand (``Walk.verdicts``): a slot whose basis pairs agree as Kronecker
+slabs over the third vectors of one summand is ticked, and only the rest is
+evaluated, each slot value a dense vector on A (+) V summed from the cells
+by the one product kernel, its A and V components slices.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from itertools import product as iproduct
 from operator import itemgetter
 
 from .actions import ActionFamily
-from .algebra import (ADAlgebra, BilinearOp, a1_chain, a2_pair, assoc_pair, change_basis,
+from .algebra import (AD_IDENTITIES, ASSOC, ADAlgebra, BilinearOp, assoc_pair, change_basis,
                       check_parts, lowered_walk)
 from .fields import InputError
 from .linalg import (block_matrix, identity, inverse, matmul, matvec, nullspace, shape,
@@ -111,8 +114,11 @@ def split_slots(a1_labels, a2_labels):
             if a1_labels.get(t, none) != none or a2_labels.get(t, none) != none}
 
 
-IDENTITIES = {"A1": a1_chain, "A2": a2_pair, "assoc": assoc_pair,
-              "assoc, sides swapped": lambda *at: assoc_pair(*at)[::-1]}
+A1, A2 = AD_IDENTITIES
+# each slot's identity, as ``adw.algebra`` writes it: (label, spell, terms, slabs)
+IDENTITIES = {"A1": A1, "A2": A2, "assoc": ASSOC,
+              "assoc, sides swapped": ASSOC[:1] + (lambda *at: assoc_pair(*at)[::-1],)
+              + ASSOC[2:]}
 
 
 def check_glued(walk, na, nv, slots) -> None:
@@ -124,15 +130,17 @@ def check_glued(walk, na, nv, slots) -> None:
     associativity components.  Triple types run in the order of ``slots``; a
     witness is (type, i, j, k) with indices local to each summand.  The A and
     V components, the two slices of the glued vectors, are compared in
-    ``walk.part`` at the live triples; the dead ones are ticked.
+    ``walk.part``.  A (type, u, v) whose identities agree as slabs at the
+    pair (u, v) over the third vectors of its type (``Walk.verdicts``) ticks
+    its checks; the others are walked triple by triple, as is the first
+    triple of the (type, u, v) after a broken one, before any slab, and all
+    of it if it breaks there.
     """
     n = na + nv
     comps = (slice(0, na), slice(na, n))
     summand = {"A": range(na), "V": range(na, n)}
-    tables, live, part = walk.tables, walk.live, walk.part
-    # the live w of each summand after each v, with their local indices
-    after = {s: [[(iw, w) for iw, w in enumerate(ws) if live[v][w]] for v in range(n)]
-             for s, ws in summand.items()}
+    tables, part = walk.tables, walk.part
+    agreed, broken = 0, True
     for ttype, labels in slots.items():
         parts = ((("assoc", labels, ASSOC_TERMS),) if tables[1] is None else
                  (("A1", labels[0], (A1_CHAIN_TERMS,) * 2), ("A2", labels[1], A2_TERMS)))
@@ -141,18 +149,35 @@ def check_glued(walk, na, nv, slots) -> None:
                   if (cells := [cell for cell in zip(comps, ids, terms) if cell[1]])]
         tname = "".join(ttype)
         ru, rv, rw = (summand[t] for t in ttype)
-        every, dead = list(enumerate(rw)), 0
+        if not rw:
+            continue
+        width = sum(len(cells) for _, cells in checks)
+        spells = [(identity[1], cells) for identity, cells in checks]
+        verdicts = walk.verdicts([identity for identity, _ in checks], rw)
+        every = list(enumerate(rw))
+
+        def walked(iu, u, iv, v, ws):
+            """Walk the triples (u, v, w) for the (iw, w) in ``ws``; did every chain hold?"""
+            before = part.violation_count
+            for iw, w in ws:
+                for spell, cells in spells:
+                    values = spell(tables, u, v, w)
+                    for comp, label, terms in cells:
+                        part.require_chain(label, (tname, iu, iv, iw), terms,
+                                           tuple(t[comp] for t in values))
+            return part.violation_count == before
+
         for iu, u in enumerate(ru):
             for iv, v in enumerate(rv):
-                ws = every if live[u][v] else after[ttype[2]][v]
-                dead += len(rw) - len(ws)
-                for iw, w in ws:
-                    for identity, cells in checks:
-                        values = identity(tables, u, v, w)
-                        for comp, label, terms in cells:
-                            part.require_chain(label, (tname, iu, iv, iw), terms,
-                                               tuple(t[comp] for t in values))
-        part.tick_each(dead * sum(len(cells) for _, cells in checks))
+                first = int(broken)
+                if broken and not walked(iu, u, iv, v, every[:1]):
+                    walked(iu, u, iv, v, every[1:])
+                elif verdicts[u, v]:
+                    agreed += (len(rw) - first) * width
+                    broken = False
+                else:
+                    broken = not walked(iu, u, iv, v, every[first:])
+    part.tick_each(agreed)
 
 
 def check_columns(walk, na, nv, slots, acting="A") -> None:
@@ -162,51 +187,41 @@ def check_columns(walk, na, nv, slots, acting="A") -> None:
     pair (x, y) of acting basis vectors, witness (i, j) local to the summand:
     column w of each matrix is the identity at the triple that ``placement``
     spells in x, y and the module basis vector w, cut to the module
-    component.  Values are compared as in ``check_glued``; a column at a dead
-    triple is the zero column, and a slot whose columns are all dead is
-    ticked without being evaluated; the matrices are built only to record a
-    broken chain.
+    component.  Values are compared as in ``check_glued``.  A slot is ticked
+    when its identity agrees as slabs, over the third vectors of its
+    triples, at every pair the placement reads: (x, y) for "xyw", (w, x)
+    for every module w for "wxy", (x, w) for "xwy"; the others, and the slot
+    after a broken one, are evaluated column by column.
     """
     n = na + nv
     summand = {"A": range(na), "V": range(na, n)}
     module, cut = ((summand["V"], slice(na, n)) if acting == "A" else
                    (summand["A"], slice(0, na)))
-    tables, live, part = walk.tables, walk.live, walk.part
-    # out[u][k] / into[u][k]: is (u, w) / (w, u) live, for the k-th module vector w
-    out = [[live[u][w] for w in module] for u in range(n)]
-    into = [[live[w][u] for w in module] for u in range(n)]
-    everywhere = [True] * len(module)
-
-    def alive(placement, at):
-        """Per module vector w, whether the triple (u, v, t) that ``placement``
-        spells in at["x"], at["y"] and w is live: (u, v) or (v, t) is."""
-        first, mid, last = placement
-        if last == "w":
-            return everywhere if live[at[first]][at[mid]] else out[at[mid]]
-        if first == "w":
-            return everywhere if live[at[mid]][at[last]] else into[at[mid]]
-        return [a or b for a, b in zip(out[at[first]], into[at[last]])]
-
-    slots = [(label, placement, itemgetter(*("xyw".index(p) for p in placement)),
-              IDENTITIES[identity], terms, (vzero(n),) * len(terms))
+    tables, part = walk.tables, walk.part
+    # per slot: its placement as an itemgetter of (x, y, w), the pair verdicts
+    # of its identity over the range of the third vector of its triples, and
+    # per pair with None for w whether they agree at it for every module w
+    slots = [(label, itemgetter(*("xyw".index(p) for p in placement)), IDENTITIES[identity],
+              walk.verdicts((IDENTITIES[identity],),
+                            module if placement[2] == "w" else summand[acting]), {}, terms)
              for label, placement, identity, terms in slots]
-    placements = {slot[1] for slot in slots}
+    broken = True
     for i, x in enumerate(summand[acting]):
         for j, y in enumerate(summand[acting]):
-            at = {"x": x, "y": y}
-            flags = {placement: alive(placement, at) for placement in placements}
-            for label, placement, place, identity, terms, zero in slots:
-                if not any(flags[placement]):
-                    part.tick()
-                    continue
-                cols = [identity(tables, *place((x, y, w))) if flag else zero
-                        for w, flag in zip(module, flags[placement])]
-                rows = tuple(tuple(col[t][cut] for col in cols) for t in range(len(terms)))
-                values = part.field.residues(rows)
-                if values.count(values[0]) == len(values):
-                    part.tick()
-                else:
-                    part.require_chain(label, (i, j), terms, tuple(tuple(zip(*r)) for r in rows))
+            for label, place, identity, verdicts, every, terms in slots:
+                if not broken:
+                    pair = place((x, y, None))[:2]
+                    if None not in pair:
+                        held = verdicts[pair]
+                    elif (held := every.get(pair)) is None:
+                        held = every[pair] = all(verdicts[place((x, y, w))[:2]] for w in module)
+                    if held:
+                        part.tick()
+                        continue
+                cols = [identity[1](tables, *place((x, y, w))) for w in module]
+                broken = not part.require_chain(
+                    label, (i, j), terms,
+                    tuple(tuple(zip(*(col[t][cut] for col in cols))) for t in range(len(terms))))
 
 
 # Column slots (label, placement, identity, terms) of the axioms of a

@@ -5,8 +5,10 @@ Every check lowers its tables once to cells, ``cells[i][j]`` the nonzero
 The frozen kernels of ``frozen_dense_kernels`` (``lmul``, ``rmul``,
 ``lowered``, ``operators``, ``add_contraction``) are run here on the same
 inputs: A1/A2 through the frozen ``check_triples``, R, S, C and M through the
-live walk drivers with the frozen ``lowered_walk`` and spells put in place of
-the live ones, and CD and the YE6 residual through their frozen callers.
+live check drivers with the frozen ``lowered_walk`` and spells put in place
+of the live ones, walked by the frozen live-triple walks of
+``frozen_glued_walks``, and CD and the YE6 residual through their frozen
+callers.
 
 The draws hold ``Fraction(0)`` zeros (from a dense basis change), int 0,
 denominators, and over GF(3) and GF(5) ``GFElement`` zeros and plain ints
@@ -58,6 +60,7 @@ from adw.tensors import t3_is_zero
 from adw.unified import ExtendingDatum, check_extending_structure
 
 from . import frozen_dense_kernels as frozen
+from . import frozen_glued_walks as frozen_glued
 from .test_scaled_ints import draw_algebra, draw_tensor, rational_invertible, verified
 
 DIFF = settings(derandomize=True, max_examples=40, deadline=None)
@@ -70,11 +73,17 @@ def same(new, old):
 
 
 def on_rows(check, *args):
-    """``check`` run with the frozen row kernels in the walk drivers."""
+    """``check`` run with the frozen row kernels in the walk drivers, walked by
+    the frozen live-triple walks (the pair-verdict walks read packed cells,
+    which the dense rows do not have)."""
     with ExitStack() as stack:
         for module in (adw.reps, adw.unified, adw.crossed, adw.matched):
             stack.enter_context(mock.patch.object(module, "lowered_walk", frozen.lowered_walk))
-        stack.enter_context(mock.patch.dict(adw.unified.IDENTITIES, frozen.IDENTITIES))
+            for name in ("check_glued", "check_columns"):
+                if hasattr(module, name):
+                    stack.enter_context(mock.patch.object(module, name,
+                                                          getattr(frozen_glued, name)))
+        stack.enter_context(mock.patch.dict(frozen_glued.IDENTITIES, frozen.IDENTITIES))
         return check(*args)
 
 

@@ -110,6 +110,21 @@ def test_residues_and_lift():
     assert RATIONALS.residues(v) is v and RATIONALS.lift(v) is v
 
 
+def test_residues_read_elements_of_the_field_and_refuse_other_primes():
+    """A vector's elements of the field give their residues as they are; an
+    element of another prime field raises the same error wherever it sits."""
+    f = PrimeField(7)
+    assert f.residues(tuple(map(f.coerce, range(-3, 9)))) == tuple(k % 7 for k in range(-3, 9))
+    for wrong in (PrimeField(5).coerce(3), PrimeField(11).coerce(10)):
+        for at in range(3):
+            vector = [f.one, 9, f.coerce(6)]
+            vector[at] = wrong
+            for x in (tuple(vector), (tuple(vector),), wrong):
+                with pytest.raises(InputError,
+                                   match=r"^element of GF\(%d\) used in GF\(7\)$" % wrong.p):
+                    f.residues(x)
+
+
 def slab(digits, b):
     return sum(d << b * i for i, d in enumerate(digits))
 

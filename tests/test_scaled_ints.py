@@ -15,9 +15,11 @@ and lifts what leaves the check.  The draws here hold denominators 2, 3, 5,
   A1/A2, the glued slots, CD3-CD10, D1-D9, Ca1/Ca2 and YE6 by t**k, with the
   k the lift divides by: 2 for A1/A2, the glued slots, D1-D9 (1 in the
   tables, 1 in the coproducts) and Ca1/Ca2 (2 in the coproducts), 3 for
-  CD3-CD6 and YE6, 4 for CD7-CD10.  A1/A2 compare whole basis pairs as
-  Kronecker-packed slabs first; those comparisons are recorded too, digit
-  by digit, so a pair that passes as slabs is seen to scale as well.
+  CD3-CD6 and YE6, 4 for CD7-CD10.  A1/A2 and the glued slots compare whole
+  basis pairs as Kronecker-packed slabs first; those comparisons are
+  recorded too, digit by digit, so a pair that passes as slabs is seen to
+  scale as well, and a glued walk that ticks checks must have compared
+  slabs.
 """
 
 from __future__ import annotations
@@ -198,8 +200,8 @@ def digits(slab, b):
 @pytest.fixture
 def recorded(monkeypatch):
     """Every compared value, lifted, as (equation, witness, values).  A slab
-    comparison of ``check_triples`` at a pair (i, j) is recorded with the
-    witness (i, j) and each slab as its digits, one per (k, l)."""
+    comparison of a walk at a pair (i, j) is recorded with the identity's
+    label, the witness (i, j) and each slab as its digits, one per (k, l)."""
     seen = []
 
     def chain(self, equation, witness, terms, values):
@@ -228,19 +230,28 @@ def scaled(x, t):
     return tuple(scaled(y, t) for y in x) if isinstance(x, tuple) else x * t
 
 
-def glued_runs(na, nv, succ, prec):
-    """Every glued slot set on one pair of glued tables."""
+# (walk, slot set, the acting summand if not A, both products?), in the order
+# of the checks that run them
+GLUED_WALKS = ((check_columns, R_SLOTS, (), True), (check_glued, _EXT_SLOTS, (), True),
+               (check_glued, _CROSSED_SLOTS, (), True), (check_columns, _REP1_SLOTS, (), True),
+               (check_columns, _REP2_SLOTS, ("V",), True),
+               (check_glued, _MATCHED_SLOTS, (), True), (check_columns, BIMOD_SLOTS, (), False),
+               (check_glued, ASSOC_LABELS, (), False))
+
+
+def glued_runs(na, nv, succ, prec, seen):
+    """Every glued slot set on one pair of glued tables, each on a walk of its
+    own.  A walk ticks the checks of the pairs whose slabs agree, so one that
+    counts more checks than it compares as triples must have compared slabs,
+    which the ``recorded`` list ``seen`` holds under the labels A1, A2 and
+    assoc."""
     def run():
-        report = Report("glued", exhaustive=True)
-        both, one = lowered_walk(report, succ, prec), lowered_walk(report, succ)
-        check_columns(both, na, nv, R_SLOTS)
-        check_glued(both, na, nv, _EXT_SLOTS)
-        check_glued(both, na, nv, _CROSSED_SLOTS)
-        check_columns(both, na, nv, _REP1_SLOTS)
-        check_columns(both, na, nv, _REP2_SLOTS, acting="V")
-        check_glued(both, na, nv, _MATCHED_SLOTS)
-        check_columns(one, na, nv, BIMOD_SLOTS)
-        check_glued(one, na, nv, ASSOC_LABELS)
+        for check, slots, acting, both in GLUED_WALKS:
+            report, start = Report("glued", exhaustive=True), len(seen)
+            walk = lowered_walk(report, succ, prec if both else None)
+            check(walk, na, nv, slots, *acting)
+            triples = sum(e not in ("A1", "A2", "assoc") for e, _, _ in seen[start:])
+            assert walk.part.checked == triples or len(seen) - start > triples
     return run
 
 
@@ -277,7 +288,8 @@ def test_every_label_scales_by_its_degree(recorded, data):
         (lambda: check_coboundary_conditions(alg, rs, rp, True),
          lambda: check_coboundary_conditions(big, scaled(rs, t), scaled(rp, t), True),
          DEGREE.get, tables + (rs, rp)),
-        (glued_runs(na, nv, succ, prec), glued_runs(na, nv, scaled(succ, t), scaled(prec, t)),
+        (glued_runs(na, nv, succ, prec, recorded),
+         glued_runs(na, nv, scaled(succ, t), scaled(prec, t), recorded),
          lambda label: 2, (succ, prec)),
         (lambda: check_d_bialgebra(alg, cp, True), lambda: check_d_bialgebra(big, big_cp, True),
          DEGREE.get, tables + (ds, dp)),
@@ -290,7 +302,7 @@ def test_every_label_scales_by_its_degree(recorded, data):
         before = list(recorded)
         recorded.clear()
         second()
-        # the glued walks compare only live triples: only all-zero inputs compare nothing
+        # a check compares nothing only on all-zero inputs
         assert before or not holds_nonzero(inputs)
         assert len(recorded) == len(before)
         assert_scales(before, list(recorded), t, degree)
@@ -310,7 +322,7 @@ def test_scale_test_sees_every_label(recorded):
     check_coalgebra(cp)
     table = tuple(tuple(tuple(Q(i + 2 * j - k, 5) for k in range(2)) for j in range(2))
                   for i in range(2))
-    glued_runs(1, 1, table, table)()
+    glued_runs(1, 1, table, table, recorded)()
     labels = set(DEGREE) | {x for pair in ASSOC_LABELS.values() for x in pair}
     for slots in (_EXT_SLOTS, _CROSSED_SLOTS, _MATCHED_SLOTS):
         labels |= {x for a1, a2 in slots.values() for x in a1 + a2 if x}

@@ -1,9 +1,11 @@
-"""The support walks against the full walks they replaced, on sparse tables.
+"""The walks against the full walks they replaced, on sparse tables.
 
-``check_triples``, ``check_glued`` and ``check_columns`` evaluate only the
-live basis triples, those where (u, v) or (v, w) is a nonzero pair of some
-lowered table, and tick the others.  Here the draws are sparse enough that
-most triples are dead, and random enough that some live ones break: algebras
+``check_triples``, ``check_glued`` and ``check_columns`` tick a basis pair
+whose identities agree as packed slabs and walk the others triple by triple;
+before that they evaluated only the live basis triples, those where (u, v)
+or (v, w) is a nonzero pair of some lowered table.  Here the draws are
+sparse enough that most triples are dead, so that every term there is the
+zero vector, and random enough that some live ones break: algebras
 of dimension 3-6 with one to four nonzero entries, and representations,
 extending, crossed and matched data over verified algebras of dimension 1-4
 whose random parts hold a few entries each.  Over Q the coefficients carry
@@ -188,8 +190,11 @@ def test_matched_support_walk_matches_full_walk(d):
 
 
 def dead_share(field, succ, prec):
-    """The share of basis triples of two tables over ``field`` that are dead."""
-    live = lowered_walk(Report("probe", field=field), succ, prec).live
+    """The share of basis triples of two tables over ``field`` that are dead:
+    neither (u, v) nor (v, w) holds a cell of either lowered table."""
+    _, (cells, _), (prec_cells, _), _, _ = lowered_walk(Report("probe", field=field),
+                                                        succ, prec).tables
+    live = [[bool(a or b) for a, b in zip(*rows)] for rows in zip(cells, prec_cells)]
     n = len(live)
     dead = sum(not (live[u][v] or live[v][w])
                for u in range(n) for v in range(n) for w in range(n))
