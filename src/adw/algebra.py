@@ -84,10 +84,10 @@ def _spelled(kernel, succ, prec, dot, p=0):
 class Walk:
     """What the walks of one check share: the lowered tables as the spells
     read them (``lowered_cells``), the ``part`` that compares values in the
-    lowering's field, and the tables of pair verdicts (``verdicts``), on
-    ``packs`` made at the first pair compared.  A plain class: a frozen
-    dataclass costs each command-line process about a millisecond to
-    create."""
+    lowering's field, and the tables of pair verdicts (``verdicts``) on the
+    tables' ``packs``, one per range of third vectors, each made at its
+    first use.  A plain class: a frozen dataclass costs each command-line
+    process about a millisecond to create."""
 
     __slots__ = ("tables", "part", "packs", "_verdicts")
 
@@ -102,35 +102,46 @@ class Walk:
         do: (u.v)>w = u<(v.w) and (u<v)<w = u>(v>w) by A1, (u>v)<w = u>(v<w)
         by A2, and these are the terms of (u.v).w and u.(v.w)."""
         key = tuple(identity[0] for identity in identities), ws
-        if key in self._verdicts:
-            return self._verdicts[key]
-        if len(identities) > 1:
-            parts = [self.verdicts((identity,), ws) for identity in identities]
-            table = Verdicts(lambda pair: all(part[pair] for part in parts))
-        elif identities[0][3] is assoc_slabs and self.tables[1] is not None:
-            table = self.verdicts(AD_IDENTITIES, ws)
-        else:
-            def compare(pair):
-                if ws not in self.packs:
-                    self.packs[ws] = packing(self, ws)
-                return bool(self.packs[ws]) and _agree(self.packs[ws], identities[0], *pair)
-            table = Verdicts(compare)
-        self._verdicts[key] = table
-        return table
+        if key not in self._verdicts:
+            if len(identities) > 1:
+                table = Verdicts(self, None, ws, [self.verdicts((i,), ws) for i in identities])
+            elif identities[0][3] is assoc_slabs and self.tables[1] is not None:
+                table = self.verdicts(AD_IDENTITIES, ws)
+            else:
+                table = Verdicts(self, identities[0], ws, ())
+            self._verdicts[key] = table
+        return self._verdicts[key]
+
+    def packing(self, ws):
+        """The ``packing`` over the range ``ws``, made at its first use."""
+        if ws not in self.packs:
+            self.packs[ws] = packing(self, ws)
+        return self.packs[ws]
 
 
 class Verdicts(dict):
-    """A table of pair verdicts: ``table[u, v]`` is whether a chain holds at
-    (u, v, w) for every w of its range, ``compare``d at the first lookup."""
+    """A table of pair verdicts: ``table[u, v]`` is whether the chain of
+    ``identity`` holds at (u, v, w) for every w of the range ``ws``, its
+    slabs compared at the first lookup, or with ``parts`` whether each part
+    holds there."""
 
-    __slots__ = ("compare",)
+    __slots__ = ("walk", "identity", "ws", "parts")
 
-    def __init__(self, compare):
+    def __init__(self, walk, identity, ws, parts):
         super().__init__()
-        self.compare = compare
+        self.walk, self.identity, self.ws, self.parts = walk, identity, ws, parts
 
     def __missing__(self, pair):
-        verdict = self[pair] = self.compare(pair)
+        if self.parts:
+            verdict = True
+            for part in self.parts:
+                if not part[pair]:
+                    verdict = False
+                    break
+        else:
+            packs = self.walk.packing(self.ws)
+            verdict = bool(packs) and _agree(packs, self.identity, *pair)
+        self[pair] = verdict
         return verdict
 
 
@@ -283,7 +294,7 @@ def check_triples(report, n, identities, succ, prec=None) -> Report:
             if broken and not walked(i, j, range(1)):
                 walked(i, j, range(1, n))
                 continue
-            packs = packs or packing(walk, range(n))
+            packs = packs or walk.packing(range(n))
             if packs and all(_agree(packs, identity, i, j) for identity in identities):
                 agreed += n - first
                 broken = False

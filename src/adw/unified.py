@@ -65,8 +65,14 @@ def glue(na, nv, aa, av, va, vv):
     def cell(table, i, j, zero):
         return zero if table is None else tuple(table[i][j])
 
-    def column(mats, k, c, zero):
-        return zero if mats is None else tuple(row[c] for row in mats[k])
+    def columns(mats):
+        # per matrix, its columns
+        return None if mats is None else [tuple(zip(*m)) for m in mats]
+
+    def column(cols, k, c, zero):
+        return zero if cols is None else cols[k][c]
+
+    av, va = tuple(map(columns, av)), tuple(map(columns, va))
 
     rows = []
     for i in range(na):
