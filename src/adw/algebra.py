@@ -105,7 +105,7 @@ class Walk:
         if key not in self._verdicts:
             if len(identities) > 1:
                 table = Verdicts(self, None, ws, [self.verdicts((i,), ws) for i in identities])
-            elif identities[0][3] is assoc_slabs and self.tables[1] is not None:
+            elif identities[0][0] == ASSOC[0] and self.tables[1] is not None:
                 table = self.verdicts(AD_IDENTITIES, ws)
             else:
                 table = Verdicts(self, identities[0], ws, ())

@@ -35,6 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adw.algebra
 import adw.crossed
 import adw.matched
 import adw.reps
@@ -247,3 +248,21 @@ def test_every_small_datum_at_the_digit_bound():
         rep = ADRep(zero, 1, *map(line_families, entries))
         verdicts.add(("R", same_in_both_modes(check_representation, rep)))
     assert verdicts == {(name, v) for name in ("walks", "AM", "R") for v in (True, False)}
+
+
+def test_walks_hold_with_the_library_functions_wrapped():
+    """The benchmark's tracer replaces every public function of the library
+    modules with a wrapper; the walks then tell the identities apart by
+    label, not by the functions they hold, and give the same reports."""
+    nil = ADAlgebra.make(2, succ_entries=[(0, 0, 1, 1)])
+    rep = regular_representation(semidirect_product(regular_representation(nil)))
+    data = ((check_representation, rep),
+            (check_extending_structure, ExtendingDatum.from_representation(rep)))
+    want = [check(datum) for check, datum in data]
+    with ExitStack() as stack:
+        for name, fn in vars(adw.algebra).copy().items():
+            if callable(fn) and getattr(fn, "__module__", None) == "adw.algebra" \
+                    and not name.startswith("_") and not isinstance(fn, type):
+                stack.enter_context(mock.patch.object(
+                    adw.algebra, name, lambda *a, fn=fn, **k: fn(*a, **k)))
+        assert [check(datum) for check, datum in data] == want
