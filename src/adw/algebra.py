@@ -30,9 +30,10 @@ digits mod p over GF(p) (``slab_residues``).  b is wide enough for every
 digit with its sign, so slabs are equal exactly when every triple's values
 are.  ``check_triples`` compares each pair once; the glued walks of
 ``adw.unified`` share the tables of pair verdicts of a ``Walk``
-(``Walk.verdicts``), each pair compared at most once per range.  A pair with a broken chain, and the
-first triple of the pair after it, are walked triple by triple, so the
-checks, violations and witnesses are those of a walk over every triple.
+(``Walk.verdicts``), each pair compared at most once per range.  A pair
+with a broken chain, and the first triple of the pair after it, are walked
+triple by triple, so the checks, violations and witnesses are those of a
+walk over every triple.
 """
 
 from __future__ import annotations
