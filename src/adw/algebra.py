@@ -43,12 +43,11 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import repeat
 
-from .actions import ActionFamily
 from .fields import RATIONALS, InputError
 from .linalg import accumulate, inverse, matvec, vadd, vneg
 from .reporting import Report
 from .tensors import (cells_sum, operators, packed, t3_entries, t3_from_entries, t3_is_zero,
-                      table_cells)
+                      t3_reorder, table_cells)
 
 A1_TERMS = ("x>(y>z)", "-(x.y)>z", "-x<(y.z)", "(x<y)<z")
 A2_TERMS = ("(x>y)<z", "x>(y<z)")
@@ -367,23 +366,41 @@ def check_associative(op: BilinearOp, exhaustive: bool = False,
 
 @dataclass(frozen=True)
 class BilinearOp:
-    """A bilinear map: table[i][j] is the coordinate vector of e_i o e_j.
+    """A bilinear map of shape dim x right_dim -> out_dim: table[i][j] is the
+    coordinate vector of e_i o e_j.
 
-    A product has ``out_dim == dim``; a fold map V x V -> A or a cocycle
-    A x A -> V carries the target dimension as ``out_dim``.
+    A product has ``out_dim == right_dim == dim``; a fold map V x V -> A or a
+    cocycle A x A -> V carries the target dimension as ``out_dim``, and an
+    action family A x V -> V (``adw.actions``) the module dimension as
+    ``right_dim`` and ``out_dim``.
     """
 
     dim: int
     table: tuple
     out_dim: int = None
+    right_dim: int = None
 
     def __post_init__(self):
         if self.out_dim is None:
             object.__setattr__(self, "out_dim", self.dim)
+        if self.right_dim is None:
+            object.__setattr__(self, "right_dim", self.dim)
         if len(self.table) != self.dim or any(
-                len(row) != self.dim or any(len(v) != self.out_dim for v in row)
+                len(row) != self.right_dim or any(len(v) != self.out_dim for v in row)
                 for row in self.table):
             raise InputError("bilinear table shape does not match dimension %d" % self.dim)
+
+    @classmethod
+    def from_table(cls, dims, table):
+        """The map of this class and shape ``dims`` holding ``table``, made as
+        ``BilinearOp`` makes it (an ``ActionFamily`` is built from matrices)."""
+        op = cls.__new__(cls)
+        BilinearOp.__init__(op, dims[0], table, dims[2], dims[1])
+        return op
+
+    @property
+    def dims(self):
+        return self.dim, self.right_dim, self.out_dim
 
     @staticmethod
     def zero(dim, out_dim=None):
@@ -398,8 +415,8 @@ class BilinearOp:
 
     def apply(self, u, v):
         """Product of two coordinate vectors: u o v = sum u_i v_k (e_i o e_k),
-        on the cells of the table, column i * dim + k holding e_i o e_k."""
-        vk, n = [(k, c) for k, c in enumerate(v) if c], self.dim
+        on the cells of the table, column i * right_dim + k holding e_i o e_k."""
+        vk, n = [(k, c) for k, c in enumerate(v) if c], self.right_dim
         return accumulate(self.out_dim, self._cells,
                           [(i * n + k, a * c) for i, a in enumerate(u) if a for k, c in vk])
 
@@ -408,15 +425,15 @@ class BilinearOp:
         return tuple(cell for row in table_cells(self.table) for cell in row)
 
     def add(self, other):
-        if other.dim != self.dim:
-            raise InputError("cannot add products of dimensions %d and %d" % (self.dim, other.dim))
-        return BilinearOp(self.dim, tuple(
-            tuple(vadd(self.table[i][j], other.table[i][j]) for j in range(self.dim))
-            for i in range(self.dim)), self.out_dim)
+        if other.dims != self.dims:
+            raise InputError("cannot add maps of shapes %r and %r" % (self.dims, other.dims))
+        return self.from_table(self.dims, tuple(
+            tuple(vadd(self.table[i][j], other.table[i][j]) for j in range(self.right_dim))
+            for i in range(self.dim)))
 
     def neg(self):
-        return BilinearOp(self.dim, tuple(tuple(vneg(v) for v in row) for row in self.table),
-                          self.out_dim)
+        return self.from_table(self.dims, tuple(tuple(vneg(v) for v in row)
+                                                for row in self.table))
 
     def is_zero(self, field=RATIONALS):
         """Every coefficient is zero in ``field`` (a plain int is read mod p)."""
@@ -459,8 +476,7 @@ def check_parts(obj):
                 raise InputError("%s: expected a non-negative integer" % attr)
             dims[shape] = part
         else:
-            got = ((part.alg_dim, part.mod_dim) if kind == "family"
-                   else (part.dim, part.out_dim))
+            got = (part.dim, part.out_dim)
             want = (dims[shape[0]], dims[shape[1]])
             if got != want:
                 raise InputError("%s: %s has shape (%d,%d), expected (%d,%d)"
@@ -481,7 +497,7 @@ class ADAlgebra:
     def __post_init__(self):
         if len(self.basis) != self.dim:
             raise InputError("basis has %d labels for dimension %d" % (len(self.basis), self.dim))
-        if any((op.dim, op.out_dim) != (self.dim, self.dim) for op in (self.succ, self.prec)):
+        if any(op.dims != (self.dim,) * 3 for op in (self.succ, self.prec)):
             raise InputError("product tables do not match dimension %d" % self.dim)
         require_field(self.field, self.succ, self.prec)
 
@@ -532,35 +548,32 @@ def is_anti_zinbiel(alg: ADAlgebra) -> bool:
 
 @dataclass(frozen=True)
 class MulOperators:
-    lsucc: ActionFamily
-    rsucc: ActionFamily
-    lprec: ActionFamily
-    rprec: ActionFamily
+    lsucc: BilinearOp
+    rsucc: BilinearOp
+    lprec: BilinearOp
+    rprec: BilinearOp
 
 
 def multiplication_operators(alg: ADAlgebra) -> MulOperators:
-    """Left/right multiplication operators of both products, as action families."""
-    n = alg.dim
+    """Left/right multiplication operators of both products, as action
+    families: L(e_i)e_c = e_i o e_c is the product's own table, and
+    R(e_i)e_c = e_c o e_i that table with its first two indices swapped."""
+    from .actions import ActionFamily  # adw.actions imports this module
+    dims = (alg.dim,) * 3
 
     def left(op):
-        return ActionFamily(n, n, tuple(
-            tuple(tuple(op.table[i][c][r] for c in range(n)) for r in range(n))
-            for i in range(n)))
+        return ActionFamily.from_table(dims, op.table)
 
     def right(op):
-        return ActionFamily(n, n, tuple(
-            tuple(tuple(op.table[c][i][r] for c in range(n)) for r in range(n))
-            for i in range(n)))
+        return ActionFamily.from_table(dims, t3_reorder(op.table, (1, 0, 2)))
 
     return MulOperators(left(alg.succ), right(alg.succ), left(alg.prec), right(alg.prec))
 
 
-def op_from_left_family(fam: ActionFamily) -> BilinearOp:
-    """Rebuild a product table from its left-multiplication family."""
-    n = fam.alg_dim
-    return BilinearOp(n, tuple(
-        tuple(tuple(fam.mats[i][k][j] for k in range(n)) for j in range(n))
-        for i in range(n)))
+def op_from_left_family(fam) -> BilinearOp:
+    """Rebuild a product table from its left-multiplication family, whose
+    table it is."""
+    return BilinearOp(fam.alg_dim, fam.table)
 
 
 def _permutation(pmat, field):

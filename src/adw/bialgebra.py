@@ -39,10 +39,11 @@ from .linalg import inverse, matvec, shape, unit, vadd
 from .matched import (AssocMatchedPair, assoc_bicrossed_product,
                       check_assoc_matched_pair)
 from .reporting import PreconditionFailure, Report
-from .reps import ADRep, dual_representation, semidirect_product
+from .reps import ADRep, dual_representation, semidirect_product, transposed
 from .tensors import (C12_13, C13_23, C23_12, add_cells, add_contraction, add_first, add_last,
                       cell_map, cells_sum, flip, from_cells, legs, operators, t2_cells, t2_neg,
-                      t2_zero, t3_from_entries, t3_is_zero, t3_zero, table_cells, zeros)
+                      t2_zero, t3_from_entries, t3_is_zero, t3_reorder, t3_zero, table_cells,
+                      zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +172,10 @@ def build_double_construction(alg: ADAlgebra, dual_alg: ADAlgebra) -> DoubleCons
     n = alg.dim
     ops_a = multiplication_operators(alg)
     ops_b = multiplication_operators(dual_alg)
-    l1 = ops_a.rprec.transpose().neg()
-    r1 = ops_a.lsucc.transpose().neg()
-    l2 = ops_b.rprec.transpose().neg()
-    r2 = ops_b.lsucc.transpose().neg()
+    l1 = transposed(ops_a.rprec).neg()
+    r1 = transposed(ops_a.lsucc).neg()
+    l2 = transposed(ops_b.rprec).neg()
+    r2 = transposed(ops_b.lsucc).neg()
     amp = AssocMatchedPair(alg.assoc, dual_alg.assoc, l1, r1, l2, r2, alg.field)
     mrep = check_assoc_matched_pair(amp)
     one = alg.field.one
@@ -218,32 +219,24 @@ class CoproductPair:
                              t3_from_entries(dims, prec_entries, "coproduct entry"), field)
 
 
-def _cop_to_table(part):
-    """The product table t[i][j][k] = part[k][i][j] of a coproduct part."""
-    n = len(part)
-    return tuple(tuple(tuple(part[k][i][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
-
-
-def _table_to_cop(table):
-    """The coproduct part part[k][i][j] = table[i][j][k] of a product table."""
-    n = len(table)
-    return tuple(tuple(tuple(table[i][j][k] for j in range(n)) for i in range(n))
-                 for k in range(n))
+# A coproduct part D(e_k) = sum part[k][i][j] e_i (x) e_j is the product
+# table t[i][j][k] on the dual space read with its last index first: the one
+# reordering (2, 0, 1) takes a table to its coproduct part, (1, 2, 0) back.
+TO_COP, TO_TABLE = (2, 0, 1), (1, 2, 0)
 
 
 def dualize_algebra(alg: ADAlgebra) -> CoproductPair:
     """Transpose structure constants into coproducts on the same space."""
-    return CoproductPair(alg.dim, _table_to_cop(alg.succ.table), _table_to_cop(alg.prec.table),
-                         alg.field)
+    return CoproductPair(alg.dim, t3_reorder(alg.succ.table, TO_COP),
+                         t3_reorder(alg.prec.table, TO_COP), alg.field)
 
 
 def algebra_from_coproducts(cp: CoproductPair, field=RATIONALS) -> ADAlgebra:
     """Transpose coproducts into products on the dual space."""
     n = cp.dim
     return ADAlgebra(n, tuple("f%d" % (i + 1) for i in range(n)),
-                     BilinearOp(n, _cop_to_table(cp.dsucc)),
-                     BilinearOp(n, _cop_to_table(cp.dprec)), field)
+                     BilinearOp(n, t3_reorder(cp.dsucc, TO_TABLE)),
+                     BilinearOp(n, t3_reorder(cp.dprec, TO_TABLE)), field)
 
 
 def _combine(acc, col, pieces):
@@ -304,9 +297,9 @@ def check_d_bialgebra(alg: ADAlgebra, cp: CoproductPair, exhaustive: bool = Fals
     _check_d_equations(part, lowered_cells(lowering, alg.succ.table, alg.prec.table),
                        (dsucc, dprec), ("D1", "D2", "D3", "D4", "D5", "D6"))
     # D7-D9: the transposed structure, the coproducts read as tables and back
-    dual = table_cells(_cop_to_table(dsucc)), table_cells(_cop_to_table(dprec))
+    dual = table_cells(t3_reorder(dsucc, TO_TABLE)), table_cells(t3_reorder(dprec, TO_TABLE))
     _check_d_equations(part, dual + (cells_sum(*dual, at(1).residues),),
-                       [_table_to_cop(lower(op.table)) for op in (alg.succ, alg.prec)],
+                       [t3_reorder(lower(op.table), TO_COP) for op in (alg.succ, alg.prec)],
                        ("D7", "D8", "D9"))
     return out.absorb(part)
 
@@ -625,8 +618,8 @@ def tr_ybe_identity(alg: ADAlgebra, r, exhaustive: bool = False) -> Report:
     """
     ops = multiplication_operators(alg)
     return check_o_operator_assoc(t_r(r), alg.assoc,
-                                  ops.rprec.transpose().neg(),
-                                  ops.lsucc.transpose().neg(),
+                                  transposed(ops.rprec).neg(),
+                                  transposed(ops.lsucc).neg(),
                                   exhaustive=exhaustive, field=alg.field)
 
 

@@ -25,8 +25,8 @@ from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, change_basis, check_homomorphism, check_parts,
                       is_automorphism, lowered_walk)
 from .fields import RATIONALS, InputError
-from .linalg import (block_matrix, identity, inverse, mat_add, mat_neg, matmul, matvec,
-                     shape, solve_linear, sparse_nullspace, sparse_solve, unit, vadd,
+from .linalg import (block_matrix, has_shape, identity, inverse, mat_add, mat_neg, matmul,
+                     matvec, shape, solve_linear, sparse_nullspace, sparse_solve, unit, vadd,
                      vneg, vsub, zeros_mat)
 from .reporting import PreconditionFailure, Report
 from .unified import adapted_blocks, check_glued, glue, split_slots, unglue
@@ -71,10 +71,10 @@ class CrossedDatum:
         """Glued (succ, prec) tables of the crossed product on A (+) V."""
         n, m = self.algebra.dim, self.vdim
         return (glue(n, m, (self.algebra.succ.table, self.omega1.table),
-                     (None, self.lsucc.mats), (None, self.rsucc.mats),
+                     (None, self.lsucc.table), (None, self.rsucc.table),
                      (None, self.valgebra.succ.table)),
                 glue(n, m, (self.algebra.prec.table, self.omega2.table),
-                     (None, self.lprec.mats), (None, self.rprec.mats),
+                     (None, self.lprec.table), (None, self.rprec.table),
                      (None, self.valgebra.prec.table)))
 
     @staticmethod
@@ -85,7 +85,7 @@ class CrossedDatum:
         n, m = algebra.dim, valgebra.dim
         ((_, om1), (_, ls), (_, rs), _), ((_, om2), (_, lp), (_, rp), _) = succ, prec
         return CrossedDatum(algebra, valgebra,
-                            *(ActionFamily(n, m, t) for t in (ls, rs, lp, rp)),
+                            *(ActionFamily.from_table((n, m, m), t) for t in (ls, rs, lp, rp)),
                             BilinearOp(n, om1, m), BilinearOp(n, om2, m))
 
 
@@ -169,7 +169,7 @@ def cocycle_from_section(ealg: ADAlgebra, proj, section) -> "SectionResult":
     """
     ne = ealg.dim
     na = len(proj)
-    if shape(section) != (ne, na) or shape(proj) != (na, ne):
+    if not (has_shape(section, ne, na) and has_shape(proj, na, ne)):
         raise InputError("projection/section shapes do not match the ambient algebra")
     if matmul(proj, section) != identity(na, ealg.field.one):
         raise InputError("p o s is not the identity on the quotient")
@@ -272,7 +272,7 @@ def find_cohomologous_zeta(c1: CrossedDatum, c2: CrossedDatum):
     probe = Report("cohomologous fast path")
     residues = c1.algebra.field.residues  # a plain int is read mod p
     for name in ("lsucc", "rsucc", "lprec", "rprec"):
-        if residues(getattr(c1, name).mats) != residues(getattr(c2, name).mats):
+        if residues(getattr(c1, name).table) != residues(getattr(c2, name).table):
             probe.record(name, (), (), (),
                          "action families differ with abelian fibre: no witness exists")
             return None, probe
@@ -282,7 +282,7 @@ def find_cohomologous_zeta(c1: CrossedDatum, c2: CrossedDatum):
             for om1, om2, lf, rf, prod in (
                     (c1.omega1, c2.omega1, c2.lsucc, c2.rsucc, c1.algebra.succ),
                     (c1.omega2, c2.omega2, c2.lprec, c2.rprec, c1.algebra.prec)):
-                rows += _derivation_rows(prod.table[x][y], lf.mats[x], rf.mats[y], x, y, n)
+                rows += _derivation_rows(prod.table[x][y], lf.table[x], rf.table[y], x, y, n)
                 rhs += vsub(om2.table[x][y], om1.table[x][y])
     sol = sparse_solve(rows, rhs, m * n, c1.algebra.field)
     probe.tick(len(rows))
@@ -293,18 +293,20 @@ def find_cohomologous_zeta(c1: CrossedDatum, c2: CrossedDatum):
     return zeta, probe
 
 
-def _derivation_rows(sxy, lm, rm, x, y, n):
+def _derivation_rows(sxy, lcols, rcols, x, y, n):
     """The rows of phi(x o y) - l(x)phi(y) - r(y)phi(x) in the unknowns
     phi[r][c] (column r*n + c), one per fibre coordinate r, as dicts
-    {column: coefficient} over an int 0; ``sxy`` is x o y, ``lm`` = l(x) and
-    ``rm`` = r(y)."""
+    {column: coefficient} over an int 0; ``sxy`` is x o y, and ``lcols`` and
+    ``rcols`` are the rows x of l's table and y of r's, the columns
+    l(x)e_s and r(y)e_s."""
     rows = []
-    for r, (lrow, rrow) in enumerate(zip(lm, rm)):
+    for r in range(len(lcols)):
         row = {}
         for c, v in enumerate(sxy):
             if v:
                 row[r * n + c] = row.get(r * n + c, 0) + v
-        for s, (lv, rv) in enumerate(zip(lrow, rrow)):
+        for s, (lcol, rcol) in enumerate(zip(lcols, rcols)):
+            lv, rv = lcol[r], rcol[r]
             if lv:
                 row[s * n + y] = row.get(s * n + y, 0) - lv
             if rv:
@@ -602,7 +604,7 @@ def z1_cocycles(c: CrossedDatum):
         for y in range(n):
             for prod, lf, rf in ((c.algebra.succ, c.lsucc, c.rsucc),
                                  (c.algebra.prec, c.lprec, c.rprec)):
-                rows += _derivation_rows(prod.table[x][y], lf.mats[x], rf.mats[y], x, y, n)
+                rows += _derivation_rows(prod.table[x][y], lf.table[x], rf.table[y], x, y, n)
     basis = sparse_nullspace(rows, m * n, c.algebra.field)
     return [tuple(tuple(vec[r * n + cc] for cc in range(n)) for r in range(m))
             for vec in basis]

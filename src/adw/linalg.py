@@ -73,6 +73,12 @@ def shape(m):
     return (len(m), len(m[0]) if m else 0)
 
 
+def has_shape(m, rows, cols):
+    """Is m a rows x cols matrix, by its row count and its first row?  ``()``
+    is the matrix with no rows of every column count."""
+    return len(m) == rows and (not m or len(m[0]) == cols)
+
+
 def identity(n, one=1):
     return tuple(unit(n, i, one) for i in range(n))
 
@@ -114,7 +120,7 @@ def accumulate(n, cols, x):
 def matmul(a, b):
     ra, ca = shape(a)
     rb, cb = shape(b)
-    if ca != rb:
+    if not has_shape(a, ra, rb):
         raise InputError("matmul: inner dimensions %d and %d differ" % (ca, rb))
     brows = _nonzeros(b)
     return tuple(accumulate(cb, brows, arow) for arow in _nonzeros(a))

@@ -55,10 +55,10 @@ class MatchedPairDatum:
     def glued(self):
         """Glued (succ, prec) tables of the bicrossed product on alg1 (+) alg2."""
         n, m = self.alg1.dim, self.alg2.dim
-        return (glue(n, m, (self.alg1.succ.table, None), (self.r2s.mats, self.l1s.mats),
-                     (self.l2s.mats, self.r1s.mats), (None, self.alg2.succ.table)),
-                glue(n, m, (self.alg1.prec.table, None), (self.r2p.mats, self.l1p.mats),
-                     (self.l2p.mats, self.r1p.mats), (None, self.alg2.prec.table)))
+        return (glue(n, m, (self.alg1.succ.table, None), (self.r2s.table, self.l1s.table),
+                     (self.l2s.table, self.r1s.table), (None, self.alg2.succ.table)),
+                glue(n, m, (self.alg1.prec.table, None), (self.r2p.table, self.l1p.table),
+                     (self.l2p.table, self.r1p.table), (None, self.alg2.prec.table)))
 
     @staticmethod
     def unglued(alg1: ADAlgebra, alg2: ADAlgebra, succ, prec) -> "MatchedPairDatum":
@@ -67,8 +67,10 @@ class MatchedPairDatum:
         n, m = alg1.dim, alg2.dim
         (_, (r2s, l1s), (l2s, r1s), _), (_, (r2p, l1p), (l2p, r1p), _) = succ, prec
         return MatchedPairDatum(alg1, alg2,
-                                *(ActionFamily(n, m, t) for t in (l1s, r1s, l1p, r1p)),
-                                *(ActionFamily(m, n, t) for t in (l2s, r2s, l2p, r2p)))
+                                *(ActionFamily.from_table((n, m, m), t)
+                                  for t in (l1s, r1s, l1p, r1p)),
+                                *(ActionFamily.from_table((m, n, n), t)
+                                  for t in (l2s, r2s, l2p, r2p)))
 
 
 # Slots delegated to the two representation checks carry None; pure triples
@@ -138,8 +140,8 @@ class AssocMatchedPair:
     def glued(self):
         """Glued product table of the associative bicrossed product."""
         n, m = self.op1.dim, self.op2.dim
-        return glue(n, m, (self.op1.table, None), (self.r2.mats, self.l1.mats),
-                    (self.l2.mats, self.r1.mats), (None, self.op2.table))
+        return glue(n, m, (self.op1.table, None), (self.r2.table, self.l1.table),
+                    (self.l2.table, self.r1.table), (None, self.op2.table))
 
 
 def check_assoc_matched_pair(p: AssocMatchedPair, exhaustive: bool = False) -> Report:

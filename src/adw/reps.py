@@ -72,7 +72,7 @@ def regular_representation(alg: ADAlgebra) -> ADRep:
 
 def semidirect_table(op, mod_dim, left, right):
     """Glued table of o on A (+) V with (x,a) o (y,b) = (x o y, left(x)b + right(y)a)."""
-    return glue(op.dim, mod_dim, (op.table, None), (None, left.mats), (None, right.mats),
+    return glue(op.dim, mod_dim, (op.table, None), (None, left.table), (None, right.table),
                 (None, None))
 
 
@@ -98,12 +98,15 @@ def dual_representation(rep: ADRep, precheck: bool = True) -> ADRep:
     if precheck and not rep.is_verified:
         raise PreconditionFailure("representation does not satisfy R1-R6",
                                   check_representation(rep, require_verified_algebra=False))
-    lsT = rep.lsucc.transpose()
-    rsT = rep.rsucc.transpose()
-    lpT = rep.lprec.transpose()
-    rpT = rep.rprec.transpose()
+    lsT, rsT, lpT, rpT = map(transposed, rep.families())
     return ADRep(rep.algebra, rep.mod_dim,
                  rpT.add(rsT).neg(), lpT, rsT, lpT.add(lsT).neg())
+
+
+def transposed(fam: ActionFamily) -> ActionFamily:
+    """The family of the transposes l(x)*: its matrices have the columns
+    l(x)e_c of the family's as rows, so they are the family's table."""
+    return ActionFamily(fam.alg_dim, fam.mod_dim, fam.table)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +144,7 @@ def induced_associative_reps(rep: ADRep, precheck: bool = True):
                                   check_representation(rep, require_verified_algebra=False))
     dot, m, field = rep.algebra.assoc, rep.mod_dim, rep.algebra.field
     ls, rs, lp, rp = rep.families()
-    lsT, rsT, lpT, rpT = (f.transpose() for f in rep.families())
+    lsT, rsT, lpT, rpT = map(transposed, rep.families())
     candidates = [
         AssocRep(dot, m, ls.neg(), rp.neg(), "(-l>, -r<)", field),
         AssocRep(dot, m, ls.add(lp), rs.add(rp), "(l., r.)", field),

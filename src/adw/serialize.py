@@ -19,6 +19,7 @@ import os
 from .actions import ActionFamily
 from .algebra import ADAlgebra, BilinearOp
 from .fields import RATIONALS, InputError
+from .linalg import has_shape
 from .tensors import t3_entries
 
 
@@ -95,7 +96,7 @@ def _matrix_from_rows(rows, field, what, shape=None):
     mat = tuple(tuple(_coeff(v, field, what) for v in row) for row in rows)
     if mat and any(len(r) != len(mat[0]) for r in mat):
         raise InputError("%s: ragged rows" % what)
-    if shape is not None and (len(mat), len(mat[0]) if mat else 0) != shape:
+    if shape is not None and not has_shape(mat, *shape):
         raise InputError("%s: expected shape %r" % (what, shape))
     return mat
 

@@ -13,7 +13,8 @@ by leg (``legs``), and a check builds the dense tensor of a value
 
 Order-3 tables are also how every 3-index structure is stored: product
 tables, action families and coproducts all build from entries with
-``t3_from_entries`` and list them with ``t3_entries``.
+``t3_from_entries`` and list them with ``t3_entries``; ``t3_reorder`` takes
+one index order to another.
 
 A Tensor2 is a nested tuple t with t[i][j] the coefficient of e_i (x) e_j; a
 Tensor3 likewise with three indices.  The three Yang-Baxter-style leg
@@ -83,6 +84,20 @@ def t3_is_zero(t):
 
 def t3_dims(t):
     return (len(t), len(t[0]) if t else 0, len(t[0][0]) if t and t[0] else 0)
+
+
+# each reordering as swaps of neighbouring indices, 0 the first two, 1 the last two
+_SWAPS = {(0, 1, 2): (), (1, 0, 2): (0,), (0, 2, 1): (1,), (1, 2, 0): (0, 1),
+          (2, 0, 1): (1, 0), (2, 1, 0): (0, 1, 0)}
+
+
+def t3_reorder(t, axes):
+    """t with index k of the result running over index ``axes[k]`` of t, so
+    (0, 2, 1) transposes each matrix t[i].  A swap is a ``zip``, blind to the
+    length of an index behind an empty one: never move an empty index back."""
+    for swap in _SWAPS[axes]:
+        t = tuple(zip(*t)) if swap == 0 else tuple(tuple(zip(*plane)) for plane in t)
+    return t
 
 
 # ---------------------------------------------------------------------------

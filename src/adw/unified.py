@@ -34,8 +34,8 @@ from .actions import ActionFamily
 from .algebra import (AD_IDENTITIES, ASSOC, ADAlgebra, BilinearOp, assoc_pair, change_basis,
                       check_parts, lowered_walk)
 from .fields import InputError
-from .linalg import (block_matrix, identity, inverse, matmul, matvec, nullspace, shape,
-                     sparse_solve, unit, vadd, vneg, vzero)
+from .linalg import (block_matrix, has_shape, identity, inverse, matmul, matvec, nullspace,
+                     shape, sparse_solve, unit, vadd, vneg, vzero)
 from .reporting import PreconditionFailure, Report
 
 A1_CHAIN_TERMS = ("u>(v>w)", "-(u.v)>w", "-u<(v.w)", "(u<v)<w")
@@ -52,35 +52,26 @@ def glue(na, nv, aa, av, va, vv):
     Each block is a pair (source of the A-part, source of the V-part); None
     marks a zero part.  With e_i in A and f_j in V:
 
-        e_i o e_j = (aa[0][i][j], aa[1][i][j])          tables A x A -> A, V
-        e_i o f_j = (av[0](f_j) e_i, av[1](e_i) f_j)    V-on-A, A-on-V matrices
-        f_i o e_j = (va[0](f_i) e_j, va[1](e_j) f_i)    V-on-A, A-on-V matrices
-        f_i o f_j = (vv[0][i][j], vv[1][i][j])          tables V x V -> A, V
+        e_i o e_j = (aa[0][i][j], aa[1][i][j])          A x A -> A, V
+        e_i o f_j = (av[0][j][i], av[1][i][j])          V x A -> A, A x V -> V
+        f_i o e_j = (va[0][i][j], va[1][j][i])          V x A -> A, A x V -> V
+        f_i o f_j = (vv[0][i][j], vv[1][i][j])          V x V -> A, V
 
-    Tables are ``BilinearOp.table`` vector tables and families are
-    ``ActionFamily.mats``, so an action value is a matrix column.
+    Every block is a ``BilinearOp.table``: an action family of V on A
+    (av[0], va[0]) or of A on V (av[1], va[1]) is its table, so the action
+    of one summand's e_k on the other's e_c is the cell [k][c].
     """
     za, zv = vzero(na), vzero(nv)
 
     def cell(table, i, j, zero):
         return zero if table is None else tuple(table[i][j])
 
-    def columns(mats):
-        # per matrix, its columns
-        return None if mats is None else [tuple(zip(*m)) for m in mats]
-
-    def column(cols, k, c, zero):
-        return zero if cols is None else cols[k][c]
-
-    av, va = tuple(map(columns, av)), tuple(map(columns, va))
-
     rows = []
     for i in range(na):
         rows.append(tuple(cell(aa[0], i, j, za) + cell(aa[1], i, j, zv) for j in range(na))
-                    + tuple(column(av[0], j, i, za) + column(av[1], i, j, zv)
-                            for j in range(nv)))
+                    + tuple(cell(av[0], j, i, za) + cell(av[1], i, j, zv) for j in range(nv)))
     for i in range(nv):
-        rows.append(tuple(column(va[0], i, j, za) + column(va[1], j, i, zv) for j in range(na))
+        rows.append(tuple(cell(va[0], i, j, za) + cell(va[1], j, i, zv) for j in range(na))
                     + tuple(cell(vv[0], i, j, za) + cell(vv[1], i, j, zv) for j in range(nv)))
     return tuple(rows)
 
@@ -93,18 +84,14 @@ def unglue(table, ia, iv):
     ``glue(na, nv, *unglue(t, range(na), range(na, na + nv))) == t``.  Pure
     indexing: no entry is computed.
     """
-    def cells(rows, cols, part):
-        return tuple(tuple(tuple(table[r][c][k] for k in part) for c in cols) for r in rows)
-
-    def mats(outer, cols, part, left):
-        # one matrix per outer basis vector; column c is the part of outer o c
-        # (left) or c o outer (right)
-        return tuple(tuple(tuple(table[o][c][k] if left else table[c][o][k] for c in cols)
-                           for k in part) for o in outer)
+    def cells(rows, cols, part, swapped=False):
+        # cell [r][c] is the part of r o c, or of c o r when swapped
+        return tuple(tuple(tuple((table[c][r] if swapped else table[r][c])[k] for k in part)
+                           for c in cols) for r in rows)
 
     return ((cells(ia, ia, ia), cells(ia, ia, iv)),
-            (mats(iv, ia, ia, False), mats(ia, iv, iv, True)),
-            (mats(iv, ia, ia, True), mats(ia, iv, iv, False)),
+            (cells(iv, ia, ia, True), cells(ia, iv, iv)),
+            (cells(iv, ia, ia), cells(ia, iv, iv, True)),
             (cells(iv, iv, ia), cells(iv, iv, iv)))
 
 
@@ -292,12 +279,12 @@ class ExtendingDatum:
         """Glued (succ, prec) tables of the unified product on A (+) V."""
         na, nv = self.algebra.dim, self.vdim
         return (glue(na, nv, (self.algebra.succ.table, None),
-                     (self.mu_succ.mats, self.lsucc.mats),
-                     (self.rho_succ.mats, self.rsucc.mats),
+                     (self.mu_succ.table, self.lsucc.table),
+                     (self.rho_succ.table, self.rsucc.table),
                      (self.varpi1.table, self.succ_v.table)),
                 glue(na, nv, (self.algebra.prec.table, None),
-                     (self.mu_prec.mats, self.lprec.mats),
-                     (self.rho_prec.mats, self.rprec.mats),
+                     (self.mu_prec.table, self.lprec.table),
+                     (self.rho_prec.table, self.rprec.table),
                      (self.varpi2.table, self.prec_v.table)))
 
     @staticmethod
@@ -309,8 +296,8 @@ class ExtendingDatum:
         (_, (mu_p, l_p), (rho_p, r_p), (w2, v_p)) = prec
         return ExtendingDatum(
             algebra, m,
-            *(ActionFamily(na, m, mats) for mats in (l_s, r_s, l_p, r_p)),
-            *(ActionFamily(m, na, mats) for mats in (rho_s, mu_s, rho_p, mu_p)),
+            *(ActionFamily.from_table((na, m, m), t) for t in (l_s, r_s, l_p, r_p)),
+            *(ActionFamily.from_table((m, na, na), t) for t in (rho_s, mu_s, rho_p, mu_p)),
             BilinearOp(m, w1, na), BilinearOp(m, w2, na),
             BilinearOp(m, v_s), BilinearOp(m, v_p))
 
@@ -386,7 +373,8 @@ def adapted_blocks(ealg: ADAlgebra, cols, proj):
     the adapted basis.
     """
     coerce = ealg.field.coerce
-    vbasis = nullspace(proj)
+    # a projection onto a 0-dim summand has no rows: its kernel is a zero row's
+    vbasis = nullspace(proj or (vzero(ealg.dim),))
     pmat = tuple(tuple(coerce(x) for x in tuple(row) + tuple(v[r] for v in vbasis))
                  for r, row in enumerate(cols))
     adapted = change_basis(ealg, pmat)
@@ -406,7 +394,7 @@ def extract_extending_datum(ealg: ADAlgebra, include_a, proj_a) -> ExtractionRes
     report = Report("extraction")
     ne = ealg.dim
     na = len(proj_a)
-    if shape(include_a) != (ne, na) or shape(proj_a) != (na, ne):
+    if not (has_shape(include_a, ne, na) and has_shape(proj_a, na, ne)):
         raise InputError("inclusion/projection shapes do not match the ambient algebra")
     if matmul(proj_a, include_a) != identity(na, ealg.field.one):
         raise InputError("projection is not a left inverse of the inclusion")
@@ -560,7 +548,7 @@ def find_cohomologous_witness(d1: ExtendingDatum, d2: ExtendingDatum):
     probe = Report("fast-path family comparison")
     residues = field.residues
     for name in ("lsucc", "rsucc", "lprec", "rprec"):
-        if residues(getattr(d1, name).mats) != residues(getattr(d2, name).mats):
+        if residues(getattr(d1, name).table) != residues(getattr(d2, name).table):
             probe.record(name, (), (), (), "A-on-V families differ; no witness exists")
             return None, probe
     # unknowns: zeta[r][c], r < n, c < m; equations from h3-h6, h8, h10;
@@ -589,19 +577,20 @@ def find_cohomologous_witness(d1: ExtendingDatum, d2: ExtendingDatum):
                 for r in range(m):
                     row = {}
                     for x in range(n):
-                        row[x * m + a] = row.get(x * m + a, 0) + lfam.mats[x][r][b]
-                        row[x * m + b] = row.get(x * m + b, 0) + rfam.mats[x][r][a]
+                        row[x * m + a] = row.get(x * m + a, 0) + lfam.table[x][b][r]
+                        row[x * m + b] = row.get(x * m + b, 0) + rfam.table[x][a][r]
                     rows.append(row)
                     rhs.append(0)
             for rho2, mu2, v1, v2 in ((d2.rho_succ, d2.mu_succ, d1.varpi1, d2.varpi1),
                                       (d2.rho_prec, d2.mu_prec, d1.varpi2, d2.varpi2)):
                 diff = vadd(v1.table[a][b], vneg(v2.table[a][b]))
-                pmat, mmat = rho2.mats[a], mu2.mats[b]
+                # rho'(a) and mu'(b) as tables: column s of each matrix
+                pcols, mcols = rho2.table[a], mu2.table[b]
                 for r in range(n):
                     row = {}
                     for s in range(n):
-                        row[s * m + b] = row.get(s * m + b, 0) + pmat[r][s]
-                        row[s * m + a] = row.get(s * m + a, 0) + mmat[r][s]
+                        row[s * m + b] = row.get(s * m + b, 0) + pcols[s][r]
+                        row[s * m + a] = row.get(s * m + a, 0) + mcols[s][r]
                     rows.append(row)
                     rhs.append(diff[r])
     sol = sparse_solve(rows, rhs, n * m, d1.algebra.field)

@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 import pytest
 
 from adw.actions import ActionFamily
-from adw.algebra import ADAlgebra, direct_sum
+from adw.algebra import ADAlgebra, BilinearOp, direct_sum
 from adw.fields import InputError
 from adw.linalg import inverse
 from adw.reps import ADRep, regular_representation, semidirect_product
@@ -59,6 +59,8 @@ def rand_family(rng, alg_dim, mod_dim, span=1):
 def datum_in_field(obj, field):
     """An algebra, table, family, representation or datum with every nonzero
     coefficient of its tables taken into ``field``."""
+    if isinstance(obj, BilinearOp):
+        return obj.from_table(obj.dims, datum_in_field(obj.table, field))
     if is_dataclass(obj):
         parts = [f.name for f in fields(obj)
                  if f.name in ("table", "mats") or is_dataclass(getattr(obj, f.name))]
