@@ -28,12 +28,13 @@ substitution: the cells are packed into slabs, ints holding one digit per
 multiply-adds and each chain a comparison of slabs, after reducing their
 digits mod p over GF(p) (``slab_residues``).  b is wide enough for every
 digit with its sign, so slabs are equal exactly when every triple's values
-are.  ``check_triples`` compares each pair once; the glued walks of
-``adw.unified`` share the tables of pair verdicts of a ``Walk``
-(``Walk.verdicts``), each pair compared at most once per range.  A pair
-with a broken chain, and the first triple of the pair after it, are walked
-triple by triple, so the checks, violations and witnesses are those of a
-walk over every triple.
+are.  One loop, ``walk_pairs``, walks the pairs of ``check_triples`` and of
+the glued walks of ``adw.unified``: a pair whose slabs agree ticks its
+checks, and a pair with a broken chain, and the first triple of the pair
+after it, are walked triple by triple, so the checks, violations and
+witnesses are those of a walk over every triple.  ``check_triples``
+compares each pair once; the glued walks share the tables of pair verdicts
+of a ``Walk`` (``Walk.verdicts``), each pair compared at most once per range.
 """
 
 from __future__ import annotations
@@ -259,49 +260,76 @@ def packing(walk, ws):
                    len(ws) * n)
 
 
-def check_triples(report, n, identities, succ, prec=None) -> Report:
-    """Each identity (label, spell, terms, slabs) at every basis triple (i, j, k)
-    of an n-dimensional algebra, compared in the field of its ``lowered_walk``.
-
-    ``slabs(views, i, j)`` gives the terms at (i, j) over every k at once, as
-    slabs of the walk's ``packing``; a pair whose chains all agree ticks its
-    checks.  A pair with a broken chain is walked triple by triple:
-    ``spell(tables, i, j, k)`` gives the values the terms name on the walk's
-    tables, so the checks, violations and values are those of a walk over
-    every triple.  The first pair, and each pair after a broken one, walks
-    its first triple before its slabs, and a pair broken there is walked
-    through without them: where most pairs break, as on random tables, the
-    slabs would be computed for nothing, and the tables are packed only at
-    the first pair that holds at its first triple.  Scalars that the
-    lowering leaves as given are walked triple by triple.  Over Q a kept
-    violation is spelled again on the tables as given, so that its values
-    are the tables' own scalars, and ``report`` absorbs the walk."""
-    walk = lowered_walk(report, succ, prec)
+def walk_pairs(walk, checks, ru, rv, rw, tag, agree, broken=True) -> bool:
+    """Walk the basis pairs (u, v) of ``ru`` x ``rv`` over the third vectors
+    w of the range ``rw`` in ``walk.part``.  ``checks`` lists per identity
+    (label, spell, terms, slabs) its cells (component, label, terms), each
+    comparing that slice (all for None) of ``spell(walk.tables, u, v, w)``.
+    A pair where the pair test ``agree((u, v))`` holds ticks its checks one
+    ``tick()`` each; a broken pair is walked triple by triple, witness
+    ``tag + (iu, iv, iw)``, so the report is that of a walk over every
+    triple.  A pair after a broken one (``broken`` for the first; the last
+    is returned) walks its first triple before the test, and all of it if
+    it breaks there, so tables whose pairs mostly break compare few slabs."""
+    if not rw:
+        return broken
     tables, part = walk.tables, walk.part
+    every = list(enumerate(rw))
 
-    def walked(i, j, ks):
-        """Walk the triples (i, j, k) for k in ``ks``; did every chain hold?"""
-        held = True
-        for k in ks:
-            for label, spell, terms, _ in identities:
-                held = part.require_chain(label, (i, j, k), terms, spell(tables, i, j, k)) and held
-        return held
+    def walked(iu, u, iv, v, ws):
+        """Walk the triples (u, v, w) for the (iw, w) in ``ws``; did every chain hold?"""
+        before = part.violation_count
+        for iw, w in ws:
+            for identity, cells in checks:
+                values = identity[1](tables, u, v, w)
+                for comp, label, terms in cells:
+                    part.require_chain(label, tag + (iu, iv, iw), terms, values if comp is None
+                                       else tuple(t[comp] for t in values))
+        return part.violation_count == before
 
-    packs, agreed, broken = None, 0, True
-    for i in range(n):
-        for j in range(n):
+    agreed = 0
+    for iu, u in enumerate(ru):
+        for iv, v in enumerate(rv):
             first = int(broken)
-            if broken and not walked(i, j, range(1)):
-                walked(i, j, range(1, n))
-                continue
-            packs = packs or walk.packing(range(n))
-            if packs and all(_agree(packs, identity, i, j) for identity in identities):
-                agreed += n - first
+            if broken and not walked(iu, u, iv, v, every[:1]):
+                walked(iu, u, iv, v, every[1:])
+            elif agree((u, v)):
+                agreed += len(rw) - first
                 broken = False
             else:
-                walked(i, j, range(first, n))
-                broken = True
-    part.tick_each(agreed * len(identities))
+                broken = not walked(iu, u, iv, v, every[first:])
+    part.tick_each(agreed * sum(len(cells) for _, cells in checks))
+    return broken
+
+
+def check_triples(report, n, identities, succ, prec=None) -> Report:
+    """Each identity (label, spell, terms, slabs) at every basis triple (i, j, k)
+    of an n-dimensional algebra, by ``walk_pairs`` on its ``lowered_walk``.
+
+    The pair test compares the slabs ``slabs(views, i, j)`` of the walk's
+    ``packing`` over every k, each pair once, so it keeps no table of
+    verdicts; the tables are packed at the first pair that holds at its
+    first triple, and scalars the lowering leaves as given are walked triple
+    by triple.  Over Q a kept violation is spelled again on the tables as
+    given, so that its values are the tables' own scalars, and ``report``
+    absorbs the walk."""
+    walk = lowered_walk(report, succ, prec)
+    packs = None
+
+    def agree(pair):
+        nonlocal packs
+        packs = packs or walk.packing(range(n))
+        if packs is None:
+            return False
+        i, j = pair
+        for identity in identities:
+            if not _agree(packs, identity, i, j):
+                return False
+        return True
+
+    walk_pairs(walk, [(identity, [(None, identity[0], identity[2])]) for identity in identities],
+               range(n), range(n), range(n), (), agree)
+    part = walk.part
     if part.violations and report.field == RATIONALS:
         given = _as_given(succ, prec)
         spells = {label: spell for label, spell, *_ in identities}
@@ -458,15 +486,17 @@ _PART_NOUNS = {"family": "action family", "product": "product", "fold": "fold ma
 def check_parts(obj):
     """Check a datum against its class's ``PARTS`` table.
 
-    Each row is (attribute, JSON key, kind, shape), in constructor order.  An
-    ``algebra`` or ``dim`` row names the dimension of a summand ("A" or "V");
-    a component row (an action ``family``, or a ``product``, ``fold`` or
-    ``cocycle`` table) names its (source, target) summands, so "VA" reads
-    V -> End(A) for a family and V x V -> A for a table.  Every dimension and
-    shape is checked first; then every coefficient of the components and of
-    the other algebras' tables must lie in the first algebra's field."""
+    Each row is (attribute, JSON key, kind, shape, place), in constructor
+    order.  An ``algebra`` or ``dim`` row names the dimension of a summand
+    ("A" or "V"); a component row (an action ``family``, or a ``product``,
+    ``fold`` or ``cocycle`` table) names its (source, target) summands, so
+    "VA" reads V -> End(A) for a family and V x V -> A for a table, and its
+    place (``adw.unified._placed``) the side of an action, "l" or "r", and
+    the glued product, ">" or "<".  Every dimension and shape is checked
+    first; then every coefficient of the components and of the other
+    algebras' tables must lie in the first algebra's field."""
     dims, algebras, components = {}, [], []
-    for attr, _, kind, shape in obj.PARTS:
+    for attr, _, kind, shape, _ in obj.PARTS:
         part = getattr(obj, attr)
         if kind == "algebra":
             dims[shape] = part.dim

@@ -19,7 +19,7 @@ vector relation of the rank-one model below reads A.theta0 = D.epsilon0
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, change_basis, check_homomorphism, check_parts,
@@ -29,7 +29,8 @@ from .linalg import (block_matrix, has_shape, identity, inverse, mat_add, mat_ne
                      matvec, shape, solve_linear, sparse_nullspace, sparse_solve, unit, vadd,
                      vneg, vsub, zeros_mat)
 from .reporting import PreconditionFailure, Report
-from .unified import adapted_blocks, check_glued, glue, split_slots, unglue
+from .unified import (adapted_blocks, check_glued, glue_parts, glued_algebra, split_slots,
+                      unglue, unglue_parts)
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,13 @@ class CrossedDatum:
     omega1: BilinearOp  # A x A -> V
     omega2: BilinearOp
 
-    PARTS = (("algebra", "algebra", "algebra", "A"), ("valgebra", "valgebra", "algebra", "V"),
-             *((k, k, "family", "AV") for k in ("lsucc", "rsucc", "lprec", "rprec")),
-             ("omega1", "omega1", "cocycle", "AV"), ("omega2", "omega2", "cocycle", "AV"))
+    PARTS = (("algebra", "algebra", "algebra", "A", ""),
+             ("valgebra", "valgebra", "algebra", "V", ""),
+             *((k, k, "family", "AV", place) for k, place in (
+                 ("lsucc", "l>"), ("rsucc", "r>"), ("lprec", "l<"), ("rprec", "r<"))),
+             ("omega1", "omega1", "cocycle", "AV", ">"), ("omega2", "omega2", "cocycle", "AV", "<"))
     __post_init__ = check_parts
+    glued, unglued = glue_parts, classmethod(unglue_parts)
 
     @staticmethod
     def split(algebra: ADAlgebra, valgebra: ADAlgebra,
@@ -66,27 +70,6 @@ class CrossedDatum:
     def fibre_abelian(self) -> bool:
         field = self.algebra.field  # a plain int is read mod p
         return self.valgebra.succ.is_zero(field) and self.valgebra.prec.is_zero(field)
-
-    def glued(self):
-        """Glued (succ, prec) tables of the crossed product on A (+) V."""
-        n, m = self.algebra.dim, self.vdim
-        return (glue(n, m, (self.algebra.succ.table, self.omega1.table),
-                     (None, self.lsucc.table), (None, self.rsucc.table),
-                     (None, self.valgebra.succ.table)),
-                glue(n, m, (self.algebra.prec.table, self.omega2.table),
-                     (None, self.lprec.table), (None, self.rprec.table),
-                     (None, self.valgebra.prec.table)))
-
-    @staticmethod
-    def unglued(algebra: ADAlgebra, valgebra: ADAlgebra, succ, prec) -> "CrossedDatum":
-        """The inverse of ``glued``: the datum over ``algebra`` and ``valgebra``
-        read off the ``unglue`` blocks of both tables (only their actions and
-        cocycles are read)."""
-        n, m = algebra.dim, valgebra.dim
-        ((_, om1), (_, ls), (_, rs), _), ((_, om2), (_, lp), (_, rp), _) = succ, prec
-        return CrossedDatum(algebra, valgebra,
-                            *(ActionFamily.from_table((n, m, m), t) for t in (ls, rs, lp, rp)),
-                            BilinearOp(n, om1, m), BilinearOp(n, om2, m))
 
 
 # V-component slots of the defining identities; A-components are either the
@@ -125,12 +108,9 @@ def check_crossed_system(d: CrossedDatum, exhaustive: bool = False,
     out = Report("crossed system", exhaustive=exhaustive, field=d.algebra.field)
     if include_fibre:
         fib = d.valgebra.check(exhaustive=exhaustive)
-        out.tick(fib.checked)
-        if not fib.passed:
-            for v in fib.violations:
-                out.record("C12", v.witness, v.lhs, v.rhs,
-                           "fibre algebra violates %s: %s" % (v.equation, v.detail))
-            out.violation_count += fib.violation_count - len(fib.violations)
+        fib.violations = [replace(v, equation="C12", detail="fibre algebra violates %s: %s"
+                                  % (v.equation, v.detail)) for v in fib.violations]
+        out.absorb(fib)
     walk = lowered_walk(out, *d.glued())
     check_glued(walk, d.algebra.dim, d.vdim, _CROSSED_SLOTS)
     return out.absorb(walk.part)
@@ -147,10 +127,7 @@ def crossed_product(d: CrossedDatum, precheck: bool = True) -> ADAlgebra:
         rep = check_crossed_system(d)
         if not rep.passed:
             raise PreconditionFailure("datum is not a crossed system", rep)
-    total = d.algebra.dim + d.vdim
-    succ_t, prec_t = d.glued()
-    return ADAlgebra(total, d.algebra.basis + d.valgebra.basis, BilinearOp(total, succ_t),
-                     BilinearOp(total, prec_t), d.algebra.field)
+    return glued_algebra(d)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from .algebra import (ASSOC, ADAlgebra, BilinearOp, check_parts, check_triples,
                       lowered_walk)
 from .fields import RATIONALS, InputError
 from .reporting import PreconditionFailure, Report
-from .unified import R_SLOTS, check_columns, check_glued, glue, split_slots, unglue
+from .unified import (R_SLOTS, check_columns, check_glued, glue, glue_parts, glued_algebra,
+                      split_slots, unglue, unglue_parts)
 
 
 @dataclass(frozen=True)
@@ -41,36 +42,19 @@ class MatchedPairDatum:
     l2p: ActionFamily
     r2p: ActionFamily
 
-    PARTS = (("alg1", "alg1", "algebra", "A"), ("alg2", "alg2", "algebra", "V"),
-             *((k, k, "family", "AV") for k in ("l1s", "r1s", "l1p", "r1p")),
-             *((k, k, "family", "VA") for k in ("l2s", "r2s", "l2p", "r2p")))
+    PARTS = (("alg1", "alg1", "algebra", "A", ""), ("alg2", "alg2", "algebra", "V", ""),
+             *((k, k, "family", "AV", place) for k, place in (
+                 ("l1s", "l>"), ("r1s", "r>"), ("l1p", "l<"), ("r1p", "r<"))),
+             *((k, k, "family", "VA", place) for k, place in (
+                 ("l2s", "l>"), ("r2s", "r>"), ("l2p", "l<"), ("r2p", "r<"))))
     __post_init__ = check_parts
+    glued, unglued = glue_parts, classmethod(unglue_parts)
 
     @staticmethod
     def trivial(alg1: ADAlgebra, alg2: ADAlgebra) -> "MatchedPairDatum":
         n, m = alg1.dim, alg2.dim
         z12, z21 = ActionFamily.zero(n, m), ActionFamily.zero(m, n)
         return MatchedPairDatum(alg1, alg2, z12, z12, z12, z12, z21, z21, z21, z21)
-
-    def glued(self):
-        """Glued (succ, prec) tables of the bicrossed product on alg1 (+) alg2."""
-        n, m = self.alg1.dim, self.alg2.dim
-        return (glue(n, m, (self.alg1.succ.table, None), (self.r2s.table, self.l1s.table),
-                     (self.l2s.table, self.r1s.table), (None, self.alg2.succ.table)),
-                glue(n, m, (self.alg1.prec.table, None), (self.r2p.table, self.l1p.table),
-                     (self.l2p.table, self.r1p.table), (None, self.alg2.prec.table)))
-
-    @staticmethod
-    def unglued(alg1: ADAlgebra, alg2: ADAlgebra, succ, prec) -> "MatchedPairDatum":
-        """The inverse of ``glued``: the datum over ``alg1`` and ``alg2`` read
-        off the ``unglue`` blocks of both tables (only their actions are read)."""
-        n, m = alg1.dim, alg2.dim
-        (_, (r2s, l1s), (l2s, r1s), _), (_, (r2p, l1p), (l2p, r1p), _) = succ, prec
-        return MatchedPairDatum(alg1, alg2,
-                                *(ActionFamily.from_table((n, m, m), t)
-                                  for t in (l1s, r1s, l1p, r1p)),
-                                *(ActionFamily.from_table((m, n, n), t)
-                                  for t in (l2s, r2s, l2p, r2p)))
 
 
 # Slots delegated to the two representation checks carry None; pure triples
@@ -116,10 +100,7 @@ def bicrossed_product(d: MatchedPairDatum, precheck: bool = True) -> ADAlgebra:
         rep = check_matched_pair(d)
         if not rep.passed:
             raise PreconditionFailure("not a matched pair", rep)
-    total = d.alg1.dim + d.alg2.dim
-    succ_t, prec_t = d.glued()
-    return ADAlgebra(total, d.alg1.basis + d.alg2.basis, BilinearOp(total, succ_t),
-                     BilinearOp(total, prec_t), d.alg1.field)
+    return glued_algebra(d)
 
 
 # ---------------------------------------------------------------------------

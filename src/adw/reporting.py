@@ -63,9 +63,8 @@ class Report:
 
     def tick_each(self, n: int) -> None:
         """Count ``n`` checks that hold without being evaluated, one ``tick()``
-        each.  A single ``tick(n)`` stands for checks another report already
-        counted (the fibre checks of a crossed system), and perfbench's tracer
-        counts unit ticks as checks."""
+        each, so that a counter of unit ticks (perfbench's tracer) sees every
+        check the walks pass over."""
         for _ in range(n):
             self.tick()
 

@@ -30,7 +30,8 @@ from .actions import ActionFamily
 from .algebra import ADAlgebra, BilinearOp, check_parts, lowered_walk, multiplication_operators
 from .fields import RATIONALS
 from .reporting import PreconditionFailure, Report
-from .unified import BIMOD_SLOTS, R_SLOTS, check_columns, glue
+from .unified import (BIMOD_SLOTS, R_SLOTS, check_columns, glue, glue_parts, glued_algebra,
+                      unglue_parts)
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,11 @@ class ADRep:
     lprec: ActionFamily
     rprec: ActionFamily
 
-    PARTS = (("algebra", "algebra", "algebra", "A"), ("mod_dim", "modDim", "dim", "V"),
-             *((k, k, "family", "AV") for k in ("lsucc", "rsucc", "lprec", "rprec")))
+    PARTS = (("algebra", "algebra", "algebra", "A", ""), ("mod_dim", "modDim", "dim", "V", ""),
+             *((k, k, "family", "AV", place) for k, place in (
+                 ("lsucc", "l>"), ("rsucc", "r>"), ("lprec", "l<"), ("rprec", "r<"))))
     __post_init__ = check_parts
+    glued, unglued = glue_parts, classmethod(unglue_parts)
 
     @staticmethod
     def zero(algebra, mod_dim):
@@ -57,12 +60,6 @@ class ADRep:
 
     def families(self):
         return (self.lsucc, self.rsucc, self.lprec, self.rprec)
-
-    def glued(self):
-        """Glued (succ, prec) tables of the semidirect product on A (+) V."""
-        alg, m = self.algebra, self.mod_dim
-        return (semidirect_table(alg.succ, m, self.lsucc, self.rsucc),
-                semidirect_table(alg.prec, m, self.lprec, self.rprec))
 
 
 def regular_representation(alg: ADAlgebra) -> ADRep:
@@ -169,7 +166,4 @@ def semidirect_product(rep: ADRep, precheck: bool = True) -> ADAlgebra:
         inner = check_representation(rep, require_verified_algebra=False)
         if not rep.algebra.is_verified or not inner.passed:
             raise PreconditionFailure("representation does not satisfy R1-R6", inner)
-    alg, total = rep.algebra, rep.algebra.dim + rep.mod_dim
-    basis = alg.basis + tuple("v%d" % (i + 1) for i in range(rep.mod_dim))
-    succ, prec = rep.glued()
-    return ADAlgebra(total, basis, BilinearOp(total, succ), BilinearOp(total, prec), alg.field)
+    return glued_algebra(rep)

@@ -186,7 +186,7 @@ def _parts_to_dict(obj, field=None):
     parts = obj.PARTS
     field = field or getattr(obj, parts[0][0]).field
     out = {}
-    for attr, key, kind, _ in parts:
+    for attr, key, kind, _, _ in parts:
         part = getattr(obj, attr)
         out[key] = (algebra_to_dict(part, field) if kind == "algebra"
                     else part if kind == "dim"
@@ -200,9 +200,9 @@ def _parts_reader(module, name, what):
     kind in error messages."""
     def from_dict(d, field, basedir=None):
         cls = getattr(importlib.import_module("." + module, __package__), name)
-        _require_keys(d, [key for _, key, _, _ in cls.PARTS], what)
+        _require_keys(d, [row[1] for row in cls.PARTS], what)
         dims, args = {}, []
-        for _, key, kind, shape in cls.PARTS:
+        for _, key, kind, shape, _ in cls.PARTS:
             if kind == "algebra":
                 part = _inline_or_path(d[key], basedir, algebra_from_dict, field, key)
                 dims[shape] = part.dim

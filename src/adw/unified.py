@@ -16,12 +16,14 @@ defining identities on mixed basis triples; the checker evaluates those
 components and labels each slot with its equation id.  Six further component
 identities (the second defining identity on triples with two V-entries) carry
 no printed number in the usual presentation and are labelled S19a-S19f here.
-The glued tables are lowered once per check to their sparse cells
-(``lowered_walk``).  Every walk of the check reads one table of pair
-verdicts per identity and summand (``Walk.verdicts``): a slot whose basis pairs agree as Kronecker
-slabs over the third vectors of one summand is ticked, and only the rest is
-evaluated, each slot value a dense vector on A (+) V summed from the cells
-by the one product kernel, its A and V components slices.
+One layout glues every datum with a ``PARTS`` table (``glue_parts``,
+``unglue_parts``, ``glued_algebra``).  The glued tables are lowered once per
+check to their sparse cells (``lowered_walk``), and ``check_glued`` walks
+each triple type by ``adw.algebra.walk_pairs`` on one table of pair verdicts
+per identity and summand (``Walk.verdicts``): a slot whose basis pairs agree
+as Kronecker slabs over the third vectors of one summand is ticked, and only
+the rest is evaluated, each slot value a dense vector on A (+) V summed from
+the cells by the one product kernel, its A and V components slices.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from operator import itemgetter
 
 from .actions import ActionFamily
 from .algebra import (AD_IDENTITIES, ASSOC, ADAlgebra, BilinearOp, assoc_pair, change_basis,
-                      check_parts, lowered_walk)
+                      check_parts, lowered_walk, walk_pairs)
 from .fields import InputError
 from .linalg import (block_matrix, has_shape, identity, inverse, matmul, matvec, nullspace,
                      shape, sparse_solve, unit, vadd, vneg, vzero)
@@ -95,6 +97,75 @@ def unglue(table, ia, iv):
             (cells(iv, iv, ia), cells(iv, iv, iv)))
 
 
+# the blocks of ``glue``, named by the summands of their two factors
+_BLOCKS = ("AA", "AV", "VA", "VV")
+
+
+def _placed(shape, place):
+    """The indices (product, block, part) in ``glue``'s arguments of a
+    ``PARTS`` component row: a left ("l") action of the source summand has
+    factors (source, target), a right ("r") one (target, source), and a
+    table (source, source); the part is that of the target."""
+    src, dst = shape
+    factors = {"l": src + dst, "r": dst + src, "": src + src}[place[:-1]]
+    return "><".index(place[-1]), _BLOCKS.index(factors), "AV".index(dst)
+
+
+def glue_parts(d):
+    """Glued (succ, prec) tables on A (+) V of a datum, each ``PARTS`` row in
+    its place (``_placed``); an algebra fills its own summand's block."""
+    dims, blocks = {}, [[[None, None] for _ in _BLOCKS] for _ in "><"]
+    for attr, _, kind, shape, place in d.PARTS:
+        part = getattr(d, attr)
+        if kind == "algebra":
+            dims[shape] = part.dim
+            for op, placed in zip((part.succ, part.prec), blocks):
+                placed[_BLOCKS.index(shape * 2)]["AV".index(shape)] = op.table
+        elif kind == "dim":
+            dims[shape] = part
+        else:
+            product, block, target = _placed(shape, place)
+            blocks[product][block][target] = part.table
+    return tuple(glue(dims["A"], dims["V"], *placed) for placed in blocks)
+
+
+def unglue_parts(cls, *args):
+    """The inverse of ``glue_parts``, ``cls.unglued(algebras..., succ, prec)``:
+    the datum over the algebras read off the ``unglue`` blocks of both
+    tables (the algebras' own blocks are not read)."""
+    *algebras, succ, prec = args
+    algebras, dims, parts = iter(algebras), {}, []
+    for _, _, kind, shape, place in cls.PARTS:
+        if kind == "algebra":
+            part = next(algebras)
+            dims[shape] = part.dim
+        elif kind == "dim":
+            part = dims[shape] = len(succ[_BLOCKS.index(shape * 2)][0])
+        else:
+            product, block, target = _placed(shape, place)
+            src, dst = dims[shape[0]], dims[shape[1]]
+            table = (succ, prec)[product][block][target]
+            part = (ActionFamily.from_table((src, dst, dst), table) if kind == "family"
+                    else BilinearOp.from_table((src, src, dst), table))
+        parts.append(part)
+    return cls(*parts)
+
+
+def glued_algebra(d) -> ADAlgebra:
+    """The algebra of ``d.glued()`` over the first algebra's field; its basis
+    is each algebra's labels, or v1, v2, ... for a summand given by its dim."""
+    basis = ()
+    for attr, _, kind, _, _ in d.PARTS:
+        part = getattr(d, attr)
+        if kind == "algebra":
+            basis += part.basis
+        elif kind == "dim":
+            basis += tuple("v%d" % (i + 1) for i in range(part))
+    n, (succ, prec) = len(basis), d.glued()
+    return ADAlgebra(n, basis, BilinearOp(n, succ), BilinearOp(n, prec),
+                     getattr(d, d.PARTS[0][0]).field)
+
+
 def split_slots(a1_labels, a2_labels):
     """Per-type slot labels ((A1 A-id, A1 V-id), (A2 A-id, A2 V-id)) in walk order.
 
@@ -120,57 +191,27 @@ def check_glued(walk, na, nv, slots) -> None:
     ``walk`` is the ``lowered_walk`` of glued tables from ``glue``.  With
     both products, ``slots`` (from ``split_slots``) labels the components of
     A1/A2; with one, ``slots`` maps each type to the (A-id, V-id) of its
-    associativity components.  Triple types run in the order of ``slots``; a
-    witness is (type, i, j, k) with indices local to each summand.  The A and
-    V components, the two slices of the glued vectors, are compared in
-    ``walk.part``.  A (type, u, v) whose identities agree as slabs at the
-    pair (u, v) over the third vectors of its type (``Walk.verdicts``) ticks
-    its checks; the others are walked triple by triple, as is the first
-    triple of the (type, u, v) after a broken one, before any slab, and all
-    of it if it breaks there.
+    associativity components.  Triple types run in the order of ``slots``,
+    each one ``walk_pairs`` over the summands of its type, the A and V
+    components (the two slices of the glued vectors) its cells; a witness is
+    (type, i, j, k) with indices local to each summand, and the types share
+    the first-triple guard.  The pair test reads the table of pair verdicts
+    of the type's identities over the third summand (``Walk.verdicts``).
     """
     n = na + nv
     comps = (slice(0, na), slice(na, n))
     summand = {"A": range(na), "V": range(na, n)}
-    tables, part = walk.tables, walk.part
-    agreed, broken = 0, True
+    broken = True
     for ttype, labels in slots.items():
-        parts = ((("assoc", labels, ASSOC_TERMS),) if tables[1] is None else
+        parts = ((("assoc", labels, ASSOC_TERMS),) if walk.tables[1] is None else
                  (("A1", labels[0], (A1_CHAIN_TERMS,) * 2), ("A2", labels[1], A2_TERMS)))
         # per identity: (component, label, terms) of its labelled slots
         checks = [(IDENTITIES[identity], cells) for identity, ids, terms in parts
                   if (cells := [cell for cell in zip(comps, ids, terms) if cell[1]])]
-        tname = "".join(ttype)
         ru, rv, rw = (summand[t] for t in ttype)
-        if not rw:
-            continue
-        width = sum(len(cells) for _, cells in checks)
-        spells = [(identity[1], cells) for identity, cells in checks]
         verdicts = walk.verdicts([identity for identity, _ in checks], rw)
-        every = list(enumerate(rw))
-
-        def walked(iu, u, iv, v, ws):
-            """Walk the triples (u, v, w) for the (iw, w) in ``ws``; did every chain hold?"""
-            before = part.violation_count
-            for iw, w in ws:
-                for spell, cells in spells:
-                    values = spell(tables, u, v, w)
-                    for comp, label, terms in cells:
-                        part.require_chain(label, (tname, iu, iv, iw), terms,
-                                           tuple(t[comp] for t in values))
-            return part.violation_count == before
-
-        for iu, u in enumerate(ru):
-            for iv, v in enumerate(rv):
-                first = int(broken)
-                if broken and not walked(iu, u, iv, v, every[:1]):
-                    walked(iu, u, iv, v, every[1:])
-                elif verdicts[u, v]:
-                    agreed += (len(rw) - first) * width
-                    broken = False
-                else:
-                    broken = not walked(iu, u, iv, v, every[first:])
-    part.tick_each(agreed)
+        broken = walk_pairs(walk, checks, ru, rv, rw, ("".join(ttype),), verdicts.__getitem__,
+                            broken)
 
 
 def check_columns(walk, na, nv, slots, acting="A") -> None:
@@ -257,14 +298,16 @@ class ExtendingDatum:
     succ_v: BilinearOp
     prec_v: BilinearOp
 
-    PARTS = (("algebra", "algebra", "algebra", "A"), ("vdim", "vDim", "dim", "V"),
-             *((k, k, "family", "AV") for k in ("lsucc", "rsucc", "lprec", "rprec")),
-             *((k, key, "family", "VA") for k, key in (
-                 ("rho_succ", "rhoSucc"), ("mu_succ", "muSucc"),
-                 ("rho_prec", "rhoPrec"), ("mu_prec", "muPrec"))),
-             ("varpi1", "varpi1", "fold", "VA"), ("varpi2", "varpi2", "fold", "VA"),
-             ("succ_v", "succV", "product", "VV"), ("prec_v", "precV", "product", "VV"))
+    PARTS = (("algebra", "algebra", "algebra", "A", ""), ("vdim", "vDim", "dim", "V", ""),
+             *((k, k, "family", "AV", place) for k, place in (
+                 ("lsucc", "l>"), ("rsucc", "r>"), ("lprec", "l<"), ("rprec", "r<"))),
+             *((k, key, "family", "VA", place) for k, key, place in (
+                 ("rho_succ", "rhoSucc", "l>"), ("mu_succ", "muSucc", "r>"),
+                 ("rho_prec", "rhoPrec", "l<"), ("mu_prec", "muPrec", "r<"))),
+             ("varpi1", "varpi1", "fold", "VA", ">"), ("varpi2", "varpi2", "fold", "VA", "<"),
+             ("succ_v", "succV", "product", "VV", ">"), ("prec_v", "precV", "product", "VV", "<"))
     __post_init__ = check_parts
+    glued, unglued = glue_parts, classmethod(unglue_parts)
 
     @staticmethod
     def from_representation(rep) -> "ExtendingDatum":
@@ -274,32 +317,6 @@ class ExtendingDatum:
                               ActionFamily.zero(m, n), ActionFamily.zero(m, n),
                               BilinearOp.zero(m, n), BilinearOp.zero(m, n),
                               BilinearOp.zero(m), BilinearOp.zero(m))
-
-    def glued(self):
-        """Glued (succ, prec) tables of the unified product on A (+) V."""
-        na, nv = self.algebra.dim, self.vdim
-        return (glue(na, nv, (self.algebra.succ.table, None),
-                     (self.mu_succ.table, self.lsucc.table),
-                     (self.rho_succ.table, self.rsucc.table),
-                     (self.varpi1.table, self.succ_v.table)),
-                glue(na, nv, (self.algebra.prec.table, None),
-                     (self.mu_prec.table, self.lprec.table),
-                     (self.rho_prec.table, self.rprec.table),
-                     (self.varpi2.table, self.prec_v.table)))
-
-    @staticmethod
-    def unglued(algebra: ADAlgebra, succ, prec) -> "ExtendingDatum":
-        """The inverse of ``glued``: the datum over ``algebra`` read off the
-        ``unglue`` blocks of both tables (the A x A blocks are not read)."""
-        na, m = algebra.dim, len(succ[3][0])
-        (_, (mu_s, l_s), (rho_s, r_s), (w1, v_s)) = succ
-        (_, (mu_p, l_p), (rho_p, r_p), (w2, v_p)) = prec
-        return ExtendingDatum(
-            algebra, m,
-            *(ActionFamily.from_table((na, m, m), t) for t in (l_s, r_s, l_p, r_p)),
-            *(ActionFamily.from_table((m, na, na), t) for t in (rho_s, mu_s, rho_p, mu_p)),
-            BilinearOp(m, w1, na), BilinearOp(m, w2, na),
-            BilinearOp(m, v_s), BilinearOp(m, v_p))
 
 
 # slot labels: (A-component id, V-component id) per basis triple type.
@@ -347,11 +364,7 @@ def unified_product(d: ExtendingDatum, precheck: bool = True) -> ADAlgebra:
         rep = check_extending_structure(d)
         if not rep.passed:
             raise PreconditionFailure("datum is not an extending structure", rep)
-    n = d.algebra.dim + d.vdim
-    succ_t, prec_t = d.glued()
-    basis = d.algebra.basis + tuple("v%d" % (i + 1) for i in range(d.vdim))
-    return ADAlgebra(n, basis, BilinearOp(n, succ_t), BilinearOp(n, prec_t),
-                     d.algebra.field)
+    return glued_algebra(d)
 
 
 # ---------------------------------------------------------------------------

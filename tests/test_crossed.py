@@ -18,7 +18,7 @@ from adw.crossed import (AutPair, CrossedDatum, GH2Tuple, check_aut_pair,
                          wells_map, z1_cocycles)
 from adw.fields import InputError, PrimeField
 from adw.linalg import identity, zeros_mat
-from adw.reporting import PreconditionFailure
+from adw.reporting import PreconditionFailure, Violation
 from .conftest import nilpotent2, rand_matrix
 
 
@@ -71,6 +71,34 @@ def test_c1_violation_witnessed():
     assert out.violations[0].equation == "C1"
     with pytest.raises(PreconditionFailure):
         crossed_product(d)
+
+
+def test_c12_relabels_every_fibre_violation():
+    """A fibre breaking A1 at two triples, beside C1, C2 and C4 from a
+    cocycle: each fibre violation is kept as C12 with its witness, values and
+    a detail naming the fibre's own label, before the glued walk's, and the
+    fibre's checks count once."""
+    fibre = ADAlgebra.make(2, succ_entries=[(0, 0, 0, 1), (1, 1, 1, 1)])
+    d = replace(CrossedDatum.split(nilpotent2(), fibre),
+                omega1=BilinearOp.from_entries(2, [(0, 1, 0, Q(1))], 2))
+    detail = "fibre algebra violates A1: x>(y>z) != -(x.y)>z"
+    c12 = [Violation("C12", (0, 0, 0), (1, 0), (-1, 0), detail),
+           Violation("C12", (1, 1, 1), (0, 1), (0, -1), detail)]
+    local = [Violation("C1", ("AAA", 0, 0, 0), (Q(1), Q(0)), (Q(0), Q(0)),
+                       "u>(v>w) != -(u.v)>w"),
+             Violation("C2", ("AAV", 0, 1, 0), (Q(0), Q(0)), (Q(-1), Q(0)),
+                       "u>(v>w) != -(u.v)>w"),
+             Violation("C4", ("VAA", 0, 0, 1), (Q(1), Q(0)), (Q(0), Q(0)),
+                       "u>(v>w) != -(u.v)>w")]
+    assert fibre.check().checked == 16
+    for exhaustive in (False, True):
+        out = check_crossed_system(d, exhaustive)
+        assert (out.checked, out.violation_count) == (128, 5)
+        assert out.violations == (c12 + local if exhaustive else c12[:1])
+        assert repr(out.violations) == repr(c12 + local if exhaustive else c12[:1])
+        alone = check_cocycle(d, exhaustive)
+        assert (alone.checked, alone.violation_count) == (112, 3)
+        assert alone.violations == (local if exhaustive else local[:1])
 
 
 def test_crossed_check_iff_product_randomized():

@@ -1,9 +1,10 @@
 """``unglue`` inverts ``glue``, and extraction inverts the glued products.
 
 No axioms are required: any table splits and reglues to itself, any
-extending datum comes back out of its unified product, and any crossed
-datum comes back out of its crossed product, through the canonical
-projection (and section) of the first summand.
+extending, crossed or matched datum comes back out of the ``unglue`` blocks
+of its own glued tables (``unglued``), any extending datum comes back out of
+its unified product, and any crossed datum comes back out of its crossed
+product, through the canonical projection (and section) of the first summand.
 """
 
 from fractions import Fraction as Q
@@ -72,3 +73,24 @@ def test_section_inverts_crossed_product(c):
     assert tables_of(got.valgebra) == tables_of(c.valgebra)
     for name in ("lsucc", "rsucc", "lprec", "rprec", "omega1", "omega2"):
         assert getattr(got, name) == getattr(c, name), name
+
+
+def reglued(d, *algebras):
+    """``d`` read back off the ``unglue`` blocks of its own glued tables."""
+    tables = d.glued()
+    na, n = algebras[0].dim, len(tables[0])
+    return type(d).unglued(*algebras, *(unglue(t, range(na), range(na, n)) for t in tables))
+
+
+@ROUND_TRIP
+@given(st.one_of(glue_data.extending_data().map(lambda d: (d, (d.algebra,))),
+                 glue_data.crossed_data().map(lambda d: (d, (d.algebra, d.valgebra))),
+                 glue_data.matched_data().map(lambda d: (d, (d.alg1, d.alg2)))))
+def test_unglued_inverts_glued(case):
+    """Every datum class with a ``PARTS`` layout comes back out of the
+    ``unglue`` blocks of its glued tables, whether or not it satisfies its
+    axioms."""
+    d, algebras = case
+    got = reglued(d, *algebras)
+    assert got == d
+    assert repr(got) == repr(d)
