@@ -29,12 +29,12 @@ multiply-adds and each chain a comparison of slabs, after reducing their
 digits mod p over GF(p) (``slab_residues``).  b is wide enough for every
 digit with its sign, so slabs are equal exactly when every triple's values
 are.  One loop, ``walk_pairs``, walks the pairs of ``check_triples`` and of
-the glued walks of ``adw.unified``: a pair whose slabs agree ticks its
-checks, and a pair with a broken chain, and the first triple of the pair
-after it, are walked triple by triple, so the checks, violations and
-witnesses are those of a walk over every triple.  ``check_triples``
-compares each pair once; the glued walks share the tables of pair verdicts
-of a ``Walk`` (``Walk.verdicts``), each pair compared at most once per range.
+the glued walks of ``adw.unified``: each pair is tested once, a pair whose
+slabs agree ticks its checks, and any other is walked triple by triple, so
+the checks, violations and witnesses are those of a walk over every triple.
+``check_triples`` compares each pair once; the glued walks share the tables
+of pair verdicts of a ``Walk`` (``Walk.verdicts``), each pair compared at
+most once per range.
 """
 
 from __future__ import annotations
@@ -98,10 +98,12 @@ class Walk:
     def verdicts(self, identities, ws):
         """The ``Verdicts`` of the pairs where every identity of
         ``identities`` holds over the third vectors in the range ``ws``, one
-        table per walk.  With the scalars left as given (no ``packing``) no
-        pair agrees.  With both products associativity holds where A1 and A2
-        do: (u.v)>w = u<(v.w) and (u<v)<w = u>(v>w) by A1, (u>v)<w = u>(v<w)
-        by A2, and these are the terms of (u.v).w and u.(v.w)."""
+        table per walk, read at every pair ``walk_pairs`` or
+        ``check_columns`` visits and comparing each pair at most once.  With
+        the scalars left as given (no ``packing``) no pair agrees.  With both
+        products associativity holds where A1 and A2 do: (u.v)>w = u<(v.w)
+        and (u<v)<w = u>(v>w) by A1, (u>v)<w = u>(v<w) by A2, and these are
+        the terms of (u.v).w and u.(v.w)."""
         key = tuple(identity[0] for identity in identities), ws
         if key not in self._verdicts:
             if len(identities) > 1:
@@ -260,65 +262,47 @@ def packing(walk, ws):
                    len(ws) * n)
 
 
-def walk_pairs(walk, checks, ru, rv, rw, tag, agree, broken=True) -> bool:
+def walk_pairs(walk, checks, ru, rv, rw, tag, agree) -> None:
     """Walk the basis pairs (u, v) of ``ru`` x ``rv`` over the third vectors
     w of the range ``rw`` in ``walk.part``.  ``checks`` lists per identity
     (label, spell, terms, slabs) its cells (component, label, terms), each
     comparing that slice (all for None) of ``spell(walk.tables, u, v, w)``.
-    A pair where the pair test ``agree((u, v))`` holds ticks its checks one
-    ``tick()`` each; a broken pair is walked triple by triple, witness
-    ``tag + (iu, iv, iw)``, so the report is that of a walk over every
-    triple.  A pair after a broken one (``broken`` for the first; the last
-    is returned) walks its first triple before the test, and all of it if
-    it breaks there, so tables whose pairs mostly break compare few slabs."""
+    A pair where the pair test ``agree((u, v))`` holds ticks ``len(rw)``
+    checks per cell, one ``tick()`` each; any other pair is walked triple by
+    triple, witness ``tag + (iu, iv, iw)``, so the report is that of a walk
+    over every triple."""
     if not rw:
-        return broken
+        return
     tables, part = walk.tables, walk.part
-    every = list(enumerate(rw))
-
-    def walked(iu, u, iv, v, ws):
-        """Walk the triples (u, v, w) for the (iw, w) in ``ws``; did every chain hold?"""
-        before = part.violation_count
-        for iw, w in ws:
-            for identity, cells in checks:
-                values = identity[1](tables, u, v, w)
-                for comp, label, terms in cells:
-                    part.require_chain(label, tag + (iu, iv, iw), terms, values if comp is None
-                                       else tuple(t[comp] for t in values))
-        return part.violation_count == before
-
     agreed = 0
     for iu, u in enumerate(ru):
         for iv, v in enumerate(rv):
-            first = int(broken)
-            if broken and not walked(iu, u, iv, v, every[:1]):
-                walked(iu, u, iv, v, every[1:])
-            elif agree((u, v)):
-                agreed += len(rw) - first
-                broken = False
-            else:
-                broken = not walked(iu, u, iv, v, every[first:])
-    part.tick_each(agreed * sum(len(cells) for _, cells in checks))
-    return broken
+            if agree((u, v)):
+                agreed += 1
+                continue
+            for iw, w in enumerate(rw):
+                for identity, cells in checks:
+                    values = identity[1](tables, u, v, w)
+                    for comp, label, terms in cells:
+                        part.require_chain(label, tag + (iu, iv, iw), terms, values if comp is None
+                                           else tuple(t[comp] for t in values))
+    part.tick_each(agreed * len(rw) * sum(len(cells) for _, cells in checks))
 
 
 def check_triples(report, n, identities, succ, prec=None) -> Report:
     """Each identity (label, spell, terms, slabs) at every basis triple (i, j, k)
     of an n-dimensional algebra, by ``walk_pairs`` on its ``lowered_walk``.
 
-    The pair test compares the slabs ``slabs(views, i, j)`` of the walk's
-    ``packing`` over every k, each pair once, so it keeps no table of
-    verdicts; the tables are packed at the first pair that holds at its
-    first triple, and scalars the lowering leaves as given are walked triple
-    by triple.  Over Q a kept violation is spelled again on the tables as
-    given, so that its values are the tables' own scalars, and ``report``
-    absorbs the walk."""
+    The tables are packed once, before the walk, and the pair test compares
+    the slabs ``slabs(views, i, j)`` of that ``packing`` over every k, each
+    pair once, so it keeps no table of verdicts; scalars the lowering leaves
+    as given are walked triple by triple.  Over Q a kept violation is spelled
+    again on the tables as given, so that its values are the tables' own
+    scalars, and ``report`` absorbs the walk."""
     walk = lowered_walk(report, succ, prec)
-    packs = None
+    packs = walk.packing(range(n))
 
     def agree(pair):
-        nonlocal packs
-        packs = packs or walk.packing(range(n))
         if packs is None:
             return False
         i, j = pair
@@ -473,10 +457,15 @@ class BilinearOp:
 
 def require_field(field, *parts):
     """Raise InputError unless every nonzero coefficient of the parts (product
-    tables or action families) is an int or an element of ``field``."""
+    tables or action families) is an int or an element of ``field``.  Only a
+    part holding some other scalar is coerced entry by entry, so the error
+    names its first bad entry as ``field.coerce`` words it."""
+    kind, p = type(field.one), getattr(field, "p", None)
     for part in parts:
-        for _, _, _, c in part.entries():
-            field.coerce(c)
+        if not all(type(c) is int or type(c) is kind and (p is None or c.p == p)
+                   for plane in part.table for row in plane if any(row) for c in row):
+            for _, _, _, c in part.entries():
+                field.coerce(c)
 
 
 _PART_NOUNS = {"family": "action family", "product": "product", "fold": "fold map",

@@ -35,7 +35,7 @@ from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, check_anti_dendriform,
                       check_associative, lowered_cells, multiplication_operators)
 from .fields import RATIONALS, InputError, PrimeField
-from .linalg import inverse, matvec, shape, unit, vadd
+from .linalg import has_shape, inverse, matvec, shape, unit, vadd
 from .matched import (AssocMatchedPair, assoc_bicrossed_product,
                       check_assoc_matched_pair)
 from .reporting import PreconditionFailure, Report
@@ -585,7 +585,7 @@ def _check_o_rows(out, tmat, m, rows):
 def check_o_operator(tmat, rep: ADRep, exhaustive: bool = False) -> Report:
     """T(u) o T(v) = T(l_o(T u)v + r_o(T v)u) for both products, all pairs."""
     n, m = rep.algebra.dim, rep.mod_dim
-    if shape(tmat) != (n, m):
+    if not has_shape(tmat, n, m):
         raise InputError("operator matrix must be %dx%d" % (n, m))
     alg = rep.algebra
     return _check_o_rows(Report("O-operator identities", exhaustive=exhaustive,
@@ -600,7 +600,7 @@ def check_o_operator_assoc(tmat, op: BilinearOp, left: ActionFamily,
     """Associative-mode identity T(u).T(v) = T(l(Tu)v + r(Tv)u), compared in
     ``field``."""
     n, m = op.dim, left.mod_dim
-    if shape(tmat) != (n, m):
+    if not has_shape(tmat, n, m):
         raise InputError("operator matrix must be %dx%d" % (n, m))
     if left.alg_dim != n or right.alg_dim != n or right.mod_dim != m:
         raise InputError("action families do not match the product and module")
@@ -641,7 +641,7 @@ def o_operator_to_ybe(tmat, rep: ADRep) -> LiftResult:
     verdict records whether zero residual agrees with the operator check.
     """
     n, m = rep.algebra.dim, rep.mod_dim
-    if shape(tmat) != (n, m):
+    if not has_shape(tmat, n, m):
         raise InputError("operator matrix must be %dx%d" % (n, m))
     drep = dual_representation(rep)
     ambient = semidirect_product(drep, precheck=False)

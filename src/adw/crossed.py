@@ -191,7 +191,7 @@ def check_cocycles_cohomologous(c1: CrossedDatum, c2: CrossedDatum, zeta,
     n, m = c1.algebra.dim, c1.vdim
     if (n, m) != (c2.algebra.dim, c2.vdim):
         raise InputError("cocycles live over different (A, V) shapes")
-    if shape(zeta) != (m, n):
+    if not has_shape(zeta, m, n):
         raise InputError("zeta must be a %dx%d matrix" % (m, n))
     out = Report("cohomologous cocycles", exhaustive=exhaustive, field=c1.algebra.field)
     out.require_equal("N5", (), c1.valgebra.succ.table, c2.valgebra.succ.table,
@@ -428,7 +428,7 @@ def check_inducible(c: CrossedDatum, pair: AutPair, phi,
     the inclusion and projection.
     """
     n, m = c.algebra.dim, c.vdim
-    if shape(phi) != (m, n):
+    if not has_shape(phi, m, n):
         raise InputError("phi must be a %dx%d matrix" % (m, n))
     pre = check_aut_pair(c, pair)
     if not pre.passed:

@@ -93,8 +93,10 @@ def transpose(m):
 
 
 def matvec(m, v):
+    """m v; ``()``, the matrix with no rows of every column count
+    (``has_shape``), takes every vector to ``()``."""
     rows, cols = shape(m)
-    if len(v) != cols:
+    if m and len(v) != cols:
         raise InputError("matvec: %dx%d matrix applied to length-%d vector" % (rows, cols, len(v)))
     return tuple(sum(row[j] * v[j] for j in range(cols)) for row in m)
 

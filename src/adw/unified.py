@@ -37,7 +37,7 @@ from .algebra import (AD_IDENTITIES, ASSOC, ADAlgebra, BilinearOp, assoc_pair, c
                       check_parts, lowered_walk, walk_pairs)
 from .fields import InputError
 from .linalg import (block_matrix, has_shape, identity, inverse, matmul, matvec, nullspace,
-                     shape, sparse_solve, unit, vadd, vneg, vzero)
+                     sparse_solve, unit, vadd, vneg, vzero)
 from .reporting import PreconditionFailure, Report
 
 A1_CHAIN_TERMS = ("u>(v>w)", "-(u.v)>w", "-u<(v.w)", "(u<v)<w")
@@ -194,14 +194,13 @@ def check_glued(walk, na, nv, slots) -> None:
     associativity components.  Triple types run in the order of ``slots``,
     each one ``walk_pairs`` over the summands of its type, the A and V
     components (the two slices of the glued vectors) its cells; a witness is
-    (type, i, j, k) with indices local to each summand, and the types share
-    the first-triple guard.  The pair test reads the table of pair verdicts
-    of the type's identities over the third summand (``Walk.verdicts``).
+    (type, i, j, k) with indices local to each summand.  The pair test reads
+    the table of pair verdicts of the type's identities over the third
+    summand (``Walk.verdicts``).
     """
     n = na + nv
     comps = (slice(0, na), slice(na, n))
     summand = {"A": range(na), "V": range(na, n)}
-    broken = True
     for ttype, labels in slots.items():
         parts = ((("assoc", labels, ASSOC_TERMS),) if walk.tables[1] is None else
                  (("A1", labels[0], (A1_CHAIN_TERMS,) * 2), ("A2", labels[1], A2_TERMS)))
@@ -210,8 +209,7 @@ def check_glued(walk, na, nv, slots) -> None:
                   if (cells := [cell for cell in zip(comps, ids, terms) if cell[1]])]
         ru, rv, rw = (summand[t] for t in ttype)
         verdicts = walk.verdicts([identity for identity, _ in checks], rw)
-        broken = walk_pairs(walk, checks, ru, rv, rw, ("".join(ttype),), verdicts.__getitem__,
-                            broken)
+        walk_pairs(walk, checks, ru, rv, rw, ("".join(ttype),), verdicts.__getitem__)
 
 
 def check_columns(walk, na, nv, slots, acting="A") -> None:
@@ -224,8 +222,8 @@ def check_columns(walk, na, nv, slots, acting="A") -> None:
     component.  Values are compared as in ``check_glued``.  A slot is ticked
     when its identity agrees as slabs, over the third vectors of its
     triples, at every pair the placement reads: (x, y) for "xyw", (w, x)
-    for every module w for "wxy", (x, w) for "xwy"; the others, and the slot
-    after a broken one, are evaluated column by column.
+    for every module w for "wxy", (x, w) for "xwy"; the others are evaluated
+    column by column.
     """
     n = na + nv
     summand = {"A": range(na), "V": range(na, n)}
@@ -239,21 +237,19 @@ def check_columns(walk, na, nv, slots, acting="A") -> None:
               walk.verdicts((IDENTITIES[identity],),
                             module if placement[2] == "w" else summand[acting]), {}, terms)
              for label, placement, identity, terms in slots]
-    broken = True
     for i, x in enumerate(summand[acting]):
         for j, y in enumerate(summand[acting]):
             for label, place, identity, verdicts, every, terms in slots:
-                if not broken:
-                    pair = place((x, y, None))[:2]
-                    if None not in pair:
-                        held = verdicts[pair]
-                    elif (held := every.get(pair)) is None:
-                        held = every[pair] = all(verdicts[place((x, y, w))[:2]] for w in module)
-                    if held:
-                        part.tick()
-                        continue
+                pair = place((x, y, None))[:2]
+                if None not in pair:
+                    held = verdicts[pair]
+                elif (held := every.get(pair)) is None:
+                    held = every[pair] = all(verdicts[place((x, y, w))[:2]] for w in module)
+                if held:
+                    part.tick()
+                    continue
                 cols = [identity[1](tables, *place((x, y, w))) for w in module]
-                broken = not part.require_chain(
+                part.require_chain(
                     label, (i, j), terms,
                     tuple(tuple(zip(*(col[t][cut] for col in cols))) for t in range(len(terms))))
 
@@ -466,7 +462,7 @@ def check_equivalence(d1: ExtendingDatum, d2: ExtendingDatum, w: EquivWitness,
         raise InputError("data have different base algebras")
     n, m = d1.algebra.dim, d1.vdim
     zeta, eta = w.zeta, w.eta
-    if shape(zeta) != (n, m) or shape(eta) != (m, m):
+    if not (has_shape(zeta, n, m) and has_shape(eta, m, m)):
         raise InputError("witness shapes do not match (dim A, dim V)")
     mode = "cohomologous" if cohomologous else "equivalence"
     if cohomologous:

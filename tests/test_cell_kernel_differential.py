@@ -27,7 +27,9 @@ changed, and random tables.  Every 2-dimensional table with entries in
 bound n M**2 the width is chosen from, so a width one bit short passes some
 of their violations.  On the passing draws every pair must agree as slabs,
 since a slab that is wrong only where its chain holds would change no
-report.
+report.  The split extensions of R(nil2) by four random {-1, 0, 1}
+families are drawn too: there most pairs break, each is compared as slabs
+and then walked.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from adw.unified import ExtendingDatum, check_extending_structure
 
 from . import frozen_dense_kernels as frozen
 from . import frozen_glued_walks as frozen_glued
+from .test_glued_pairs_differential import random_rep
 from .test_scaled_ints import draw_algebra, draw_tensor, rational_invertible, verified
 
 DIFF = settings(derandomize=True, max_examples=40, deadline=None)
@@ -369,9 +372,9 @@ def test_pair_checks_match_the_frozen_triple_walk(field, n, data):
 @given(data=st.data())
 def test_passing_pairs_agree_as_slabs(field, n, data):
     """On a verified algebra after a dense basis change every pair agrees as
-    slabs: only the first triple, which is walked before any slab, reaches
-    ``require_chain``.  A slab spell that is wrong only where its chain
-    holds would change no report, only send pairs to the triple walk."""
+    slabs, so no triple reaches ``require_chain``.  A slab spell that is
+    wrong only where its chain holds would change no report, only send
+    pairs to the triple walk."""
     alg = change_basis(verified_of_dim(field, n), dense_change(data, field, n))
     walked = []
 
@@ -383,7 +386,45 @@ def test_passing_pairs_agree_as_slabs(field, n, data):
     with mock.patch.object(Report, "require_chain", chain):
         assert check_anti_dendriform(alg).passed
         assert check_associative(alg.assoc, field=field).passed
-    assert walked == [("A1", (0, 0, 0)), ("A2", (0, 0, 0)), ("assoc", (0, 0, 0))]
+    assert walked == []
+
+
+BROKEN = settings(derandomize=True, max_examples=12, deadline=None)
+
+
+def broken_share(alg):
+    """The share of basis pairs (i, j) at which A1 or A2 breaks."""
+    return len({v.witness[:2] for v in check_anti_dendriform(alg, True).violations}) / alg.dim ** 2
+
+
+@pytest.mark.parametrize("field", WIDE_FIELDS, ids=lambda f: f.name)
+@BROKEN
+@given(data=st.data())
+def test_mostly_broken_pairs_match_the_frozen_triple_walk(field, data):
+    """A1/A2 and associativity on the split extension of a ``random_rep``
+    (dimension 8), where most pairs break."""
+    alg = semidirect_product(random_rep(data, field), precheck=False)
+    both_modes(check_anti_dendriform, frozen.check_anti_dendriform_on_rows, alg)
+    for op in (alg.assoc, alg.succ):
+        for exhaustive in (False, True):
+            same(check_associative(op, exhaustive, field),
+                 frozen_associative(op, exhaustive, field))
+
+
+def test_mostly_broken_draws_break_most_pairs():
+    """In every field some draw above breaks A1/A2 at more than half of its
+    basis pairs."""
+    for field in WIDE_FIELDS:
+        shares = []
+
+        @BROKEN
+        @given(st.data())
+        def note(data):
+            shares.append(broken_share(semidirect_product(random_rep(data, field),
+                                                          precheck=False)))
+
+        note()
+        assert max(shares) > 0.5, (field.name, shares)
 
 
 def test_wide_draws_meet_both_verdicts_in_every_field():

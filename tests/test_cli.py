@@ -526,11 +526,14 @@ def zero_dim_files(tmp_path):
     return paths
 
 
-def test_equivalence_over_a_zero_dim_base_is_an_input_error(tmp_path, capsys):
+def test_equivalence_over_a_zero_dim_base_passes(tmp_path, capsys):
+    """zeta maps the 1-dim complement into the 0-dim base: the 0 x 1 matrix,
+    read from a file of 0 rows as ``()``."""
     p = zero_dim_files(tmp_path)
-    assert main(["unified", "equiv", p["datum"], p["datum"], "--zeta", p["empty"]]) == 2
-    assert capsys.readouterr().err == \
-        "input error: witness shapes do not match (dim A, dim V)\n"
+    assert main(["unified", "equiv", p["datum"], p["datum"], "--zeta", p["empty"]]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == \
+        ("extending-structure equivalence: pass (4 identities checked)\nverdict: pass\n", "")
 
 
 def test_extraction_of_a_zero_dim_algebra_passes(tmp_path, capsys):

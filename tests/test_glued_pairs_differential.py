@@ -16,10 +16,13 @@ its flip, R(nil2), R(R(nil2)), and over GF(3) also e>e = e<e = e), the same
 after a dense unitriangular basis change, either with a few random entries
 or one entry added to a family, and the data built on them: S with random
 V-actions, fold maps and products, C, M with random back actions, and the
-AM pair and the bimodule their sums give.  Every associative matched pair
-on 1 + 1 dimensions, and every representation of the 1-dimensional zero
-algebra on a line, with entries in {-1, 0, 1} is checked too: there the
-digits of the slabs reach the bound n M**2 their width is chosen from.
+AM pair and the bimodule their sums give.  R and S are also checked on
+R(nil2) acting by four random {-1, 0, 1} families, where most pairs
+break, so that each is compared as slabs and then walked.  Every
+associative matched pair on 1 + 1 dimensions, and every representation of
+the 1-dimensional zero algebra on a line, with entries in {-1, 0, 1} is
+checked too: there the digits of the slabs reach the bound n M**2 their
+width is chosen from.
 """
 
 from __future__ import annotations
@@ -198,6 +201,75 @@ def test_draws_meet_both_verdicts():
     names = ("R", "bimodule", "S", "C", "M", "AM")
     assert {(name, field.name, verdict) for name in names for field in FIELDS
             for verdict in (True, False)} <= seen, seen
+
+
+# ---------------------------------------------------------------------------
+# data where most pairs break
+
+def random_family(data, n):
+    """An action family on n dimensions whose every entry is drawn from
+    {-1, 0, 1}, as a plain int."""
+    flat = iter(data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n ** 3,
+                                   max_size=n ** 3)))
+    return ActionFamily(n, n, tuple(tuple(tuple(next(flat) for _ in range(n)) for _ in range(n))
+                                    for _ in range(n)))
+
+
+def random_rep(data, field):
+    """R(nil2) acting on a 4-dimensional space by four random families
+    (``random_family``): the random-8 datum of ``BENCH_20.json`` at 4."""
+    return ADRep(bases(field)[3], 4, *(random_family(data, 4) for _ in range(4)))
+
+
+def mostly_broken(data, field):
+    """(check, datum) of R on a ``random_rep`` and of S on its extending
+    datum with random rho> and mu< too."""
+    rep = random_rep(data, field)
+    ext = replace(ExtendingDatum.from_representation(rep), rho_succ=random_family(data, 4),
+                  mu_prec=random_family(data, 4))
+    return (("R", check_representation, rep), ("S", check_extending_structure, ext))
+
+
+@BY_FIELD
+@DIFF
+@given(data=st.data())
+def test_mostly_broken_data_match_the_live_triple_walks(field, data):
+    for _, check, datum in mostly_broken(data, field):
+        same_in_both_modes(check, datum)
+
+
+def pair_tests(check, datum):
+    """The outcome of every pair test ``walk_pairs`` makes in ``check(datum)``."""
+    seen = []
+
+    def walk_pairs(walk, checks, ru, rv, rw, tag, agree):
+        def noted(pair):
+            seen.append(agree(pair))
+            return seen[-1]
+
+        adw.algebra.walk_pairs(walk, checks, ru, rv, rw, tag, noted)
+
+    with mock.patch.object(adw.unified, "walk_pairs", walk_pairs):
+        check(datum)
+    return seen
+
+
+def test_mostly_broken_draws_break_most_pairs():
+    """In every field, S on some draw above breaks more than half of the
+    pairs its walk tests, and R fails on every draw."""
+    for field in FIELDS:
+        shares = []
+
+        @DIFF
+        @given(st.data())
+        def note(data):
+            (_, check_r, rep), (_, check_s, ext) = mostly_broken(data, field)
+            assert not check_r(rep).passed
+            tests = pair_tests(check_s, ext)
+            shares.append(tests.count(False) / len(tests))
+
+        note()
+        assert max(shares) > 0.5, (field.name, shares)
 
 
 def line_families(entries):

@@ -311,7 +311,8 @@ def test_every_label_scales_by_its_degree(recorded, data):
 
 def test_scale_test_sees_every_label(recorded):
     """The walks above reach every label of A1/A2, CD3-CD10, D1-D9, Ca1/Ca2
-    and the slot sets."""
+    and the slot sets, and the associativity slabs of the glued walk on one
+    product."""
     alg = semidirect_product(regular_representation(nilpotent2()))
     r = tuple(tuple(Q(i - j, 3) for j in range(4)) for i in range(4))
     check_anti_dendriform(alg)
@@ -323,7 +324,7 @@ def test_scale_test_sees_every_label(recorded):
     table = tuple(tuple(tuple(Q(i + 2 * j - k, 5) for k in range(2)) for j in range(2))
                   for i in range(2))
     glued_runs(1, 1, table, table, recorded)()
-    labels = set(DEGREE) | {x for pair in ASSOC_LABELS.values() for x in pair}
+    labels = set(DEGREE) | {"assoc"} | {x for pair in ASSOC_LABELS.values() for x in pair}
     for slots in (_EXT_SLOTS, _CROSSED_SLOTS, _MATCHED_SLOTS):
         labels |= {x for a1, a2 in slots.values() for x in a1 + a2 if x}
     for slots in (R_SLOTS, _REP1_SLOTS, _REP2_SLOTS, BIMOD_SLOTS):

@@ -4,17 +4,24 @@
 declare any ``cols``, ``matmul`` multiplies it, and a projection onto a
 0-dim summand (a 0 x n matrix) with its n x 0 section or inclusion splits
 an algebra into a 0-dim base and the whole algebra as the complement, in
-the library and on the command line.
+the library and on the command line.  ``matvec`` takes every vector to
+``()`` through it, so a witness map into a 0-dim summand (zeta of
+cohomologous cocycles, phi of inducibility, an O-operator T) is accepted
+and applied.
 """
 
 from fractions import Fraction as Q
 
 from adw import serialize as io
+from adw.actions import ActionFamily
 from adw.algebra import ADAlgebra
+from adw.bialgebra import check_o_operator
 from adw.cli import main
-from adw.crossed import check_crossed_system, cocycle_from_section
+from adw.crossed import (AutPair, CrossedDatum, check_cocycles_cohomologous, check_crossed_system,
+                         check_inducible, cocycle_from_section)
 from adw.fields import RATIONALS
-from adw.linalg import matmul
+from adw.linalg import matmul, matvec
+from adw.reps import ADRep
 from adw.unified import check_extending_structure, extract_extending_datum, unified_product
 
 NIL = ADAlgebra.make(2, succ_entries=[(0, 0, 1, Q(1))])
@@ -67,3 +74,16 @@ def test_commands_split_onto_a_zero_dim_summand(tmp_path, capsys, monkeypatch):
         (0, "extending structure: pass (32 identities checked)\nverdict: pass\nwrote d.json\n"
          + basis)
     assert io.load_datum("d.json").succ_v.table == NIL.succ.table
+
+
+def test_witness_maps_into_a_zero_dim_summand_are_applied():
+    assert matvec(PROJ, (1, 2)) == ()
+    c = CrossedDatum.split(NIL, ADAlgebra.zero(0))
+    assert check_cocycles_cohomologous(c, c, PROJ).summary() == \
+        "cohomologous cocycles: pass (10 identities checked)"
+    assert check_inducible(c, AutPair(IDENTITY, ()), PROJ).summary() == \
+        "inducibility: pass (11 identities checked)"
+    zero = ActionFamily.zero(0, 1)
+    rep = ADRep(ADAlgebra.zero(0), 1, zero, zero, zero, zero)
+    assert check_o_operator(PROJ, rep).summary() == \
+        "O-operator identities: pass (2 identities checked)"
