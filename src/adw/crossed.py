@@ -29,6 +29,7 @@ from .linalg import (block_matrix, has_shape, identity, inverse, mat_add, mat_ne
                      matvec, shape, solve_linear, sparse_nullspace, sparse_solve, unit, vadd,
                      vneg, vsub, zeros_mat)
 from .reporting import PreconditionFailure, Report
+from .tensors import table_cells
 from .unified import (adapted_blocks, check_glued, glue_parts, glued_algebra, split_slots,
                       unglue, unglue_parts)
 
@@ -254,13 +255,15 @@ def find_cohomologous_zeta(c1: CrossedDatum, c2: CrossedDatum):
                          "action families differ with abelian fibre: no witness exists")
             return None, probe
     rows, rhs = [], []
+    systems = [(om1.table, om2.table, table_cells(prod.table), _rows_of(lf), _rows_of(rf))
+               for om1, om2, lf, rf, prod in (
+                   (c1.omega1, c2.omega1, c2.lsucc, c2.rsucc, c1.algebra.succ),
+                   (c1.omega2, c2.omega2, c2.lprec, c2.rprec, c1.algebra.prec))]
     for x in range(n):
         for y in range(n):
-            for om1, om2, lf, rf, prod in (
-                    (c1.omega1, c2.omega1, c2.lsucc, c2.rsucc, c1.algebra.succ),
-                    (c1.omega2, c2.omega2, c2.lprec, c2.rprec, c1.algebra.prec)):
-                rows += _derivation_rows(prod.table[x][y], lf.table[x], rf.table[y], x, y, n)
-                rhs += vsub(om2.table[x][y], om1.table[x][y])
+            for om1, om2, cells, lrows, rrows in systems:
+                rows += _derivation_rows(cells[x][y], lrows[x], rrows[y], x, y, n)
+                rhs += vsub(om2[x][y], om1[x][y])
     sol = sparse_solve(rows, rhs, m * n, c1.algebra.field)
     probe.tick(len(rows))
     if sol is None:
@@ -270,24 +273,35 @@ def find_cohomologous_zeta(c1: CrossedDatum, c2: CrossedDatum):
     return zeta, probe
 
 
-def _derivation_rows(sxy, lcols, rcols, x, y, n):
+def _rows_of(fam):
+    """rows[x][r] lists the nonzero (s, coefficient) of row r of the matrix
+    of l(e_x), s ascending, read off the cells of the family's table."""
+    m = fam.out_dim
+    out = []
+    for cols in table_cells(fam.table):
+        rows = [[] for _ in range(m)]
+        for s, cell in enumerate(cols):
+            for r, v in cell:
+                rows[r].append((s, v))
+        out.append(rows)
+    return out
+
+
+def _derivation_rows(sxy, lrows, rrows, x, y, n):
     """The rows of phi(x o y) - l(x)phi(y) - r(y)phi(x) in the unknowns
     phi[r][c] (column r*n + c), one per fibre coordinate r, as dicts
-    {column: coefficient} over an int 0; ``sxy`` is x o y, and ``lcols`` and
-    ``rcols`` are the rows x of l's table and y of r's, the columns
-    l(x)e_s and r(y)e_s."""
+    {column: coefficient} over an int 0; ``sxy`` lists the nonzero (c, v)
+    of x o y, and ``lrows`` and ``rrows`` the rows of the matrices l(x) and
+    r(y) (``_rows_of``)."""
     rows = []
-    for r in range(len(lcols)):
-        row = {}
-        for c, v in enumerate(sxy):
-            if v:
-                row[r * n + c] = row.get(r * n + c, 0) + v
-        for s, (lcol, rcol) in enumerate(zip(lcols, rcols)):
-            lv, rv = lcol[r], rcol[r]
-            if lv:
-                row[s * n + y] = row.get(s * n + y, 0) - lv
-            if rv:
-                row[s * n + x] = row.get(s * n + x, 0) - rv
+    for r, (lrow, rrow) in enumerate(zip(lrows, rrows)):
+        row = {r * n + c: v for c, v in sxy} if sxy else {}
+        for s, v in lrow:
+            k = s * n + y
+            row[k] = row[k] - v if k in row else -v
+        for s, v in rrow:
+            k = s * n + x
+            row[k] = row[k] - v if k in row else -v
         rows.append(row)
     return rows
 
@@ -567,21 +581,32 @@ def z1_cocycles(c: CrossedDatum):
     matrices.
     """
     n, m = c.algebra.dim, c.vdim
+    # the annihilation pattern of each (a, product, side, k): the nonzero
+    # (r, coefficient) of coordinate k of e_r o e_a (left) or e_a o e_r
+    # (right), r ascending; its row for x sits in the columns r*n + x
+    patterns = []
+    for op in (c.valgebra.succ, c.valgebra.prec):
+        cells = table_cells(op.table)
+        left, right = ([[[] for _ in range(m)] for _ in range(m)] for _ in range(2))
+        for r in range(m):
+            for a in range(m):
+                for k, coef in cells[r][a]:
+                    left[a][k].append((r, coef))
+                for k, coef in cells[a][r]:
+                    right[a][k].append((r, coef))
+        patterns.append((left, right))
+    (sl, sr), (pl, pr) = patterns
+    ordered = [pat for a in range(m) for side in (sl, sr, pl, pr) for pat in side[a]]
     rows = []   # {column r*n + c of phi[r][c]: coefficient}, every other entry int 0
-    vs, vp = c.valgebra.succ, c.valgebra.prec
     for x in range(n):
-        for a in range(m):
-            for op, left in ((vs, True), (vs, False), (vp, True), (vp, False)):
-                # left: phi(x) o e_a ; right: e_a o phi(x)
-                for k in range(m):
-                    coefs = (op.table[r][a][k] if left else op.table[a][r][k]
-                             for r in range(m))
-                    rows.append({r * n + x: coef for r, coef in enumerate(coefs) if coef})
+        rows += [{r * n + x: coef for r, coef in pat} if pat else {} for pat in ordered]
+    derivations = [(table_cells(prod.table), _rows_of(lf), _rows_of(rf))
+                   for prod, lf, rf in ((c.algebra.succ, c.lsucc, c.rsucc),
+                                        (c.algebra.prec, c.lprec, c.rprec))]
     for x in range(n):
         for y in range(n):
-            for prod, lf, rf in ((c.algebra.succ, c.lsucc, c.rsucc),
-                                 (c.algebra.prec, c.lprec, c.rprec)):
-                rows += _derivation_rows(prod.table[x][y], lf.table[x], rf.table[y], x, y, n)
+            for cells, lrows, rrows in derivations:
+                rows += _derivation_rows(cells[x][y], lrows[x], rrows[y], x, y, n)
     basis = sparse_nullspace(rows, m * n, c.algebra.field)
     return [tuple(tuple(vec[r * n + cc] for cc in range(n)) for r in range(m))
             for vec in basis]

@@ -3,30 +3,42 @@
 Vectors are tuples of scalars, matrices tuples of row tuples; ``matmul``
 multiplies only their nonzero entries.  Everything is immutable and pure.
 
-``rref``, ``nullspace``, ``solve_linear``, ``rank`` and ``inverse`` run one
-Gauss-Jordan eliminator over sparse rows.  A row is a dict of the entries
-that differ from its zero, plus that one zero (int 0, ``Fraction(0)`` or a
-GF(p) zero) standing for every other column; a column index lists the rows
-with a nonzero in each column, so no step scans a full row or column.  The
-eliminator makes the moves of dense elimination in the same order: the
-pivot of column c is the first row at or below the current position with a
-nonzero in c, it is swapped up and divided through with ``_div``, and every
-other row with a nonzero in c becomes x - f*y.  Columns that both rows leave
-to their zeros get ``zero - f*zero`` once, as the row's new zero.  So every
-returned value has the value and the type dense elimination gives it, zeros
-included: an int row stays int until a ``Fraction`` pivot row meets it.
-There is no fill-reducing ordering and no numerical heuristic; plain ints
-divide to an int or a ``Fraction``, never to a float.  Over GF(p) every
-int entry is first taken into the field, so two ints never divide to a
-``Fraction``: the rows are over GF(p) when some entry is a GF(p) element,
-or when the caller names the field.  ``sparse_nullspace`` and
-``sparse_solve`` take the rows as dicts directly, for systems built row by
-row.
+``rref``, ``nullspace``, ``solve_linear``, ``rank`` and ``inverse`` eliminate
+sparse rows.  A row is a dict of the entries that differ from its zero, plus
+that one zero (int 0, ``Fraction(0)`` or a GF(p) zero) standing for every
+other column.  Over GF(p) every int entry is first taken into the field, so
+two ints never divide to a ``Fraction``: the rows are over GF(p) when some
+entry is a GF(p) element, or when the caller names the field.
+
+All but ``rref`` read only the pivot rows of the reduced row echelon form,
+which ``_reduced`` gives them in pivot order.  When the rows are over GF(p),
+or every nonzero entry is a ``Fraction`` over Q, it eliminates on ints
+(``_reduce_on_ints``): over Q each row is scaled to coprime ints and
+reduced fraction-free, over GF(p) on residues; each set of proportional
+rows is reduced once, the pivot of each column is a row with the fewest
+entries, and the pivot rows are lifted back at the end.  The
+reduced form is unique, and on such rows dense elimination gives every
+entry of a pivot row, zeros included, the field's type, so the values and
+types are those of dense elimination.  Rows with a nonzero plain int over
+Q, and ``rref``, whose zero rows keep the order and types of its swaps, go
+through ``_gauss_jordan``: it makes the moves of dense Gauss-Jordan
+elimination in the same order, with a column index so that no step scans a
+full row or column.  The pivot of column c is the first row at or below the
+current position with a nonzero in c, it is swapped up and divided through
+with ``_div``, and every other row with a nonzero in c becomes x - f*y.
+Columns that both rows leave to their zeros get ``zero - f*zero`` once, as
+the row's new zero.  So every returned value has the value and the type
+dense elimination gives it, zeros included: an int row stays int until a
+``Fraction`` pivot row meets it.  It has no fill-reducing ordering and no
+numerical heuristic; plain ints divide to an int or a ``Fraction``, never to
+a float.  ``sparse_nullspace`` and ``sparse_solve`` take the rows as dicts
+directly, for systems built row by row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import GFElement, InputError, PrimeField
 
@@ -184,14 +196,18 @@ def _sparse(row):
     return {c: x for c, x in enumerate(row) if x or type(x) is not tz or x != zero}, zero
 
 
-def _into_field(rows, field):
-    """Sparse rows with every int entry, zeros included, taken into GF(p)
-    when they are over GF(p): ``field`` is ``PrimeField(p)``, or ``field`` is
-    None and some entry is a GF(p) element.  Other rows come back as given."""
+def _prime(rows, field=None):
+    """p when the sparse rows are over GF(p): ``field`` is ``PrimeField(p)``,
+    or ``field`` is None and some entry is a GF(p) element; else None."""
     if field is None:
-        p = next((x.p for e, z in rows for x in (z, *e.values()) if type(x) is GFElement), None)
-    else:
-        p = field.p if isinstance(field, PrimeField) else None
+        return next((x.p for e, z in rows for x in (z, *e.values()) if type(x) is GFElement),
+                    None)
+    return field.p if isinstance(field, PrimeField) else None
+
+
+def _into_field(rows, p):
+    """Sparse rows with every int entry, zeros included, taken into GF(p);
+    the rows as given when p is None."""
     if p is None:
         return rows
 
@@ -201,16 +217,16 @@ def _into_field(rows, field):
     return [({c: take(x) for c, x in e.items()}, take(z)) for e, z in rows]
 
 
-def _gauss_jordan(rows, ncols, field=None):
+def _gauss_jordan(rows, ncols, p=None):
     """Reduce sparse rows; returns (the rows in their final order, pivots).
 
     A row is (entries, zero): a dict from column to value, and the value of
-    every column missing from it.  The rows are first taken ``_into_field``.
-    The eliminator makes the moves of dense Gauss-Jordan elimination in the
-    same order and on the same values; the sparse layout only changes which
-    entries it reads.
+    every column missing from it.  The rows are first taken into GF(p) when p
+    is given (``_into_field``).  The eliminator makes the moves of dense
+    Gauss-Jordan elimination in the same order and on the same values; the
+    sparse layout only changes which entries it reads.
     """
-    rows = _into_field(rows, field)
+    rows = _into_field(rows, p)
     nrows = len(rows)
     entries = [e for e, _ in rows]
     zeros = [z for _, z in rows]
@@ -275,31 +291,183 @@ def _gauss_jordan(rows, ncols, field=None):
     return [(entries[i], zeros[i]) for i in at], tuple(pivots)
 
 
+def _int_rows(rows, p):
+    """The sparse rows on ints, or None when they are not for the int path.
+
+    Over GF(p) (p given) every entry must be an int or a GF(p) element, and
+    a row becomes its nonzero residues scaled to lead with 1.  Over Q (p
+    None) every nonzero entry must be a ``Fraction`` and every zero an int 0
+    or a ``Fraction``, and a row becomes its entries scaled to coprime ints
+    whose first is positive.  Zero rows are dropped, and of each set of
+    proportional rows only the first is kept: neither changes the row space.
+    """
+    out, seen = [], set()
+    for e, z in rows:
+        row = {}
+        if p is None:
+            if type(z) is not int and type(z) is not Fraction:
+                return None
+            for c, x in e.items():
+                if type(x) is Fraction:
+                    if x:
+                        row[c] = x
+                elif type(x) is not int or x:
+                    return None
+        else:
+            for x in (z, *e.values()):
+                if type(x) is not int and (type(x) is not GFElement or x.p != p):
+                    return None
+            for c, x in e.items():
+                v = (x if type(x) is int else x.v) % p
+                if v:
+                    row[c] = v
+        if len(row) == 1:
+            row = dict.fromkeys(row, 1)
+        elif not row:
+            continue
+        elif p is None:
+            den = lcm(*(x.denominator for x in row.values()))
+            for c, x in row.items():
+                row[c] = x.numerator * (den // x.denominator)
+            g = gcd(*row.values())
+            if row[min(row)] < 0:
+                g = -g
+            if g != 1:
+                row = {c: v // g for c, v in row.items()}
+        else:
+            inv = pow(row[min(row)], -1, p)
+            if inv != 1:
+                row = {c: v * inv % p for c, v in row.items()}
+        key = frozenset(row.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
+
+
+def _reduce_on_ints(rows, ncols, p):
+    """Gauss-Jordan elimination of ``_int_rows``.  Over Q it is
+    fraction-free, as in Bareiss (1968), but divides out each row's content
+    rather than the previous pivot: a row x meets the pivot row y as
+    (y_c x - x_c y) / g, with g = gcd(y_c, x_c), and is divided by its
+    content when the factor y_c / g is not 1.  Over GF(p) it runs on
+    residues, with each pivot row scaled to hold 1 at its pivot.  Returns the pivot rows in pivot order, as the values of
+    the reduced row echelon form (``Fraction``s over Q, GF(p) elements,
+    with that type's zero as the row's zero), and the pivot columns.
+    Columns are taken in order, so the pivots are those of ``_gauss_jordan``;
+    which row a pivot comes from does not change the unique reduced form.
+    """
+    support = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c in row:
+            support[c].add(i)
+    free = set(range(len(rows)))     # rows that hold no pivot yet
+    pivots = []
+    for c in range(ncols):
+        if not free:
+            break
+        hits = [i for i in support[c] if c in rows[i]]
+        below = [i for i in hits if i in free]
+        if not below:
+            continue
+        # a unit pivot needs no scaling, and a short row little fill
+        pi = min(below, key=lambda i: (abs(rows[i][c]) != 1, len(rows[i])))
+        free.discard(pi)
+        prow, pv = rows[pi], rows[pi][c]
+        if p is not None and pv != 1:
+            inv = pow(pv, -1, p)
+            prow = rows[pi] = {k: v * inv % p for k, v in prow.items()}
+        elif p is None and pv < 0:
+            prow = rows[pi] = {k: -v for k, v in prow.items()}
+            pv = -pv
+        for i in hits:
+            if i == pi:
+                continue
+            row = rows[i]
+            f = row[c]
+            if p is None:
+                g = gcd(pv, f)
+                a, f = pv // g, f // g
+                if a != 1:
+                    for k in row:
+                        row[k] *= a
+            for k, y in prow.items():
+                if k in row:
+                    v = row[k] - f * y
+                    if p is not None:
+                        v %= p
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+                else:
+                    row[k] = -f * y if p is None else -f * y % p
+                    support[k].add(i)
+            if p is None and a != 1:
+                g = gcd(*row.values()) if row else 1
+                if g != 1:
+                    for k in row:
+                        row[k] //= g
+        pivots.append((c, pi))
+    if p is None:
+        zero = Fraction(0)
+        out = []
+        for c, i in pivots:
+            row = rows[i]
+            pv = row[c]
+            out.append(({k: Fraction(v, pv) for k, v in row.items()}, zero))
+    else:
+        zero = GFElement(p, 0)
+        out = [({k: GFElement(p, v) for k, v in rows[i].items()}, zero) for _, i in pivots]
+    return out, tuple(c for c, _ in pivots)
+
+
+def _reduced(rows, ncols, field=None):
+    """The pivot rows of the reduced row echelon form of sparse rows, in
+    pivot order, and the pivot columns: ``_reduce_on_ints`` when the rows
+    are all over GF(p), or all ``Fraction``s over Q (``_int_rows``), else
+    ``_gauss_jordan``.  Either gives each pivot row the values and types of
+    dense Gauss-Jordan elimination: over GF(p) and on ``Fraction`` rows
+    every entry of a pivot row, zeros included, is of the field's type.
+    Rows with a nonzero plain int over Q stay with ``_gauss_jordan``, whose
+    types depend on its moves."""
+    p = _prime(rows, field)
+    ints = _int_rows(rows, p)
+    if ints is None:
+        rr, pivots = _gauss_jordan(rows, ncols, p)
+        return rr[:len(pivots)], pivots
+    return _reduce_on_ints(ints, ncols, p)
+
+
 def rref(m):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
     ncols = len(m[0]) if m else 0
-    rows, pivots = _gauss_jordan([_sparse(row) for row in m], ncols)
+    rows = [_sparse(row) for row in m]
+    rows, pivots = _gauss_jordan(rows, ncols, _prime(rows))
     return tuple(tuple(e.get(c, z) for c in range(ncols)) for e, z in rows), pivots
 
 
 def _kernel(rows, pivots, ncols):
-    """The kernel basis read off reduced sparse rows, ordered by free column."""
+    """The kernel basis read off the pivot rows, ordered by free column:
+    the vector of free column f holds int 1 at f, int 0 at the other free
+    columns and -(entry f) of each pivot row at its pivot column."""
     taken = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in taken:
-            continue
-        v = [0] * ncols
+    basis = {f: [0] * ncols for f in range(ncols) if f not in taken}
+    for f, v in basis.items():
         v[f] = 1
-        for (e, z), c in zip(rows, pivots):
-            v[c] = -e.get(f, z)
-        basis.append(tuple(v))
-    return tuple(basis)
+    for (e, z), c in zip(rows, pivots):
+        nz = -z
+        for v in basis.values():
+            v[c] = nz
+        for f, x in e.items():
+            if f in basis:
+                basis[f][c] = -x
+    return tuple(tuple(v) for v in basis.values())
 
 
 def _solve(aug, cols, field=None):
     """Solve the sparse rows ``aug`` of [A | b], with b in column ``cols``."""
-    rr, pivots = _gauss_jordan(aug, cols + 1, field)
+    rr, pivots = _reduced(aug, cols + 1, field)
     if cols in pivots:
         return None
     particular = [0] * cols
@@ -330,27 +498,26 @@ def sparse_solve(rows, rhs, ncols, field=None):
         if b or type(b) is not int:
             e = dict(e)
             e[ncols] = b
-        aug.append((e, 0))
+        if e:
+            aug.append((e, 0))
     return _solve(aug, ncols, field)
 
 
 def nullspace(amat):
     """Basis of the kernel of A, deterministic (ordered by free column)."""
     cols = shape(amat)[1]
-    rr, pivots = _gauss_jordan([_sparse(row) for row in amat], cols)
-    return _kernel(rr, pivots, cols)
+    return _kernel(*_reduced([_sparse(row) for row in amat], cols), cols)
 
 
 def sparse_nullspace(rows, ncols, field=None):
     """``nullspace`` of the ``ncols``-column matrix whose rows are the dicts
     {column: value} of ``rows``, every other entry int 0, over ``field``
     when it is given."""
-    rr, pivots = _gauss_jordan([(e, 0) for e in rows], ncols, field)
-    return _kernel(rr, pivots, ncols)
+    return _kernel(*_reduced([(e, 0) for e in rows if e], ncols, field), ncols)
 
 
 def rank(amat):
-    return len(_gauss_jordan([_sparse(row) for row in amat], shape(amat)[1])[1])
+    return len(_reduced([_sparse(row) for row in amat], shape(amat)[1])[1])
 
 
 def inverse(amat):
@@ -359,7 +526,7 @@ def inverse(amat):
     if rows != cols:
         raise InputError("inverse: matrix is %dx%d, not square" % (rows, cols))
     aug = [_sparse(tuple(amat[r]) + unit(rows, r)) for r in range(rows)]
-    rr, pivots = _gauss_jordan(aug, 2 * rows)
+    rr, pivots = _reduced(aug, 2 * rows)
     if len(pivots) != rows or any(p >= rows for p in pivots):
         return None
     return tuple(tuple(e.get(c, z) for c in range(rows, 2 * rows)) for e, z in rr)

@@ -17,23 +17,30 @@ by ``repr``; and the builders, which name the datum's field to the solver,
 are compared on GF(5) data with plain-int coefficients with the dense
 builders on the data with every nonzero coefficient taken into GF(5), by
 ``==`` in the field, where neither may raise.
+
+Rows whose every nonzero is a ``Fraction``, and rows over GF(p), are
+reduced on ints; they are drawn too, over GF(2) and GF(251) as well, with
+large denominators and with repeated and proportional rows, and a spy on
+the int path checks which calls take it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adw.crossed
+import adw.linalg
 import adw.unified
 from adw.actions import ActionFamily
 from adw.algebra import ADAlgebra, BilinearOp
 from adw.crossed import CrossedDatum, find_cohomologous_zeta, z1_cocycles
 from adw.fields import RATIONALS, GFElement, PrimeField
 from adw.linalg import inverse, nullspace, rank, rref, solve_linear
-from adw.reps import regular_representation
+from adw.reps import regular_representation, semidirect_product
 from adw.unified import ExtendingDatum, find_cohomologous_witness
 from . import frozen_dense_kernels as frozen
 from .conftest import datum_in_field, rnil2
@@ -46,6 +53,20 @@ NONZERO = {
     "fp5": [-2, 1, 3, 5] + GF5.elements()[1:],
 }
 ZEROS = {"int": [0, 0, 0, Q(0)], "rational": [0, Q(0)], "fp5": [0, GF5.zero]}
+# the int path's kinds: every nonzero a Fraction, or rows over GF(2) and GF(251)
+GF2, GF251 = PrimeField(2), PrimeField(251)
+INT_PATH_KINDS = ("fraction", "fraction-wide", "fp2", "fp251")
+NONZERO.update({
+    "fraction": [Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-3, 2), Q(2, 3), Q(-5, 4)],
+    # large denominators: scaling a row to ints multiplies them together
+    "fraction-wide": [Q(1), Q(-2), Q(7919, 104729), Q(-104729, 7919), Q(1, 104723),
+                      Q(6, 104729), Q(-104729, 2)],
+    # the ints p and 2p are truthy but zero in the field
+    "fp2": [1, -1, 2, 3, 4, GF2.one],
+    "fp251": [1, -2, 250, 251, 1000] + [GF251.coerce(x) for x in (1, 2, 125, 250, 7)],
+})
+ZEROS.update({"fraction": [0, Q(0)], "fraction-wide": [0, Q(0)], "fp2": [0, GF2.zero],
+              "fp251": [0, GF251.zero]})
 
 
 def pools(kind):
@@ -55,7 +76,7 @@ def pools(kind):
     return [zs * (9 * n // len(zs)) + nz, zs * (3 * n // (2 * len(zs))) + nz, zs + nz * 4]
 
 
-POOLS = {kind: pools(kind) for kind in KINDS}
+POOLS = {kind: pools(kind) for kind in KINDS + INT_PATH_KINDS}
 
 
 def outcome(fn, *args):
@@ -76,22 +97,30 @@ def combine(coeffs, rows, ncols):
 
 
 @st.composite
-def systems(draw):
+def systems(draw, kinds=KINDS, repeated=False):
     """(A, b): A is drawn entry by entry, with zero rows, or of low
-    rank as combinations of a few drawn rows; b is drawn, or A x plus a
-    drawn perturbation, which is often inconsistent when A is singular."""
-    kind = draw(st.sampled_from(KINDS))
+    rank as combinations of a few drawn rows, or, with ``repeated``, as
+    copies and nonzero multiples of a few drawn rows; b is drawn, or A x
+    plus a drawn perturbation, which is often inconsistent when A is
+    singular."""
+    kind = draw(st.sampled_from(kinds))
     pool = draw(st.sampled_from(POOLS[kind]))
     entry = st.sampled_from(pool)
     nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     rows = [tuple(draw(entry) for _ in range(ncols)) for _ in range(nrows)]
-    shape = draw(st.sampled_from(["free", "zero rows", "low rank"]))
+    shape = draw(st.sampled_from(["free", "zero rows", "low rank"]
+                                  + (["repeated"] if repeated else [])))
     if shape == "zero rows":
         zero = draw(st.sampled_from(ZEROS[kind]))
         rows = [row if draw(st.booleans()) else (zero,) * ncols for row in rows]
     elif shape == "low rank" and nrows:
         base = rows[:draw(st.integers(1, max(1, min(nrows, ncols) - 1)))]
         rows = [combine([draw(entry) for _ in base], base, ncols) for _ in range(nrows)]
+    elif shape == "repeated" and nrows:
+        base = rows[:draw(st.integers(1, 3))]
+        rows = [tuple(c * x for x in draw(st.sampled_from(base)))
+                if draw(st.booleans()) else draw(st.sampled_from(base))
+                for c in (draw(st.sampled_from(NONZERO[kind])) for _ in range(nrows))]
     amat = tuple(rows)
     if draw(st.booleans()):
         b = tuple(draw(entry) for _ in range(nrows))
@@ -101,19 +130,23 @@ def systems(draw):
     return amat, b
 
 
-def taken(*parts):
-    """Matrices and vectors with every int entry taken into GF(5) when some
-    entry of theirs is a GF(5) element, as the eliminator takes its rows;
-    else as given."""
-    def flat(part):
-        return (x for row in part for x in (row if isinstance(row, tuple) else (row,)))
+def entries_of(*parts):
+    """Every scalar of the matrices and vectors."""
+    return [x for part in parts for row in part
+            for x in (row if isinstance(row, tuple) else (row,))]
 
-    if not any(type(x) is GFElement for part in parts for x in flat(part)):
+
+def taken(*parts):
+    """Matrices and vectors with every int entry taken into GF(p) when some
+    entry of theirs is a GF(p) element, as the eliminator takes its rows;
+    else as given."""
+    p = next((x.p for x in entries_of(*parts) if type(x) is GFElement), None)
+    if p is None:
         return parts
 
     def take(x):
         return tuple(map(take, x)) if isinstance(x, tuple) else \
-            GF5.coerce(x) if type(x) is int else x
+            GFElement(p, x) if type(x) is int else x
 
     return tuple(take(part) for part in parts)
 
@@ -373,3 +406,119 @@ def test_fast_paths_read_int_families_mod_p():
                              BilinearOp.zero(1), BilinearOp.zero(1), BilinearOp.zero(1),
                              BilinearOp.zero(1)) for fam in (five, zero))
     assert find_cohomologous_witness(d1, d2)[0] == ((0,),)
+
+
+# ---------------------------------------------------------------------------
+# the int path: Fraction rows over Q and rows over GF(p), reduced on ints
+
+def int_nonzero_over_q(*parts):
+    """Do the matrices and vectors hold a nonzero plain int and no GF(p)
+    element?"""
+    xs = entries_of(*parts)
+    return (not any(type(x) is GFElement for x in xs)
+            and any(type(x) is int and x for x in xs))
+
+
+def int_path_class(amat):
+    """"gf" when A holds a GF(p) element, "fraction" when it has a nonzero
+    and every nonzero is a Fraction, else None."""
+    xs = entries_of(amat)
+    if any(type(x) is GFElement for x in xs):
+        return "gf"
+    nonzero = [x for x in xs if x]
+    return "fraction" if nonzero and all(type(x) is Q for x in nonzero) else None
+
+
+def test_int_path_matches_dense_by_repr(monkeypatch):
+    """The int path's kinds with repeated rows, and the kinds of
+    ``systems``, against the dense code by ``repr``.  A spy on
+    ``_reduce_on_ints`` sees it run on every draw whose A holds a GF(p)
+    element or only Fraction nonzeros, and on no call whose input holds a
+    nonzero plain int over Q: ``inverse`` over Q appends int 1s, and
+    ``rref`` never takes it."""
+    real, runs = adw.linalg._reduce_on_ints, []
+
+    def spy(*args):
+        runs.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(adw.linalg, "_reduce_on_ints", spy)
+    ran_on = {"gf": [], "fraction": []}
+
+    def through(fn, *args):
+        """The outcome of fn, asserting that the int path did not run on
+        input holding a nonzero plain int over Q; returns (outcome, ran)."""
+        before = len(runs)
+        got = outcome(fn, *args)
+        ran = len(runs) > before
+        assert not (ran and (fn is rref or int_nonzero_over_q(*args)))
+        return got, ran
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(systems(KINDS + INT_PATH_KINDS, repeated=True))
+    def check(case):
+        amat, b = case
+        (field_amat,) = taken(amat)
+        for new, old in ((rref, frozen.rref), (nullspace, frozen.nullspace),
+                         (rank, frozen.rank)):
+            got, ran = through(new, amat)
+            assert got == outcome(old, field_amat)
+            if new is nullspace and int_path_class(amat):
+                ran_on[int_path_class(amat)].append(ran)
+        got, _ = through(solve_linear, amat, b)
+        assert got == outcome(frozen.solve_linear, *taken(amat, b))
+        if amat and len(amat) == len(amat[0]):
+            n = len(amat)
+            identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            got, ran = through(inverse, amat)
+            assert got == outcome(frozen.inverse, field_amat)
+            assert not (ran and int_nonzero_over_q(amat, identity))
+
+    check()
+    for kind, ran in ran_on.items():
+        assert len(ran) >= 50 and all(ran), (kind, sum(ran), len(ran))
+
+
+def test_int_path_fork_keeps_the_types_of_the_moves():
+    """Rows with a nonzero plain int over Q keep dense elimination, whose
+    types follow its moves: a row swap changes them.  The same rows as
+    Fractions take the int path, and both orders agree."""
+    rows = ((2, 1, 1), (1, 1, 0))
+    swapped = rows[::-1]
+    assert repr(nullspace(rows)) == "((Fraction(-1, 1), Fraction(1, 1), 1),)"
+    assert repr(nullspace(swapped)) == "((-1, 1, 1),)"
+    fractions = tuple(tuple(Q(x) for x in row) for row in rows)
+    for amat in (rows, swapped, fractions, fractions[::-1]):
+        assert repr(nullspace(amat)) == repr(frozen.nullspace(amat))
+    assert repr(nullspace(fractions)) == repr(nullspace(fractions[::-1])) == \
+        "((Fraction(-1, 1), Fraction(1, 1), 1),)"
+
+
+def permuted_r2nil2(field):
+    """R(R(nil2)) = R^2(nil2), dim 8, with its basis permuted."""
+    alg = semidirect_product(regular_representation(rnil2(field)))
+    perm = (3, 6, 0, 7, 2, 5, 1, 4)
+
+    def moved(op):
+        return BilinearOp.from_entries(8, [(perm[i], perm[j], perm[k], c)
+                                           for i, j, k, c in op.entries()])
+
+    return ADAlgebra(8, alg.basis, moved(alg.succ), moved(alg.prec), field)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF5], ids=["rational", "fp5"])
+def test_z1_and_zeta_systems_at_dim_8(field):
+    """The shape of tower-sparse's Z8: the split crossed datum of a permuted
+    R^2(nil2) over itself with its regular actions; and, over the zero fibre,
+    a coboundary shift of its cocycles, where a witness exists."""
+    alg = permuted_r2nil2(field)
+    rr = regular_representation(alg)
+    c = CrossedDatum.split(alg, alg, rr.lsucc, rr.rsucc, rr.lprec, rr.rprec)
+    same_system(adw.crossed, "sparse_nullspace", z1_cocycles, frozen.z1_cocycles, field, c)
+    c1 = CrossedDatum.split(alg, ADAlgebra.zero(8, field), rr.lsucc, rr.rsucc, rr.lprec,
+                            rr.rprec)
+    zeta = tuple(tuple(Q((3 * r + k) % 5 - 2, 1 + k % 2) if field is RATIONALS else
+                       (3 * r + k) % 5 for k in range(8)) for r in range(8))
+    got = same_system(adw.crossed, "sparse_solve", find_cohomologous_zeta,
+                      frozen.find_cohomologous_zeta, field, c1, shifted(c1, zeta))
+    assert not got.startswith("(None,")
