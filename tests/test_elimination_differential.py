@@ -18,10 +18,11 @@ are compared on GF(5) data with plain-int coefficients with the dense
 builders on the data with every nonzero coefficient taken into GF(5), by
 ``==`` in the field, where neither may raise.
 
-Rows whose every nonzero is a ``Fraction``, and rows over GF(p), are
-reduced on ints; they are drawn too, over GF(2) and GF(251) as well, with
-large denominators and with repeated and proportional rows, and a spy on
-the int path checks which calls take it.
+Rows over Q whose every nonzero is a ``Fraction`` are reduced on ints.
+They are drawn too, with large denominators and with repeated and
+proportional rows, and so are rows over GF(2) and GF(251); a spy on the
+int path checks that it takes the ``Fraction`` rows and no rows over GF(p)
+or with a nonzero plain int over Q.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ NONZERO = {
     "fp5": [-2, 1, 3, 5] + GF5.elements()[1:],
 }
 ZEROS = {"int": [0, 0, 0, Q(0)], "rational": [0, Q(0)], "fp5": [0, GF5.zero]}
-# the int path's kinds: every nonzero a Fraction, or rows over GF(2) and GF(251)
+# kinds for the int path: every nonzero a Fraction, which it takes, or rows
+# over GF(2) and GF(251), which it leaves to _gauss_jordan
 GF2, GF251 = PrimeField(2), PrimeField(251)
 INT_PATH_KINDS = ("fraction", "fraction-wide", "fp2", "fp251")
 NONZERO.update({
@@ -409,14 +411,12 @@ def test_fast_paths_read_int_families_mod_p():
 
 
 # ---------------------------------------------------------------------------
-# the int path: Fraction rows over Q and rows over GF(p), reduced on ints
+# the int path: Fraction rows over Q, reduced on ints
 
-def int_nonzero_over_q(*parts):
-    """Do the matrices and vectors hold a nonzero plain int and no GF(p)
-    element?"""
-    xs = entries_of(*parts)
-    return (not any(type(x) is GFElement for x in xs)
-            and any(type(x) is int and x for x in xs))
+def off_int_path(*parts):
+    """Do the matrices and vectors hold a GF(p) element or a nonzero plain
+    int?  Either keeps them on ``_gauss_jordan``."""
+    return any(type(x) is GFElement or (type(x) is int and x) for x in entries_of(*parts))
 
 
 def int_path_class(amat):
@@ -432,10 +432,9 @@ def int_path_class(amat):
 def test_int_path_matches_dense_by_repr(monkeypatch):
     """The int path's kinds with repeated rows, and the kinds of
     ``systems``, against the dense code by ``repr``.  A spy on
-    ``_reduce_on_ints`` sees it run on every draw whose A holds a GF(p)
-    element or only Fraction nonzeros, and on no call whose input holds a
-    nonzero plain int over Q: ``inverse`` over Q appends int 1s, and
-    ``rref`` never takes it."""
+    ``_reduce_on_ints`` sees it run on every draw whose A has only Fraction
+    nonzeros, and on no call whose input holds a GF(p) element or a nonzero
+    plain int: ``inverse`` appends int 1s, and ``rref`` never takes it."""
     real, runs = adw.linalg._reduce_on_ints, []
 
     def spy(*args):
@@ -447,11 +446,11 @@ def test_int_path_matches_dense_by_repr(monkeypatch):
 
     def through(fn, *args):
         """The outcome of fn, asserting that the int path did not run on
-        input holding a nonzero plain int over Q; returns (outcome, ran)."""
+        input off it; returns (outcome, ran)."""
         before = len(runs)
         got = outcome(fn, *args)
         ran = len(runs) > before
-        assert not (ran and (fn is rref or int_nonzero_over_q(*args)))
+        assert not (ran and (fn is rref or off_int_path(*args)))
         return got, ran
 
     @settings(derandomize=True, deadline=None, max_examples=500)
@@ -472,11 +471,11 @@ def test_int_path_matches_dense_by_repr(monkeypatch):
             identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
             got, ran = through(inverse, amat)
             assert got == outcome(frozen.inverse, field_amat)
-            assert not (ran and int_nonzero_over_q(amat, identity))
+            assert not (ran and off_int_path(amat, identity))
 
     check()
-    for kind, ran in ran_on.items():
-        assert len(ran) >= 50 and all(ran), (kind, sum(ran), len(ran))
+    assert len(ran_on["fraction"]) >= 50 and all(ran_on["fraction"])
+    assert len(ran_on["gf"]) >= 50 and not any(ran_on["gf"])
 
 
 def test_int_path_fork_keeps_the_types_of_the_moves():
