@@ -9,40 +9,31 @@ by multilinearity):
 
 where x.y = x>y + x<y is the associated associative product.
 
-A1, A2 and associativity are written once per form: per basis triple
-(``a1_chain``, ``a2_pair``, ``assoc_pair``) and per basis pair over every
-third vector (``a1_slabs``, ``a2_slabs``, ``assoc_slabs``), for
-``check_triples`` and the glued walks of ``adw.unified``.
 Every check computes on plain ints: the field's ``lowering`` takes the
 tables to int residues over GF(p), and over Q to ints scaled by the lcm d of
-their denominators, straight to sparse cells (``lowered_cells``): cells[i][j]
-lists the nonzero (k, c) of e_i o e_j, and each term of a triple is one call
-of the kernel ``linalg.accumulate`` on them.  The identities are of degree 2
-in the tables, so the walk compares in the field of degree 2
-(``lowered_walk``) and a verdict over Q is the one on the tables as given.
+their denominators, straight to sparse cells (``lowered_cells``).  The
+identities are of degree 2 in the tables, so the walk compares in the field
+of degree 2 (``lowered_walk``) and a verdict over Q is the one on the tables
+as given.  A1, A2 and associativity are each written per basis triple
+(``a1_chain``, ``a2_pair``, ``assoc_pair``) and as slab terms.
 
-A walk evaluates a basis pair (u, v) over every w of a range at once (every
-w in ``check_triples``, those of one summand in the glued walks) by Kronecker
-substitution: the cells are packed into slabs, ints holding one digit per
-(k, l) in base 2**b (``tensors.packed``), so that each term is a few integer
-multiply-adds and each chain a comparison of slabs, after reducing their
-digits mod p over GF(p) (``slab_residues``).  b is wide enough for every
-digit with its sign, so slabs are equal exactly when every triple's values
-are.  One loop, ``walk_pairs``, walks the pairs of ``check_triples`` and of
-the glued walks of ``adw.unified``: each pair is tested once, a pair whose
-slabs agree ticks its checks, and any other is walked triple by triple, so
-the checks, violations and witnesses are those of a walk over every triple.
-``check_triples`` compares each pair once; the glued walks share the tables
-of pair verdicts of a ``Walk`` (``Walk.verdicts``), each pair compared at
-most once per range.
+One loop, ``walk_pairs``, walks ``check_triples`` and the glued walks of
+``adw.unified``.  It tests each row u over every (u, v, w) at once
+(``Walk.rows``): the cells are packed into slabs, ints holding one digit per
+(w, l) in base 2**b (``tensors.packed``), each term is a map {v: slab}
+(``row_slabs``), reduced mod p over GF(p) (``slab_residues``), and equal
+maps mean the row holds.  b holds every digit with its sign, so the digits
+where slabs differ are the broken checks (``row_diffs``): they are counted,
+and spelled only for a violation the report keeps, so the report is that
+of a walk over every triple.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
-from itertools import repeat
+from functools import cached_property, partial, reduce
+from itertools import chain, repeat
+from operator import add, itemgetter, lshift, mul, or_
 
 from .fields import RATIONALS, InputError
 from .linalg import accumulate, inverse, matvec, vadd, vneg
@@ -67,85 +58,57 @@ def lowered_cells(lowering, succ, prec=None):
     return succ, prec, cells_sum(succ, prec, at(1).residues)
 
 
-def _negated(dot, p=0):
-    """The cells of -dot: each entry c as -c, or as p - c over GF(p), so that
-    a lowered entry stays a residue in 0..p-1."""
-    return tuple(tuple(tuple((k, p - c) for k, c in cell) for cell in row) for row in dot)
-
-
 def _spelled(kernel, succ, prec, dot, p=0):
     """The tables the spells read: ``kernel``, taking (cols, x) as
     ``accumulate`` does, the three tables' ``operators`` and the cells of
-    -dot, entries p - c over GF(p) (``_negated``)."""
+    -dot, each entry c as p - c, so that over GF(p) it stays a residue."""
     if succ is None:
         return kernel, None, None, operators(dot), None
-    return kernel, operators(succ), operators(prec), operators(dot), _negated(dot, p)
+    return kernel, operators(succ), operators(prec), operators(dot), tuple(
+        tuple(tuple((k, p - c) for k, c in cell) for cell in row) for row in dot)
+
+
+class _Cells(dict):
+    """``cells[key]`` is ``make(key)``, made at its first read."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
 
 
 class Walk:
     """What the walks of one check share: the lowered tables as the spells
-    read them (``lowered_cells``), the ``part`` that compares values in the
-    lowering's field, and the tables of pair verdicts (``verdicts``) on the
-    tables' ``packs``, one per range of third vectors, each made at its
-    first use.  A plain class: a frozen dataclass costs each command-line
-    process about a millisecond to create."""
+    read them, the ``part`` that compares in the lowering's field, and the
+    ``packs`` of each range of third vectors and the row tests (``rows``),
+    each made at its first use.  A plain class: a frozen dataclass costs
+    each command-line process about a millisecond to create."""
 
-    __slots__ = ("tables", "part", "packs", "_verdicts")
+    __slots__ = ("tables", "part", "packs", "_rows")
 
     def __init__(self, tables, part: Report):
-        self.tables, self.part, self.packs, self._verdicts = tables, part, {}, {}
+        self.tables, self.part = tables, part
+        self.packs, self._rows = _Cells(partial(packing, self)), {}
 
-    def verdicts(self, identities, ws):
-        """The ``Verdicts`` of the pairs where every identity of
-        ``identities`` holds over the third vectors in the range ``ws``, one
-        table per walk, read at every pair ``walk_pairs`` or
-        ``check_columns`` visits and comparing each pair at most once.  With
-        the scalars left as given (no ``packing``) no pair agrees.  With both
-        products associativity holds where A1 and A2 do: (u.v)>w = u<(v.w)
-        and (u<v)<w = u>(v>w) by A1, (u>v)<w = u>(v<w) by A2, and these are
-        the terms of (u.v).w and u.(v.w)."""
-        key = tuple(identity[0] for identity in identities), ws
-        if key not in self._verdicts:
-            if len(identities) > 1:
-                table = Verdicts(self, None, ws, [self.verdicts((i,), ws) for i in identities])
-            elif identities[0][0] == ASSOC[0] and self.tables[1] is not None:
-                table = self.verdicts(AD_IDENTITIES, ws)
-            else:
-                table = Verdicts(self, identities[0], ws, ())
-            self._verdicts[key] = table
-        return self._verdicts[key]
-
-    def packing(self, ws):
-        """The ``packing`` over the range ``ws``, made at its first use."""
-        if ws not in self.packs:
-            self.packs[ws] = packing(self, ws)
-        return self.packs[ws]
-
-
-class Verdicts(dict):
-    """A table of pair verdicts: ``table[u, v]`` is whether the chain of
-    ``identity`` holds at (u, v, w) for every w of the range ``ws``, its
-    slabs compared at the first lookup, or with ``parts`` whether each part
-    holds there."""
-
-    __slots__ = ("walk", "identity", "ws", "parts")
-
-    def __init__(self, walk, identity, ws, parts):
-        super().__init__()
-        self.walk, self.identity, self.ws, self.parts = walk, identity, ws, parts
-
-    def __missing__(self, pair):
-        if self.parts:
-            verdict = True
-            for part in self.parts:
-                if not part[pair]:
-                    verdict = False
-                    break
-        else:
-            packs = self.walk.packing(self.ws)
-            verdict = bool(packs) and _agree(packs, self.identity, *pair)
-        self[pair] = verdict
-        return verdict
+    def rows(self, identity, ws, vs):
+        """``rows[u]``: the ``row_diffs`` of ``identity`` at u, v in ``vs``, w in
+        ``ws``.  With both products associativity holds where A1 and A2 do:
+        (u.v)>w = u<(v.w) and (u<v)<w = u>(v>w) by A1, (u>v)<w = u>(v<w) by
+        A2, and these are the terms of (u.v).w and u.(v.w)."""
+        key = identity[0], ws, vs
+        if key not in self._rows:
+            def row(u):
+                us = vs
+                if identity[0] == ASSOC[0] and self.tables[1] is not None:
+                    us = {v for ad in AD_IDENTITIES for v in self.rows(ad, ws, vs)[u]}
+                return row_diffs(self.packs[ws], identity, u, us) if us else {}
+            self._rows[key] = _Cells(row)
+        return self._rows[key]
 
 
 def lowered_walk(report, succ, prec=None) -> Walk:
@@ -180,139 +143,168 @@ def assoc_pair(tables, u, v, w):
     return mul(dr[w], dl[u][v]), mul(dl[u], dl[v][w])
 
 
-def _combined(cell, rows):
-    """The slab sum c rows[k] over the (k, c) of a cell."""
-    return sum(c * rows[k] for k, c in cell) if cell else 0
-
-
-def _spread(spread, cols):
-    """The slab sum over w and k of (e_v o e_w)_k cols[k], shifted into
-    block w, for the ``spread`` of v.  Each block's coordinates meet the
-    column slabs apart and the sum is shifted after: one product per k of a
-    slab spread over every block would also multiply its empty digits, n - 1
-    of every n, which costs more than the per-block products once digits
-    are wider than a machine word."""
-    shifts, coords = spread
-    if not (shifts and cols):
-        return 0
-    return sum(map(operator.lshift,
-                   map(sum, map(map, repeat(operator.mul), coords, repeat(cols))), shifts))
-
-
-def a1_slabs(views, u, v):
-    """A1 at the basis pair (u, v) over every w, as slabs of a ``Packing``,
-    yielded cheapest first, so that a broken chain stops early: -(u.v)>w,
-    (u<v)<w (a cell's multiples of row slabs), u>(v>w), -u<(v.w) (spread
-    coordinates against column slabs)."""
-    (_, srow, scol, sspread), (prec, prow, pcol, _), _, (neg, _, _, nspread) = views
-    yield _combined(neg[u][v], srow)
-    yield _combined(prec[u][v], prow)
-    yield _spread(sspread[v], scol[u])
-    yield _spread(nspread[v], pcol[u])
-
-
-def a2_slabs(views, u, v):
-    """A2 at the basis pair (u, v) over every w: (u>v)<w and u>(v<w)."""
-    (succ, _, scol, _), (_, prow, _, pspread) = views[:2]
-    return _combined(succ[u][v], prow), _spread(pspread[v], scol[u])
-
-
-def assoc_slabs(views, u, v):
-    """Associativity of dot at the basis pair (u, v) over every w: (uv)w and u(vw)."""
-    dot, drow, dcol, dspread = views[2]
-    return _combined(dot[u][v], drow), _spread(dspread[v], dcol[u])
-
-
-ASSOC = ("assoc", assoc_pair, ("(x.y).z", "x.(y.z)"), assoc_slabs)
-AD_IDENTITIES = (("A1", a1_chain, A1_TERMS, a1_slabs), ("A2", a2_pair, A2_TERMS, a2_slabs))
+# An identity is (label, spell, terms, slab terms).  Its slab terms, read by
+# ``row_slabs`` on the tables (succ, prec, dot, -dot) numbered 0 to 3, are
+# (a, b, False) for (u o_a v) o_b w and (a, b, True) for u o_b (v o_a w).
+ASSOC = ("assoc", assoc_pair, ("(x.y).z", "x.(y.z)"), ((2, 2, False), (2, 2, True)))
+AD_IDENTITIES = (("A1", a1_chain, A1_TERMS,
+                  ((3, 0, False), (1, 1, False), (0, 0, True), (3, 1, True))),
+                 ("A2", a2_pair, A2_TERMS, ((0, 1, False), (1, 0, True))))
 
 
 class Packing:
-    """A walk's tables packed for whole basis pairs (``packing``): ``views``
-    holds per table (succ, prec, dot, -dot) the (cells, row, col, spread) of
-    ``tensors.packed``, or None for a table the identities do not read, with
-    ``count`` digits of ``b`` bits; slabs compare in the walk's ``field``,
-    after its ``residues`` (``slab_residues``) if it has them."""
+    """The ``cells`` of (succ, prec, dot, -dot) packed over the third vectors
+    of the range ``ws`` in digits of ``b`` bits, ``stride`` bits a block w:
+    ``views[t]`` is the ``tensors.packed`` of table t.  Slabs compare in
+    ``field``, after its ``residues`` (``slab_residues``) if it has them.
+    ``offset`` holds 2**(b-1) in every digit, so that two slabs plus
+    ``offset`` differ by XOR in exactly the digits where they differ;
+    ``blocks(x)`` keeps the top bit of each block where x is nonzero."""
 
-    __slots__ = ("views", "b", "field", "residues")
+    __slots__ = ("cells", "views", "b", "ws", "stride", "field", "residues", "each", "offset",
+                 "high", "low")
 
-    def __init__(self, views, b, field, count):
-        self.views, self.b, self.field = views, b, field
-        self.residues = field.slab_residues(b, count)
+    def __init__(self, cells, b, ws, field):
+        n = len(cells[2])
+        self.cells, self.views = cells, _Cells(lambda t: packed(cells[t], b, ws))
+        self.b, self.ws, self.stride = b, ws, b * n
+        self.field, self.residues = field, field.slab_residues(b, len(ws) * n)
+        self.each = each = ((1 << b * n * len(ws)) - 1) // ((1 << b * n) - 1)
+        self.offset = each * (((1 << b * n) - 1) // ((1 << b) - 1) << b - 1)
+        self.high, self.low = each << b * n - 1, each * ((1 << b * n - 1) - 1)
+
+    def blocks(self, x):
+        return ((x & self.low) + self.low | x) & self.high
+
+    def mask(self, comp, j=None):
+        """The digits of the coordinates in ``comp`` (all for None), in block j or all."""
+        digits = range(self.stride // self.b)[comp or slice(None)]
+        one = (1 << self.b * len(digits)) - 1 << self.b * digits.start
+        return one * self.each if j is None else one << self.stride * j
 
 
 def packing(walk, ws):
-    """The ``Packing`` of a ``Walk`` over the third vectors w in the range
-    ``ws``, or None when the lowering left the scalars as given.  A1 and A2
-    read succ, prec and -dot, associativity on one product reads dot alone.
-
-    A digit of a term sums n products of two lowered entries, so with M the
-    largest |entry| it lies below n M**2 in absolute value, and b bits with
-    n M**2 < 2**(b-1) hold every digit with its sign: two slabs are equal
-    exactly when their digits are."""
-    if walk.part.field == RATIONALS:
-        return None
+    """The ``Packing`` of a ``Walk`` over the range ``ws``, or None on scalars
+    left as given or on no basis.  A digit sums n products of two entries, |entry| <= M, so
+    b bits with n M**2 < 2**(b-1) hold every digit with its sign."""
     _, succ, prec, dot, neg = walk.tables
-    n = len(dot[0])
-    tables = (None, None, dot[0], None) if succ is None else (succ[0], prec[0], None, neg)
-    top = max((abs(c) for t in tables if t for row in t for cell in row for _, c in cell),
-              default=0)
-    b = (n * top * top).bit_length() + 1
-    return Packing(tuple(t and (t,) + packed(t, b, ws) for t in tables), b, walk.part.field,
-                   len(ws) * n)
+    if walk.part.field == RATIONALS or not dot[0]:
+        return None
+    tables = (succ and succ[0], prec and prec[0], dot[0], neg)
+    b = next((packs.b for packs in walk.packs.values() if packs), None)
+    if b is None:
+        # over Q the entries of dot are those of -dot negated
+        read = tables if succ is None or hasattr(walk.part.field, "p") else tables[:2] + (neg,)
+        top = max(map(abs, map(itemgetter(1), chain.from_iterable(chain.from_iterable(
+            chain.from_iterable(t for t in read if t))))), default=0)
+        b = (len(dot[0]) * top * top).bit_length() + 1
+    return Packing(tables, b, ws, walk.part.field)
 
 
-def walk_pairs(walk, checks, ru, rv, rw, tag, agree) -> None:
+def row_slabs(packs, identity, u, vs):
+    """The slab terms of ``identity`` at the pairs (u, v), v in ``vs``, each
+    a map {v: nonzero slab after ``residues``}.  (u o_a v) o_b w sums row
+    slabs of b over the cell (u, v) of a; u o_b (v o_a w) meets the spread
+    coordinates of a at v with the column slabs of b at u block by block: a
+    slab spread over every block would multiply n - 1 empty digits of n."""
+    views, residues, out = packs.views, packs.residues, []
+    for a, b, spread in identity[3]:
+        term = {}
+        if spread:
+            if cols := views[b][2][u]:
+                for v, shifts, coords in views[a][3]:
+                    if v in vs:
+                        x = sum(map(lshift, map(sum, map(map, repeat(mul), coords, repeat(cols))),
+                                    shifts))
+                        if x := residues(x) if residues else x:
+                            term[v] = x
+        elif live := views[a][0][u]:
+            rows, cells = views[b][1], packs.cells[a][u]
+            for v in live:
+                if v in vs:
+                    x = sum([c * rows[k] for k, c in cells[v]])
+                    if x := residues(x) if residues else x:
+                        term[v] = x
+        out.append(term)
+    return out
+
+
+def row_diffs(packs, identity, u, vs):
+    """The row test of ``identity`` at u: {v: diff} for the v where its slab
+    terms (``row_slabs``) differ, diff the OR of the XORs of the first term
+    with each other one, all plus ``offset``: a digit (w, l) of diff is
+    nonzero exactly where the chain breaks at (u, v, w) in coordinate l."""
+    first, *rest = row_slabs(packs, identity, u, vs)
+    if all(term == first for term in rest):
+        return {}
+    offset, diffs = packs.offset, {}
+    for v in set(first).union(*rest):
+        x, diff = first.get(v, 0) + offset, 0
+        for term in rest:
+            diff |= x ^ term.get(v, 0) + offset
+        if diff:
+            diffs[v] = diff
+    return diffs
+
+
+def walk_pairs(walk, checks, ru, rv, rw, tag) -> None:
     """Walk the basis pairs (u, v) of ``ru`` x ``rv`` over the third vectors
     w of the range ``rw`` in ``walk.part``.  ``checks`` lists per identity
-    (label, spell, terms, slabs) its cells (component, label, terms), each
-    comparing that slice (all for None) of ``spell(walk.tables, u, v, w)``.
-    A pair where the pair test ``agree((u, v))`` holds ticks ``len(rw)``
-    checks per cell, one ``tick()`` each; any other pair is walked triple by
-    triple, witness ``tag + (iu, iv, iw)``, so the report is that of a walk
-    over every triple."""
+    its cells (component, label, terms), each comparing that slice (all for
+    None) of ``spell(walk.tables, u, v, w)``, witness ``tag + (iu, iv, iw)``.
+    Each row u is tested once per identity (``Walk.rows``), and the digits
+    of its diffs mark the broken checks, spelled in walk order in exhaustive
+    mode, else only one that no kept violation precedes; every other check
+    is ticked, one ``tick()`` each, and counted if broken.  Scalars the
+    lowering left as given are walked triple by triple."""
     if not rw:
         return
-    tables, part = walk.tables, walk.part
-    agreed = 0
+    tables, part, packs = walk.tables, walk.part, walk.packs[rw]
+    if packs is None:
+        for iu, u in enumerate(ru):
+            for iv, v in enumerate(rv):
+                for iw, w in enumerate(rw):
+                    for identity, cells in checks:
+                        values = identity[1](tables, u, v, w)
+                        for comp, label, terms in cells:
+                            part.require_chain(label, tag + (iu, iv, iw), terms, values
+                                               if comp is None else tuple(t[comp] for t in values))
+        return
+    rows = [walk.rows(identity, rw, rv) for identity, _ in checks]
+    masks = [[packs.mask(comp) for comp, _, _ in cells] for _, cells in checks]
+    spelled = 0
     for iu, u in enumerate(ru):
-        for iv, v in enumerate(rv):
-            if agree((u, v)):
-                agreed += 1
-                continue
-            for iw, w in enumerate(rw):
-                for identity, cells in checks:
-                    values = identity[1](tables, u, v, w)
-                    for comp, label, terms in cells:
-                        part.require_chain(label, tag + (iu, iv, iw), terms, values if comp is None
-                                           else tuple(t[comp] for t in values))
-    part.tick_each(agreed * len(rw) * sum(len(cells) for _, cells in checks))
+        diffs = [row[u] for row in rows]
+        for v in sorted(set().union(*diffs)) if any(diffs) else ():
+            # per identity and cell, the top bit of each broken block w
+            flags = [[packs.blocks(diff.get(v, 0) & mask) for mask in cell_masks]
+                     for diff, cell_masks in zip(diffs, masks)]
+            part.violation_count += sum(f.bit_count() for fs in flags for f in fs)
+            marked = reduce(or_, chain.from_iterable(flags))
+            while marked and (part.exhaustive or not part.violations):
+                bit = marked & -marked
+                marked, iw = marked ^ bit, bit.bit_length() // packs.stride - 1
+                for (identity, cells), fs in zip(checks, flags):
+                    values = None
+                    for (comp, label, terms), f in zip(cells, fs):
+                        if f & bit and (part.exhaustive or not part.violations):
+                            values = values or identity[1](tables, u, v, rw[iw])
+                            part.violation_count -= 1  # counted above
+                            part.require_chain(label, tag + (iu, v - rv.start, iw), terms, values
+                                               if comp is None else tuple(t[comp] for t in values))
+                            spelled += 1
+    part.tick_each(len(ru) * len(rv) * len(rw) * sum(len(c) for _, c in checks) - spelled)
 
 
 def check_triples(report, n, identities, succ, prec=None) -> Report:
-    """Each identity (label, spell, terms, slabs) at every basis triple (i, j, k)
-    of an n-dimensional algebra, by ``walk_pairs`` on its ``lowered_walk``.
-
-    The tables are packed once, before the walk, and the pair test compares
-    the slabs ``slabs(views, i, j)`` of that ``packing`` over every k, each
-    pair once, so it keeps no table of verdicts; scalars the lowering leaves
-    as given are walked triple by triple.  Over Q a kept violation is spelled
-    again on the tables as given, so that its values are the tables' own
+    """Each identity (label, spell, terms, slab terms) at every basis triple
+    (i, j, k) of an n-dimensional algebra, by ``walk_pairs`` on its
+    ``lowered_walk``.  Over Q a kept violation is spelled again on the
+    tables as given (``_as_given``), so that its values are the tables' own
     scalars, and ``report`` absorbs the walk."""
     walk = lowered_walk(report, succ, prec)
-    packs = walk.packing(range(n))
-
-    def agree(pair):
-        if packs is None:
-            return False
-        i, j = pair
-        for identity in identities:
-            if not _agree(packs, identity, i, j):
-                return False
-        return True
-
     walk_pairs(walk, [(identity, [(None, identity[0], identity[2])]) for identity in identities],
-               range(n), range(n), range(n), (), agree)
+               range(n), range(n), range(n), ())
     part = walk.part
     if part.violations and report.field == RATIONALS:
         given = _as_given(succ, prec)
@@ -322,24 +314,11 @@ def check_triples(report, n, identities, succ, prec=None) -> Report:
     return report.absorb(part)
 
 
-def _agree(packs, identity, i, j):
-    """Does the chain of ``identity`` hold at the pair (i, j) for every k?
-    Its slabs compare in the packing's field, up to the first that differs."""
-    values = iter(identity[3](packs.views, i, j))
-    if packs.residues:
-        values = map(packs.residues, values)
-    first = next(values)
-    for x in values:
-        if x != first:
-            return False
-    return True
-
-
 def _as_given(succ, prec=None):
     """The spells' tables of ``succ``/``prec`` as given, for a kept violation
-    over Q.  The cells keep every zero that is not the int 0, and the kernel
-    starts a value from the zeros of the first column it reads, so each value
-    has the types a dense product on these tables gives them."""
+    over Q, each cell made at its first read.  The cells keep every zero
+    that is not the int 0, and the kernel starts a value from the zeros of
+    the first column it reads: a dense product's types."""
     def kernel(cols, x):
         out, first = [0] * len(succ), True
         for k, c in x:
@@ -352,15 +331,21 @@ def _as_given(succ, prec=None):
                 first = False
         return tuple(out)
 
-    def cells(table):
-        return tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c or type(c) is not int)
-                           for v in row) for row in table)
+    def cells(entry):
+        def cell(i, j):
+            return tuple((k, c) for k, c in enumerate(entry(i, j)) if c or type(c) is not int)
+        return _Cells(lambda i: _Cells(partial(cell, i)))
+
+    def ops(entry):
+        return cells(entry), cells(lambda j, i: entry(i, j))
 
     if prec is None:
-        return _spelled(kernel, None, None, cells(succ))
-    return _spelled(kernel, cells(succ), cells(prec), cells(tuple(
-        tuple(tuple(a + b for a, b in zip(sv, pv)) for sv, pv in zip(srow, prow))
-        for srow, prow in zip(succ, prec))))
+        return kernel, None, None, ops(lambda i, j: succ[i][j]), None
+
+    def dot(i, j):
+        return tuple(map(add, succ[i][j], prec[i][j]))
+    return (kernel, ops(lambda i, j: succ[i][j]), ops(lambda i, j: prec[i][j]), ops(dot),
+            cells(lambda i, j: tuple(0 - c for c in dot(i, j))))
 
 
 def _respelled(violation, values):

@@ -491,11 +491,14 @@ def rank(amat):
 
 
 def inverse(amat):
-    """Exact inverse, or None if the matrix is singular."""
+    """Exact inverse, or None if the matrix is singular; with ``Fraction``
+    entries the identity block is ``Fraction(1)``s, so the int path runs."""
     rows, cols = shape(amat)
     if rows != cols:
         raise InputError("inverse: matrix is %dx%d, not square" % (rows, cols))
-    aug = [_sparse(tuple(amat[r]) + unit(rows, r)) for r in range(rows)]
+    nonzero = [x for row in amat for x in row if x]
+    one = Fraction(1) if nonzero and all(type(x) is Fraction for x in nonzero) else 1
+    aug = [_sparse(tuple(amat[r]) + unit(rows, r, one)) for r in range(rows)]
     rr, pivots = _reduced(aug, 2 * rows)
     if len(pivots) != rows or any(p >= rows for p in pivots):
         return None

@@ -31,6 +31,7 @@ i.e. the shared leg multiplies u's factor on the left of v's factor.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import compress
 from math import prod
 
 from .fields import InputError
@@ -144,31 +145,32 @@ def table_cells(table, lower=None):
 def packed(cells, b, ws):
     """The Kronecker-packed views of a square table's ``table_cells`` over the
     third vectors w in the range ``ws``: slabs, ints holding the digit (w, l)
-    at bit b (n (w - ws.start) + l), in base 2**b, so that a sum of products
-    of slabs is a whole block of products at once (Kronecker substitution).
-    ``row[k]`` packs e_k o e_w over every (w, l) and ``col[u][k]`` packs
-    e_u o e_k over l; a row of the table without cells gives an empty
-    ``col[u]``.  ``spread[v]`` is coordinate k of e_v o e_w spread over w:
-    the offsets of the blocks w with a cell (v, w), and the coordinate
-    vectors of those cells, so that the sum over w of
-    (sum_k (e_v o e_w)_k col[u][k]) shifted to block w is u o (v o w) over
-    every (w, l).  Returns (row, col, spread)."""
-    n, stride = len(cells), b * len(cells)
-    col, spread = [], []
-    for row in cells:
-        col.append(tuple(sum(c << b * l for l, c in cell) if cell else 0 for cell in row)
-                   if any(row) else ())
+    at bit b (n (w - ws.start) + l), so that a sum of products of slabs is a
+    whole block of products at once (Kronecker substitution).  Returns
+    (live, row, col, spread): ``live[u]`` lists the v of the nonzero cells of
+    row u; ``row[k]`` packs e_k o e_w over every (w, l); ``col[u][k]``
+    packs e_u o e_k over l (empty for a row without cells); ``spread`` lists
+    each v with a cell (v, w), w in ``ws``, as (v, shifts, coords), the
+    offsets of those blocks and their cells' coordinate vectors, so that
+    sum_w (sum_k (e_v o e_w)_k col[u][k]) << shift_w is u o (v o w)."""
+    stride = b * len(cells)
+    live, col, spread = [], [], []
+    for v, row in enumerate(cells):
+        live.append(tuple(compress(range(len(row)), row)))
+        col.append(tuple(sum([c << b * l for l, c in cell]) if cell else 0 for cell in row)
+                   if live[-1] else ())
         shifts, coords = [], []
         for w in ws:
             if row[w]:
-                vector = [0] * n
+                vector = [0] * len(row)
                 for k, c in row[w]:
                     vector[k] = c
                 shifts.append(stride * (w - ws.start))
                 coords.append(tuple(vector))
-        spread.append((tuple(shifts), tuple(coords)))
-    return (tuple(sum(slabs[w] << stride * (w - ws.start) for w in ws) if slabs else 0
-                  for slabs in col), tuple(col), tuple(spread))
+        if shifts:
+            spread.append((v, tuple(shifts), tuple(coords)))
+    return (tuple(live), tuple(sum(slabs[w] << stride * (w - ws.start) for w in ws) if slabs
+                               else 0 for slabs in col), tuple(col), tuple(spread))
 
 
 def operators(cells):

@@ -18,12 +18,11 @@ identities (the second defining identity on triples with two V-entries) carry
 no printed number in the usual presentation and are labelled S19a-S19f here.
 One layout glues every datum with a ``PARTS`` table (``glue_parts``,
 ``unglue_parts``, ``glued_algebra``).  The glued tables are lowered once per
-check to their sparse cells (``lowered_walk``), and ``check_glued`` walks
-each triple type by ``adw.algebra.walk_pairs`` on one table of pair verdicts
-per identity and summand (``Walk.verdicts``): a slot whose basis pairs agree
-as Kronecker slabs over the third vectors of one summand is ticked, and only
-the rest is evaluated, each slot value a dense vector on A (+) V summed from
-the cells by the one product kernel, its A and V components slices.
+check to their sparse cells (``lowered_walk``).  ``check_glued`` walks each
+triple type by ``adw.algebra.walk_pairs``, and ``check_columns`` the module
+columns, on the row tests of each identity and summand (``Walk.rows``): only
+a broken slot that the report keeps is evaluated, a dense vector on A (+) V
+summed by the one product kernel, its A and V components slices.
 """
 
 from __future__ import annotations
@@ -194,9 +193,8 @@ def check_glued(walk, na, nv, slots) -> None:
     associativity components.  Triple types run in the order of ``slots``,
     each one ``walk_pairs`` over the summands of its type, the A and V
     components (the two slices of the glued vectors) its cells; a witness is
-    (type, i, j, k) with indices local to each summand.  The pair test reads
-    the table of pair verdicts of the type's identities over the third
-    summand (``Walk.verdicts``).
+    (type, i, j, k) with indices local to each summand.  Each row of a type
+    is tested once per identity over the third summand (``Walk.rows``).
     """
     n = na + nv
     comps = (slice(0, na), slice(na, n))
@@ -207,9 +205,7 @@ def check_glued(walk, na, nv, slots) -> None:
         # per identity: (component, label, terms) of its labelled slots
         checks = [(IDENTITIES[identity], cells) for identity, ids, terms in parts
                   if (cells := [cell for cell in zip(comps, ids, terms) if cell[1]])]
-        ru, rv, rw = (summand[t] for t in ttype)
-        verdicts = walk.verdicts([identity for identity, _ in checks], rw)
-        walk_pairs(walk, checks, ru, rv, rw, ("".join(ttype),), verdicts.__getitem__)
+        walk_pairs(walk, checks, *(summand[t] for t in ttype), ("".join(ttype),))
 
 
 def check_columns(walk, na, nv, slots, acting="A") -> None:
@@ -219,39 +215,53 @@ def check_columns(walk, na, nv, slots, acting="A") -> None:
     pair (x, y) of acting basis vectors, witness (i, j) local to the summand:
     column w of each matrix is the identity at the triple that ``placement``
     spells in x, y and the module basis vector w, cut to the module
-    component.  Values are compared as in ``check_glued``.  A slot is ticked
-    when its identity agrees as slabs, over the third vectors of its
-    triples, at every pair the placement reads: (x, y) for "xyw", (w, x)
-    for every module w for "wxy", (x, w) for "xwy"; the others are evaluated
-    column by column.
+    component.  Values are compared as in ``check_glued``: a broken slot
+    (``_breaks``) is evaluated column by column if the report keeps its
+    violation, and ticked and counted otherwise; one that holds is ticked.
     """
     n = na + nv
     summand = {"A": range(na), "V": range(na, n)}
+    xs = summand[acting]
     module, cut = ((summand["V"], slice(na, n)) if acting == "A" else
                    (summand["A"], slice(0, na)))
-    tables, part = walk.tables, walk.part
-    # per slot: its placement as an itemgetter of (x, y, w), the pair verdicts
-    # of its identity over the range of the third vector of its triples, and
-    # per pair with None for w whether they agree at it for every module w
+    tables, part, ticks = walk.tables, walk.part, 0
     slots = [(label, itemgetter(*("xyw".index(p) for p in placement)), IDENTITIES[identity],
-              walk.verdicts((IDENTITIES[identity],),
-                            module if placement[2] == "w" else summand[acting]), {}, terms)
+              terms, _breaks(walk, placement, identity, xs, module, cut))
              for label, placement, identity, terms in slots]
-    for i, x in enumerate(summand[acting]):
-        for j, y in enumerate(summand[acting]):
-            for label, place, identity, verdicts, every, terms in slots:
-                pair = place((x, y, None))[:2]
-                if None not in pair:
-                    held = verdicts[pair]
-                elif (held := every.get(pair)) is None:
-                    held = every[pair] = all(verdicts[place((x, y, w))[:2]] for w in module)
-                if held:
-                    part.tick()
+    for i, x in enumerate(xs):
+        marks = [breaks and breaks(x) for *_, breaks in slots]
+        for j, y in enumerate(xs):
+            for (label, place, identity, terms, _), mark in zip(slots, marks):
+                if mark is not None and not (mark[j] and (part.exhaustive or not part.violations)):
+                    ticks += 1
+                    part.violation_count += bool(mark[j])
                     continue
                 cols = [identity[1](tables, *place((x, y, w))) for w in module]
                 part.require_chain(
                     label, (i, j), terms,
                     tuple(tuple(zip(*(col[t][cut] for col in cols))) for t in range(len(terms))))
+    part.tick_each(ticks)
+
+
+def _breaks(walk, placement, identity, xs, module, cut):
+    """The marks of a column slot at x (None on scalars as given): per y, the
+    cut digits of the diffs of its row tests at (x, y) for "xyw", of block y
+    at every (w, x) for "wxy" and (x, w) for "xwy"; nonzero where it breaks."""
+    ws, vs = (module, xs) if placement[2] == "w" else (xs, module if placement[1] == "w" else xs)
+    if (packs := walk.packs[ws]) is None:
+        return None
+    rows = walk.rows(IDENTITIES[identity], ws, vs)
+    if placement[2] == "w":
+        mask = packs.mask(cut)
+        return lambda x: [rows[x].get(y, 0) & mask for y in xs]
+    masks = [packs.mask(cut, j) for j in range(len(xs))]
+
+    def marks(x):
+        diff = 0
+        for d in rows[x].values() if placement[0] == "x" else (rows[w].get(x, 0) for w in module):
+            diff |= d
+        return [diff & mask for mask in masks]
+    return marks
 
 
 # Column slots (label, placement, identity, terms) of the axioms of a

@@ -433,8 +433,9 @@ def test_int_path_matches_dense_by_repr(monkeypatch):
     """The int path's kinds with repeated rows, and the kinds of
     ``systems``, against the dense code by ``repr``.  A spy on
     ``_reduce_on_ints`` sees it run on every draw whose A has only Fraction
-    nonzeros, and on no call whose input holds a GF(p) element or a nonzero
-    plain int: ``inverse`` appends int 1s, and ``rref`` never takes it."""
+    nonzeros, ``inverse`` among them (it appends its identity block as
+    ``Fraction(1)``s there, int 1s elsewhere), and on no call whose input
+    holds a GF(p) element or a nonzero plain int; ``rref`` never takes it."""
     real, runs = adw.linalg._reduce_on_ints, []
 
     def spy(*args):
@@ -467,15 +468,18 @@ def test_int_path_matches_dense_by_repr(monkeypatch):
         got, _ = through(solve_linear, amat, b)
         assert got == outcome(frozen.solve_linear, *taken(amat, b))
         if amat and len(amat) == len(amat[0]):
-            n = len(amat)
-            identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
             got, ran = through(inverse, amat)
             assert got == outcome(frozen.inverse, field_amat)
-            assert not (ran and off_int_path(amat, identity))
+            assert ran == (int_path_class(amat) == "fraction")
+            if int_path_class(amat):
+                inverse_ran[int_path_class(amat)].append(ran)
 
+    inverse_ran = {"gf": [], "fraction": []}
     check()
     assert len(ran_on["fraction"]) >= 50 and all(ran_on["fraction"])
     assert len(ran_on["gf"]) >= 50 and not any(ran_on["gf"])
+    assert len(inverse_ran["fraction"]) >= 20 and all(inverse_ran["fraction"])
+    assert len(inverse_ran["gf"]) >= 20 and not any(inverse_ran["gf"])
 
 
 def test_int_path_fork_keeps_the_types_of_the_moves():

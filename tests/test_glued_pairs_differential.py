@@ -239,15 +239,16 @@ def test_mostly_broken_data_match_the_live_triple_walks(field, data):
 
 
 def pair_tests(check, datum):
-    """The outcome of every pair test ``walk_pairs`` makes in ``check(datum)``."""
+    """The outcome of every pair test of ``walk_pairs`` in ``check(datum)``:
+    per pair (u, v) of a triple type, whether the row tests of every
+    identity of the type (``Walk.rows``) found it holding."""
     seen = []
 
-    def walk_pairs(walk, checks, ru, rv, rw, tag, agree):
-        def noted(pair):
-            seen.append(agree(pair))
-            return seen[-1]
-
-        adw.algebra.walk_pairs(walk, checks, ru, rv, rw, tag, noted)
+    def walk_pairs(walk, checks, ru, rv, rw, tag):
+        adw.algebra.walk_pairs(walk, checks, ru, rv, rw, tag)
+        if rw:
+            rows = [walk.rows(identity, rw, rv) for identity, _ in checks]
+            seen.extend(not any(v in row[u] for row in rows) for u in ru for v in rv)
 
     with mock.patch.object(adw.unified, "walk_pairs", walk_pairs):
         check(datum)

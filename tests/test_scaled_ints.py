@@ -15,11 +15,11 @@ and lifts what leaves the check.  The draws here hold denominators 2, 3, 5,
   A1/A2, the glued slots, CD3-CD10, D1-D9, Ca1/Ca2 and YE6 by t**k, with the
   k the lift divides by: 2 for A1/A2, the glued slots, D1-D9 (1 in the
   tables, 1 in the coproducts) and Ca1/Ca2 (2 in the coproducts), 3 for
-  CD3-CD6 and YE6, 4 for CD7-CD10.  A1/A2 and the glued slots compare whole
-  basis pairs as Kronecker-packed slabs first; those comparisons are
-  recorded too, digit by digit, so a pair that passes as slabs is seen to
-  scale as well, and a glued walk that ticks checks must have compared
-  slabs.
+  CD3-CD6 and YE6, 4 for CD7-CD10.  A1/A2 and the glued slots test each
+  row u over every pair (u, v) at once, as maps of Kronecker-packed slabs;
+  those row tests are recorded too, digit by digit, so a pair that passes
+  as slabs is seen to scale as well, and a glued walk that ticks checks
+  must have made row tests.
 """
 
 from __future__ import annotations
@@ -199,9 +199,10 @@ def digits(slab, b):
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every compared value, lifted, as (equation, witness, values).  A slab
-    comparison of a walk at a pair (i, j) is recorded with the identity's
-    label, the witness (i, j) and each slab as its digits, one per (k, l)."""
+    """Every compared value, lifted, as (equation, witness, values).  A row
+    test of a walk at u is recorded with the identity's label, the witness
+    (u, v...) of the v where some slab term is nonzero, and each term as the
+    digits of its slab at each of those v, one per (k, l)."""
     seen = []
 
     def chain(self, equation, witness, terms, values):
@@ -212,17 +213,18 @@ def recorded(monkeypatch):
         seen.append((equation, witness, self.field.lift((lhs, rhs))))
         return original_equal(self, equation, witness, lhs, rhs, detail)
 
-    def agree(packs, identity, i, j):
-        slabs = identity[3](packs.views, i, j)
-        seen.append((identity[0], (i, j),
-                     packs.field.lift(tuple(digits(x, packs.b) for x in slabs))))
-        return original_agree(packs, identity, i, j)
+    def row_slabs(packs, identity, u, vs):
+        terms = original_row_slabs(packs, identity, u, vs)
+        keys = sorted(set().union(*terms))
+        seen.append((identity[0], (u, *keys), packs.field.lift(tuple(
+            tuple(digits(term.get(v, 0), packs.b) for v in keys) for term in terms))))
+        return terms
 
     original_chain, original_equal = Report.require_chain, Report.require_equal
-    original_agree = algebra._agree
+    original_row_slabs = algebra.row_slabs
     monkeypatch.setattr(Report, "require_chain", chain)
     monkeypatch.setattr(Report, "require_equal", equal)
-    monkeypatch.setattr(algebra, "_agree", agree)
+    monkeypatch.setattr(algebra, "row_slabs", row_slabs)
     return seen
 
 
@@ -241,10 +243,10 @@ GLUED_WALKS = ((check_columns, R_SLOTS, (), True), (check_glued, _EXT_SLOTS, (),
 
 def glued_runs(na, nv, succ, prec, seen):
     """Every glued slot set on one pair of glued tables, each on a walk of its
-    own.  A walk ticks the checks of the pairs whose slabs agree, so one that
-    counts more checks than it compares as triples must have compared slabs,
-    which the ``recorded`` list ``seen`` holds under the labels A1, A2 and
-    assoc."""
+    own.  A walk ticks the checks that hold, and counts from slab digits the
+    broken ones it does not spell, so one that counts more checks than it
+    compares as triples must have made row tests, which the ``recorded``
+    list ``seen`` holds under the labels A1, A2 and assoc."""
     def run():
         for check, slots, acting, both in GLUED_WALKS:
             report, start = Report("glued", exhaustive=True), len(seen)
