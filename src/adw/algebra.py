@@ -21,11 +21,9 @@ One loop, ``walk_pairs``, walks ``check_triples`` and the glued walks of
 ``adw.unified``.  It tests each row u over every (u, v, w) at once
 (``Walk.rows``): the cells are packed into slabs, ints holding one digit per
 (w, l) in base 2**b (``tensors.packed``), each term is a map {v: slab}
-(``row_slabs``), reduced mod p over GF(p) (``slab_residues``), and equal
-maps mean the row holds.  b holds every digit with its sign, so the digits
-where slabs differ are the broken checks (``row_diffs``): they are counted,
-and spelled only for a violation the report keeps, so the report is that
-of a walk over every triple.
+(``row_slabs``, mod p over GF(p)), and equal maps mean the row holds.  The
+digits where slabs differ are the broken checks (``row_diffs``), counted,
+and spelled only for a kept violation.
 """
 
 from __future__ import annotations
@@ -86,29 +84,32 @@ class Walk:
     """What the walks of one check share: the lowered tables as the spells
     read them, the ``part`` that compares in the lowering's field, and the
     ``packs`` of each range of third vectors and the row tests (``rows``),
-    each made at its first use.  A plain class: a frozen dataclass costs
-    each command-line process about a millisecond to create."""
+    each made at its first use.  Nothing it holds refers back to it, so it
+    is freed without the cycle collector."""
 
     __slots__ = ("tables", "part", "packs", "_rows")
 
     def __init__(self, tables, part: Report):
         self.tables, self.part = tables, part
-        self.packs, self._rows = _Cells(partial(packing, self)), {}
+        self.packs, self._rows = _Cells(packing(tables, part.field)), {}
 
     def rows(self, identity, ws, vs):
         """``rows[u]``: the ``row_diffs`` of ``identity`` at u, v in ``vs``, w in
         ``ws``.  With both products associativity holds where A1 and A2 do:
         (u.v)>w = u<(v.w) and (u<v)<w = u>(v>w) by A1, (u>v)<w = u>(v<w) by
-        A2, and these are the terms of (u.v).w and u.(v.w)."""
+        A2."""
         key = identity[0], ws, vs
         if key not in self._rows:
-            def row(u):
-                us = vs
-                if identity[0] == ASSOC[0] and self.tables[1] is not None:
-                    us = {v for ad in AD_IDENTITIES for v in self.rows(ad, ws, vs)[u]}
-                return row_diffs(self.packs[ws], identity, u, us) if us else {}
-            self._rows[key] = _Cells(row)
+            ad = identity[0] == ASSOC[0] and self.tables[1] is not None and [
+                self.rows(a, ws, vs) for a in AD_IDENTITIES]
+            self._rows[key] = _Cells(partial(_row, self.packs[ws], identity, vs, ad))
         return self._rows[key]
+
+
+def _row(packs, identity, vs, ad, u):
+    if ad:
+        vs = {v for rows in ad for v in rows[u]}
+    return row_diffs(packs, identity, u, vs) if vs else {}
 
 
 def lowered_walk(report, succ, prec=None) -> Walk:
@@ -153,21 +154,20 @@ AD_IDENTITIES = (("A1", a1_chain, A1_TERMS,
 
 
 class Packing:
-    """The ``cells`` of (succ, prec, dot, -dot) packed over the third vectors
-    of the range ``ws`` in digits of ``b`` bits, ``stride`` bits a block w:
-    ``views[t]`` is the ``tensors.packed`` of table t.  Slabs compare in
-    ``field``, after its ``residues`` (``slab_residues``) if it has them.
-    ``offset`` holds 2**(b-1) in every digit, so that two slabs plus
-    ``offset`` differ by XOR in exactly the digits where they differ;
-    ``blocks(x)`` keeps the top bit of each block where x is nonzero."""
+    """The ``cells`` of (succ, prec, dot, -dot) packed over the range ``ws``
+    in digits of ``b`` bits, ``stride`` bits a block w: ``views[t]`` is the
+    ``tensors.packed`` of table t, compared after ``field.slab_residues``.
+    Two slabs plus ``offset`` (2**(b-1) in every digit) differ by XOR in
+    exactly the digits where they differ; ``blocks(x)`` keeps the top bit of
+    each block where x is nonzero."""
 
-    __slots__ = ("cells", "views", "b", "ws", "stride", "field", "residues", "each", "offset",
-                 "high", "low")
+    __slots__ = ("cells", "views", "b", "stride", "field", "residues", "each", "offset", "high",
+                 "low")
 
-    def __init__(self, cells, b, ws, field):
+    def __init__(self, cells, b, field, ws):
         n = len(cells[2])
         self.cells, self.views = cells, _Cells(lambda t: packed(cells[t], b, ws))
-        self.b, self.ws, self.stride = b, ws, b * n
+        self.b, self.stride = b, b * n
         self.field, self.residues = field, field.slab_residues(b, len(ws) * n)
         self.each = each = ((1 << b * n * len(ws)) - 1) // ((1 << b * n) - 1)
         self.offset = each * (((1 << b * n) - 1) // ((1 << b) - 1) << b - 1)
@@ -183,30 +183,26 @@ class Packing:
         return one * self.each if j is None else one << self.stride * j
 
 
-def packing(walk, ws):
-    """The ``Packing`` of a ``Walk`` over the range ``ws``, or None on scalars
-    left as given or on no basis.  A digit sums n products of two entries, |entry| <= M, so
-    b bits with n M**2 < 2**(b-1) hold every digit with its sign."""
-    _, succ, prec, dot, neg = walk.tables
-    if walk.part.field == RATIONALS or not dot[0]:
-        return None
-    tables = (succ and succ[0], prec and prec[0], dot[0], neg)
-    b = next((packs.b for packs in walk.packs.values() if packs), None)
-    if b is None:
-        # over Q the entries of dot are those of -dot negated
-        read = tables if succ is None or hasattr(walk.part.field, "p") else tables[:2] + (neg,)
-        top = max(map(abs, map(itemgetter(1), chain.from_iterable(chain.from_iterable(
-            chain.from_iterable(t for t in read if t))))), default=0)
-        b = (len(dot[0]) * top * top).bit_length() + 1
-    return Packing(tables, b, ws, walk.part.field)
+def packing(tables, field):
+    """ws -> the ``Packing`` of a ``Walk``'s ``tables`` over ws, or None on
+    scalars left as given or on no basis.  A digit sums n products of two
+    entries, |entry| <= M, so b bits with n M**2 < 2**(b-1) hold it."""
+    _, succ, prec, dot, neg = tables
+    if field == RATIONALS or not dot[0]:
+        return lambda ws: None
+    cells = (succ and succ[0], prec and prec[0], dot[0], neg)
+    # over Q dot is -dot negated
+    read = cells if succ is None or hasattr(field, "p") else cells[:2] + (neg,)
+    top = max(map(abs, map(itemgetter(1), chain.from_iterable(chain.from_iterable(
+        chain.from_iterable(t for t in read if t))))), default=0)
+    return partial(Packing, cells, (len(dot[0]) * top * top).bit_length() + 1, field)
 
 
 def row_slabs(packs, identity, u, vs):
     """The slab terms of ``identity`` at the pairs (u, v), v in ``vs``, each
     a map {v: nonzero slab after ``residues``}.  (u o_a v) o_b w sums row
     slabs of b over the cell (u, v) of a; u o_b (v o_a w) meets the spread
-    coordinates of a at v with the column slabs of b at u block by block: a
-    slab spread over every block would multiply n - 1 empty digits of n."""
+    coordinates of a at v with the column slabs of b at u block by block."""
     views, residues, out = packs.views, packs.residues, []
     for a, b, spread in identity[3]:
         term = {}
@@ -252,11 +248,11 @@ def walk_pairs(walk, checks, ru, rv, rw, tag) -> None:
     w of the range ``rw`` in ``walk.part``.  ``checks`` lists per identity
     its cells (component, label, terms), each comparing that slice (all for
     None) of ``spell(walk.tables, u, v, w)``, witness ``tag + (iu, iv, iw)``.
-    Each row u is tested once per identity (``Walk.rows``), and the digits
-    of its diffs mark the broken checks, spelled in walk order in exhaustive
-    mode, else only one that no kept violation precedes; every other check
-    is ticked, one ``tick()`` each, and counted if broken.  Scalars the
-    lowering left as given are walked triple by triple."""
+    The digits of the row tests (``Walk.rows``) mark the broken checks,
+    spelled in walk order in exhaustive mode, else only one that no kept
+    violation precedes; every other check is ticked, one ``tick()`` each,
+    and counted if broken.  Scalars left as given are walked triple by
+    triple."""
     if not rw:
         return
     tables, part, packs = walk.tables, walk.part, walk.packs[rw]
@@ -315,10 +311,10 @@ def check_triples(report, n, identities, succ, prec=None) -> Report:
 
 
 def _as_given(succ, prec=None):
-    """The spells' tables of ``succ``/``prec`` as given, for a kept violation
-    over Q, each cell made at its first read.  The cells keep every zero
-    that is not the int 0, and the kernel starts a value from the zeros of
-    the first column it reads: a dense product's types."""
+    """The spells' tables of ``succ``/``prec`` as given, each cell made at its
+    first read.  Cells keep every zero but the int 0, and the kernel starts
+    a value from the zeros of the first column it reads: a dense product's
+    types."""
     def kernel(cols, x):
         out, first = [0] * len(succ), True
         for k, c in x:

@@ -491,13 +491,12 @@ def rank(amat):
 
 
 def inverse(amat):
-    """Exact inverse, or None if the matrix is singular; with ``Fraction``
-    entries the identity block is ``Fraction(1)``s, so the int path runs."""
+    """Exact inverse, or None if the matrix is singular.  The identity block
+    is ``Fraction(1)``s where every nonzero entry is a ``Fraction``."""
     rows, cols = shape(amat)
     if rows != cols:
         raise InputError("inverse: matrix is %dx%d, not square" % (rows, cols))
-    nonzero = [x for row in amat for x in row if x]
-    one = Fraction(1) if nonzero and all(type(x) is Fraction for x in nonzero) else 1
+    one = Fraction(1) if {type(x) for row in amat for x in row if x} == {Fraction} else 1
     aug = [_sparse(tuple(amat[r]) + unit(rows, r, one)) for r in range(rows)]
     rr, pivots = _reduced(aug, 2 * rows)
     if len(pivots) != rows or any(p >= rows for p in pivots):

@@ -143,16 +143,15 @@ def table_cells(table, lower=None):
 
 
 def packed(cells, b, ws):
-    """The Kronecker-packed views of a square table's ``table_cells`` over the
-    third vectors w in the range ``ws``: slabs, ints holding the digit (w, l)
-    at bit b (n (w - ws.start) + l), so that a sum of products of slabs is a
-    whole block of products at once (Kronecker substitution).  Returns
-    (live, row, col, spread): ``live[u]`` lists the v of the nonzero cells of
-    row u; ``row[k]`` packs e_k o e_w over every (w, l); ``col[u][k]``
-    packs e_u o e_k over l (empty for a row without cells); ``spread`` lists
-    each v with a cell (v, w), w in ``ws``, as (v, shifts, coords), the
-    offsets of those blocks and their cells' coordinate vectors, so that
-    sum_w (sum_k (e_v o e_w)_k col[u][k]) << shift_w is u o (v o w)."""
+    """The Kronecker-packed views of a square table's ``table_cells`` over w
+    in the range ``ws``: slabs, ints holding the digit (w, l) at bit
+    b (n (w - ws.start) + l).  Returns (live, row, col, spread): ``live[u]``
+    lists the v of the nonzero cells of row u; ``row[k]`` packs e_k o e_w
+    over every (w, l); ``col[u][k]`` packs e_u o e_k over l (empty for a row
+    without cells); ``spread`` lists each v with a cell (v, w), w in ``ws``,
+    as (v, shifts, coords), the offsets of those blocks and the cells'
+    coordinate vectors: sum_w (sum_k (e_v o e_w)_k col[u][k]) << shift_w is
+    u o (v o w)."""
     stride = b * len(cells)
     live, col, spread = [], [], []
     for v, row in enumerate(cells):

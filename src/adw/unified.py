@@ -193,8 +193,7 @@ def check_glued(walk, na, nv, slots) -> None:
     associativity components.  Triple types run in the order of ``slots``,
     each one ``walk_pairs`` over the summands of its type, the A and V
     components (the two slices of the glued vectors) its cells; a witness is
-    (type, i, j, k) with indices local to each summand.  Each row of a type
-    is tested once per identity over the third summand (``Walk.rows``).
+    (type, i, j, k) with indices local to each summand.
     """
     n = na + nv
     comps = (slice(0, na), slice(na, n))
@@ -215,9 +214,9 @@ def check_columns(walk, na, nv, slots, acting="A") -> None:
     pair (x, y) of acting basis vectors, witness (i, j) local to the summand:
     column w of each matrix is the identity at the triple that ``placement``
     spells in x, y and the module basis vector w, cut to the module
-    component.  Values are compared as in ``check_glued``: a broken slot
-    (``_breaks``) is evaluated column by column if the report keeps its
-    violation, and ticked and counted otherwise; one that holds is ticked.
+    component.  A broken slot (``_breaks``) is evaluated column by column if
+    the report keeps its violation, else ticked and counted, as in
+    ``check_glued``.
     """
     n = na + nv
     summand = {"A": range(na), "V": range(na, n)}
@@ -244,9 +243,9 @@ def check_columns(walk, na, nv, slots, acting="A") -> None:
 
 
 def _breaks(walk, placement, identity, xs, module, cut):
-    """The marks of a column slot at x (None on scalars as given): per y, the
-    cut digits of the diffs of its row tests at (x, y) for "xyw", of block y
-    at every (w, x) for "wxy" and (x, w) for "xwy"; nonzero where it breaks."""
+    """x -> per y the cut digits, nonzero where the slot breaks, of its row
+    tests at (x, y) for "xyw", or of block y at every (w, x) for "wxy" and
+    (x, w) for "xwy"; None on scalars as given."""
     ws, vs = (module, xs) if placement[2] == "w" else (xs, module if placement[1] == "w" else xs)
     if (packs := walk.packs[ws]) is None:
         return None
