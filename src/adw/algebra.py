@@ -20,10 +20,9 @@ as given.  A1, A2 and associativity are each written per basis triple
 One loop, ``walk_pairs``, walks ``check_triples`` and the glued walks of
 ``adw.unified``.  It tests each row u over every (u, v, w) at once
 (``Walk.rows``): the cells are packed into slabs, ints holding one digit per
-(w, l) in base 2**b (``tensors.packed``), each term is a map {v: slab}
-(``row_slabs``, mod p over GF(p)), and equal maps mean the row holds.  The
-digits where slabs differ are the broken checks (``row_diffs``), counted,
-and spelled only for a kept violation.
+(w, l) in base 2**b, each term is a map {v: slab} (``row_slabs``), and equal
+maps mean the row holds.  The digits where slabs differ are the broken
+checks (``row_diffs``), counted, and spelled only for a kept violation.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from operator import add, itemgetter, lshift, mul, or_
 from .fields import RATIONALS, InputError
 from .linalg import accumulate, inverse, matvec, vadd, vneg
 from .reporting import Report
-from .tensors import (cells_sum, operators, packed, t3_entries, t3_from_entries, t3_is_zero,
-                      t3_reorder, table_cells)
+from .tensors import (cells_sum, operators, packed, spread, t3_entries, t3_from_entries,
+                      t3_is_zero, t3_reorder, table_cells)
 
 A1_TERMS = ("x>(y>z)", "-(x.y)>z", "-x<(y.z)", "(x<y)<z")
 A2_TERMS = ("(x>y)<z", "x>(y<z)")
@@ -155,19 +154,22 @@ AD_IDENTITIES = (("A1", a1_chain, A1_TERMS,
 
 class Packing:
     """The ``cells`` of (succ, prec, dot, -dot) packed over the range ``ws``
-    in digits of ``b`` bits, ``stride`` bits a block w: ``views[t]`` is the
-    ``tensors.packed`` of table t, compared after ``field.slab_residues``.
+    in b-bit digits, ``stride`` bits a block w, per table t: ``views[t]``
+    (``tensors.packed``, shared by every range), ``rows[t][k]`` packing
+    e_k o e_w over every (w, l), and ``spreads[t]`` (``tensors.spread``).
     Two slabs plus ``offset`` (2**(b-1) in every digit) differ by XOR in
-    exactly the digits where they differ; ``blocks(x)`` keeps the top bit of
-    each block where x is nonzero."""
+    exactly the digits where they differ; ``blocks(x)`` keeps the top bit
+    of each block where x is nonzero."""
 
-    __slots__ = ("cells", "views", "b", "stride", "field", "residues", "each", "offset", "high",
-                 "low")
+    __slots__ = ("cells", "views", "rows", "spreads", "b", "stride", "field", "residues", "each",
+                 "offset", "high", "low")
 
-    def __init__(self, cells, b, field, ws):
+    def __init__(self, cells, b, field, views, ws):
         n = len(cells[2])
-        self.cells, self.views = cells, _Cells(lambda t: packed(cells[t], b, ws))
-        self.b, self.stride = b, b * n
+        self.cells, self.views, self.b, self.stride = cells, views, b, b * n
+        self.rows = _Cells(lambda t: tuple(sum(col[w] << b * n * (w - ws.start) for w in ws)
+                                           if col else 0 for col in views[t][1]))
+        self.spreads = _Cells(lambda t: spread(cells[t], b * n, ws))
         self.field, self.residues = field, field.slab_residues(b, len(ws) * n)
         self.each = each = ((1 << b * n * len(ws)) - 1) // ((1 << b * n) - 1)
         self.offset = each * (((1 << b * n) - 1) // ((1 << b) - 1) << b - 1)
@@ -195,7 +197,8 @@ def packing(tables, field):
     read = cells if succ is None or hasattr(field, "p") else cells[:2] + (neg,)
     top = max(map(abs, map(itemgetter(1), chain.from_iterable(chain.from_iterable(
         chain.from_iterable(t for t in read if t))))), default=0)
-    return partial(Packing, cells, (len(dot[0]) * top * top).bit_length() + 1, field)
+    b = (len(dot[0]) * top * top).bit_length() + 1
+    return partial(Packing, cells, b, field, _Cells(lambda t: packed(cells[t], b)))
 
 
 def row_slabs(packs, identity, u, vs):
@@ -204,18 +207,18 @@ def row_slabs(packs, identity, u, vs):
     slabs of b over the cell (u, v) of a; u o_b (v o_a w) meets the spread
     coordinates of a at v with the column slabs of b at u block by block."""
     views, residues, out = packs.views, packs.residues, []
-    for a, b, spread in identity[3]:
+    for a, b, inner in identity[3]:
         term = {}
-        if spread:
-            if cols := views[b][2][u]:
-                for v, shifts, coords in views[a][3]:
+        if inner:
+            if cols := views[b][1][u]:
+                for v, shifts, coords in packs.spreads[a]:
                     if v in vs:
                         x = sum(map(lshift, map(sum, map(map, repeat(mul), coords, repeat(cols))),
                                     shifts))
                         if x := residues(x) if residues else x:
                             term[v] = x
         elif live := views[a][0][u]:
-            rows, cells = views[b][1], packs.cells[a][u]
+            rows, cells = packs.rows[b], packs.cells[a][u]
             for v in live:
                 if v in vs:
                     x = sum([c * rows[k] for k, c in cells[v]])
@@ -226,10 +229,10 @@ def row_slabs(packs, identity, u, vs):
 
 
 def row_diffs(packs, identity, u, vs):
-    """The row test of ``identity`` at u: {v: diff} for the v where its slab
-    terms (``row_slabs``) differ, diff the OR of the XORs of the first term
-    with each other one, all plus ``offset``: a digit (w, l) of diff is
-    nonzero exactly where the chain breaks at (u, v, w) in coordinate l."""
+    """The row test of ``identity`` at u: {v: diff} where its slab terms
+    (``row_slabs``) differ, diff the OR of the XORs of the first term with
+    each other one, all plus ``offset``: digit (w, l) of diff is nonzero
+    exactly where the chain breaks at (u, v, w) in coordinate l."""
     first, *rest = row_slabs(packs, identity, u, vs)
     if all(term == first for term in rest):
         return {}

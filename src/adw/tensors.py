@@ -142,22 +142,22 @@ def table_cells(table, lower=None):
                        for v in row) for row in table)
 
 
-def packed(cells, b, ws):
-    """The Kronecker-packed views of a square table's ``table_cells`` over w
-    in the range ``ws``: slabs, ints holding the digit (w, l) at bit
-    b (n (w - ws.start) + l).  Returns (live, row, col, spread): ``live[u]``
-    lists the v of the nonzero cells of row u; ``row[k]`` packs e_k o e_w
-    over every (w, l); ``col[u][k]`` packs e_u o e_k over l (empty for a row
-    without cells); ``spread`` lists each v with a cell (v, w), w in ``ws``,
-    as (v, shifts, coords), the offsets of those blocks and the cells'
-    coordinate vectors: sum_w (sum_k (e_v o e_w)_k col[u][k]) << shift_w is
-    u o (v o w)."""
-    stride = b * len(cells)
-    live, col, spread = [], [], []
+def packed(cells, b):
+    """The Kronecker-packed views of a square table's ``table_cells``: (live,
+    col), ``live[u]`` the v of the nonzero cells of row u and ``col[u][k]``
+    e_u o e_k with digit l at bit b l (empty for a row without cells)."""
+    live = tuple(tuple(compress(range(len(row)), row)) for row in cells)
+    return live, tuple(tuple(sum([c << b * l for l, c in cell]) if cell else 0 for cell in row)
+                       if vs else () for row, vs in zip(cells, live))
+
+
+def spread(cells, stride, ws):
+    """Each v with a cell (v, w), w in the range ``ws``, as (v, shifts,
+    coords), the offsets stride (w - ws.start) and coordinate vectors of
+    those cells: sum_w (sum_k (e_v o e_w)_k col[u][k]) << shift_w is
+    u o (v o w) over ``ws``."""
+    out = []
     for v, row in enumerate(cells):
-        live.append(tuple(compress(range(len(row)), row)))
-        col.append(tuple(sum([c << b * l for l, c in cell]) if cell else 0 for cell in row)
-                   if live[-1] else ())
         shifts, coords = [], []
         for w in ws:
             if row[w]:
@@ -167,9 +167,8 @@ def packed(cells, b, ws):
                 shifts.append(stride * (w - ws.start))
                 coords.append(tuple(vector))
         if shifts:
-            spread.append((v, tuple(shifts), tuple(coords)))
-    return (tuple(live), tuple(sum(slabs[w] << stride * (w - ws.start) for w in ws) if slabs
-                               else 0 for slabs in col), tuple(col), tuple(spread))
+            out.append((v, tuple(shifts), tuple(coords)))
+    return out
 
 
 def operators(cells):
