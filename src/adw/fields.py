@@ -195,6 +195,15 @@ class Rationals:
         return hash("rational")
 
 
+class _Lifted(dict):
+    """{int v: the ``Fraction`` v/scale}, each made once, at its first lookup."""
+    __slots__ = ("scale",)
+
+    def __missing__(self, x):
+        q = self[x] = Fraction(x) if self.scale == 1 else Fraction(x, self.scale)
+        return q
+
+
 class ScaledRationals:
     """The rationals as ints over a fixed scale: the int v stands for v/scale.
 
@@ -205,15 +214,19 @@ class ScaledRationals:
 
     def __init__(self, scale: int):
         self.scale = scale
+        self._lifted = _Lifted()
+        self._lifted.scale = scale
 
     def residues(self, x):
         return x
 
     def lift(self, x):
         """The ``Fraction`` x/scale of an int, or of each int in a nested tuple."""
-        if type(x) is tuple:
+        if type(x) is not tuple:
+            return self._lifted[x]
+        if x and type(x[0]) is tuple:
             return tuple(map(self.lift, x))
-        return Fraction(x) if self.scale == 1 else Fraction(x, self.scale)
+        return tuple(map(self._lifted.__getitem__, x))
 
     def slab_residues(self, b, count):
         """None: slabs (``tensors.packed``) compare as the ints they are."""

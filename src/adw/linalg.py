@@ -164,10 +164,6 @@ def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def mat_scale(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 # ---------------------------------------------------------------------------
 # elimination
 

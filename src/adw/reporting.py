@@ -1,11 +1,11 @@
 """Check reports: verdicts with traceable equation violations.
 
-A report compares in its field: ``require_equal`` and ``require_chain``
-compare ``field.residues`` of their values and record ``field.lift`` of a
-kept violation's values (both the identity over Q).  A check that computes
-on lowered inputs (``fields``) fills a ``part`` that compares in the
-lowering's field, such as ``ScaledRationals(d**k)``, and ``absorb``s it, so
-the report it returns keeps the field of its data.
+A report compares in its field: ``require_equal``, ``require_chain`` and
+``require_cells`` compare ``field.residues`` of their values and record
+``field.lift`` of a kept violation's values (both the identity over Q).  A
+check that computes on lowered inputs (``fields``) fills a ``part`` that
+compares in the lowering's field, such as ``ScaledRationals(d**k)``, and
+``absorb``s it, so the report it returns keeps the field of its data.
 """
 
 from __future__ import annotations
@@ -83,7 +83,34 @@ class Report:
         """Require values[0] = values[1] = ... in the field; report the first
         broken link.  ``values`` is a tuple."""
         self.tick()
-        values = self.field.residues(values)
+        return self._chain(equation, witness, terms, self.field.residues(values))
+
+    def require_cells(self, equation, witness, values, dense, detail="") -> bool:
+        """Require values[0] = values[1] = ... for flat accumulators, or
+        values[0] = 0 for one flat accumulator or cell map (by its values),
+        in the field.  Only a failure the report keeps builds dense sides
+        (``dense`` of each value) and fails as ``require_equal``, or as
+        ``require_chain`` if ``detail`` is the tuple of the chain's terms."""
+        self.tick()
+        residues = self.field.residues
+        if len(values) == 1:
+            v = values[0]
+            if not any(residues(tuple(v if type(v) is list else v.values()))):
+                return True
+            values += ({},)
+        else:
+            flat = [residues(tuple(v)) for v in values]
+            if flat.count(flat[0]) == len(flat):
+                return True
+        if not (self.exhaustive or not self.violations):
+            self.violation_count += 1
+            return False
+        sides = tuple(residues(dense(v)) for v in values)
+        if type(detail) is tuple:
+            return self._chain(equation, witness, detail, sides)
+        return self._fail(equation, witness, *sides, detail)
+
+    def _chain(self, equation, witness, terms, values) -> bool:
         for a in range(len(values) - 1):
             if values[a] != values[a + 1]:
                 return self._fail(equation, witness, values[a], values[a + 1],

@@ -8,8 +8,8 @@ evaluates every product on them.  The bialgebra checks compute on cell maps,
 {flat index: value} over the cells some term reached: a leg map touches only
 the nonzero columns of its operator (Gustavson's (1978) row products, carried
 over to tensor legs), a contraction reads each tensor's nonzeros grouped once
-by leg (``legs``), and a check builds the dense tensor of a value
-(``from_cells``) only to compare it.
+by leg (``legs``), and a comparison reads a value's cells; the dense tensor
+(``from_cells``) is built only for a kept violation or a returned value.
 
 Order-3 tables are also how every 3-index structure is stored: product
 tables, action families and coproducts all build from entries with
@@ -35,7 +35,7 @@ from itertools import compress
 from math import prod
 
 from .fields import InputError
-from .linalg import accumulate, shape
+from .linalg import accumulate
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +81,6 @@ def t3_entries(t):
 
 def t3_is_zero(t):
     return all(not x for plane in t for row in plane for x in row)
-
-
-def t3_dims(t):
-    return (len(t), len(t[0]) if t else 0, len(t[0][0]) if t and t[0] else 0)
 
 
 # each reordering as swaps of neighbouring indices, 0 the first two, 1 the last two
@@ -237,11 +233,6 @@ def from_cells(dims, cells, lift=None):
 # ---------------------------------------------------------------------------
 # leg contractions against a bilinear product
 
-def _prod_table(op):
-    """Accept a BilinearOp-like object or a raw table c[i][j] -> vector."""
-    return op.table if hasattr(op, "table") else op
-
-
 def legs(t, na, nb):
     """The nonzero cells of an na x nb tensor, a cell map or a flat list,
     grouped by each leg: ({i: [(j, x)]}, {j: [(i, x)]}, na, nb)."""
@@ -292,28 +283,3 @@ def add_contraction(acc, u, v, cells, how):
                     for p, z in cell:
                         acc[base + p * ps] += f * z
     return out
-
-
-def _contract(u, v, op, how):
-    c = _prod_table(op)
-    (a, b), _ = how
-    if shape(u)[a] != len(c) or shape(v)[b] != len(c):
-        raise InputError("contraction: tensor legs do not match the product dimension")
-    cells = cell_map()
-    return from_cells(add_contraction(cells, legs(t2_cells(u), *shape(u)),
-                                      legs(t2_cells(v), *shape(v)), table_cells(c), how), cells)
-
-
-def contract_12_13(u, v, op):
-    """u_12 o v_13 = sum_{i,j} (a_i o c_j) (x) b_i (x) d_j."""
-    return _contract(u, v, op, C12_13)
-
-
-def contract_13_23(u, v, op):
-    """u_13 o v_23 = sum_{i,j} a_i (x) c_j (x) (b_i o d_j)."""
-    return _contract(u, v, op, C13_23)
-
-
-def contract_23_12(u, v, op):
-    """u_23 o v_12 = sum_{i,j} c_j (x) (a_i o d_j) (x) b_i."""
-    return _contract(u, v, op, C23_12)

@@ -11,9 +11,10 @@ import pytest
 from adw.actions import ActionFamily
 from adw.algebra import ADAlgebra, BilinearOp, direct_sum
 from adw.fields import InputError
-from adw.linalg import inverse
+from adw.linalg import inverse, shape
 from adw.reps import ADRep, regular_representation, semidirect_product
-from adw.tensors import t3_dims
+from adw.tensors import add_contraction, cell_map, from_cells, legs, t2_cells, table_cells
+from .frozen_bialgebra import t3_dims
 
 
 def q(a, b=1):
@@ -120,6 +121,17 @@ def sigma123(t):
 def sigma132(t):
     """x (x) y (x) z  ->  y (x) z (x) x."""
     return sigma(t, (1, 2, 0))
+
+
+def contracted(u, v, table, how):
+    """The dense contraction ``how`` (``tensors.C12_13``, ``C13_23`` or
+    ``C23_12``) of two order-2 tensors against a product table, by the
+    library's one contraction kernel, ``tensors.add_contraction``: an entry
+    that no term reaches is int 0."""
+    cells = cell_map()
+    dims = add_contraction(cells, legs(t2_cells(u), *shape(u)), legs(t2_cells(v), *shape(v)),
+                           table_cells(table), how)
+    return from_cells(dims, cells)
 
 
 @pytest.fixture(scope="session")

@@ -16,10 +16,11 @@ from adw.actions import ActionFamily
 from adw.algebra import ADAlgebra, BilinearOp
 from adw.crossed import AutPair, CrossedDatum, crossed_product
 from adw.fields import InputError
-from adw.linalg import (identity, inverse, mat_add, mat_scale, matmul, matvec, shape, unit,
+from adw.linalg import (identity, inverse, mat_add, matmul, matvec, shape, unit,
                         vadd, vneg, vsub, vzero, zeros_mat)
 from adw.reporting import PreconditionFailure, Report
 from adw.unified import EquivWitness, ExtendingDatum
+from .frozen_reps import mat_scale
 
 
 def is_homomorphism(phi, src: ADAlgebra, dst: ADAlgebra) -> bool:

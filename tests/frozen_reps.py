@@ -11,12 +11,16 @@ Do not optimise or refactor it.
 
 from __future__ import annotations
 
-from adw.linalg import mat_add, mat_neg, mat_scale, matmul, zeros_mat
+from adw.linalg import mat_add, mat_neg, matmul, zeros_mat
 from adw.reporting import PreconditionFailure, Report
 
 R1_TERMS = ("l>(x)l>(y)", "-l>(x.y)", "-l<(x)l.(y)", "l<(x<y)")
 R2_TERMS = ("r>(x>y)", "-r>(y)r.(x)", "-r<(x.y)", "r<(y)r<(x)")
 R3_TERMS = ("l>(x)r>(y)", "-r>(y)l.(x)", "-l<(x)r.(y)", "r<(y)l<(x)")
+
+
+def mat_scale(c, a):
+    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat(fam, x):

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 from adw.algebra import BilinearOp
 from adw.fields import InputError
-from adw.linalg import (mat_add, mat_scale, matvec, shape, transpose, unit, vadd, vzero,
+from adw.linalg import (mat_add, matvec, shape, transpose, unit, vadd, vzero,
                         zeros_mat)
 from adw.reporting import Report
 from adw.tensors import t3_entries, t3_from_entries, t3_is_zero
+from .frozen_reps import mat_scale
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 import hashlib
 import random
 from fractions import Fraction as Q
+from functools import partial
 from itertools import product as iproduct
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adw import bialgebra
 from adw.algebra import (ADAlgebra, BilinearOp, check_associative, direct_sum,
                          multiplication_operators)
 from adw.bialgebra import (BilinearForm, CoproductPair, adybe_residual,
@@ -16,13 +21,15 @@ from adw.bialgebra import (BilinearForm, CoproductPair, adybe_residual,
                            dualize_algebra, is_skew, is_ybe_solution,
                            o_operator_to_ybe, search_skew_solutions,
                            skew_tensor_from_uppers, t_r, tr_ybe_identity)
-from adw.fields import RATIONALS, InputError, PrimeField
+from adw.fields import RATIONALS, InputError, PrimeField, ScaledRationals
 from adw.linalg import identity
-from adw.reporting import PreconditionFailure
+from adw.reporting import PreconditionFailure, Report
 from adw.reps import regular_representation, semidirect_product
-from adw.tensors import contract_12_13, contract_13_23, contract_23_12, t3_zero
+from adw.tensors import cell_map, from_cells, t3_zero
+from . import frozen_dense_kernels as frozen
 from .conftest import nilpotent2, rand_matrix, rnil2, sigma123, sigma132
 from .frozen_bialgebra import _cop_leg1, _cop_leg2, t2_sub, t3_add, t3_neg, t3_sub, twist
+from .frozen_dense_kernels import contract_12_13, contract_13_23, contract_23_12
 
 SKEW2 = ((Q(0), Q(1)), (Q(-1), Q(0)))
 
@@ -489,6 +496,84 @@ def test_search_rejects_scalars_outside_the_field():
     # ints are constants of every field
     assert len(search_skew_solutions(rnil2(gf5), [0, 1])) == \
         len(search_skew_solutions(rnil2(gf5), [gf5.zero, gf5.one]))
+
+
+# ---------------------------------------------------------------------------
+# comparisons of flat accumulators and cell maps
+
+def test_require_cells_reads_a_cell_map_by_its_values():
+    """A cell map whose only nonzero value sits at flat key 0 fails, and one
+    that holds only zero values passes: the values are read, never the keys."""
+    dense = partial(from_cells, (2, 2))
+    for field in (ScaledRationals(1), ScaledRationals(6), PrimeField(3)):
+        rep = Report("cells", field=field)
+        assert not rep.require_cells("E", (0,), (cell_map({0: 1}),), dense, "E fails")
+        assert rep.require_cells("E", (1,), (cell_map({0: 0, 3: 0}),), dense, "E fails")
+        assert rep.require_cells("E", (2,), (cell_map(),), dense, "E fails")
+        assert (rep.checked, rep.violation_count, len(rep.violations)) == (3, 1, 1)
+        assert repr(rep.violations[0].lhs) == repr(field.lift(((1, 0), (0, 0))))
+        assert repr(rep.violations[0].rhs) == repr(field.lift(((0, 0), (0, 0))))
+    # over GF(3) the values are compared mod 3
+    rep = Report("cells", field=PrimeField(3))
+    assert rep.require_cells("E", (), (cell_map({1: 3, 2: -6}),), dense)
+    assert rep.require_cells("E", (), ([1, 2, 0, 0], [4, -1, 3, 0]), dense)
+    assert not rep.require_cells("E", (), ([1, 0, 0, 0], [2, 0, 0, 0]), dense)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_require_cells_matches_the_dense_comparison(data):
+    """``require_cells`` gives the report that ``require_equal`` or
+    ``require_chain`` gives on the dense values, by ``repr``, in both modes
+    and with or without a violation kept before it."""
+    field = data.draw(st.sampled_from([ScaledRationals(1), ScaledRationals(6), PrimeField(3)]))
+    dims = data.draw(st.sampled_from([(1, 1), (2, 2), (2, 3), (2, 2, 2)]))
+    size, value = prod(dims), st.sampled_from([0, 0, 0, 1, -1, 3, -6, 7])
+    count = data.draw(st.integers(1, 4))
+    values = tuple(data.draw(st.lists(value, min_size=size, max_size=size))
+                   if count > 1 or data.draw(st.booleans())
+                   else cell_map(data.draw(st.dictionaries(st.integers(0, size - 1), value)))
+                   for _ in range(count))
+    terms = tuple("t%d" % k for k in range(count))
+    chain = count > 2 or count == 2 and data.draw(st.booleans())
+    dense = partial(from_cells, dims)
+    exhaustive, prior = data.draw(st.booleans()), data.draw(st.booleans())
+    new, old = (Report("cells", exhaustive, field=field) for _ in range(2))
+    for rep in (new, old) if prior else ():
+        rep.require_equal("P", (), 0, 1, "kept before")
+    got = new.require_cells("E", (1, 2), values, dense, terms if chain else "E fails")
+    if chain:
+        want = old.require_chain("E", (1, 2), terms, tuple(map(dense, values)))
+    else:
+        want = old.require_equal("E", (1, 2), dense(values[0]),
+                                 dense(values[1] if count == 2 else {}), "E fails")
+    assert got == want and new == old and repr(new) == repr(old)
+
+
+def test_coboundary_builds_only_the_kept_violations(monkeypatch):
+    """Non-exhaustive CD3-CD10 on R(nil2) with an r that breaks CD3 at four
+    pairs and CD7-CD10 too: each part (CD3-CD6 and CD7-CD10) builds the dense
+    sides (the value and the zero tensor) of its first violation only, and
+    the report equals the frozen dense check's."""
+    alg = semidirect_product(regular_representation(nilpotent2()))
+    rng = random.Random(1)
+    r = tuple(tuple(Q(rng.choice([-1, 0, 1]), rng.choice([1, 2])) for _ in range(4))
+              for _ in range(4))
+    built = []
+
+    def spy(dims, cells, lift=None):
+        built.append(dims)
+        return from_cells(dims, cells, lift)
+
+    monkeypatch.setattr(bialgebra, "from_cells", spy)
+    rep = check_coboundary_conditions(alg, r, r)
+    assert built == [(4, 4), (4, 4), (4, 4, 4), (4, 4, 4)]
+    assert (rep.checked, rep.violation_count) == (80, 12)
+    assert [v.equation for v in rep.violations] == ["CD3"]
+    old = frozen.check_coboundary_conditions(alg, r, r)
+    assert rep == old
+    broken = {v.equation for v in check_coboundary_conditions(alg, r, r, True).violations}
+    assert {"CD3", "CD7"} <= broken
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adw.fields import GFElement, InputError, PrimeField, RATIONALS, field_from_name
+from adw.fields import (GFElement, InputError, PrimeField, RATIONALS, ScaledRationals,
+                        field_from_name)
 
 
 def test_rational_parse_and_canonical_str():
@@ -152,3 +153,20 @@ def test_slab_residues_on_wide_digits(data):
                                           st.integers(0, top)), max_size=12))
     assert (PrimeField(p).slab_residues(b, len(digits))(slab(digits, b))
             == slab([d % p for d in digits], b))
+
+
+@pytest.mark.parametrize("scale", [1, 6])
+def test_scaled_lift_is_one_fraction_per_int(scale):
+    """``ScaledRationals.lift`` over nested tuples holding 0 and negative
+    ints gives Fraction(x, scale) for each int x, in value, type and
+    ``repr``; a repeated int gives the same ``Fraction``."""
+    field = ScaledRationals(scale)
+    x = (((0, -3, 5), (12, 0, -12)), ((-1, 6, 0), (0, 0, 7)))
+    want = tuple(tuple(tuple(Q(v, scale) for v in row) for row in plane) for plane in x)
+    for _ in range(2):
+        got = field.lift(x)
+        assert got == want and repr(got) == repr(want)
+        assert all(type(v) is Q for plane in got for row in plane for v in row)
+    assert field.lift(x[1]) == want[1] and repr(field.lift(-12)) == repr(Q(-12, scale))
+    assert field.lift(()) == () and field.lift(((), ())) == ((), ())
+    assert field.lift(0) is field.lift(x)[1][1][0]

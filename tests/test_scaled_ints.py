@@ -199,10 +199,13 @@ def digits(slab, b):
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every compared value, lifted, as (equation, witness, values).  A row
-    test of a walk at u is recorded with the identity's label, the witness
-    (u, v...) of the v where some slab term is nonzero, and each term as the
-    digits of its slab at each of those v, one per (k, l)."""
+    """Every compared value, lifted, as (equation, witness, values).  A
+    comparison of flat accumulators or cell maps (``require_cells``, which
+    builds no dense value when it passes) is recorded as its dense sides, a
+    single value with the zero tensor.  A row test of a walk at u is
+    recorded with the identity's label, the witness (u, v...) of the v where
+    some slab term is nonzero, and each term as the digits of its slab at
+    each of those v, one per (k, l)."""
     seen = []
 
     def chain(self, equation, witness, terms, values):
@@ -213,6 +216,11 @@ def recorded(monkeypatch):
         seen.append((equation, witness, self.field.lift((lhs, rhs))))
         return original_equal(self, equation, witness, lhs, rhs, detail)
 
+    def cells(self, equation, witness, values, dense, detail=""):
+        sides = values + ({},) if len(values) == 1 else values
+        seen.append((equation, witness, self.field.lift(tuple(map(dense, sides)))))
+        return original_cells(self, equation, witness, values, dense, detail)
+
     def row_slabs(packs, identity, u, vs):
         terms = original_row_slabs(packs, identity, u, vs)
         keys = sorted(set().union(*terms))
@@ -221,9 +229,10 @@ def recorded(monkeypatch):
         return terms
 
     original_chain, original_equal = Report.require_chain, Report.require_equal
-    original_row_slabs = algebra.row_slabs
+    original_cells, original_row_slabs = Report.require_cells, algebra.row_slabs
     monkeypatch.setattr(Report, "require_chain", chain)
     monkeypatch.setattr(Report, "require_equal", equal)
+    monkeypatch.setattr(Report, "require_cells", cells)
     monkeypatch.setattr(algebra, "row_slabs", row_slabs)
     return seen
 

@@ -5,9 +5,10 @@ from itertools import permutations
 import pytest
 
 from adw.algebra import BilinearOp
+from adw.bialgebra import adybe_residual, check_coboundary_conditions, is_ybe_solution
 from adw.fields import InputError
-from adw.tensors import contract_12_13, contract_13_23, contract_23_12, t2_zero, t3_zero
-from .conftest import rand_matrix, sigma, sigma123, sigma132
+from adw.tensors import C12_13, C13_23, C23_12, t2_zero, t3_zero
+from .conftest import contracted, nilpotent2, rand_matrix, sigma, sigma123, sigma132
 from .frozen_bialgebra import twist
 
 
@@ -77,33 +78,39 @@ def test_contraction_conventions_on_basis_tensors():
     #   u13 o v23 = a (x) c (x) (b o d)
     #   u23 o v12 = c (x) (a o d) (x) b
     n = 2
-    op = BilinearOp.from_entries(n, [(0, 0, 1, Q(1))])  # e1 o e1 = e2
+    op = BilinearOp.from_entries(n, [(0, 0, 1, Q(1))]).table  # e1 o e1 = e2
     u = basis_t2(n, 0, 1)  # e1 (x) e2
     v = basis_t2(n, 0, 0)  # e1 (x) e1
-    assert contract_12_13(u, v, op) == basis_t3(n, 1, 1, 0)   # e2 (x) e2 (x) e1
+    assert contracted(u, v, op, C12_13) == basis_t3(n, 1, 1, 0)   # e2 (x) e2 (x) e1
     # u13 o v23: b o d = e2 o e1 = 0
-    assert contract_13_23(u, v, op) == t3_zero(n)
+    assert contracted(u, v, op, C13_23) == t3_zero(n)
     u2 = basis_t2(n, 1, 0)  # e2 (x) e1
-    assert contract_13_23(u2, u2, op) == basis_t3(n, 1, 1, 1)  # e2 (x) e2 (x) (e1 o e1)
+    assert contracted(u2, u2, op, C13_23) == basis_t3(n, 1, 1, 1)  # e2 (x) e2 (x) (e1 o e1)
     # u23 o v12 with u = e1 (x) e2, v = e1 (x) e1: c (x) (a o d) (x) b = e1 (x) e2 (x) e2
-    assert contract_23_12(u, v, op) == basis_t3(n, 0, 1, 1)
+    assert contracted(u, v, op, C23_12) == basis_t3(n, 0, 1, 1)
 
 
 def test_contraction_bilinearity():
     rng = random.Random(9)
     n = 3
-    op = BilinearOp.from_entries(n, [(0, 0, 1, Q(1)), (1, 2, 0, Q(-2)), (2, 2, 2, Q(3))])
+    op = BilinearOp.from_entries(n, [(0, 0, 1, Q(1)), (1, 2, 0, Q(-2)), (2, 2, 2, Q(3))]).table
     u1, u2, v = (rand_matrix(rng, n, n) for _ in range(3))
     usum = tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(u1, u2))
-    for c in (contract_12_13, contract_13_23, contract_23_12):
-        left = c(usum, v, op)
-        a, b = c(u1, v, op), c(u2, v, op)
+    for how in (C12_13, C13_23, C23_12):
+        left = contracted(usum, v, op, how)
+        a, b = contracted(u1, v, op, how), contracted(u2, v, op, how)
         add = tuple(tuple(tuple(x + y for x, y in zip(r1, r2))
                           for r1, r2 in zip(p1, p2)) for p1, p2 in zip(a, b))
         assert left == add
 
 
 def test_contraction_dimension_guard():
-    op = BilinearOp.zero(2)
-    with pytest.raises(InputError):
-        contract_12_13(t2_zero(3), t2_zero(2), op)
+    """The contractions run behind the YE6 residual and CD7-CD10, which
+    refuse a tensor whose legs do not match the algebra's dimension."""
+    alg = nilpotent2()
+    for r in (t2_zero(3), t2_zero(2, 3), t2_zero(3, 2), ()):
+        for check in (adybe_residual, is_ybe_solution):
+            with pytest.raises(InputError):
+                check(alg, r)
+        with pytest.raises(InputError):
+            check_coboundary_conditions(alg, r, r)
