@@ -13,8 +13,8 @@ The Yang-Baxter residual of a single tensor r is
 with the leg conventions of the tensors module; r is a solution when the
 residual vanishes identically.
 
-CD3-CD10, D1-D9, the coalgebra axioms, the residual and the YE6 polarization
-of ``ybe search`` compute on plain ints: ``field.lowering`` takes a check's
+CD3-CD10, D1-D9, the coalgebra axioms, the residual and the YE6 form of
+``ybe search`` compute on plain ints: ``field.lowering`` takes a check's
 inputs (tables, tensors r, coproducts) together to int residues over GF(p),
 and over Q to ints scaled by one d, the lcm of all their denominators.  D1-D9
 (1 in the tables, 1 in the coproducts) and Ca1/Ca2 are of degree 2, CD3-CD6
@@ -35,7 +35,7 @@ from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, check_anti_dendriform,
                       check_associative, lowered_cells, multiplication_operators)
 from .fields import RATIONALS, InputError, PrimeField
-from .linalg import has_shape, inverse, matvec, shape, unit, vadd
+from .linalg import _reduced, has_shape, inverse, matvec, shape, unit, vadd
 from .matched import (AssocMatchedPair, assoc_bicrossed_product,
                       check_assoc_matched_pair)
 from .reporting import PreconditionFailure, Report
@@ -507,9 +507,9 @@ def adybe_residual(alg: ADAlgebra, r):
         x and type(x) is not int for t in tables for row in t for v in row if any(v) for x in v)
     if not has_fraction:
         return from_cells((n, n, n), _residual_cells(
-            r, *map(table_cells, (alg.assoc.table,) + tables)))
+            r, r, *map(table_cells, (alg.assoc.table,) + tables)))
     r, tables, at = _lowered_ye6(alg, r)
-    return from_cells((n, n, n), _residual_cells(r, *tables), at(3).lift)
+    return from_cells((n, n, n), _residual_cells(r, r, *tables), at(3).lift)
 
 
 def _ye6_dim(alg, r):
@@ -526,14 +526,16 @@ def _lowered_ye6(alg, r):
     return lower(r), (dot, succ, prec), at
 
 
-def _residual_cells(r, dot, succ, prec):
-    """The residual on the cells of given product tables as {cell: value},
-    over the cells some term reached (``add_contraction``)."""
-    n = len(r)
-    cells, r2 = cell_map(), legs(t2_cells(r), n, n)
-    add_contraction(cells, r2, r2, dot, C12_13)
-    add_contraction(cells, r2, r2, succ, C23_12)
-    add_contraction(cells, legs(t2_cells(t2_neg(r)), n, n), r2, prec, C13_23)
+def _residual_cells(u, v, dot, succ, prec):
+    """B(u, v) = u_12 . v_13 + u_23 > v_12 - u_13 < v_23 on the cells of given
+    product tables as {cell: value}, over the cells some term reached
+    (``add_contraction``); the residual of r is B(r, r)."""
+    n = len(u)
+    cells, u2 = cell_map(), legs(t2_cells(u), n, n)
+    v2 = u2 if v is u else legs(t2_cells(v), n, n)
+    add_contraction(cells, u2, v2, dot, C12_13)
+    add_contraction(cells, u2, v2, succ, C23_12)
+    add_contraction(cells, legs(t2_cells(t2_neg(u)), n, n), v2, prec, C13_23)
     return cells
 
 
@@ -543,7 +545,7 @@ def is_ybe_solution(alg: ADAlgebra, r) -> bool:
     _ye6_dim(alg, r)
     r, tables, at = _lowered_ye6(alg, r)
     residues = at(3).residues
-    return not any(residues(x) for x in _residual_cells(r, *tables).values())
+    return not any(residues(x) for x in _residual_cells(r, r, *tables).values())
 
 
 def t_r(r):
@@ -671,41 +673,61 @@ def _ye6_form(alg: ADAlgebra, k):
     """YE6 at r = sum_a x_a S_a as a quadratic form in the upper entries x_a.
 
     S_a is the skew unit tensor of the a-th strictly-upper entry (row-major).
-    The residual is homogeneous quadratic in r, so each of its components is
-    sum_{a<=b} c_ab x_a x_b, read off the ``adybe_residual`` contractions by
-    polarization: c_aa = res(S_a) and c_ab = res(S_a + S_b) - res(S_a) -
-    res(S_b) for a < b, which holds in every characteristic.  The
-    contractions run on ``lowered`` tables.  Returns, for each t < k, the
-    components whose highest variable is x_t, each a list of (a, b, c) with
-    c = ``alg.field.residues`` of the coefficient, nonzero.
+    The residual is B(r, r) (``_residual_cells``), so a component has c_aa =
+    B(S_a, S_a) and c_ab = B(S_a, S_b) + B(S_b, S_a), a < b.  On the
+    ``lowered`` tables, the signed w-bit digit a + k b of B(sum_a S_a 2**(w a),
+    sum_b S_b 2**(w k b)) is B(S_a, S_b) (Kronecker substitution): a column
+    of S_a has one nonzero, +-1, so a cell of B(S_a, S_b) sums at most one
+    entry of each table, and M < 2**(w-1) for M the sum of their largest
+    sizes.  Returns, for each t < k, the components whose highest variable
+    is x_t, by lowest (b, a) and then by cell, each a list of (a, b, c) in
+    increasing (b, a), c = ``alg.field.residues`` of the coefficient, nonzero.
     """
     n, field = alg.dim, alg.field
     lowering = field.lowering(alg.succ.table, alg.prec.table)
-    succ, prec, dot = lowered_cells(lowering, alg.succ.table, alg.prec.table)
+    succ, prec, dot = tables = lowered_cells(lowering, alg.succ.table, alg.prec.table)
     # over Q a coefficient, of degree 1 in the tables, is lifted
-    reduce = field.residues if isinstance(field, PrimeField) else lowering[1](1).lift
-    units = [skew_tensor_from_uppers(n, [int(a == b) for b in range(k)]) for a in range(k)]
-    squares = [_residual_cells(s, dot, succ, prec) for s in units]
-    comps = {}
-    for b in range(k):
-        for a in range(b + 1):
-            if a == b:
-                res = squares[a]
-            else:
-                both = skew_tensor_from_uppers(n, [int(c in (a, b)) for c in range(k)])
-                res = _residual_cells(both, dot, succ, prec)
-                for square in (squares[a], squares[b]):
-                    add_cells(res, square, -1)
-            # in index order, the order of the dense residual's entries
-            for key in sorted(res):
-                c = reduce(res[key]) if res[key] else 0
-                if c:
-                    comps.setdefault(key, []).append((a, b, c))
+    reduce = (lambda c, p=field.p: c % p) if isinstance(field, PrimeField) \
+        else lowering[1](1).lift
+    top = sum(max((abs(c) for row in t for cell in row for _, c in cell), default=0)
+              for t in tables)
+    w = top.bit_length() + 1
+    shifts, half, mask = range(0, w * k * k, w), 1 << w - 1, (1 << w) - 1
+    # with half added to every digit, each reads as a plain w-bit field
+    offset = sum(half << s for s in shifts)
+    u, v = (skew_tensor_from_uppers(n, [1 << w * step * a for a in range(k)]) for step in (1, k))
+    pairs = [(a, b) for b in range(k) for a in range(b + 1)]
+    comps = []
+    for key, x in _residual_cells(u, v, dot, succ, prec).items():
+        x += offset
+        d = [(x >> s & mask) - half for s in shifts]
+        terms = [(a, b, c) for a, b in pairs
+                 if (c := reduce(d[a + k * b] + d[b + k * a] if a < b else d[a + k * a]))]
+        if terms:
+            comps.append((terms[0][1], terms[0][0], key, terms))
     by_last = [[] for _ in range(k)]
-    for terms in comps.values():
-        # terms were appended in increasing b, so the last one holds the highest
+    for *_, terms in sorted(comps):
         by_last[terms[-1][1]].append(terms)
     return by_last
+
+
+def _ye6_rows(alg: ADAlgebra, k):
+    """The rows the skew search prunes on: the pivot rows of the reduced
+    echelon form (``_reduced``) of ``_ye6_form``'s components, over the
+    monomials highest variable first, (k-1, k-1), (k-2, k-1), ..., (0, 0),
+    filed by their pivot's highest variable and listed as the components
+    are.  A component of level t combines rows of levels <= t only, so the
+    rows vanish on every solution and drop a prefix no later."""
+    field = alg.field
+    monomials = [(a, b) for b in reversed(range(k)) for a in reversed(range(b + 1))]
+    column = {m: c for c, m in enumerate(monomials)}
+    rows = [({column[a, b]: c for a, b, c in terms}, 0)
+            for level in _ye6_form(alg, k) for terms in level]
+    levels = [[] for _ in range(k)]
+    for (entries, _), pivot in zip(*_reduced(rows, len(monomials), field)):
+        levels[monomials[pivot][1]].append(
+            [(*monomials[c], field.residues(x)) for c, x in entries.items() if x])
+    return levels
 
 
 def search_skew_solutions(alg: ADAlgebra, values):
@@ -717,23 +739,23 @@ def search_skew_solutions(alg: ADAlgebra, values):
     the caller's own value objects.  Every value and every nonzero table
     coefficient must be an int or an element of ``alg.field``.
 
-    YE6 is expanded once into a quadratic form (``_ye6_form``); the walk
-    assigns the upper entries in order and drops a prefix as soon as a
-    component whose variables are all assigned is nonzero.  Over GF(p) it
-    computes with int residues mod p, so an int is read mod p.  Dimensions
-    above 4 are refused: the grid grows as len(values)**(n(n-1)/2).
+    YE6 is expanded once into echelon rows (``_ye6_rows``); the walk assigns
+    the upper entries in order and drops a prefix as soon as a row whose
+    variables are all assigned is nonzero.  Over GF(p) it computes with int
+    residues mod p, so an int is read mod p.  Dimensions above 4 are refused:
+    the grid grows as len(values)**(n(n-1)/2).
     """
     n = alg.dim
     if n > 4:
         raise InputError("skew search supports dimension <= 4")
     field = alg.field
-    nonzero = (lambda s, p=field.p: s % p) if isinstance(field, PrimeField) else bool
+    p = field.p if isinstance(field, PrimeField) else 0
     # coerce raises InputError on a value outside the field; ADAlgebra has
     # already checked the table coefficients
     values = list(values)
     xs = [field.residues(field.coerce(x)) for x in values]
     k = n * (n - 1) // 2
-    forms = _ye6_form(alg, k)
+    levels = _ye6_rows(alg, k)
     found, row, picks = [], [None] * k, [None] * k
 
     def walk(t):
@@ -742,8 +764,11 @@ def search_skew_solutions(alg: ADAlgebra, values):
             return
         for i, x in enumerate(xs):
             row[t] = x
-            if not any(nonzero(sum(c * row[a] * row[b] for a, b, c in terms))
-                       for terms in forms[t]):
+            for terms in levels[t]:
+                s = sum([c * row[a] * row[b] for a, b, c in terms])
+                if s % p if p else s:
+                    break
+            else:
                 picks[t] = i
                 walk(t + 1)
 

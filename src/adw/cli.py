@@ -320,7 +320,7 @@ def _h_bialgebra_check(args, run):
     from .bialgebra import check_coalgebra, check_d_bialgebra
     alg = io.load_algebra(args.file, run.field)
     cp = io.load_coproducts(args.coproducts, run.field)
-    rep = Report("D-bialgebra")
+    rep = Report("D-bialgebra", exhaustive=args.exhaustive)
     rep.absorb(check_coalgebra(cp, exhaustive=args.exhaustive))
     rep.absorb(check_d_bialgebra(alg, cp, exhaustive=args.exhaustive))
     run.report = rep

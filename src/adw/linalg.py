@@ -6,9 +6,9 @@ multiplies only their nonzero entries.  Everything is immutable and pure.
 ``rref``, ``nullspace``, ``solve_linear``, ``rank`` and ``inverse`` eliminate
 sparse rows.  A row is a dict of the entries that differ from its zero, plus
 that one zero (int 0, ``Fraction(0)`` or a GF(p) zero) standing for every
-other column.  Over GF(p) every int entry is first taken into the field, so
-two ints never divide to a ``Fraction``: the rows are over GF(p) when some
-entry is a GF(p) element, or when the caller names the field.
+other column.  The rows are over GF(p) when some entry is a GF(p) element,
+or when the caller names the field; they are then eliminated on int
+residues, and every value returned is a GF(p) element.
 
 All but ``rref`` read only the pivot rows of the reduced row echelon form,
 which ``_reduced`` gives them in pivot order.  When the rows are over Q and
@@ -194,20 +194,16 @@ def _sparse(row):
 
 
 def _into_field(rows, field):
-    """Sparse rows with every int entry, zeros included, taken into GF(p)
-    when they are over GF(p): ``field`` is ``PrimeField(p)``, or ``field`` is
-    None and some entry is a GF(p) element.  Other rows come back as given."""
+    """(rows, p): rows over GF(p), where ``field`` is ``PrimeField(p)`` or None
+    and some entry is a GF(p) element, as the int residues of their entries
+    (``PrimeField.residues``), and p; rows over Q as given, and 0."""
     if field is None:
-        p = next((x.p for e, z in rows for x in (z, *e.values()) if type(x) is GFElement), None)
-    else:
-        p = field.p if isinstance(field, PrimeField) else None
-    if p is None:
-        return rows
-
-    def take(x):
-        return GFElement(p, x) if type(x) is int else x
-
-    return [({c: take(x) for c, x in e.items()}, take(z)) for e, z in rows]
+        field = next((PrimeField(x.p) for e, z in rows for x in (z, *e.values())
+                      if type(x) is GFElement), None)
+    if not isinstance(field, PrimeField):
+        return rows, 0
+    residues = field.residues
+    return [({c: v for c, x in e.items() if (v := residues(x))}, 0) for e, _ in rows], field.p
 
 
 def _gauss_jordan(rows, ncols, field=None):
@@ -217,9 +213,10 @@ def _gauss_jordan(rows, ncols, field=None):
     every column missing from it.  The rows are first taken ``_into_field``.
     The eliminator makes the moves of dense Gauss-Jordan elimination in the
     same order and on the same values; the sparse layout only changes which
-    entries it reads.
+    entries it reads.  Over GF(p) it moves on int residues mod p and returns
+    them as ``GFElement``s, the type of every value over GF(p).
     """
-    rows = _into_field(rows, field)
+    rows, mod = _into_field(rows, field)
     nrows = len(rows)
     entries = [e for e, _ in rows]
     zeros = [z for _, z in rows]
@@ -246,8 +243,9 @@ def _gauss_jordan(rows, ncols, field=None):
         zp = _div(zeros[p], pv)
         tzp = type(zp)
         prow = {}
+        inv = mod and pow(pv, -1, mod)
         for k, x in entries[p].items():
-            y = _div(x, pv)
+            y = x * inv % mod if mod else _div(x, pv)
             if y or type(y) is not tzp or y != zp:
                 prow[k] = y
         entries[p], zeros[p] = prow, zp
@@ -271,6 +269,8 @@ def _gauss_jordan(rows, ncols, field=None):
                     new[k] = x
             for k, y in prow.items():
                 x = row.get(k, zi) - f * y
+                if mod:
+                    x %= mod
                 if x:
                     new[k] = x
                     support[k].add(i)
@@ -281,6 +281,9 @@ def _gauss_jordan(rows, ncols, field=None):
         r += 1
         if r == nrows:
             break
+    if mod:
+        entries = [{k: GFElement(mod, x) for k, x in e.items()} for e in entries]
+        zeros = [GFElement(mod, 0)] * nrows
     return [(entries[i], zeros[i]) for i in at], tuple(pivots)
 
 

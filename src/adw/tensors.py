@@ -46,12 +46,6 @@ def t2_zero(na, nb=None):
     return tuple((0,) * nb for _ in range(na))
 
 
-def t3_zero(n0, n1=None, n2=None):
-    n1 = n0 if n1 is None else n1
-    n2 = n0 if n2 is None else n2
-    return tuple(tuple((0,) * n2 for _ in range(n1)) for _ in range(n0))
-
-
 def t2_neg(t):
     return tuple(tuple(-x for x in row) for row in t)
 

@@ -28,6 +28,12 @@ def t2_zero(na, nb=None):
     return tuple((0,) * nb for _ in range(na))
 
 
+def t3_zero(n0, n1=None, n2=None):
+    n1 = n0 if n1 is None else n1
+    n2 = n0 if n2 is None else n2
+    return tuple(tuple((0,) * n2 for _ in range(n1)) for _ in range(n0))
+
+
 def t2_add(*ts):
     """The sum, over the nonzero entries only: a cell that none reaches is int 0."""
     na, nb = shape(ts[0])

@@ -37,9 +37,9 @@ from adw.fields import InputError, PrimeField
 from adw.linalg import shape, transpose, unit, vadd, vneg, vsub, vzero
 from adw.reporting import Report
 from adw.tensors import (add_cells, add_first, add_last, cell_map, flip, from_cells, t2_cells,
-                         t2_neg, t2_zero, t3_zero, zeros)
+                         t2_neg, t2_zero, zeros)
 from adw.unified import ExtendingDatum
-from .frozen_bialgebra import t2_add, t2_sub, t3_add, t3_dims, t3_neg, t3_sub, twist
+from .frozen_bialgebra import t2_add, t2_sub, t3_add, t3_dims, t3_neg, t3_sub, t3_zero, twist
 from .frozen_reps import mat
 
 

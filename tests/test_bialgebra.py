@@ -25,10 +25,10 @@ from adw.fields import RATIONALS, InputError, PrimeField, ScaledRationals
 from adw.linalg import identity
 from adw.reporting import PreconditionFailure, Report
 from adw.reps import regular_representation, semidirect_product
-from adw.tensors import cell_map, from_cells, t3_zero
+from adw.tensors import cell_map, from_cells
 from . import frozen_dense_kernels as frozen
 from .conftest import nilpotent2, rand_matrix, rnil2, sigma123, sigma132
-from .frozen_bialgebra import _cop_leg1, _cop_leg2, t2_sub, t3_add, t3_neg, t3_sub, twist
+from .frozen_bialgebra import _cop_leg1, _cop_leg2, t2_sub, t3_add, t3_neg, t3_sub, t3_zero, twist
 from .frozen_dense_kernels import contract_12_13, contract_13_23, contract_23_12
 
 SKEW2 = ((Q(0), Q(1)), (Q(-1), Q(0)))

@@ -212,6 +212,31 @@ def test_coboundary_output_bytes(key, files, tmp_path, capsys):
     assert hashlib.sha256(out).hexdigest() == COBOUNDARY_OUTPUT_SHA256[key]
 
 
+@pytest.mark.parametrize("field", ["rational", "fp3"])
+def test_exhaustive_bialgebra_check_lists_every_violation(field, tmp_path, capsys, monkeypatch):
+    """`bialgebra check --exhaustive --json` on nil2 with dsucc(e1) = e1 (x) e1
+    and dprec(e2) = e1 (x) e2 (Ca1, Ca2 and D1-D9 break) lists the violations
+    of the exhaustive coalgebra check followed by those of the exhaustive
+    D check, as many as its violationCount."""
+    from adw.bialgebra import check_coalgebra, check_d_bialgebra
+    monkeypatch.setenv("ADW_FIELD", field)
+    run_field = PrimeField(3) if field == "fp3" else RATIONALS
+    nil = ADAlgebra.make(2, succ_entries=[(0, 0, 1, run_field.one)], field=run_field)
+    cop = {"dim": 2, "dsucc": [{"x": 0, "i": 0, "j": 0, "c": "1"}],
+           "dprec": [{"x": 1, "i": 0, "j": 1, "c": "1"}]}
+    paths = [str(tmp_path / f) for f in ("nil.json", "cop.json")]
+    io.write_json(paths[0], io.algebra_to_dict(nil, run_field))
+    io.write_json(paths[1], cop)
+    assert main(["bialgebra", "check"] + paths + ["--exhaustive", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    cp = io.load_coproducts(paths[1], run_field)
+    reports = (check_coalgebra(cp, exhaustive=True),
+               check_d_bialgebra(nil, cp, exhaustive=True))
+    want = [v.render(run_field.to_str) for rep in reports for v in rep.violations]
+    assert payload["violationCount"] == sum(rep.violation_count for rep in reports) == 14
+    assert payload["violations"] == want and len(want) == 14
+
+
 def test_connes_derive_over_a_prime_field(tmp_path, monkeypatch):
     """The derived algebra carries the run's field: over GF(3) the form (1)
     on e.e = e derives e>e = e<e = -e = 2e."""

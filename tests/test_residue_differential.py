@@ -174,6 +174,54 @@ def test_ye6_form_matches_frozen(data):
     assert _ye6_form(alg, k) == frozen._ye6_form(alg, k, reduce)
 
 
+def table_from(rng, n, draw, share):
+    """An n x n x n table with about ``share`` of its entries ``draw(rng)``
+    and int 0 elsewhere."""
+    return BilinearOp(n, tuple(tuple(tuple(draw(rng) if rng.random() < share else 0
+                                           for _ in range(n)) for _ in range(n))
+                               for _ in range(n)))
+
+
+def digit_bound_algebras():
+    """Tables whose form digits come near the packing's bound: over GF(251)
+    every nonzero entry is 250 (its largest residue), over Q the lowered ints
+    are wide (denominators 7, 9 and 11, numerators up to 10**6, scale 693)
+    and all near 63 * 10**6 in size, so that digits of aligned signs come
+    near the sum of the largest entries; all-zero tables, whose width is the
+    least; and dimensions 0-2, where k is 0 or 1."""
+    gf251, rng = PrimeField(251), random.Random(27)
+    top = gf251.coerce(250)
+
+    def wide(signs):
+        def draw(r):
+            den = r.choice((7, 9, 11))
+            return Q(r.choice(signs) * (63 * 10 ** 6 * den // 693 - r.randint(0, 1000)), den)
+        return draw
+
+    for n in (3, 4):
+        for share, signs in ((0.5, (-1, 1)), (1.0, (1,))):
+            yield ADAlgebra(n, tuple("e%d" % i for i in range(n)),
+                            table_from(rng, n, lambda r: top, share),
+                            table_from(rng, n, lambda r: top, share), gf251)
+            yield ADAlgebra(n, tuple("e%d" % i for i in range(n)),
+                            table_from(rng, n, wide(signs), share),
+                            table_from(rng, n, wide(signs), share), RATIONALS)
+    for field in (RATIONALS, gf251, PrimeField(2)):
+        yield ADAlgebra.zero(4, field)
+        for n in range(3):
+            yield ADAlgebra(n, tuple("e%d" % i for i in range(n)),
+                            table_from(rng, n, lambda r: field.coerce(r.randint(1, 250)), 0.7),
+                            table_from(rng, n, lambda r: field.coerce(r.randint(1, 250)), 0.7),
+                            field)
+
+
+def test_ye6_form_matches_frozen_at_the_digit_bound():
+    for alg in digit_bound_algebras():
+        field, k = alg.field, alg.dim * (alg.dim - 1) // 2
+        reduce = field.coerce if field is RATIONALS else (lambda x: field.coerce(x).v)
+        assert _ye6_form(alg, k) == frozen._ye6_form(alg, k, reduce)
+
+
 def entry_types(alg):
     return [type(c) for op in (alg.succ, alg.prec) for c in
             (x for plane in op.table for row in plane for x in row)]

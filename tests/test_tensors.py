@@ -7,9 +7,9 @@ import pytest
 from adw.algebra import BilinearOp
 from adw.bialgebra import adybe_residual, check_coboundary_conditions, is_ybe_solution
 from adw.fields import InputError
-from adw.tensors import C12_13, C13_23, C23_12, t2_zero, t3_zero
+from adw.tensors import C12_13, C13_23, C23_12, t2_zero
 from .conftest import contracted, nilpotent2, rand_matrix, sigma, sigma123, sigma132
-from .frozen_bialgebra import twist
+from .frozen_bialgebra import t3_zero, twist
 
 
 def basis_t2(n, i, j):
