@@ -1,35 +1,34 @@
 """Invariant forms, double constructions, D-bialgebras and Yang-Baxter machinery.
 
-Coproducts are stored per basis element as order-2 tensors.  For a coboundary
-pair built from tensors r_succ, r_prec:
-
-    D_succ(x) = -(R<(x) (x) I  +  I (x) L.(x)) r_succ
-    D_prec(x) =  (R.(x) (x) I  +  I (x) L>(x)) r_prec
-
-The Yang-Baxter residual of a single tensor r is
+Coproducts are stored per basis element as order-2 tensors.  The
+D-bialgebra equations (Ca1/Ca2, D1-D9, the coboundary coproducts CD1/CD2
+and conditions CD3-CD10) are data, formulas in README's notation that
+compile once into Python.  The Yang-Baxter residual of a tensor r is
 
     r_12 . r_13  +  r_23 > r_12  -  r_13 < r_23
 
 with the leg conventions of the tensors module; r is a solution when the
 residual vanishes identically.
 
-CD3-CD10, D1-D9, the coalgebra axioms, the residual and the YE6 form of
-``ybe search`` compute on plain ints: ``field.lowering`` takes a check's
-inputs (tables, tensors r, coproducts) together to int residues over GF(p),
-and over Q to ints scaled by one d, the lcm of all their denominators.  D1-D9
-(1 in the tables, 1 in the coproducts) and Ca1/Ca2 are of degree 2, CD3-CD6
-and YE6 of degree 3 and CD7-CD10 of degree 4, so their values compare at the
-scale d**k, and what leaves a check (a kept violation, a residual cell, a
-form coefficient) is lifted.  The checks read the tables as their lowered
-cells (``algebra.lowered_cells``), hold tensors as cell maps, apply leg maps
-over nonzero cells only and contract tensors grouped once by leg
-(``tensors``); only a kept violation is made dense (``Report.require_cells``).
+The checks, the residual and the YE6 form of ``ybe search`` compute on plain
+ints: ``field.lowering`` takes a check's inputs (tables, tensors r,
+coproducts) together to int residues over GF(p), and over Q to ints scaled
+by one d, the lcm of all their denominators.  A value of degree k in them
+(an equation's degree: 2 for D1-D9 and Ca1/Ca2, 3 for CD3-CD6 and YE6, 4 for
+CD7-CD10) compares at the scale d**k, and what leaves a check (a kept
+violation, a residual cell, a form coefficient) is lifted.  The checks read
+the tables as their lowered cells (``algebra.lowered_cells``), hold tensors
+as cell maps, apply leg maps over nonzero cells only and contract tensors
+grouped once by leg (``tensors``); only a kept violation is made dense
+(``Report.require_cells``).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from itertools import accumulate, groupby
 
 from .actions import ActionFamily
 from .algebra import (ADAlgebra, BilinearOp, check_anti_dendriform,
@@ -107,6 +106,8 @@ def derive_compatible_ad(op: BilinearOp, form: BilinearForm,
     is verified anti-dendriform with sum equal to the input product, and is
     an algebra over ``field``, the field of the product and the form.
     """
+    if op.dim != form.dim:
+        raise InputError("form and product have different dimensions")
     ginv = inverse(form.gram)
     if ginv is None:
         raise PreconditionFailure("form is degenerate")
@@ -238,254 +239,328 @@ def algebra_from_coproducts(cp: CoproductPair, field=RATIONALS) -> ADAlgebra:
                      BilinearOp(n, t3_reorder(cp.dprec, TO_TABLE)), field)
 
 
-def _combine(acc, col, pieces):
-    """acc += sum_k c pieces[k] over the nonzero (k, c) of ``col``: the
-    coproduct of a vector, or a leg piece of L(x) at x = sum_k c e_k."""
-    for k, c in col:
-        add_cells(acc, pieces[k], c)
-    return acc
+# ---------------------------------------------------------------------------
+# the bialgebra equations as data
+
+# An equation is (label, degree, indices, formula, detail).  A check compares
+# its sides at every basis index x, or pair (x, y), in the part
+# ``at(degree)``; a kept violation carries ``detail``, or with None the first
+# broken link of the chain of sides.  A side sums signed terms: factors
+# applied right to left to a base tensor, a bracketed sum or a contraction
+# u_ab o v_cd (``tensors``) against > (succ), < (prec) or . (dot).  A factor
+# sums leg maps M (x) I or I (x) M (one I more on order 3), M one of L>, R>,
+# L<, R<, L., R. at x, y or a cell such as x<y, a product of them, or a
+# coproduct Ds, Dp or D = Ds + Dp read as a map, with A (x) B meaning
+# (A (x) I)(I (x) B).  A coproduct written without an index is read at x.
+COALGEBRA = (
+    ("Ca1", 2, "x", "(Ds (x) I)Dp = (I (x) Dp)Ds", None),
+    ("Ca2", 2, "x", "(I (x) Ds)Ds = -(D (x) I)Ds = (Dp (x) I)Dp = -(I (x) D)Dp", None))
+D_EQUATIONS = (
+    ("D1", 2, "xy", "Dp(x.y) = (R.(y) (x) I)Dp(x) - (I (x) L>(x))Dp(y)",
+     "coproduct of x.y mismatch (prec side)"),
+    ("D2", 2, "xy", "Ds(x.y) = (I (x) L.(x))Ds(y) - (R<(y) (x) I)Ds(x)",
+     "coproduct of x.y mismatch (succ side)"),
+    ("D3", 2, "xy", "(I (x) R.(y) + L>(y) (x) I)Ds(x) - (R<(x) (x) I + I (x) L.(x))tau Dp(y)"
+     " = 0", "mixed compatibility does not vanish"),
+    ("D4", 2, "xy", "D(x<y) = (R<(y) (x) I)D(x) - (I (x) L<(x))Ds(y)", "coproduct of x<y mismatch"),
+    ("D5", 2, "xy", "D(x>y) = (I (x) L>(x))D(y) - (R>(y) (x) I)Dp(x)", "coproduct of x>y mismatch"),
+    ("D6", 2, "xy", "(L>(x) (x) I - I (x) R<(x))D(y) + (R>(y) (x) I)tau Ds(x)"
+     " - (I (x) L<(y))tau Dp(x) = 0", "mixed compatibility does not vanish"))
+# D7-D9: D1-D3 for the transposed structure on the dual space
+D_DUAL = tuple(("D%d" % (k + 7),) + e[1:] for k, e in enumerate(D_EQUATIONS[:3]))
+# Ds(x) and Dp(x) of a coboundary pair
+COBOUNDARY = (("CD1", 1, "x", "-(R<(x) (x) I + I (x) L.(x))r>", None),
+              ("CD2", 1, "x", "(R.(x) (x) I + I (x) L>(x))r<", None))
+COBOUNDARY_CONDITIONS = (
+    ("CD3", 3, "xy", "(R<(x) (x) I + I (x) L.(x))(L>(y) (x) I + I (x) R.(y))(r> + tau r<) = 0",
+     "CD3 does not vanish"),
+    ("CD4", 3, "xy", "(I (x) L>(x<y) - R<(y) (x) L>(x) + R<(x<y) (x) I + R<(x.y) (x) I)"
+     "(r> - r<) = 0", "CD4 does not vanish"),
+    ("CD5", 3, "xy", "(I (x) L>(x>y) + I (x) L>(x.y) + R<(x>y) (x) I - R<(y) (x) L>(x))"
+     "(r> - r<) = 0", "CD5 does not vanish"),
+    ("CD6", 3, "xy", "(L>(x) (x) I)[(R>(y) (x) I)(r< + tau r>) - (I (x) L<(y))(r> + tau r<)"
+     " - (R<(y) (x) I + I (x) L>(y))(r> - r<)] + (I (x) R<(x))[(I (x) L<(y))(r> + tau r<)"
+     " + (I (x) L>(y))(r> - r<)] - (R>(y) (x) R<(x))(r< + tau r>) + (R<(y) (x) R<(x))(r> - r<)"
+     " = 0", "CD6 does not vanish"),
+    ("CD7", 4, "x", "(R<(x) (x) I (x) I - I (x) I (x) L>(x))"
+     "(r>_12 < r<_13 + r<_23 . r>_12 + r>_13 > r<_23) = 0", "CD7 does not vanish"),
+    ("CD8", 4, "x", "(r> - r<)_12 < [(R<(x) (x) I)r>]_13 + [(R<(x) (x) I)r>]_23 > (r> - r<)_12"
+     " + (I (x) I (x) L.(x))(r>_13 . r>_23 - r<_12 . r>_13 - r>_23 > r<_12 + r>_12 < r>_13"
+     " + r>_23 . r>_12) + (R<(x) (x) I (x) I)(r>_13 . r>_23 + r>_23 < r>_12 - r<_12 > r>_13)"
+     " = 0", "CD8 does not vanish"),
+    ("CD9", 4, "x", "[(I (x) L>(x))r<]_13 > (r< - r>)_23 + (r< - r>)_23 < [(I (x) L>(x))r<]_12"
+     " + (R.(x) (x) I (x) I)(r<_12 . r<_13 - r>_23 < r<_12 - r<_13 . r>_23 + r<_23 . r<_12"
+     " + r<_13 > r<_23) + (I (x) I (x) L>(x))(r<_12 . r<_13 + r<_23 > r<_12 - r<_13 < r>_23)"
+     " = 0", "CD9 does not vanish"),
+    ("CD10", 4, "x", "-[(R<(x) (x) I)r>]_23 < r>_12 + [(R<(x) (x) I)r<]_23 < r<_12"
+     " + (R<(x) (x) I (x) I)(r>_13 . r>_23 + r>_23 < r>_12 - r<_12 > r<_13)"
+     " - (I (x) I (x) L>(x))(r<_12 . r<_13 + r<_23 > r<_12 - r>_13 < r>_23) = 0",
+     "CD10 does not vanish"))
+
+_TOKEN = re.compile(r"[LR][<>.]\([^)]*\)|D[sp]?|I|\(x\)")
+_CONTRACTION = re.compile(r"(.+?)_(12|13|23)([<>.])(.+)_(12|13|23)$")
+_HOW = {"1213": C12_13, "1323": C13_23, "2312": C23_12}
+_NODES = {}
+# the kernels the compiled runs call, read from this module's globals as they run
+_KERNELS = (add_cells, add_contraction, add_first, add_last, cell_map, flip, from_cells, legs,
+            operators, partial, t2_cells, zeros)
 
 
-CA2_TERMS = ("(I(x)Ds)Ds", "-(D(x)I)Ds", "(Dp(x)I)Dp", "-(I(x)D)Dp")
+def _depths(s):
+    return list(accumulate((c in "([") - (c in ")]") for c in s))
+
+
+def _signed(s):
+    """[(sign, summand)] of s, cut at each + and - outside brackets."""
+    depth = _depths(s)
+    cuts = [0] + [k for k in range(1, len(s)) if s[k] in "+-" and not depth[k]] + [len(s)]
+    return [(-1 if s[a] == "-" else 1, s[a:b].lstrip("+-")) for a, b in zip(cuts, cuts[1:])]
+
+
+def _node(s):
+    """The node of a sum; a term's factors, its leading brackets that hold
+    only leg maps, apply right to left, the last leg's maps first."""
+    terms = []
+    for sign, term in _signed(s):
+        factors = []
+        while term[0] == "(":
+            k = _depths(term).index(0) + 1
+            if "(x)" not in term[:k] or _TOKEN.sub("", term[1:k - 1]).strip("+-"):
+                break
+            factors.insert(0, _signed(term[1:k - 1]))
+            term = term[k:]
+        node = _operand(term)
+        for factor in factors:
+            products = []
+            for a, product in factor:
+                legs = [[]]
+                for token in _TOKEN.findall(product):
+                    if token == "(x)":
+                        legs.append([])
+                    elif token != "I":
+                        legs[-1].append(token)
+                chain = node
+                for leg, maps in ((-1, legs[-1]), (0, legs[0])):
+                    for op, _, at in (m.partition("(") for m in reversed(maps)):
+                        chain = _map(op, at[:-1] or None, leg, chain)
+                products.append((a, chain))
+            node = _sum(products)
+        terms.append((sign, node))
+    return _sum(terms)
+
+
+def _operand(s):
+    if s[0] in "([" and _depths(s).index(0) == len(s) - 1:
+        return _node(s[1:-1])
+    contraction = _CONTRACTION.match(s)
+    if contraction:
+        u, a, o, v, b = contraction.groups()
+        u, v = _operand(u), _operand(v)
+        return _make("con", "<%s_%s%s%s_%s>" % (u[4], a, o, v[4], b), u[2] + v[2], 3,
+                     _HOW[a + b], o, u, v)
+    name, _, at = s.partition("(")
+    at = at[:-1] or ("x" if name in ("Ds", "Dp") else None)
+    return _make("base", "%s(%s)" % (name, at), at or "", 2, name, at)
+
+
+def _map(op, at, leg, node):
+    return _make("map", "%s(%s)%d{%s}" % (op, at, leg, node[4]), (at or "") + node[2],
+                 node[3] + (op[0] == "D"), op, at, leg, node)
+
+
+def _sum(terms):
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    return _make("sum", "[%s]" % "".join("%+d%s" % (a, c[4]) for a, c in terms),
+                 "".join(c[2] for _, c in terms), terms[0][1][3], tuple(terms))
+
+
+def _make(kind, text, reads, order, *data):
+    """The node (kind, key, reads, order, text, *data), one per text: reads
+    is the indices it reads ('', 'x', 'y' or 'xy') and order its tensor
+    order; one that reads y alone is keyed, and valued, as its x twin."""
+    reads = "".join(v for v in "xy" if v in reads)
+    key = text.replace("y", "x") if reads == "y" else text
+    return _NODES.setdefault(text, (kind, key, reads, order, text) + data)
+
+
+@cache
+def _compiled(equations):
+    """For each run of equations that share their indices, (run, degrees):
+    run(parts, B, T, n) checks them at every basis index x, or pair (x, y),
+    in turn through ``parts``, on the base tensors B and product cells T of
+    one input.  The run is Python making one kernel call per term, as a
+    hand-written check would; a node that is a value (a leg map's operand,
+    a contraction's factor, a map at a product cell) is computed once for
+    the indices it reads, before the loops if it reads fewer than the run."""
+    runs = []
+    for indices, group in groupby(equations, lambda e: e[2]):
+        run = []
+        for label, degree, _, formula, detail in group:
+            sides = [side for side in formula.replace(" ", "").split("=") if side != "0"]
+            run.append((label, degree, [_node(side) for side in sides], detail or tuple(sides)))
+        runs.append((_compiled_run(run, indices == "xy"), [e[1] for e in run]))
+    return runs
+
+
+def _compiled_run(equations, pairs):
+    pre, top, body, names, index = [], [], [], {}, {"x": "i", "y": "j"}
+
+    def local(expr, where=pre):
+        if expr not in names:
+            names[expr] = "u%d" % len(names)
+            where.append("%s = %s" % (names[expr], expr))
+        return names[expr]
+
+    def base(name):
+        """The cells of B[name], of the twist tau X of X, or of D = Ds + Dp."""
+        if name.startswith("tau"):
+            x = base(name[3:])
+            return local("[flip(t, n) for t in %s]" % x if name[3] == "D" else "flip(%s, n)" % x)
+        if name == "D":
+            return local("[add_cells(cell_map(a), b) for a, b in zip(%s, %s)]"
+                         % (base("Ds"), base("Dp")))
+        return local(("[t2_cells(t) for t in B[%r]]" if name[0] == "D" else "t2_cells(B[%r])")
+                     % name)
+
+    def value(node, k=None):
+        """The value of node at (e_i, e_j), or at e_k."""
+        kind, key, reads = node[:3]
+        if kind == "base" and len(reads) < 2:
+            return base(node[5]) + ("[%s]" % index[reads] if reads else "")
+        listed = pairs and len(reads) == 1
+        if key not in names:
+            names[key] = name = "v%d" % len(names)
+            lines = ["a = cell_map()"] + add(node, "a", 1) + ["%s = a" % name]
+            if listed:
+                lines = ["%s = []" % name, "for i in range(n):", "    j = i"] + [
+                    "    " + s.replace("\n", "\n    ") for s in lines[:-1] + [name + ".append(a)"]]
+            (top if reads and not listed else pre).extend(lines)
+        return names[key] + ("[%s]" % (k or index[reads]) if listed else "")
+
+    def add(node, acc, sign):
+        """Statements adding sign node at (e_i, e_j) into acc."""
+        kind = node[0]
+        if kind == "sum":
+            return [s for a, child in node[5] for s in add(child, acc, sign * a)]
+        if kind == "con":
+            how, o, u, v = node[5:]
+            su, sv = (1, sign) if len(v[2]) < len(u[2]) else (sign, 1)
+            u, v = (local("legs(%s, n, n)" % (value(t) if s == 1 else "add_cells(cell_map(), %s, -1)"
+                                              % value(t)), top if t[2] else pre)
+                    for t, s in ((u, su), (v, sv)))
+            return ["add_contraction(%s, %s, %s, %s, %r)" % (acc, u, v, local("T[%r]" % o), how)]
+        at = node[6]
+        if at and len(at) == 3:
+            piece = base(node[5]) if kind == "base" else value(_map(node[5], "x", *node[7:]), "k")
+            return ["for k, c in %s[i][j]:\n    add_cells(%s, %s, %d * c)"
+                    % (local("T[%r]" % at[1]), acc, piece + "[k]" * (kind == "base"), sign)]
+        if kind == "base":
+            return ["add_cells(%s, %s, %d)" % (acc, value(node), sign)]
+        op, at, leg, child = node[5:]
+        cols = local("[list(c.items()) for c in %s]" % base(op) if op[0] == "D" else
+                     "operators(T[%r])[%d]" % (op[1], op[0] == "R")) + ("[%s]" % index[at] if at else "")
+        if leg == 0:
+            return ["add_first(%s, %s, %s, %s, %d)"
+                    % (acc, cols, value(child), local("n ** %d" % (child[3] - 1)), sign)]
+        return ["add_last(%s, %s, %s, n, %s, %d)"
+                % (acc, cols, value(child), "n * n" if op[0] == "D" else "n", sign)]
+
+    for m, (label, _, sides, detail) in enumerate(equations):
+        accs = ["a%d" % s for s in range(len(sides))]
+        for acc, side in zip(accs, sides):
+            body.append("%s = %s" % (acc, "cell_map()" if len(sides) == 1 and side[3] == 3 else
+                                     "zeros(%s)" % local("n ** %d" % side[3])))
+            body += add(side, acc, 1)
+        body.append("parts[%d](%r, (i%s), (%s,), %s, %r)"
+                    % (m, label, ", j" if pairs else ",", ", ".join(accs),
+                       local("partial(from_cells, (n,) * %d)" % sides[0][3]), detail))
+    inner = "\n" + "    " * (1 + pairs)
+    lines = pre + ["for i in range(n):", "    for j in range(n):" if pairs else "    j = i"]
+    lines += [inner[1:] + s.replace("\n", inner) for s in top + body]
+    scope = {}
+    exec("def run(parts, B, T, n):" + "".join(
+        "\n    " + line for s in lines for line in s.split("\n")), globals(), scope)
+    return scope["run"]
+
+
+def _check(out, at, n, checks):
+    """Check each (equations, bases, product cells), each equation in the
+    part ``at(degree)``, and absorb the parts into out in their first order."""
+    parts = {}
+    for equations, bases, tables in checks:
+        for run, degrees in _compiled(equations):
+            for d in degrees:
+                if d not in parts:
+                    parts[d] = out.part(at(d))
+            run([parts[d].require_cells for d in degrees], bases, tables, n)
+    for part in parts.values():
+        out.absorb(part)
+    return out
 
 
 def check_coalgebra(cp: CoproductPair, exhaustive: bool = False) -> Report:
-    """The two coassociativity-type chains on every basis element:
-
-        Ca1: (Ds (x) I)Dp = (I (x) Dp)Ds
-        Ca2: (I (x) Ds)Ds = -(D (x) I)Ds = (Dp (x) I)Dp = -(I (x) D)Dp
-
-    Both read the coproducts lowered, and a kept violation is lifted.
-    """
-    out = Report("coalgebra axioms", exhaustive=exhaustive, field=cp.field)
+    """Ca1 and Ca2 (``COALGEBRA``) at every basis element, on the coproducts
+    lowered; a kept violation is lifted."""
     lower, at = cp.field.lowering(cp.dsucc, cp.dprec)
-    part = out.part(at(2))
-    n = cp.dim
-    ds, dp = ([t2_cells(t) for t in lower(x)] for x in (cp.dsucc, cp.dprec))
-    # a coproduct as a map on one leg: column i lists the cells of D(e_i)
-    cs, cp_ = [list(c.items()) for c in ds], [list(c.items()) for c in dp]
-    csum = [list(add_cells(cell_map(a), b).items()) for a, b in zip(ds, dp)]
-
-    dense, zero = partial(from_cells, (n, n, n)), partial(zeros, n, n, n)
-    for k in range(n):
-        part.require_cells("Ca1", (k,), (add_first(zero(), cs, dp[k], n),
-                                         add_last(zero(), cp_, ds[k], n, n * n)), dense,
-                           "(Ds(x)I)Dp != (I(x)Dp)Ds")
-        chain = (add_last(zero(), cs, ds[k], n, n * n), add_first(zero(), csum, ds[k], n, -1),
-                 add_first(zero(), cp_, dp[k], n), add_last(zero(), csum, dp[k], n, n * n, -1))
-        part.require_cells("Ca2", (k,), chain, dense, CA2_TERMS)
-    return out.absorb(part)
+    return _check(Report("coalgebra axioms", exhaustive=exhaustive, field=cp.field), at, cp.dim,
+                  [(COALGEBRA, {"Ds": lower(cp.dsucc), "Dp": lower(cp.dprec)}, {})])
 
 
 def check_d_bialgebra(alg: ADAlgebra, cp: CoproductPair, exhaustive: bool = False) -> Report:
-    """The six compatibility equations D1-D6 over all basis pairs.
-
-    The mirrored equations D7-D9 (the first three compatibilities for the
-    transposed structure on the dual space) are checked and reported
-    separately rather than presumed redundant.  The coalgebra axioms are a
-    separate precondition, checked by check_coalgebra.  All nine read the
-    tables and coproducts lowered together, and a kept violation is lifted.
-    """
+    """D1-D6 (``D_EQUATIONS``) and D7-D9 (``D_DUAL``, reported rather than
+    presumed redundant) at every basis pair, on the tables and coproducts
+    lowered together; a kept violation is lifted.  The coalgebra axioms are
+    a separate precondition (check_coalgebra)."""
     if alg.dim != cp.dim:
         raise InputError("algebra and coproducts have different dimensions")
-    out = Report("D-bialgebra compatibilities", exhaustive=exhaustive, field=alg.field)
     lower, at = lowering = alg.field.lowering(alg.succ.table, alg.prec.table,
                                               cp.dsucc, cp.dprec)
-    part = out.part(at(2))
-    dsucc, dprec = lower(cp.dsucc), lower(cp.dprec)
-    _check_d_equations(part, lowered_cells(lowering, alg.succ.table, alg.prec.table),
-                       (dsucc, dprec), ("D1", "D2", "D3", "D4", "D5", "D6"))
-    # D7-D9: the transposed structure, the coproducts read as tables and back
-    dual = table_cells(t3_reorder(dsucc, TO_TABLE)), table_cells(t3_reorder(dprec, TO_TABLE))
-    _check_d_equations(part, dual + (cells_sum(*dual, at(1).residues),),
-                       [t3_reorder(lower(op.table), TO_COP) for op in (alg.succ, alg.prec)],
-                       ("D7", "D8", "D9"))
-    return out.absorb(part)
-
-
-def _check_d_equations(out, tables, coproducts, labels):
-    """D1-D6 (or D1-D3 alone, with three labels) on the cells of lowered
-    tables and coproducts, as cell maps of n x n tensors: add_first applies
-    M (x) I and add_last I (x) M."""
-    n = len(tables[0])
-    (ls, rs), (lp, rp), (ld, rd) = (operators(t) for t in tables)
-    ds, dp = ([t2_cells(t) for t in part] for part in coproducts)
-    d = [add_cells(cell_map(a), b) for a, b in zip(ds, dp)]
-    tds, tdp = [flip(t, n) for t in ds], [flip(t, n) for t in dp]
-    dense, zero = partial(from_cells, (n, n)), partial(zeros, n, n)
-    for i in range(n):
-        for j in range(n):
-            # D1: Dp(x.y) = (R.(y) (x) I)Dp(x) - (I (x) L>(x))Dp(y)
-            rhs = add_last(add_first(zero(), rd[j], dp[i], n), ls[i], dp[j], n, n, -1)
-            out.require_cells(labels[0], (i, j), (_combine(zero(), ld[i][j], dp), rhs), dense,
-                              "coproduct of x.y mismatch (prec side)")
-            # D2: Ds(x.y) = (I (x) L.(x))Ds(y) - (R<(y) (x) I)Ds(x)
-            rhs = add_first(add_last(zero(), ld[i], ds[j], n, n), rp[j], ds[i], n, -1)
-            out.require_cells(labels[1], (i, j), (_combine(zero(), ld[i][j], ds), rhs), dense,
-                              "coproduct of x.y mismatch (succ side)")
-            # D3: (I (x) R.(y))Ds(x) + (L>(y) (x) I)Ds(x)
-            #     - tau(I (x) R<(x))Dp(y) - tau(L.(x) (x) I)Dp(y) = 0,
-            # with tau (M on one leg) = (M on the other) tau
-            d3 = add_first(add_last(zero(), rd[j], ds[i], n, n), ls[j], ds[i], n)
-            add_last(add_first(d3, rp[i], tdp[j], n, -1), ld[i], tdp[j], n, n, -1)
-            out.require_cells(labels[2], (i, j), (d3,), dense,
-                              "mixed compatibility does not vanish")
-            if len(labels) == 3:
-                continue
-            # D4: D(x<y) = (R<(y) (x) I)D(x) - (I (x) L<(x))Ds(y)
-            rhs = add_last(add_first(zero(), rp[j], d[i], n), lp[i], ds[j], n, n, -1)
-            out.require_cells(labels[3], (i, j), (_combine(zero(), lp[i][j], d), rhs), dense,
-                              "coproduct of x<y mismatch")
-            # D5: D(x>y) = (I (x) L>(x))D(y) - (R>(y) (x) I)Dp(x)
-            rhs = add_first(add_last(zero(), ls[i], d[j], n, n), rs[j], dp[i], n, -1)
-            out.require_cells(labels[4], (i, j), (_combine(zero(), ls[i][j], d), rhs), dense,
-                              "coproduct of x>y mismatch")
-            # D6: (L>(x) (x) I)D(y) + (R>(y) (x) I)tau Ds(x)
-            #     - (I (x) L<(y))tau Dp(x) - (I (x) R<(x))D(y) = 0
-            d6 = add_first(add_first(zero(), ls[i], d[j], n), rs[j], tds[i], n)
-            add_last(add_last(d6, lp[j], tdp[i], n, n, -1), rp[i], d[j], n, n, -1)
-            out.require_cells(labels[5], (i, j), (d6,), dense,
-                              "mixed compatibility does not vanish")
+    ds, dp = lower(cp.dsucc), lower(cp.dprec)
+    tables = lowered_cells(lowering, alg.succ.table, alg.prec.table)
+    dual = table_cells(t3_reorder(ds, TO_TABLE)), table_cells(t3_reorder(dp, TO_TABLE))
+    dual += (cells_sum(*dual, at(1).residues),)
+    dual_cop = [t3_reorder(lower(op.table), TO_COP) for op in (alg.succ, alg.prec)]
+    return _check(Report("D-bialgebra compatibilities", exhaustive=exhaustive, field=alg.field),
+                  at, alg.dim, [(D_EQUATIONS, {"Ds": ds, "Dp": dp}, dict(zip("><.", tables))),
+                                (D_DUAL, dict(zip(("Ds", "Dp"), dual_cop)), dict(zip("><.", dual)))])
 
 
 # ---------------------------------------------------------------------------
 # coboundary pairs
 
 def coboundary_coproducts(alg: ADAlgebra, rsucc, rprec) -> CoproductPair:
-    """Assemble the coboundary coproduct pair from two tensors, on the
+    """The coboundary coproduct pair of two tensors (``COBOUNDARY``), on the
     scalars as given."""
     n = alg.dim
     if shape(rsucc) != (n, n) or shape(rprec) != (n, n):
         raise InputError("tensors must be %dx%d" % (n, n))
-    (ls, _), (_, rp), (ld, rd) = (operators(table_cells(op.table))
-                                  for op in (alg.succ, alg.prec, alg.assoc))
-    s, p = t2_cells(rsucc), t2_cells(rprec)
-    ds = (add_last(add_first(zeros(n, n), rp[k], s, n, -1), ld[k], s, n, n, -1)
-          for k in range(n))
-    dp = (add_last(add_first(zeros(n, n), rd[k], p, n), ls[k], p, n, n) for k in range(n))
-    return CoproductPair(n, tuple(from_cells((n, n), c) for c in ds),
-                         tuple(from_cells((n, n), c) for c in dp), alg.field)
+    ds, dp = [], []
 
+    def keep(part):
+        """In place of a report part: keep each value, dense."""
+        return lambda label, witness, values, dense, detail: part.append(dense(values[0]))
 
-def _contracted(*terms):
-    """The cells of a sum of contractions (u, v, cells, how) of tensors given
-    by their ``legs``; a term enters negated through a negated u."""
-    acc = cell_map()
-    for u, v, cells, how in terms:
-        add_contraction(acc, u, v, cells, how)
-    return acc
+    (run, _), = _compiled(COBOUNDARY)
+    run([keep(ds), keep(dp)], {"r>": rsucc, "r<": rprec},
+        {o: table_cells(op.table) for o, op in zip("><.", (alg.succ, alg.prec, alg.assoc))}, n)
+    return CoproductPair(n, tuple(ds), tuple(dp), alg.field)
 
 
 def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
                                 exhaustive: bool = False) -> Report:
-    """The eight tensor conditions CD3-CD10 for a coboundary pair.
-
-    Passing is equivalent to (algebra, coboundary pair) satisfying the full
-    D-bialgebra package (coalgebra axioms plus D1-D6); the equivalence is
-    exercised by the test suite rather than assumed.  The conditions run on
-    the tables and both tensors lowered together; the pieces that depend on
-    one basis index are computed once, and a kept violation is lifted.
-    """
+    """The conditions CD3-CD10 (``COBOUNDARY_CONDITIONS``) of a coboundary
+    pair, on the tables and both tensors lowered together; a kept violation
+    is lifted.  Passing is equivalent to the pair meeting the coalgebra
+    axioms and D1-D6, which the test suite exercises."""
     n = alg.dim
     if shape(rsucc) != (n, n) or shape(rprec) != (n, n):
         raise InputError("tensors must be %dx%d" % (n, n))
-    out = Report("coboundary conditions", exhaustive=exhaustive, field=alg.field)
-    # CD3-CD6 are of degree 2 in the tables and 1 in r, CD7-CD10 of 2 and 2
     lower, at = lowering = alg.field.lowering(alg.succ.table, alg.prec.table, rsucc, rprec)
-    succ, prec, dot = lowered_cells(lowering, alg.succ.table, alg.prec.table)
-    rsucc, rprec = lower(rsucc), lower(rprec)
-    cubic, quartic = out.part(at(3)), out.part(at(4))
-    (ls, rs), (lp, rp), (ld, rd) = operators(succ), operators(prec), operators(dot)
-    r_s, r_p = t2_cells(rsucc), t2_cells(rprec)
-    s_plus_tp = add_cells(cell_map(r_s), flip(r_p, n))     # r> + tau r<
-    p_plus_ts = add_cells(cell_map(r_p), flip(r_s, n))     # r< + tau r>
-    s_minus_p = add_cells(cell_map(r_s), r_p, -1)          # r> - r<
-    # the pieces of one index k: (I (x) L>(e_k))(r> - r<), (R<(e_k) (x) I)(r> - r<)
-    ls2_smp = [add_last(cell_map(), ls[k], s_minus_p, n, n) for k in range(n)]
-    rp1_smp = [add_first(cell_map(), rp[k], s_minus_p, n) for k in range(n)]
-    # CD3's inner bracket (L>(y) (x) I + I (x) R.(y))(r> + tau r<), per y
-    inner = [add_last(add_first(cell_map(), ls[j], s_plus_tp, n), rd[j], s_plus_tp, n, n)
-             for j in range(n)]
-    # CD6's eight terms gathered by the operator applied last: L>(x) (x) I
-    # takes after_ls[y], I (x) R<(x) after_rp[y], R>(y) (x) I and R<(y) (x) I
-    # the pieces rp2_pts[x] = (I (x) R<(x))(r< + tau r>) and rp2_smp[x]
-    lp2_spt = [add_last(cell_map(), lp[j], s_plus_tp, n, n) for j in range(n)]
-    after_ls = [add_first(cell_map(), rs[j], p_plus_ts, n) for j in range(n)]
-    for j in range(n):
-        for piece in (lp2_spt, rp1_smp, ls2_smp):
-            add_cells(after_ls[j], piece[j], -1)
-    after_rp = [add_cells(cell_map(lp2_spt[j]), ls2_smp[j]) for j in range(n)]
-    rp2_pts = [add_last(cell_map(), rp[i], p_plus_ts, n, n) for i in range(n)]
-    rp2_smp = [add_last(cell_map(), rp[i], s_minus_p, n, n) for i in range(n)]
-    dense, dense3 = partial(from_cells, (n, n)), partial(from_cells, (n, n, n))
-    for i in range(n):
-        for j in range(n):
-            # CD3: (R<(x) (x) I + I (x) L.(x)) (L>(y) (x) I + I (x) R.(y)) (r> + tau r<)
-            cd3 = add_last(add_first(zeros(n, n), rp[i], inner[j], n), ld[i], inner[j], n, n)
-            cubic.require_cells("CD3", (i, j), (cd3,), dense, "CD3 does not vanish")
-            # CD4: [I (x) L>(x<y) - R<(y) (x) L>(x) + R<(x<y + x.y) (x) I](r> - r<),
-            # with L>(v) = sum_k v_k L>(e_k), and so for R<
-            rp_ls = add_first(cell_map(), rp[j], ls2_smp[i], n)
-            pij, dij, sij = lp[i][j], ld[i][j], ls[i][j]
-            cd4 = _combine(_combine(zeros(n, n), pij, ls2_smp), pij, rp1_smp)
-            _combine(cd4, dij, rp1_smp)
-            cubic.require_cells("CD4", (i, j), (add_cells(cd4, rp_ls, -1),), dense,
-                                "CD4 does not vanish")
-            # CD5: [I (x) L>(x>y + x.y) + R<(x>y) (x) I - R<(y) (x) L>(x)](r> - r<)
-            cd5 = _combine(_combine(zeros(n, n), sij, ls2_smp), dij, ls2_smp)
-            _combine(cd5, sij, rp1_smp)
-            cubic.require_cells("CD5", (i, j), (add_cells(cd5, rp_ls, -1),), dense,
-                                "CD5 does not vanish")
-            # CD6: [L>(x)R>(y) (x) I - R>(y) (x) R<(x)](r< + tau r>)
-            #      + [I (x) R<(x)L<(y) - L>(x) (x) L<(y)](r> + tau r<)
-            #      - [L>(x)R<(y) (x) I - R<(y) (x) R<(x) + L>(x) (x) L>(y)
-            #         - I (x) R<(x)L>(y)](r> - r<)
-            # (the last bracket enters negated; the expansion of the sixth
-            #  compatibility forces this sign)
-            cd6 = add_last(add_first(zeros(n, n), ls[i], after_ls[j], n), rp[i], after_rp[j], n, n)
-            add_first(add_first(cd6, rs[j], rp2_pts[i], n, -1), rp[j], rp2_smp[i], n)
-            cubic.require_cells("CD6", (i, j), (cd6,), dense, "CD6 does not vanish")
-    # the brackets of CD7-CD10 that do not depend on x = e_i, each once, on
-    # the legs of every tensor they read, grouped once
-    def lg(t, sign=1):
-        return legs(t if sign == 1 else add_cells(cell_map(), t, sign), n, n)
-
-    r_s2, r_p2, neg_s, neg_p = lg(r_s), lg(r_p), lg(r_s, -1), lg(r_p, -1)
-    s_p, p_s = lg(s_minus_p), lg(s_minus_p, -1)
-    ss_dot13 = (r_s2, r_s2, dot, C13_23)
-    base_s = (ss_dot13, (r_s2, r_s2, prec, C23_12))
-    base_p = ((r_p2, r_p2, dot, C12_13), (r_p2, r_p2, succ, C23_12))
-    k7 = _contracted((r_s2, r_p2, prec, C12_13), (r_p2, r_s2, dot, C23_12),
-                     (r_s2, r_p2, succ, C13_23))
-    k8c = _contracted(ss_dot13, (neg_p, r_s2, dot, C12_13), (neg_s, r_p2, succ, C23_12),
-                      (r_s2, r_s2, prec, C12_13), (r_s2, r_s2, dot, C23_12))
-    k8d = _contracted(*base_s, (neg_p, r_s2, succ, C12_13))
-    k9a = _contracted(base_p[0], (neg_s, r_p2, prec, C23_12), (neg_p, r_s2, dot, C13_23),
-                      (r_p2, r_p2, dot, C23_12), (r_p2, r_p2, succ, C13_23))
-    k9b = _contracted(*base_p, (neg_p, r_s2, prec, C13_23))
-    k10a = _contracted(*base_s, (neg_p, r_p2, succ, C12_13))
-    k10b = _contracted(*base_p, (neg_s, r_s2, prec, C13_23))
-    nn = n * n
-    for i in range(n):
-        rp_rs = lg(add_first(zeros(n, n), rp[i], r_s, n))
-        ls_rp = lg(add_last(zeros(n, n), ls[i], r_p, n, n))
-        # CD7
-        cd7 = add_last(add_first(zeros(n, n, n), rp[i], k7, nn), ls[i], k7, n, n, -1)
-        quartic.require_cells("CD7", (i,), (cd7,), dense3, "CD7 does not vanish")
-        # CD8
-        cd8 = _contracted((s_p, rp_rs, prec, C12_13), (rp_rs, s_p, succ, C23_12))
-        add_first(add_last(cd8, ld[i], k8c, n, n), rp[i], k8d, nn)
-        quartic.require_cells("CD8", (i,), (cd8,), dense3, "CD8 does not vanish")
-        # CD9
-        cd9 = _contracted((ls_rp, p_s, succ, C13_23), (p_s, ls_rp, prec, C23_12))
-        add_last(add_first(cd9, rd[i], k9a, nn), ls[i], k9b, n, n)
-        quartic.require_cells("CD9", (i,), (cd9,), dense3, "CD9 does not vanish")
-        # CD10
-        cd10 = _contracted((rp_rs, neg_s, prec, C23_12),
-                           (lg(add_first(zeros(n, n), rp[i], r_p, n)), r_p2, prec, C23_12))
-        add_last(add_first(cd10, rp[i], k10a, nn), ls[i], k10b, n, n, -1)
-        quartic.require_cells("CD10", (i,), (cd10,), dense3, "CD10 does not vanish")
-    return out.absorb(cubic).absorb(quartic)
+    tables = lowered_cells(lowering, alg.succ.table, alg.prec.table)
+    return _check(Report("coboundary conditions", exhaustive=exhaustive, field=alg.field), at, n,
+                  [(COBOUNDARY_CONDITIONS, {"r>": lower(rsucc), "r<": lower(rprec)},
+                    dict(zip("><.", tables)))])
 
 
 # ---------------------------------------------------------------------------

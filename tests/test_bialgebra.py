@@ -82,6 +82,14 @@ def test_derive_over_a_prime_field():
         derive_compatible_ad(op, BilinearForm(1, ((gf3.one,),)))
 
 
+@pytest.mark.parametrize("precheck", [True, False])
+def test_derive_refuses_a_form_of_another_dimension(precheck):
+    """A 3-dimensional form on a 2-dimensional product is refused as input,
+    with or without the cocycle precheck."""
+    with pytest.raises(InputError, match="form and product have different dimensions"):
+        derive_compatible_ad(BilinearOp.zero(2), BilinearForm(3, identity(3, Q(1))), precheck)
+
+
 def test_derive_refuses_degenerate():
     with pytest.raises(PreconditionFailure):
         derive_compatible_ad(BilinearOp.zero(2), BilinearForm(2, ((Q(0),) * 2,) * 2))

@@ -1,4 +1,4 @@
-"""Five of the paper's statements as ``hypothesis`` properties.
+"""Six of the paper's statements as ``hypothesis`` properties.
 
 They check verdicts only, so they hold whatever scalars a check computes on:
 
@@ -14,7 +14,14 @@ They check verdicts only, so they hold whatever scalars a check computes on:
   and each kind meets both verdicts;
 * an O-operator T of a representation lifts to a skew solution of YE6 on
   A semidirect V* (``o_operator_to_ybe``), with nonzero operators and
-  nonzero non-operators among the draws.
+  nonzero non-operators among the draws;
+* for an anti-dendriform algebra A and coproducts on it, Ca1/Ca2 and D1-D9
+  pass exactly when the dual-space algebra A* of the coproducts is
+  anti-dendriform and the double construction of A and A* (the associative
+  matched pair along -R<*, -L>* with its hyperbolic Connes cocycle) passes:
+  the paper's anti-dendriform D-bialgebras are these double constructions.
+  The coproducts are coboundary pairs of a random r, dualized algebras of
+  the same dimension, or random entries, and both verdicts occur.
 """
 
 from __future__ import annotations
@@ -28,8 +35,10 @@ from hypothesis import strategies as st
 
 from adw.actions import ActionFamily
 from adw.algebra import ADAlgebra, BilinearOp, change_basis, check_anti_dendriform, direct_sum
-from adw.bialgebra import (check_coboundary_conditions, check_o_operator, is_skew, is_ybe_solution,
-                           o_operator_to_ybe, search_skew_solutions)
+from adw.bialgebra import (CoproductPair, algebra_from_coproducts, build_double_construction,
+                           check_coalgebra, check_coboundary_conditions, check_d_bialgebra,
+                           check_o_operator, coboundary_coproducts, dualize_algebra, is_skew,
+                           is_ybe_solution, o_operator_to_ybe, search_skew_solutions)
 from adw.fields import RATIONALS, PrimeField
 from adw.linalg import block_matrix, matmul
 from adw.reps import (ADRep, check_representation, dual_representation, regular_representation,
@@ -321,3 +330,44 @@ def test_o_operator_lifts_to_a_skew_ybe_solution():
 
     prop()
     assert {(True, True), (False, True)} <= seen, seen
+
+
+def draw_coproducts(data, alg):
+    """Coproducts on alg: a coboundary pair of a random r, a dualized
+    algebra of the same dimension, or random entries in {-1, 0, 1}."""
+    n = alg.dim
+    entry = st.sampled_from([0, 0, 0, 1, -1])
+    kind = data.draw(st.sampled_from(["coboundary", "dual", "random"]))
+    if kind == "coboundary":
+        r = tuple(tuple(Q(data.draw(entry)) for _ in range(n)) for _ in range(n))
+        return kind, coboundary_coproducts(alg, r, r)
+    if kind == "dual":
+        same = [b for b in bases() + [ADAlgebra.zero(k) for k in (2, 4)] if b.dim == n]
+        return kind, dualize_algebra(data.draw(st.sampled_from(same)))
+    parts = [[(i, j, k, Q(c)) for i, j, k in product(range(n), repeat=3) if (c := data.draw(entry))]
+             for _ in range(2)]
+    return kind, CoproductPair.from_entries(n, *parts)
+
+
+def bialgebra_verdicts(alg, cp):
+    """(Ca1/Ca2 and D1-D9 pass, A* is anti-dendriform and the double
+    construction of A and A* passes)."""
+    d_bialgebra = check_coalgebra(cp).passed and check_d_bialgebra(alg, cp).passed
+    dual = algebra_from_coproducts(cp)
+    return d_bialgebra, dual.is_verified and build_double_construction(alg, dual).passed
+
+
+def test_d_bialgebras_are_double_constructions():
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def prop(data):
+        alg = data.draw(st.sampled_from(bases() + [ADAlgebra.zero(k) for k in (2, 4)]))
+        kind, cp = draw_coproducts(data, alg)
+        d_bialgebra, double = bialgebra_verdicts(alg, cp)
+        assert d_bialgebra == double, (kind, alg, cp)
+        seen.add((kind, d_bialgebra))
+
+    prop()
+    assert {ok for _, ok in seen} == {True, False}, seen
