@@ -26,6 +26,7 @@ grouped once by leg (``tensors``); only a kept violation is made dense
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate, groupby
@@ -262,8 +263,10 @@ D_EQUATIONS = (
      "coproduct of x.y mismatch (succ side)"),
     ("D3", 2, "xy", "(I (x) R.(y) + L>(y) (x) I)Ds(x) - (R<(x) (x) I + I (x) L.(x))tau Dp(y)"
      " = 0", "mixed compatibility does not vanish"),
-    ("D4", 2, "xy", "D(x<y) = (R<(y) (x) I)D(x) - (I (x) L<(x))Ds(y)", "coproduct of x<y mismatch"),
-    ("D5", 2, "xy", "D(x>y) = (I (x) L>(x))D(y) - (R>(y) (x) I)Dp(x)", "coproduct of x>y mismatch"),
+    ("D4", 2, "xy", "D(x<y) = (R<(y) (x) I)D(x) - (I (x) L<(x))Ds(y)",
+     "coproduct of x<y mismatch"),
+    ("D5", 2, "xy", "D(x>y) = (I (x) L>(x))D(y) - (R>(y) (x) I)Dp(x)",
+     "coproduct of x>y mismatch"),
     ("D6", 2, "xy", "(L>(x) (x) I - I (x) R<(x))D(y) + (R>(y) (x) I)tau Ds(x)"
      " - (I (x) L<(y))tau Dp(x) = 0", "mixed compatibility does not vanish"))
 # D7-D9: D1-D3 for the transposed structure on the dual space
@@ -300,13 +303,13 @@ COBOUNDARY_CONDITIONS = (
 _TOKEN = re.compile(r"[LR][<>.]\([^)]*\)|D[sp]?|I|\(x\)")
 _CONTRACTION = re.compile(r"(.+?)_(12|13|23)([<>.])(.+)_(12|13|23)$")
 _HOW = {"1213": C12_13, "1323": C13_23, "2312": C23_12}
-_NODES = {}
 # the kernels the compiled runs call, read from this module's globals as they run
 _KERNELS = (add_cells, add_contraction, add_first, add_last, cell_map, flip, from_cells, legs,
             operators, partial, t2_cells, zeros)
 
 
 def _depths(s):
+    """The bracket depth after each character of s."""
     return list(accumulate((c in "([") - (c in ")]") for c in s))
 
 
@@ -318,8 +321,8 @@ def _signed(s):
 
 
 def _node(s):
-    """The node of a sum; a term's factors, its leading brackets that hold
-    only leg maps, apply right to left, the last leg's maps first."""
+    """The node of a sum.  A term's factors, its leading brackets that hold
+    only leg maps, apply right to left to its operand."""
     terms = []
     for sign, term in _signed(s):
         factors = []
@@ -327,26 +330,28 @@ def _node(s):
             k = _depths(term).index(0) + 1
             if "(x)" not in term[:k] or _TOKEN.sub("", term[1:k - 1]).strip("+-"):
                 break
-            factors.insert(0, _signed(term[1:k - 1]))
+            factors.insert(0, term[1:k - 1])
             term = term[k:]
         node = _operand(term)
         for factor in factors:
-            products = []
-            for a, product in factor:
-                legs = [[]]
-                for token in _TOKEN.findall(product):
-                    if token == "(x)":
-                        legs.append([])
-                    elif token != "I":
-                        legs[-1].append(token)
-                chain = node
-                for leg, maps in ((-1, legs[-1]), (0, legs[0])):
-                    for op, _, at in (m.partition("(") for m in reversed(maps)):
-                        chain = _map(op, at[:-1] or None, leg, chain)
-                products.append((a, chain))
-            node = _sum(products)
+            node = _sum([(a, _chain(product, node)) for a, product in _signed(factor)])
         terms.append((sign, node))
     return _sum(terms)
+
+
+def _chain(product, node):
+    """A product of leg maps applied to node: A (x) B is (A (x) I)(I (x) B),
+    and the maps on one leg apply right to left."""
+    legs = [[]]
+    for token in _TOKEN.findall(product):
+        if token == "(x)":
+            legs.append([])
+        elif token != "I":
+            legs[-1].append(token.partition("("))
+    for leg, maps in ((-1, legs[-1]), (0, legs[0])):
+        for op, _, at in reversed(maps):
+            node = _map(op, at[:-1] or None, leg, node)
+    return node
 
 
 def _operand(s):
@@ -376,12 +381,12 @@ def _sum(terms):
 
 
 def _make(kind, text, reads, order, *data):
-    """The node (kind, key, reads, order, text, *data), one per text: reads
-    is the indices it reads ('', 'x', 'y' or 'xy') and order its tensor
-    order; one that reads y alone is keyed, and valued, as its x twin."""
+    """The node (kind, key, reads, order, text, *data): reads is the indices
+    it reads ('', 'x', 'y' or 'xy'), order its tensor order, and key its
+    text, with y read as x when it reads y alone, so that the two twins
+    share one value."""
     reads = "".join(v for v in "xy" if v in reads)
-    key = text.replace("y", "x") if reads == "y" else text
-    return _NODES.setdefault(text, (kind, key, reads, order, text) + data)
+    return (kind, text.replace("y", "x") if reads == "y" else text, reads, order, text) + data
 
 
 @cache
@@ -391,8 +396,9 @@ def _compiled(equations):
     in turn through ``parts``, on the base tensors B and product cells T of
     one input.  The run is Python making one kernel call per term, as a
     hand-written check would; a node that is a value (a leg map's operand,
-    a contraction's factor, a map at a product cell) is computed once for
-    the indices it reads, before the loops if it reads fewer than the run."""
+    a contraction's factor, a map at a product cell, a node the run reads
+    twice) is computed once for the indices it reads, before the loops if
+    it reads fewer than the run."""
     runs = []
     for indices, group in groupby(equations, lambda e: e[2]):
         run = []
@@ -404,9 +410,24 @@ def _compiled(equations):
 
 
 def _compiled_run(equations, pairs):
+    """The run function of compiled equations (label, degree, sides, detail):
+    the statements ``pre`` before its loops, then at each index or pair the
+    statements ``top``, which make the values that read every loop index,
+    and ``body``, which evaluates each equation's sides into accumulators
+    and compares them."""
     pre, top, body, names, index = [], [], [], {}, {"x": "i", "y": "j"}
 
+    def nodes(node):
+        """The keys of node and of every node under it."""
+        yield node[1]
+        for child in ([c for _, c in node[5]] if node[0] == "sum" else
+                      node[7:9] if node[0] == "con" else node[8:9] if node[0] == "map" else ()):
+            yield from nodes(child)
+
+    uses = Counter(key for *_, sides, _ in equations for side in sides for key in nodes(side))
+
     def local(expr, where=pre):
+        """A name bound to expr once, in pre or in top."""
         if expr not in names:
             names[expr] = "u%d" % len(names)
             where.append("%s = %s" % (names[expr], expr))
@@ -431,24 +452,27 @@ def _compiled_run(equations, pairs):
         listed = pairs and len(reads) == 1
         if key not in names:
             names[key] = name = "v%d" % len(names)
-            lines = ["a = cell_map()"] + add(node, "a", 1) + ["%s = a" % name]
+            lines = ["a = cell_map()"] + add(node, "a", 1, False) + ["%s = a" % name]
             if listed:
                 lines = ["%s = []" % name, "for i in range(n):", "    j = i"] + [
                     "    " + s.replace("\n", "\n    ") for s in lines[:-1] + [name + ".append(a)"]]
             (top if reads and not listed else pre).extend(lines)
         return names[key] + ("[%s]" % (k or index[reads]) if listed else "")
 
-    def add(node, acc, sign):
-        """Statements adding sign node at (e_i, e_j) into acc."""
+    def add(node, acc, sign, share=True):
+        """Statements adding sign node at (e_i, e_j) into acc; a node that the
+        run reads twice is added as its value."""
         kind = node[0]
+        if share and uses[node[1]] > 1 and kind != "base":
+            return ["add_cells(%s, %s, %d)" % (acc, value(node), sign)]
         if kind == "sum":
             return [s for a, child in node[5] for s in add(child, acc, sign * a)]
         if kind == "con":
             how, o, u, v = node[5:]
             su, sv = (1, sign) if len(v[2]) < len(u[2]) else (sign, 1)
-            u, v = (local("legs(%s, n, n)" % (value(t) if s == 1 else "add_cells(cell_map(), %s, -1)"
-                                              % value(t)), top if t[2] else pre)
-                    for t, s in ((u, su), (v, sv)))
+            u, v = (local("legs(%s, n, n)" % (value(t) if s == 1 else
+                                              "add_cells(cell_map(), %s, -1)" % value(t)),
+                          top if t[2] else pre) for t, s in ((u, su), (v, sv)))
             return ["add_contraction(%s, %s, %s, %s, %r)" % (acc, u, v, local("T[%r]" % o), how)]
         at = node[6]
         if at and len(at) == 3:
@@ -459,7 +483,8 @@ def _compiled_run(equations, pairs):
             return ["add_cells(%s, %s, %d)" % (acc, value(node), sign)]
         op, at, leg, child = node[5:]
         cols = local("[list(c.items()) for c in %s]" % base(op) if op[0] == "D" else
-                     "operators(T[%r])[%d]" % (op[1], op[0] == "R")) + ("[%s]" % index[at] if at else "")
+                     "operators(T[%r])[%d]" % (op[1], op[0] == "R"))
+        cols += "[%s]" % index[at] if at else ""
         if leg == 0:
             return ["add_first(%s, %s, %s, %s, %d)"
                     % (acc, cols, value(child), local("n ** %d" % (child[3] - 1)), sign)]
@@ -521,9 +546,10 @@ def check_d_bialgebra(alg: ADAlgebra, cp: CoproductPair, exhaustive: bool = Fals
     dual = table_cells(t3_reorder(ds, TO_TABLE)), table_cells(t3_reorder(dp, TO_TABLE))
     dual += (cells_sum(*dual, at(1).residues),)
     dual_cop = [t3_reorder(lower(op.table), TO_COP) for op in (alg.succ, alg.prec)]
+    checks = [(D_EQUATIONS, {"Ds": ds, "Dp": dp}, dict(zip("><.", tables))),
+              (D_DUAL, dict(zip(("Ds", "Dp"), dual_cop)), dict(zip("><.", dual)))]
     return _check(Report("D-bialgebra compatibilities", exhaustive=exhaustive, field=alg.field),
-                  at, alg.dim, [(D_EQUATIONS, {"Ds": ds, "Dp": dp}, dict(zip("><.", tables))),
-                                (D_DUAL, dict(zip(("Ds", "Dp"), dual_cop)), dict(zip("><.", dual)))])
+                  at, alg.dim, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ with plain ints, over GF(3) with plain ints, some of them multiples of 3, and
 over GF(3) with field elements), the ``repr`` of the reports of
 ``check_coalgebra``, ``check_d_bialgebra`` and
 ``check_coboundary_conditions``, each in both modes, and of
-``coboundary_coproducts`` is hashed.  The pins were recorded on the
-hand-written chains that the equation data replaced.
+``coboundary_coproducts`` is hashed.
 """
 
 from __future__ import annotations

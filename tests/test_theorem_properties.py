@@ -344,8 +344,8 @@ def draw_coproducts(data, alg):
     if kind == "dual":
         same = [b for b in bases() + [ADAlgebra.zero(k) for k in (2, 4)] if b.dim == n]
         return kind, dualize_algebra(data.draw(st.sampled_from(same)))
-    parts = [[(i, j, k, Q(c)) for i, j, k in product(range(n), repeat=3) if (c := data.draw(entry))]
-             for _ in range(2)]
+    parts = [[(i, j, k, Q(c)) for i, j, k in product(range(n), repeat=3)
+              if (c := data.draw(entry))] for _ in range(2)]
     return kind, CoproductPair.from_entries(n, *parts)
 
 
