@@ -252,7 +252,8 @@ def algebra_from_coproducts(cp: CoproductPair, field=RATIONALS) -> ADAlgebra:
 # sums leg maps M (x) I or I (x) M (one I more on order 3), M one of L>, R>,
 # L<, R<, L., R. at x, y or a cell such as x<y, a product of them, or a
 # coproduct Ds, Dp or D = Ds + Dp read as a map, with A (x) B meaning
-# (A (x) I)(I (x) B).  A coproduct written without an index is read at x.
+# (A (x) I)(I (x) B).  tau X is the twist of the legs of X, and a coproduct
+# written without an index is read at x.
 COALGEBRA = (
     ("Ca1", 2, "x", "(Ds (x) I)Dp = (I (x) Dp)Ds", None),
     ("Ca2", 2, "x", "(I (x) Ds)Ds = -(D (x) I)Ds = (Dp (x) I)Dp = -(I (x) D)Dp", None))
@@ -272,8 +273,8 @@ D_EQUATIONS = (
 # D7-D9: D1-D3 for the transposed structure on the dual space
 D_DUAL = tuple(("D%d" % (k + 7),) + e[1:] for k, e in enumerate(D_EQUATIONS[:3]))
 # Ds(x) and Dp(x) of a coboundary pair
-COBOUNDARY = (("CD1", 1, "x", "-(R<(x) (x) I + I (x) L.(x))r>", None),
-              ("CD2", 1, "x", "(R.(x) (x) I + I (x) L>(x))r<", None))
+COBOUNDARY = (("CD1", 2, "x", "-(R<(x) (x) I + I (x) L.(x))r>", None),
+              ("CD2", 2, "x", "(R.(x) (x) I + I (x) L>(x))r<", None))
 COBOUNDARY_CONDITIONS = (
     ("CD3", 3, "xy", "(R<(x) (x) I + I (x) L.(x))(L>(y) (x) I + I (x) R.(y))(r> + tau r<) = 0",
      "CD3 does not vanish"),
@@ -342,19 +343,20 @@ def _node(s):
 def _chain(product, node):
     """A product of leg maps applied to node: A (x) B is (A (x) I)(I (x) B),
     and the maps on one leg apply right to left."""
-    legs = [[]]
+    on_leg = [[]]
     for token in _TOKEN.findall(product):
         if token == "(x)":
-            legs.append([])
+            on_leg.append([])
         elif token != "I":
-            legs[-1].append(token.partition("("))
-    for leg, maps in ((-1, legs[-1]), (0, legs[0])):
+            on_leg[-1].append(token.partition("("))
+    for leg, maps in ((-1, on_leg[-1]), (0, on_leg[0])):
         for op, _, at in reversed(maps):
             node = _map(op, at[:-1] or None, leg, node)
     return node
 
 
 def _operand(s):
+    """The node of a bracketed sum, a contraction or a base tensor."""
     if s[0] in "([" and _depths(s).index(0) == len(s) - 1:
         return _node(s[1:-1])
     contraction = _CONTRACTION.match(s)
