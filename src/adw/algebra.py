@@ -11,11 +11,12 @@ where x.y = x>y + x<y is the associated associative product.
 
 Every check computes on plain ints: the field's ``lowering`` takes the
 tables to int residues over GF(p), and over Q to ints scaled by the lcm d of
-their denominators, straight to sparse cells (``lowered_cells``).  The
-identities are of degree 2 in the tables, so the walk compares in the field
-of degree 2 (``lowered_walk``) and a verdict over Q is the one on the tables
-as given.  A1, A2 and associativity are each written per basis triple
-(``a1_chain``, ``a2_pair``, ``assoc_pair``) and as slab terms.
+their denominators, straight to sparse cells (``lowered_cells``); GF(p)
+elements checked over Q are read in GF(p).  The identities are of degree 2
+in the tables, so the walk compares in the field of degree 2
+(``lowered_walk``) and a verdict over Q is the one on the tables as given.
+A1, A2 and associativity are each written per basis triple (``a1_chain``,
+``a2_pair``, ``assoc_pair``) and as slab terms.
 
 One loop, ``walk_pairs``, walks ``check_triples`` and the glued walks of
 ``adw.unified``.  It tests each row u over every (u, v, w) at once
@@ -187,10 +188,10 @@ class Packing:
 
 def packing(tables, field):
     """ws -> the ``Packing`` of a ``Walk``'s ``tables`` over ws, or None on
-    scalars left as given or on no basis.  A digit sums n products of two
-    entries, |entry| <= M, so b bits with n M**2 < 2**(b-1) hold it."""
+    no basis.  A digit sums n products of two entries, |entry| <= M, so b
+    bits with n M**2 < 2**(b-1) hold it."""
     _, succ, prec, dot, neg = tables
-    if field == RATIONALS or not dot[0]:
+    if not dot[0]:
         return lambda ws: None
     cells = (succ and succ[0], prec and prec[0], dot[0], neg)
     # over Q dot is -dot negated
@@ -254,21 +255,10 @@ def walk_pairs(walk, checks, ru, rv, rw, tag) -> None:
     The digits of the row tests (``Walk.rows``) mark the broken checks,
     spelled in walk order in exhaustive mode, else only one that no kept
     violation precedes; every other check is ticked, one ``tick()`` each,
-    and counted if broken.  Scalars left as given are walked triple by
-    triple."""
+    and counted if broken."""
     if not rw:
         return
     tables, part, packs = walk.tables, walk.part, walk.packs[rw]
-    if packs is None:
-        for iu, u in enumerate(ru):
-            for iv, v in enumerate(rv):
-                for iw, w in enumerate(rw):
-                    for identity, cells in checks:
-                        values = identity[1](tables, u, v, w)
-                        for comp, label, terms in cells:
-                            part.require_chain(label, tag + (iu, iv, iw), terms, values
-                                               if comp is None else tuple(t[comp] for t in values))
-        return
     rows = [walk.rows(identity, rw, rv) for identity, _ in checks]
     masks = [[packs.mask(comp) for comp, _, _ in cells] for _, cells in checks]
     spelled = 0

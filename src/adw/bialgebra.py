@@ -197,6 +197,9 @@ def build_double_construction(alg: ADAlgebra, dual_alg: ADAlgebra) -> DoubleCons
 
 @dataclass(frozen=True)
 class CoproductPair:
+    """Coproducts D>(e_k), D<(e_k) with scalars in ``field`` (unchecked:
+    GF(p) elements under the default Q are read in GF(p))."""
+
     dim: int
     dsucc: tuple  # per basis element: an order-2 tensor
     dprec: tuple

@@ -11,9 +11,10 @@ both element types absorb them, so generic code can write ``sum(...)`` or
 
 ``lowering`` is the one way checks compute on plain ints.  Over GF(p) it
 lowers scalars to their int residues mod p; over Q it scales every input of
-a check by d, the lcm of their denominators, to ints.  ``residues`` and
-``lift`` are the comparison boundary: a ``Report`` compares the residues of
-its values and records the lift of a kept violation.  Over GF(p) they reduce
+a check by d, the lcm of their denominators, to ints, or over GF(p) if they
+hold GF(p) elements; any other scalar is refused.  ``residues`` and ``lift``
+are the comparison boundary: a ``Report`` compares the residues of its
+values and records the lift of a kept violation.  Over GF(p) they reduce
 mod p and return field elements; after a lowering over Q the report compares
 in ``ScaledRationals(d**k)``, for values of degree k in the inputs, whose
 ``residues`` leaves the ints as they are and whose ``lift`` divides by d**k.
@@ -160,8 +161,9 @@ class Rationals:
         d is the lcm of the denominators of their coefficients.  ``lower``
         takes a nested tuple of those coefficients to the ints d*x, every zero
         to int 0; ``at(k)`` is ``ScaledRationals(d**k)``, where a value of
-        degree k in the lowered parts compares and lifts.  Parts holding a
-        scalar that is neither an int nor a ``Fraction`` are left as they are.
+        degree k in the lowered parts compares and lifts.  A ``GFElement`` of
+        GF(p) among them gives ``PrimeField(p).lowering()``; ``coerce`` refuses
+        any other scalar that is neither an int nor a ``Fraction``.
         """
         dens = set()
         try:
@@ -171,9 +173,9 @@ class Rationals:
                         if any(vec):
                             dens.update(x.denominator for x in vec if x)
         except AttributeError:
-            # a scalar that is neither an int nor a Fraction, which a datum
-            # that does not check its field may hold: compute on it as given
-            return self.residues, lambda k: self
+            x = next(x for part in parts if part is not None for vec in _vectors(part)
+                     for x in vec if x and not hasattr(x, "denominator"))
+            return PrimeField(x.p).lowering() if type(x) is GFElement else self.coerce(x)
         d = lcm(*dens)
 
         def lower(x):

@@ -108,7 +108,8 @@ def bicrossed_product(d: MatchedPairDatum, precheck: bool = True) -> ADAlgebra:
 
 @dataclass(frozen=True)
 class AssocMatchedPair:
-    """Two associative products acting on each other, with scalars in ``field``."""
+    """Two associative products acting on each other, with scalars in ``field``
+    (unchecked: GF(p) elements under the default Q are read in GF(p))."""
 
     op1: BilinearOp
     op2: BilinearOp

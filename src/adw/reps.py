@@ -111,7 +111,8 @@ def transposed(fam: ActionFamily) -> ActionFamily:
 
 @dataclass(frozen=True)
 class AssocRep:
-    """A bimodule (V, l, r) over an associative product with scalars in ``field``."""
+    """A bimodule (V, l, r) over an associative product with scalars in ``field``
+    (unchecked: GF(p) elements under the default Q are read in GF(p))."""
 
     op: BilinearOp
     mod_dim: int

@@ -221,6 +221,8 @@ def check_columns(walk, na, nv, slots, acting="A") -> None:
     n = na + nv
     summand = {"A": range(na), "V": range(na, n)}
     xs = summand[acting]
+    if not xs:
+        return
     module, cut = ((summand["V"], slice(na, n)) if acting == "A" else
                    (summand["A"], slice(0, na)))
     tables, part, ticks = walk.tables, walk.part, 0
@@ -228,10 +230,10 @@ def check_columns(walk, na, nv, slots, acting="A") -> None:
               terms, _breaks(walk, placement, identity, xs, module, cut))
              for label, placement, identity, terms in slots]
     for i, x in enumerate(xs):
-        marks = [breaks and breaks(x) for *_, breaks in slots]
+        marks = [breaks(x) for *_, breaks in slots]
         for j, y in enumerate(xs):
             for (label, place, identity, terms, _), mark in zip(slots, marks):
-                if mark is not None and not (mark[j] and (part.exhaustive or not part.violations)):
+                if not (mark[j] and (part.exhaustive or not part.violations)):
                     ticks += 1
                     part.violation_count += bool(mark[j])
                     continue
@@ -245,10 +247,9 @@ def check_columns(walk, na, nv, slots, acting="A") -> None:
 def _breaks(walk, placement, identity, xs, module, cut):
     """x -> per y the cut digits, nonzero where the slot breaks, of its row
     tests at (x, y) for "xyw", or of block y at every (w, x) for "wxy" and
-    (x, w) for "xwy"; None on scalars as given."""
+    (x, w) for "xwy"."""
     ws, vs = (module, xs) if placement[2] == "w" else (xs, module if placement[1] == "w" else xs)
-    if (packs := walk.packs[ws]) is None:
-        return None
+    packs = walk.packs[ws]
     rows = walk.rows(IDENTITIES[identity], ws, vs)
     if placement[2] == "w":
         mask = packs.mask(cut)

@@ -10,18 +10,29 @@ regular representation, ``unglue`` at a split A (+) V, the coboundary
 coproducts of two random tensors), and each of A, R, S, C, M, AM, the four
 induced bimodules, CD, D and the coalgebra axioms must give the same
 verdict, ``checked`` count and first violation, or the same refusal.
+
+The mirror: field-element data whose check is left at Q (an associative
+product, an associative matched pair or bimodule, coproducts) is read in
+GF(p), so its report equals that of the same check with the field named.
+A scalar that lies in neither field (a float, a ``Fraction`` among GF(p)
+elements) is refused.
 """
 
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from adw.algebra import ADAlgebra, BilinearOp, check_anti_dendriform, direct_sum
-from adw.bialgebra import (check_coalgebra, check_coboundary_conditions,
+from adw.algebra import ADAlgebra, BilinearOp, check_anti_dendriform, check_associative, direct_sum
+from adw.bialgebra import (CoproductPair, check_coalgebra, check_coboundary_conditions,
                            check_d_bialgebra, coboundary_coproducts)
 from adw.crossed import CrossedDatum, check_crossed_system
-from adw.fields import PrimeField
-from adw.matched import MatchedPairDatum, check_matched_pair, induced_associative_matched_pair
+from adw.fields import RATIONALS, InputError, PrimeField
+from adw.matched import (AssocMatchedPair, MatchedPairDatum, check_assoc_matched_pair,
+                         check_matched_pair, induced_associative_matched_pair)
 from adw.reporting import PreconditionFailure
-from adw.reps import (check_representation, induced_associative_reps,
+from adw.reps import (check_assoc_bimodule, check_representation, induced_associative_reps,
                       regular_representation, semidirect_product)
 from adw.unified import ExtendingDatum, check_extending_structure, unglue
 
@@ -125,3 +136,63 @@ def test_int_tables_compare_as_their_field_elements(data):
     as_elements = outcomes(field, [coerced(field, t) for t in tables], na, n,
                            coerced(field, rs), coerced(field, rp))
     assert as_ints == as_elements
+
+
+def report(check):
+    """(name, checked, violation_count, violations), or the refusal."""
+    try:
+        rep = check()
+    except PreconditionFailure as exc:
+        return "refused", str(exc), report(lambda: exc.report)
+    return rep.name, rep.checked, rep.violation_count, rep.violations
+
+
+@SETTINGS
+@given(st.data())
+def test_field_elements_under_q_compare_in_their_field(data):
+    field = data.draw(st.sampled_from(PRIMES))
+    tables, na, n = source(data, field)
+    rs, rp = tensor(data, field, n), tensor(data, field, n)
+    alg = ADAlgebra(n, tuple("e%d" % i for i in range(n)),
+                    *(BilinearOp(n, coerced(field, t)) for t in tables), field)
+    int_alg = replace(alg, succ=BilinearOp(n, tables[0]), prec=BilinearOp(n, tables[1]),
+                      field=RATIONALS)
+    blocks = [unglue(op.table, range(na), range(na, n)) for op in (alg.succ, alg.prec)]
+    (aa_s, _, _, vv_s), (aa_p, _, _, vv_p) = blocks
+    pair = MatchedPairDatum.unglued(
+        ADAlgebra(na, alg.basis[:na], BilinearOp(na, aa_s[0]), BilinearOp(na, aa_p[0]), field),
+        ADAlgebra(n - na, alg.basis[na:], BilinearOp(n - na, vv_s[1]),
+                  BilinearOp(n - na, vv_p[1]), field), *blocks)
+    amp = AssocMatchedPair(pair.alg1.assoc, pair.alg2.assoc, pair.l1s.add(pair.l1p),
+                           pair.r1s.add(pair.r1p), pair.l2s.add(pair.l2p),
+                           pair.r2s.add(pair.r2p), field)
+    areps = [arep for arep, _ in induced_associative_reps(regular_representation(alg),
+                                                          precheck=False)]
+    cp = coboundary_coproducts(alg, coerced(field, rs), coerced(field, rp))
+    for exhaustive in (False, True):
+        pairs = [
+            (lambda x: check_associative(alg.assoc, exhaustive, field=x)),
+            (lambda x: check_assoc_matched_pair(replace(amp, field=x), exhaustive)),
+            *((lambda x, a=a: check_assoc_bimodule(replace(a, field=x), exhaustive))
+              for a in areps),
+            (lambda x: check_coalgebra(replace(cp, field=x), exhaustive)),
+        ]
+        for check in pairs:
+            assert report(lambda: check(RATIONALS)) == report(lambda: check(field))
+        named = report(lambda: check_d_bialgebra(alg, cp, exhaustive))
+        assert report(lambda: check_d_bialgebra(int_alg, replace(cp, field=RATIONALS),
+                                                exhaustive)) == named
+
+
+GF3 = PrimeField(3)
+HALF = (((0.5, 0), (0, 1)), ((0, 1), (0, 0)))
+MIXED = (((GF3.one, Fraction(1, 2)), (GF3.zero, GF3.zero)),
+         ((GF3.zero, GF3.zero), (GF3.zero, GF3.one)))
+
+
+@pytest.mark.parametrize("table", [HALF, MIXED], ids=["float", "fraction-among-gf3"])
+def test_scalars_in_neither_field_are_refused(table):
+    with pytest.raises(InputError):
+        check_associative(BilinearOp(2, table))
+    with pytest.raises(InputError):
+        check_coalgebra(CoproductPair(2, table, table))
