@@ -54,7 +54,7 @@ class BilinearForm:
     gram: tuple
 
     def __post_init__(self):
-        if shape(self.gram) != (self.dim, self.dim):
+        if not has_shape(self.gram, self.dim, self.dim):
             raise InputError("gram matrix is not %dx%d" % (self.dim, self.dim))
 
     def pair(self, u, v):
@@ -207,8 +207,7 @@ class CoproductPair:
 
     def __post_init__(self):
         for part in (self.dsucc, self.dprec):
-            if len(part) != self.dim or any(shape(t) != (self.dim, self.dim)
-                                            for t in part):
+            if len(part) != self.dim or not all(has_shape(t, self.dim, self.dim) for t in part):
                 raise InputError("coproduct tables do not match dimension %d" % self.dim)
 
     @staticmethod
@@ -564,7 +563,7 @@ def coboundary_coproducts(alg: ADAlgebra, rsucc, rprec) -> CoproductPair:
     """The coboundary coproduct pair of two tensors (``COBOUNDARY``), on the
     scalars as given."""
     n = alg.dim
-    if shape(rsucc) != (n, n) or shape(rprec) != (n, n):
+    if not (has_shape(rsucc, n, n) and has_shape(rprec, n, n)):
         raise InputError("tensors must be %dx%d" % (n, n))
     ds, dp = [], []
 
@@ -585,7 +584,7 @@ def check_coboundary_conditions(alg: ADAlgebra, rsucc, rprec,
     is lifted.  Passing is equivalent to the pair meeting the coalgebra
     axioms and D1-D6, which the test suite exercises."""
     n = alg.dim
-    if shape(rsucc) != (n, n) or shape(rprec) != (n, n):
+    if not (has_shape(rsucc, n, n) and has_shape(rprec, n, n)):
         raise InputError("tensors must be %dx%d" % (n, n))
     lower, at = lowering = alg.field.lowering(alg.succ.table, alg.prec.table, rsucc, rprec)
     tables = lowered_cells(lowering, alg.succ.table, alg.prec.table)
@@ -620,7 +619,7 @@ def adybe_residual(alg: ADAlgebra, r):
 
 def _ye6_dim(alg, r):
     n = alg.dim
-    if shape(r) != (n, n):
+    if not has_shape(r, n, n):
         raise InputError("tensor must be %dx%d" % (n, n))
     return n
 

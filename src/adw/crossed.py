@@ -26,7 +26,7 @@ from .algebra import (ADAlgebra, BilinearOp, change_basis, check_homomorphism, c
                       is_automorphism, lowered_walk)
 from .fields import RATIONALS, InputError
 from .linalg import (block_matrix, has_shape, identity, inverse, mat_add, mat_neg, matmul,
-                     matvec, shape, solve_linear, sparse_nullspace, sparse_solve, unit, vadd,
+                     matvec, solve_linear, sparse_nullspace, sparse_solve, unit, vadd,
                      vneg, vsub, zeros_mat)
 from .reporting import PreconditionFailure, Report
 from .tensors import table_cells
@@ -334,7 +334,7 @@ class GH2Tuple:
 
     def __post_init__(self):
         for mname in ("a", "b", "c", "d"):
-            if shape(getattr(self, mname)) != (self.n, self.n):
+            if not has_shape(getattr(self, mname), self.n, self.n):
                 raise InputError("matrix %s is not %dx%d" % (mname.upper(), self.n, self.n))
         if len(self.theta0) != self.n or len(self.epsilon0) != self.n:
             raise InputError("vectors must have length %d" % self.n)

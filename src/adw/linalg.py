@@ -87,9 +87,9 @@ def shape(m):
 
 
 def has_shape(m, rows, cols):
-    """Is m a rows x cols matrix, by its row count and its first row?  ``()``
-    is the matrix with no rows of every column count."""
-    return len(m) == rows and (not m or len(m[0]) == cols)
+    """Is m a rows x cols matrix, every row of length cols?  ``()`` is the
+    matrix with no rows of every column count."""
+    return len(m) == rows and all(len(row) == cols for row in m)
 
 
 def identity(n, one=1):

@@ -6,7 +6,9 @@ that products ran on before the kernel, frozen in
 ``frozen_split_engine.apply``: over Q and GF(5), on tables that mix int 0,
 field zeros and nonzero entries, with ``out_dim`` different from ``dim``,
 zero vectors and dim-0 sources.  The A and associativity checks keep their
-verdict and ``checked`` under ``change_basis``.
+verdict and ``checked`` under ``change_basis``.  A ragged matrix, one whose
+rows after the first differ in length, is refused wherever a square one is
+required.
 """
 
 import re
@@ -18,9 +20,11 @@ from hypothesis import assume, given, settings, strategies as st
 from adw.actions import ActionFamily
 from adw.algebra import (ADAlgebra, BilinearOp, change_basis, check_anti_dendriform,
                          check_associative, direct_sum)
-from adw.crossed import CrossedDatum
+from adw.bialgebra import (BilinearForm, CoproductPair, adybe_residual,
+                           check_coboundary_conditions, coboundary_coproducts, is_ybe_solution)
+from adw.crossed import CrossedDatum, GH2Tuple
 from adw.fields import RATIONALS, GFElement, InputError, PrimeField
-from adw.linalg import inverse, unit
+from adw.linalg import has_shape, inverse, unit
 from adw.matched import MatchedPairDatum
 from adw.reps import ADRep, regular_representation, semidirect_product
 from adw.linalg import accumulate
@@ -128,6 +132,29 @@ def test_every_datum_names_its_misshapen_part():
             MatchedPairDatum, base, fibre, *(a_on_v,) * 4, v_on_a, v_on_a, a_on_v, v_on_a)
     refused("mod_dim: expected a non-negative integer",
             ADRep, ADAlgebra.zero(0), -1, *(ActionFamily.zero(0, -1),) * 4)
+
+
+RAGGED = ((0, 1), (1,))
+
+
+def test_ragged_matrices_are_refused():
+    """Every row is read, not only the first; ``()`` stays 0 x c."""
+    assert has_shape((), 0, 3) and has_shape(((1, 0), (0, 1)), 2, 2)
+    assert not has_shape(RAGGED, 2, 2) and not has_shape(((1,), (0, 1)), 2, 1)
+    nil, zero = nil2(RATIONALS), ((0, 0), (0, 0))
+
+    def refused(message, make):
+        with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+            make()
+
+    refused("tensor must be 2x2", lambda: adybe_residual(nil, RAGGED))
+    refused("tensor must be 2x2", lambda: is_ybe_solution(nil, RAGGED))
+    refused("tensors must be 2x2", lambda: check_coboundary_conditions(nil, RAGGED, zero))
+    refused("tensors must be 2x2", lambda: coboundary_coproducts(nil, zero, RAGGED))
+    refused("coproduct tables do not match dimension 2",
+            lambda: CoproductPair(2, (RAGGED, zero), (zero, zero)))
+    refused("gram matrix is not 2x2", lambda: BilinearForm(2, ((1, 0), (0,))))
+    refused("matrix C is not 2x2", lambda: GH2Tuple(2, zero, zero, RAGGED, zero, (0, 0), (0, 0)))
 
 
 # ---------------------------------------------------------------------------
