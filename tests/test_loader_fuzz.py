@@ -15,12 +15,20 @@ dimensions (a matrix or a pair one off in a dimension), and a quarter break
 one file as above; matrices are the identity pattern two times in three, so
 that prechecks pass and the checks run.
 
+The small-object files (matrix, six-tuple, automorphism-pair, r-matrix,
+coproduct, form and operator files) are also fuzzed alone, over Q and
+GF(3): every file of a command is drawn well formed, and then one of its
+small-object files is changed one to three times anywhere in its tree, a
+value replaced by junk or by an int one off, a key or an item dropped, a
+key added or an item repeated, so that rows turn ragged.
+
 The exit code must be 0, 1 or 2, no exception may escape, and exit 2 must
 print ``input error:`` (an undecided Wells class excepted).  The JSON
 formats are spelled out here, independently of the library's tables.
 """
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -314,5 +322,86 @@ def test_every_multi_file_command_exits_cleanly(workdir, group, command, field, 
         code = main(argv)
     assert code in (0, 1, 2)
     # an undecided Wells class exits 2 by design, with a note and no error
+    if code == 2 and "class undecided" not in out.getvalue():
+        assert err.getvalue().startswith("input error: "), err.getvalue()
+
+
+SMALL_KINDS = ("matrix", "pair", "gh2", "rmatrix", "coproducts", "form", "operator")
+SMALL = sorted(key for key, (positional, options) in MULTI.items()
+               if any(kind.split()[0] in SMALL_KINDS
+                      for kind in positional + tuple(kind for _, kind, _ in options)))
+
+
+@st.composite
+def mutated(draw, d):
+    """A copy of ``d`` changed one to three times somewhere in its tree."""
+    def junk():
+        return copy.deepcopy(draw(st.sampled_from(JUNK)))
+
+    d = copy.deepcopy(d)
+    for _ in range(draw(st.integers(1, 3))):
+        node = d
+        while True:
+            inner = [slot for slot in slots(node) if isinstance(node[slot], (list, dict))
+                     and node[slot]]
+            if not inner or not draw(st.integers(0, 2)):
+                break
+            node = node[draw(st.sampled_from(inner))]
+        action = draw(st.sampled_from(("junk", "shift", "drop", "add") if node else ("add",)))
+        slot = node and draw(st.sampled_from(slots(node)))
+        if action == "add":
+            if isinstance(node, dict):
+                node["unexpected"] = junk()
+            else:
+                node.append(copy.deepcopy(node[slot]) if node else junk())
+        elif action == "drop":
+            del node[slot]
+        elif action == "shift" and type(node[slot]) is int:
+            node[slot] += draw(st.sampled_from((-1, 1)))
+        else:
+            node[slot] = junk()
+    return d
+
+
+def small_files(kinds):
+    return ["f%d.json" % i for i, kind in enumerate(kinds) if kind.split()[0] in SMALL_KINDS]
+
+
+@st.composite
+def small_object_invocations(draw, group, command):
+    """(argv, {file name: contents}, contents of alg.json): every file well
+    formed but one small-object file, mutated."""
+    positional, options = MULTI[group, command]
+    dims = {s: draw(st.sampled_from((1, 2, 0, 3, 2, 1))) for s in "AV"}
+    dims["E"] = dims["A"] + dims["V"] if draw(st.booleans()) else dims["A"]
+    kinds, argv = list(positional), [group, command]
+    argv += ["f%d.json" % i for i in range(len(kinds))]
+    for option, kind, required in options:
+        # an optional small-object file is drawn, or forced if it is the only one
+        if required or draw(st.booleans()) or not small_files(kinds):
+            argv += [option, "f%d.json" % len(kinds)]
+            kinds.append(kind)
+    argv += [flag for flag in ("--json", "--exhaustive") if draw(st.booleans())]
+    files = {"f%d.json" % i: draw(contents(kind, dims, False)) for i, kind in enumerate(kinds)}
+    small = small_files(kinds)
+    name = draw(st.sampled_from(small))
+    files[name] = draw(mutated(files[name]))
+    return argv, files, draw(algebras(dims["A"], False))
+
+
+@pytest.mark.parametrize("group, command", SMALL, ids=["-".join(k) for k in SMALL])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(field=st.sampled_from(("rational", "fp3")), data=st.data())
+def test_every_small_object_loader_exits_cleanly(workdir, group, command, field, data):
+    argv, files, side = data.draw(small_object_invocations(group, command))
+    for name, d in files.items():
+        (workdir / name).write_text(json.dumps(d))
+    (workdir / "alg.json").write_text(json.dumps(side))
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"ADW_FIELD": field}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
     if code == 2 and "class undecided" not in out.getvalue():
         assert err.getvalue().startswith("input error: "), err.getvalue()
