@@ -136,6 +136,7 @@ def matmul(a, b):
     ra, ca = shape(a)
     rb, cb = shape(b)
     if not has_shape(a, ra, rb):
+        ca = next(len(row) for row in a if len(row) != rb)
         raise InputError("matmul: inner dimensions %d and %d differ" % (ca, rb))
     brows = _nonzeros(b)
     return tuple(accumulate(cb, brows, arow) for arow in _nonzeros(a))

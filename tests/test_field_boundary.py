@@ -170,14 +170,14 @@ def test_field_elements_under_q_compare_in_their_field(data):
                                                           precheck=False)]
     cp = coboundary_coproducts(alg, coerced(field, rs), coerced(field, rp))
     for exhaustive in (False, True):
-        pairs = [
+        checks = [
             (lambda x: check_associative(alg.assoc, exhaustive, field=x)),
             (lambda x: check_assoc_matched_pair(replace(amp, field=x), exhaustive)),
             *((lambda x, a=a: check_assoc_bimodule(replace(a, field=x), exhaustive))
               for a in areps),
             (lambda x: check_coalgebra(replace(cp, field=x), exhaustive)),
         ]
-        for check in pairs:
+        for check in checks:
             assert report(lambda: check(RATIONALS)) == report(lambda: check(field))
         named = report(lambda: check_d_bialgebra(alg, cp, exhaustive))
         assert report(lambda: check_d_bialgebra(int_alg, replace(cp, field=RATIONALS),

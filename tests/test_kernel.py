@@ -24,7 +24,7 @@ from adw.bialgebra import (BilinearForm, CoproductPair, adybe_residual,
                            check_coboundary_conditions, coboundary_coproducts, is_ybe_solution)
 from adw.crossed import CrossedDatum, GH2Tuple
 from adw.fields import RATIONALS, GFElement, InputError, PrimeField
-from adw.linalg import has_shape, inverse, unit
+from adw.linalg import has_shape, inverse, matmul, unit
 from adw.matched import MatchedPairDatum
 from adw.reps import ADRep, regular_representation, semidirect_product
 from adw.linalg import accumulate
@@ -155,6 +155,7 @@ def test_ragged_matrices_are_refused():
             lambda: CoproductPair(2, (RAGGED, zero), (zero, zero)))
     refused("gram matrix is not 2x2", lambda: BilinearForm(2, ((1, 0), (0,))))
     refused("matrix C is not 2x2", lambda: GH2Tuple(2, zero, zero, RAGGED, zero, (0, 0), (0, 0)))
+    refused("matmul: inner dimensions 1 and 2 differ", lambda: matmul(((1, 0), (1,)), zero))
 
 
 # ---------------------------------------------------------------------------
