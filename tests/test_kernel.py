@@ -6,9 +6,8 @@ that products ran on before the kernel, frozen in
 ``frozen_split_engine.apply``: over Q and GF(5), on tables that mix int 0,
 field zeros and nonzero entries, with ``out_dim`` different from ``dim``,
 zero vectors and dim-0 sources.  The A and associativity checks keep their
-verdict and ``checked`` under ``change_basis``.  A ragged matrix, one whose
-rows after the first differ in length, is refused wherever a square one is
-required.
+verdict and ``checked`` under ``change_basis``.  A ragged matrix, whose rows
+are not all of one length, is refused wherever a square one is required.
 """
 
 import re
